@@ -26,11 +26,9 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Params, PowerLaw
 from .dynamics import (
-    _bracket_minima,
     _escape_energy,
     _find_ueff_minimum,
     effective_potential,
@@ -38,8 +36,8 @@ from .dynamics import (
 )
 from .errors import (
     CircularOrbitError,
+    ConeDynError,
     DomainError,
-    NonUniqueMinimumError,
     QuadratureError,
     StructuralError,
 )
@@ -197,8 +195,9 @@ def radial_period(
 def circular_orbit(params: Params, J: float) -> tuple[float, float]:
     """Radius and energy of the circular orbit at angular momentum J.
 
-    Solves U_eff'(r_c) = 0, i.e. J^2/(m s^2 r_c^3) = V'(r_c), by bracketed
-    root finding to 1e-12 relative; E_c = U_eff(r_c).
+    Closed form of U_eff'(r_c) = 0: r_c = (J^2/(m s^2 A alpha))^(1/(alpha+2))
+    for V = A r^alpha (Kepler and the oscillator included) and
+    r_c = |J|/(s sqrt(m B)) for the log potential; E_c = U_eff(r_c).
     """
     if J == 0.0:
         raise DomainError("circular orbit requires J != 0")
@@ -253,37 +252,19 @@ def width_law_check(
     """Test whether the reduced well width grows exactly like sqrt(U - U0).
 
     The reduced 1D potential in the variable x = lam/(m r) is
-    U(x) = m x^2 / 2 + V(lam/(m x)).  An energy-independent oscillation
-    period is equivalent to the width law x2(U) - x1(U) = a*sqrt(U - U0)
-    holding exactly; the returned maximum relative residual certifies or
-    refutes it.  A potential whose reduced well has several minima cannot
-    satisfy the law and raises :class:`NonUniqueMinimumError`.
+    U(x) = m x^2 / 2 + V(lam/(m x)), which equals U_eff(r) identically.  So
+    its minimum sits at x0 = lam/(m r_c) with U0 = U_eff(r_c), and the well
+    width at level U is (lam/m)(1/r_min - 1/r_max) from the turning points
+    of that level.  An energy-independent oscillation period is equivalent
+    to the width law x2(U) - x1(U) = a*sqrt(U - U0) holding exactly; the
+    returned maximum relative residual certifies or refutes it.
     """
     if J == 0.0:
         raise DomainError("width law requires J != 0")
     if n_levels < 2:
         raise DomainError("need at least two energy levels for the fit")
-    m = params.m
-    lam = abs(J) / params.geometry.s
-    pot = params.potential
-
-    def u(x):
-        return 0.5 * m * x * x + pot.value(lam / (m * x), m)
-
-    def u_d1(x):
-        r = lam / (m * x)
-        return m * x - (lam / (m * x * x)) * pot.d1(r, m)
-
-    grid = np.geomspace(1e-6, 1e6, 289)
-    brackets = _bracket_minima(np.asarray(u_d1(grid)), grid)
-    if not brackets:
-        raise StructuralError("reduced potential has no interior minimum")
-    if len(brackets) > 1:
-        raise NonUniqueMinimumError(
-            f"reduced potential has {len(brackets)} minima; width law undefined"
-        )
-    x0 = brentq(u_d1, *brackets[0], rtol=1e-14, xtol=1e-30)
-    u0 = float(u(x0))
+    scale = abs(J) / (params.geometry.s * params.m)  # lam/m
+    _, u0 = _find_ueff_minimum(params, J)
 
     if u_cap is None:
         u_cap = u0 + 10.0 * (abs(u0) if u0 != 0.0 else 1.0)
@@ -292,23 +273,11 @@ def width_law_check(
     if u_cap >= u_left_sup:
         u_cap = u0 + 0.98 * (u_left_sup - u0)
 
-    def root_from(x_start: float, level: float, factor: float) -> float:
-        far = x_start
-        for _ in range(4096):
-            far *= factor
-            if u(far) > level:
-                break
-        else:  # pragma: no cover
-            raise QuadratureError("width-law bracket expansion failed")
-        a, b = (far, x0) if factor < 1.0 else (x0, far)
-        return brentq(lambda x: u(x) - level, a, b, rtol=1e-14, xtol=1e-300)
-
     levels = u0 + (np.arange(1, n_levels + 1) / n_levels) * (u_cap - u0)
     widths = np.empty(n_levels)
     for i, lev in enumerate(levels):
-        x1 = root_from(x0, lev, 0.5)
-        x2 = root_from(x0, lev, 2.0)
-        widths[i] = x2 - x1
+        tp = turning_points(params, float(lev), J)
+        widths[i] = scale * (1.0 / tp.r_min - 1.0 / tp.r_max)
 
     sqrt_du = np.sqrt(levels - u0)
     a_fit = float(widths @ sqrt_du / (sqrt_du @ sqrt_du))
@@ -420,7 +389,7 @@ def bertrand_scan(
             for E in energies:
                 try:
                     res = apsidal_angle(params, E, J, tolerance, max_refinements)
-                except Exception as exc:  # per-cell failures are recorded
+                except ConeDynError as exc:  # per-cell failures are recorded
                     cells.append(ScanCell(alpha, E, lam, None, f"infeasible: {exc}"))
                     continue
                 sdphi = res.delta_phi * s

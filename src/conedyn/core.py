@@ -229,8 +229,10 @@ class PhasePoint:
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise DomainError(f"r must be finite and positive, got {self.r}")
-        if not math.isfinite(self.phi):
-            raise DomainError(f"phi must be finite, got {self.phi}")
+        if not (math.isfinite(self.phi) and math.isfinite(self.p_r) and math.isfinite(self.J)):
+            raise DomainError(
+                f"phi, p_r and J must be finite, got ({self.phi}, {self.p_r}, {self.J})"
+            )
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     TWO_PI,
@@ -25,10 +24,12 @@ from .core import (
     Params,
     PhasePoint,
     PowerLaw,
+    as_power_law,
 )
 from .errors import (
     DomainError,
     ForbiddenEnergyError,
+    QuadratureError,
     StructuralError,
     TipCollisionError,
     UnboundedMotionError,
@@ -136,36 +137,56 @@ def _escape_energy(params: Params) -> float:
 
 # --- Turning points ---
 
-_SCAN_GRID = np.geomspace(1e-6, 1e6, 289)
-
-
-def _bracket_minima(d1_values: np.ndarray, grid: np.ndarray) -> list[tuple[float, float]]:
-    """Brackets (a, b) where the derivative crosses - to + on the grid.
-
-    A grid node landing exactly on the critical point (derivative == 0) is
-    bracketed by its neighbors.
-    """
-    vals = np.asarray(d1_values, dtype=float)
-    out: list[tuple[float, float]] = []
-    for i in range(len(vals) - 1):
-        if vals[i] < 0.0 < vals[i + 1]:
-            out.append((float(grid[i]), float(grid[i + 1])))
-        elif vals[i + 1] == 0.0 and vals[i] < 0.0 and i + 2 < len(vals) and vals[i + 2] > 0.0:
-            out.append((float(grid[i]), float(grid[i + 2])))
-    return out
-
-
 def _find_ueff_minimum(params: Params, J: float) -> tuple[float, float]:
-    """Location and value of the (unique) interior minimum of U_eff."""
-    d1 = _effective_d1(params, J, _SCAN_GRID)
-    brackets = _bracket_minima(np.asarray(d1), _SCAN_GRID)
-    if not brackets:
+    """Location and value of the minimum of U_eff, in closed form.
+
+    For V = A r^alpha, U_eff' = 0 reduces to r^(alpha+2) = J^2/(m s^2 A alpha):
+    the critical point is unique, and a minimum exactly when A alpha > 0.
+    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.
+    """
+    m, s = params.m, params.geometry.s
+    if isinstance(params.potential, LogPotential):
+        a_alpha, alpha = params.potential.strength, 0.0
+    else:
+        law = as_power_law(params.potential, m)
+        a_alpha, alpha = law.amplitude * law.exponent, law.exponent
+    if J == 0.0 or a_alpha <= 0.0:
         raise StructuralError(
             "effective potential has no interior minimum for these parameters"
         )
-    a, b = brackets[0]
-    r_c = brentq(lambda r: _effective_d1(params, J, r), a, b, rtol=1e-14, xtol=1e-30)
-    return float(r_c), float(effective_potential(params, J, r_c))
+    r_c = float((J * J / (m * s * s * a_alpha)) ** (1.0 / (alpha + 2.0)))
+    return r_c, float(effective_potential(params, J, r_c))
+
+
+def _root(f, a: float, b: float, rtol: float) -> float:
+    """Root of f in [a, b], where f(a) and f(b) have strictly opposite signs.
+
+    Regula falsi with the Illinois modification (the weight of an end kept
+    twice in a row is halved), bisecting when the secant point leaves the
+    bracket.  The sign change is always kept; once the bracket is within
+    rtol (relative), a last secant step on the unweighted ends gives the root.
+    """
+    fa, fb = f(a), f(b)
+    if not fa * fb < 0.0:
+        raise QuadratureError(f"root not bracketed in [{a}, {b}]")
+    ga = fa  # the Illinois-weighted value at a
+    for _ in range(200):
+        x = (a * fb - b * ga) / (fb - ga)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx * fb < 0.0:
+            a, fa, ga = b, fb, fb
+        elif fx * fa < 0.0:
+            ga *= 0.5
+        else:
+            raise QuadratureError(f"root solve met the non-finite value {fx} at {x}")
+        b, fb = x, fx
+        if abs(b - a) <= rtol * abs(b):
+            return (a * fb - b * fa) / (fb - fa)
+    raise QuadratureError(f"root solve in [{a}, {b}] did not converge")
 
 
 @dataclass(frozen=True)
@@ -179,13 +200,16 @@ class TurningPoints:
 def turning_points(params: Params, E: float, J: float) -> TurningPoints:
     """Solve U_eff(r) = E for the two radii bracketing the bound motion.
 
-    Roots are bracketed starting from the U_eff minimum and polished with a
-    derivative-free solver to 1e-12 relative.  E at the minimum returns the
-    degenerate pair (r_c, r_c); energies below it are forbidden, energies at
-    or above the escape value are unbounded.
+    Starting from the closed-form minimum r_c, each root is bracketed by
+    doubling (outward) or halving (inward) the radius and then solved with
+    the bracketed root finder to 1e-13 relative.  E at the minimum returns
+    the degenerate pair (r_c, r_c); energies below it are forbidden,
+    energies at or above the escape value are unbounded.
     """
     r_c, u0 = _find_ueff_minimum(params, J)
-    tol_circ = 1e-13 * max(1.0, abs(u0), abs(E))
+    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff
+    k_c = J * J / (2.0 * params.m * params.geometry.s ** 2 * r_c * r_c)
+    tol_circ = 1e-13 * max(abs(u0), abs(E), k_c)
     if E < u0 - tol_circ:
         raise ForbiddenEnergyError(
             f"E={E} lies below the effective-potential minimum {u0}"
@@ -200,26 +224,17 @@ def turning_points(params: Params, E: float, J: float) -> TurningPoints:
     def f(r: float) -> float:
         return float(effective_potential(params, J, r)) - E
 
-    hi = r_c
-    for _ in range(2048):
-        hi *= 2.0
-        if f(hi) > 0.0:
-            break
-    else:  # pragma: no cover - escape check above prevents this
-        raise UnboundedMotionError("no outer turning point found")
-    r_max = brentq(f, r_c, hi, rtol=1e-13, xtol=1e-30)
+    def far_end(factor: float) -> float:
+        # terminates both ways: J != 0 makes U_eff blow up at the tip, and E
+        # is below the escape energy
+        r = r_c * factor
+        while f(r) <= 0.0:
+            r *= factor
+        return r
 
-    lo = r_c
-    for _ in range(2048):
-        lo *= 0.5
-        if f(lo) > 0.0:
-            break
-    else:
-        raise DomainError(
-            "no inner turning point: motion reaches the tip (requires J != 0)"
-        )
-    r_min = brentq(f, lo, r_c, rtol=1e-13, xtol=1e-30)
-    return TurningPoints(r_min=float(r_min), r_max=float(r_max))
+    r_max = _root(f, r_c, far_end(2.0), rtol=1e-13)
+    r_min = _root(f, far_end(0.5), r_c, rtol=1e-13)
+    return TurningPoints(r_min=r_min, r_max=r_max)
 
 
 # --- Time integration ---
@@ -406,7 +421,7 @@ def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
     for i in range(len(p) - 1):
         if p[i] == 0.0 or p[i] * p[i + 1] >= 0.0:
             continue
-        t_star = brentq(p_h, t[i], t[i + 1], rtol=1e-15, xtol=1e-30)
+        t_star = _root(p_h, float(t[i]), float(t[i + 1]), rtol=1e-15)
         kind = "perigee" if p[i] < 0.0 else "apogee"
         events.append(
             ApsisEvent(time=float(t_star), kind=kind,
@@ -428,6 +443,23 @@ def measure_apsidal_advance(traj: Trajectory) -> tuple[float, float]:
     delta_phi = abs(events[1].phi_unwrapped - events[0].phi_unwrapped)
     period = events[2].time - events[0].time
     return delta_phi, period
+
+
+def _golden_min(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [a, b] by golden-section search."""
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -476,10 +508,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
         if not (d[i] <= 0.2 and d[i] <= d[i - 1] and d[i] < d[i + 1]):
             continue
         periods += 1
-        window = (float(t[i - 1]), float(t[i + 1]))
-        res = minimize_scalar(dist_sq, bounds=window, method="bounded",
-                              options={"xatol": (window[1] - window[0]) * 1e-10})
-        t_star = float(res.x)
+        a, b = float(t[i - 1]), float(t[i + 1])
+        t_star = _golden_min(dist_sq, a, b, xatol=(b - a) * 1e-10)
         d_rp = max(abs(r_h(t_star) - r0) / amp_r, abs(p_h(t_star) - p0) / amp_p)
         winding = (phi_h(t_star) - phi0) / TWO_PI
         d_phi = abs(winding - round(winding))

@@ -38,17 +38,14 @@ class TipCollisionError(ConeDynError):
         super().__init__(message)
 
 
-class NonUniqueMinimumError(ConeDynError):
-    """The reduced 1D potential has more than one interior minimum."""
-
-
 class IrrationalScaleError(ConeDynError):
     """A globally defined integral was requested for a geometry without an
     exact rational scale factor; only the locally defined invariant exists."""
 
 
 class QuadratureError(ConeDynError):
-    """A quadrature failed to produce a finite, positive integrand."""
+    """A quadrature failed to produce a finite, positive integrand, or a
+    bracketed root solve failed to converge."""
 
 
 class ConfigError(ConeDynError, ValueError):

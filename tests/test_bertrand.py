@@ -237,6 +237,15 @@ class TestBertrandScan:
         assert a.cells[0].s_delta_phi == pytest.approx(b.cells[0].s_delta_phi, rel=1e-10)
         assert b.verdicts[0].constant == pytest.approx(PI, abs=1e-6)
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only a ConeDynError marks a cell infeasible; anything else is a bug
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the quadrature")
+
+        monkeypatch.setattr("conedyn.bertrand.apsidal_angle", broken)
+        with pytest.raises(TypeError, match="bug in the quadrature"):
+            cd.bertrand_scan(kepler_params(), [-1.0], [0.3], [1.0])
+
 
 class TestVerdictClassification:
     def test_three_way_classification(self):
@@ -247,15 +256,3 @@ class TestVerdictClassification:
         assert _classify_flatness(1e-4, PI, PI) == "inconclusive"
         assert _classify_flatness(1e-2, PI, PI) == "fail"
 
-
-class TestMinimaBracketing:
-    def test_multiple_minima_detected(self):
-        from conedyn.dynamics import _bracket_minima
-
-        grid = np.linspace(1.0, 9.0, 9)
-        # derivative sign pattern with two descending-to-ascending crossings
-        vals = np.array([-1.0, -0.5, 1.0, 2.0, -1.0, -2.0, 0.0, 3.0, 4.0])
-        brackets = _bracket_minima(vals, grid)
-        assert len(brackets) == 2
-        assert brackets[0] == (2.0, 3.0)
-        assert brackets[1] == (6.0, 8.0)  # exact zero bridged by neighbors

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +95,15 @@ def _simulate_doc(out, n_steps=2000, closure=False):
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        src = str(CONFIG_DIR.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, conedyn.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_simulate_writes_trajectory_csv(self, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")
         code = main(["simulate", "--config",

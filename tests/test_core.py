@@ -124,6 +124,9 @@ class TestPhasePoint:
     def test_tip_excluded(self):
         with pytest.raises(DomainError):
             cd.PhasePoint(r=0.0, phi=0.0, p_r=0.0, J=1.0)
+        for bad in ({"p_r": math.nan}, {"p_r": -math.inf}, {"J": math.nan}, {"J": math.inf}):
+            with pytest.raises(DomainError):
+                cd.PhasePoint(**{"r": 1.0, "phi": 0.0, "p_r": 0.0, "J": 1.0, **bad})
 
     def test_params_mass_positive(self):
         geo = cd.ConeGeometry(s=1.0)

@@ -1,5 +1,6 @@
 """Hamiltonian, turning points, the leapfrog stepper, and closure detection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from conedyn.dynamics import HAVE_COMPILED_KERNEL
 from conedyn.errors import (
     DomainError,
     ForbiddenEnergyError,
+    QuadratureError,
     StructuralError,
     TipCollisionError,
     UnboundedMotionError,
@@ -88,6 +90,46 @@ class TestTurningPoints:
         )
         with pytest.raises(StructuralError):
             cd.turning_points(params, 1.0, 1.0)
+
+    @pytest.mark.parametrize("J", [1e-6, 1e-4, 1e4, 1e6])
+    def test_extreme_angular_momentum(self, J):
+        # circular radius and turning points against their closed forms, with
+        # r_c spanning 24 decades and well depths down to 1e-13
+        for (k, n), (m, kappa, omega) in itertools.product(
+            ((1, 1), (2, 3)), ((1.0, 1.0, 1.0), (1.5, 2.0, 0.5))
+        ):
+            ms2 = m * (k / n) ** 2
+            kep = kepler_params(k, n, kappa=kappa, m=m)
+            r_c, _ = cd.circular_orbit(kep, J)
+            assert r_c == pytest.approx(J * J / (ms2 * kappa), rel=1e-14)
+            # U_eff = a u^2 - kappa u in u = 1/r
+            E = bound_energy(kep, J, 0.3)
+            a = J * J / (2.0 * ms2)
+            q = kappa + math.sqrt(kappa * kappa + 4.0 * a * E)
+            tp = cd.turning_points(kep, E, J)
+            assert tp.r_min == pytest.approx(2.0 * a / q, rel=1e-12)
+            assert tp.r_max == pytest.approx(q / (-2.0 * E), rel=1e-12)
+
+            osc = oscillator_params(k, n, omega=omega, m=m)
+            r_c, _ = cd.circular_orbit(osc, J)
+            assert r_c == pytest.approx((J * J / (m * ms2 * omega**2)) ** 0.25, rel=1e-14)
+            # U_eff = J^2/(2 m s^2 w) + m omega^2 w / 2 in w = r^2
+            E = bound_energy(osc, J, 0.3)
+            q = E + math.sqrt(E * E - omega**2 * J * J * m / ms2)
+            tp = cd.turning_points(osc, E, J)
+            assert tp.r_max == pytest.approx(math.sqrt(q / (m * omega**2)), rel=1e-12)
+            assert tp.r_min == pytest.approx(math.sqrt(J * J / (ms2 * q)), rel=1e-12)
+
+    def test_root_failures_are_typed(self):
+        from conedyn.dynamics import _root
+
+        with pytest.raises(QuadratureError, match="not bracketed"):
+            _root(lambda x: x, 1.0, 2.0, 1e-13)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            _root(lambda x: x - 1.5 if x in (1.0, 2.0) else math.nan, 1.0, 2.0, 1e-13)
+        # a tolerance below the float spacing cannot be met
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _root(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
 
     def test_consistency_with_energy(self):
         rng = np.random.default_rng(4)
