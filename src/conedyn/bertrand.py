@@ -39,7 +39,6 @@ from .errors import (
     ConeDynError,
     DomainError,
     QuadratureError,
-    StructuralError,
 )
 
 log = logging.getLogger("conedyn")
@@ -360,8 +359,8 @@ def bertrand_scan(
     (A = -1 for alpha < 0, A = +1 for alpha > 0).  Energies are specified as
     fractions of the bound well (bottom to escape, or ten well depths for
     confining potentials), which keeps every exponent's grid inside its own
-    bounded-motion region.  Infeasible cells are skipped and flagged, never
-    fatal.
+    bounded-motion region.  A cell that raises a ConeDynError (alpha = 0 has
+    no well at all) is flagged infeasible; any other error propagates.
     """
     s = params_base.geometry.s
     cells: list[ScanCell] = []
@@ -369,25 +368,14 @@ def bertrand_scan(
     for alpha in exponents:
         expected = math.pi / math.sqrt(alpha + 2.0)
         values: list[float] = []
-        if alpha == 0.0:
-            for lam in lambdas:
-                for f in e_fractions:
-                    cells.append(ScanCell(alpha, math.nan, lam, None,
-                                          "infeasible: constant potential"))
-            verdicts.append(FamilyVerdict(alpha, None, None, expected, "infeasible"))
-            continue
         pot = PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
         params = replace(params_base, potential=pot)
         for lam in lambdas:
             J = lam * s
-            try:
-                energies = [_scan_energy(params, J, f) for f in e_fractions]
-            except (StructuralError, DomainError) as exc:
-                for f in e_fractions:
-                    cells.append(ScanCell(alpha, math.nan, lam, None, f"infeasible: {exc}"))
-                continue
-            for E in energies:
+            for f in e_fractions:
+                E = math.nan  # reported when the well itself is infeasible
                 try:
+                    E = _scan_energy(params, J, f)
                     res = apsidal_angle(params, E, J, tolerance, max_refinements)
                 except ConeDynError as exc:  # per-cell failures are recorded
                     cells.append(ScanCell(alpha, E, lam, None, f"infeasible: {exc}"))

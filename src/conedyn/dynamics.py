@@ -104,11 +104,6 @@ def effective_potential(params: Params, J: float, r):
     return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
 
 
-def _effective_d1(params: Params, J: float, r):
-    m, s = params.m, params.geometry.s
-    return -J * J / (m * s * s * r * r * r) + params.potential.d1(r, m)
-
-
 def _effective_d2(params: Params, J: float, r):
     m, s = params.m, params.geometry.s
     return 3.0 * J * J / (m * s * s * r * r * r * r) + params.potential.d2(r, m)
@@ -116,7 +111,8 @@ def _effective_d2(params: Params, J: float, r):
 
 def _radial_force(params: Params, J: float, r):
     """-dU_eff/dr, the force driving the reduced radial motion."""
-    return -_effective_d1(params, J, r)
+    m, s = params.m, params.geometry.s
+    return J * J / (m * s * s * r * r * r) - params.potential.d1(r, m)
 
 
 def _escape_energy(params: Params) -> float:
@@ -154,12 +150,18 @@ def _find_ueff_minimum(params: Params, J: float) -> tuple[float, float]:
         raise StructuralError(
             "effective potential has no interior minimum for these parameters"
         )
-    r_c = float((J * J / (m * s * s * a_alpha)) ** (1.0 / (alpha + 2.0)))
-    return r_c, float(effective_potential(params, J, r_c))
+    try:
+        r_c = float((J * J / (m * s * s * a_alpha)) ** (1.0 / (alpha + 2.0)))
+        u0 = float(effective_potential(params, J, r_c))
+    except (ArithmeticError, DomainError):  # r_c or U_eff(r_c) is not a float
+        r_c = u0 = math.nan
+    if not (math.isfinite(r_c) and math.isfinite(u0)):
+        raise StructuralError("minimum of U_eff lies outside the float range")
+    return r_c, u0
 
 
 def _root(f, a: float, b: float, rtol: float) -> float:
-    """Root of f in [a, b], where f(a) and f(b) have strictly opposite signs.
+    """Root of f in a finite [a, b] where f(a) and f(b) have opposite signs.
 
     Regula falsi with the Illinois modification (the weight of an end kept
     twice in a row is halved), bisecting when the secant point leaves the
@@ -167,7 +169,8 @@ def _root(f, a: float, b: float, rtol: float) -> float:
     rtol (relative), a last secant step on the unweighted ends gives the root.
     """
     fa, fb = f(a), f(b)
-    if not fa * fb < 0.0:
+    # signs are compared, not multiplied: a product of tiny values underflows
+    if not (math.isfinite(a) and math.isfinite(b) and (fa < 0.0 < fb or fb < 0.0 < fa)):
         raise QuadratureError(f"root not bracketed in [{a}, {b}]")
     ga = fa  # the Illinois-weighted value at a
     for _ in range(200):
@@ -175,17 +178,18 @@ def _root(f, a: float, b: float, rtol: float) -> float:
         if not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
         fx = f(x)
+        if math.isnan(fx):
+            raise QuadratureError(f"root solve met the non-finite value {fx} at {x}")
         if fx == 0.0:
             return x
-        if fx * fb < 0.0:
+        if (fx < 0.0) != (fb < 0.0):
             a, fa, ga = b, fb, fb
-        elif fx * fa < 0.0:
-            ga *= 0.5
         else:
-            raise QuadratureError(f"root solve met the non-finite value {fx} at {x}")
+            ga *= 0.5
         b, fb = x, fx
         if abs(b - a) <= rtol * abs(b):
-            return (a * fb - b * fa) / (fb - fa)
+            x = (a * fb - b * fa) / (fb - fa)
+            return x if math.isfinite(x) else 0.5 * (a + b)  # f(a) or f(b) infinite
     raise QuadratureError(f"root solve in [{a}, {b}] did not converge")
 
 
@@ -216,13 +220,15 @@ def turning_points(params: Params, E: float, J: float) -> TurningPoints:
         )
     if E - u0 <= tol_circ:
         return TurningPoints(r_min=r_c, r_max=r_c)
-    if E >= _escape_energy(params):
-        raise UnboundedMotionError(
-            f"E={E} at or above the escape energy {_escape_energy(params)}"
-        )
+    top = _escape_energy(params)
+    if E >= top:
+        raise UnboundedMotionError(f"E={E} at or above the escape energy {top}")
 
     def f(r: float) -> float:
-        return float(effective_potential(params, J, r)) - E
+        try:
+            return float(effective_potential(params, J, r)) - E
+        except ArithmeticError as exc:
+            raise QuadratureError(f"U_eff({r}) is outside the float range") from exc
 
     def far_end(factor: float) -> float:
         # terminates both ways: J != 0 makes U_eff blow up at the tip, and E
@@ -448,9 +454,13 @@ def measure_apsidal_advance(traj: Trajectory) -> tuple[float, float]:
 def _golden_min(f, a: float, b: float, xatol: float) -> float:
     """Minimizer of a unimodal f on [a, b] by golden-section search."""
     shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    # below a few ulps the interior points round onto the ends
+    xatol = max(xatol, 4.0 * math.ulp(max(abs(a), abs(b))))
     c, d = b - shrink * (b - a), a + shrink * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xatol:
+    for _ in range(200):
+        if b - a <= xatol:
+            break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - shrink * (b - a)

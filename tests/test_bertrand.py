@@ -237,6 +237,14 @@ class TestBertrandScan:
         assert a.cells[0].s_delta_phi == pytest.approx(b.cells[0].s_delta_phi, rel=1e-10)
         assert b.verdicts[0].constant == pytest.approx(PI, abs=1e-6)
 
+    def test_float_range_cells_infeasible(self):
+        # r_c overflows (alpha near -2), or U_eff overflows on the way to the
+        # outer turning point (alpha = 100, huge lam): infeasible, not fatal
+        for alpha, lam in ((-1.9999, 2.0), (-1.99, 50.0), (100.0, 1e150)):
+            report = cd.bertrand_scan(kepler_params(2, 3), [alpha], [0.05, 0.5], [lam])
+            assert report.verdicts[0].verdict == "infeasible"
+            assert all("float range" in c.status for c in report.cells)
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ConeDynError marks a cell infeasible; anything else is a bug
         def broken(*args, **kwargs):

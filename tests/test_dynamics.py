@@ -131,6 +131,26 @@ class TestTurningPoints:
         with pytest.raises(QuadratureError, match="did not converge"):
             _root(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
 
+    def test_root_edge_values(self):
+        from conedyn.dynamics import _root
+
+        # f(a) * f(b) underflows to 0 here; the sign change is still found
+        x = _root(lambda x: (x - 1.5) * 1e-200, 1.0, 2.0, 1e-13)
+        assert x == pytest.approx(1.5, rel=1e-13)
+        # an infinite value at the end kept to the last step gives no NaN
+        x = _root(lambda x: math.inf if x <= 1.0 else -1.0, 1.0, 2.0, 1e-13)
+        assert x == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(QuadratureError, match="not bracketed"):
+            _root(lambda x: x - 1.5, 1.0, math.inf, 1e-13)
+
+    def test_float_range_is_structural(self):
+        # r_c = 2^10000 overflows; r_c = 1e-200^2 leaves J^2/r_c^2 infinite
+        far = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                        potential=cd.PowerLaw(amplitude=-1.0, exponent=-1.9999))
+        for params, J in ((far, 2.0), (kepler_params(), 1e-100)):
+            with pytest.raises(StructuralError, match="float range"):
+                cd.turning_points(params, -1.0, J)
+
     def test_consistency_with_energy(self):
         rng = np.random.default_rng(4)
         for params in (kepler_params(2, 3), oscillator_params(3, 4, omega=0.8)):
@@ -308,6 +328,15 @@ class TestDetectClosure:
         E = bound_energy(params, 1.0, 0.3)
         traj = self._trajectory(params, E, 1.0, 12.5, steps_per_period=10000)
         assert cd.detect_closure(traj, tol=1e-6) is None
+
+    def test_golden_section_terminates_below_float_spacing(self):
+        # at t ~ 1e7 the requested xatol is below one ulp of t
+        from conedyn.dynamics import _golden_min
+
+        t0, h = 1e7, 0.01
+        t_star = _golden_min(lambda x: (x - t0 - 0.003) ** 2, t0, t0 + 2 * h,
+                             xatol=2 * h * 1e-10)
+        assert t_star == pytest.approx(t0 + 0.003, abs=1e-7)
 
     def test_zero_j_rejected(self):
         params = cd.Params(
