@@ -21,9 +21,6 @@ from .core import (
     as_power_law,
     from_cartesian,
     from_power_law,
-    potential_d1,
-    potential_d2,
-    potential_value,
     to_cartesian,
 )
 from .dynamics import (
@@ -65,11 +62,9 @@ from .symmetry import (
     BracketRow,
     InvariantValue,
     global_invariant,
-    kepler_invariant_components,
     local_invariant,
-    local_invariant_raw,
     norm_identity_residual,
-    oscillator_invariant_components,
+    phase_invariants,
     poisson_bracket,
     verify_w_algebra,
 )

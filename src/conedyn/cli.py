@@ -36,7 +36,7 @@ from .errors import (
     TipCollisionError,
 )
 from .sampling import draw_bound_point
-from .symmetry import global_invariant, verify_w_algebra
+from .symmetry import phase_invariants, verify_w_algebra
 
 log = logging.getLogger("conedyn")
 
@@ -131,15 +131,11 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
 
     with_z = _supports_global_invariant(params)
     header = ["t", "r", "phi", "p_r", "J", "H"] + (["Z_re", "Z_im"] if with_z else [])
-    rows = []
-    for i in range(len(traj)):
-        row = [float(traj.times[i]), float(traj.r[i]), float(traj.phi[i]),
-               float(traj.p_r[i]), float(traj.series_J[i]), float(traj.series_H[i])]
-        if with_z:
-            z = global_invariant(params, traj.point(i)).value
-            row += [z.real, z.imag]
-        rows.append(row)
-    _write_rows(path, fmt, header, rows)
+    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_J, traj.series_H]
+    if with_z:
+        inv = phase_invariants(params, traj.r, traj.phi, traj.p_r, traj.series_J)
+        columns += [inv.z_re, inv.z_im]
+    _write_rows(path, fmt, header, np.column_stack(columns).tolist())
 
     h0 = float(traj.series_H[0])
     h_drift = float(np.abs(traj.series_H - h0).max()) / max(abs(h0), 1e-300)
@@ -151,7 +147,7 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
         "j_drift_abs": j_drift,
     }
     if with_z:
-        zs = np.array([complex(r[6], r[7]) for r in rows])
+        zs = inv.z_re + 1j * inv.z_im
         results["z_drift_rel"] = float(np.abs(zs - zs[0]).max()) / max(abs(zs[0]), 1e-12)
     if cfg.closure is not None and cfg.closure.enabled:
         info = detect_closure(traj, tol=cfg.closure.tol)

@@ -265,29 +265,6 @@ class Params:
 
 # --- Operations ---
 
-def _check_radius(r) -> None:
-    if np.any(np.asarray(r) <= 0.0):
-        raise DomainError("potential evaluated at non-positive radius")
-
-
-def potential_value(pot: PotentialSpec, r, m: float = 1.0):
-    """V(r) for the active variant; works on scalars and numpy arrays."""
-    _check_radius(r)
-    return pot.value(r, m)
-
-
-def potential_d1(pot: PotentialSpec, r, m: float = 1.0):
-    """dV/dr with the same contract as :func:`potential_value`."""
-    _check_radius(r)
-    return pot.d1(r, m)
-
-
-def potential_d2(pot: PotentialSpec, r, m: float = 1.0):
-    """d2V/dr2 with the same contract as :func:`potential_value`."""
-    _check_radius(r)
-    return pot.d2(r, m)
-
-
 def to_cartesian(pt: PhasePoint) -> CartesianPoint:
     """Map a phase point to the flat chart.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,14 +82,20 @@ def _potential_code(params: Params) -> tuple[int, float, float]:
 
 # --- Energies ---
 
-def energy(params: Params, pt: PhasePoint) -> float:
-    """Hamiltonian H = p_r^2/(2m) + J^2/(2 m s^2 r^2) + V(r)."""
+def hamiltonian(params: Params, r, p_r, J):
+    """H = p_r^2/(2m) + J^2/(2 m s^2 r^2) + V(r) on raw coordinates, given
+    as floats or as numpy arrays (elementwise)."""
     m, s = params.m, params.geometry.s
     return (
-        pt.p_r * pt.p_r / (2.0 * m)
-        + pt.J * pt.J / (2.0 * m * s * s * pt.r * pt.r)
-        + float(params.potential.value(pt.r, m))
+        p_r * p_r / (2.0 * m)
+        + J * J / (2.0 * m * s * s * r * r)
+        + params.potential.value(r, m)
     )
+
+
+def energy(params: Params, pt: PhasePoint) -> float:
+    """Hamiltonian H at one phase point."""
+    return float(hamiltonian(params, pt.r, pt.p_r, pt.J))
 
 
 def effective_potential(params: Params, J: float, r):
@@ -100,6 +105,11 @@ def effective_potential(params: Params, J: float, r):
     """
     if np.any(np.asarray(r) <= 0.0):
         raise DomainError("effective potential evaluated at non-positive radius")
+    return _effective_potential(params, J, r)
+
+
+def _effective_potential(params: Params, J: float, r):
+    """U_eff without the radius check, for radii already known to be positive."""
     m, s = params.m, params.geometry.s
     return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
 
@@ -225,8 +235,9 @@ def turning_points(params: Params, E: float, J: float) -> TurningPoints:
         raise UnboundedMotionError(f"E={E} at or above the escape energy {top}")
 
     def f(r: float) -> float:
+        # r is r_c times a power of 2 or inside a positive bracket: no check needed
         try:
-            return float(effective_potential(params, J, r)) - E
+            return float(_effective_potential(params, J, r)) - E
         except ArithmeticError as exc:
             raise QuadratureError(f"U_eff({r}) is outside the float range") from exc
 
@@ -285,10 +296,6 @@ class Trajectory:
             J=float(self.series_J[i]),
         )
 
-    @cached_property
-    def points(self) -> tuple[PhasePoint, ...]:
-        return tuple(self.point(i) for i in range(len(self)))
-
 
 def _run_kernel(params, pt, dt, n_steps, sample_every, backend):
     kind, c1, c2 = _potential_code(params)
@@ -344,12 +351,7 @@ def integrate(
     out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every, backend)
     n_samples = len(out_r)
     times = dt * sample_every * np.arange(n_samples)
-    m, s = params.m, params.geometry.s
-    series_h = (
-        out_pr * out_pr / (2.0 * m)
-        + pt0.J * pt0.J / (2.0 * m * s * s * out_r * out_r)
-        + params.potential.value(out_r, m)
-    )
+    series_h = hamiltonian(params, out_r, out_pr, pt0.J)
     return Trajectory(
         params=params,
         dt=dt,

@@ -25,49 +25,96 @@ always explicit.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .core import Kepler, Oscillator, Params, PhasePoint
-from .dynamics import energy
+import numpy as np
+
+from .core import TWO_PI, Kepler, Oscillator, Params, PhasePoint
+from .dynamics import hamiltonian
 from .errors import DomainError, IrrationalScaleError, StructuralError
 
 _ZERO_FLOOR = 1e-12  # relative comparisons switch to absolute below this
 
 
-# --- Invariant components ---
+# --- Invariants on coordinates ---
 
-def kepler_invariant_components(params: Params, pt: PhasePoint) -> tuple[float, float]:
-    """(A, B) = (J^2/(m s^2 r) - kappa, J p_r/(m s)) for the Kepler potential."""
-    if not isinstance(params.potential, Kepler):
-        raise StructuralError("kepler_invariant_components needs a Kepler potential")
-    m, s = params.m, params.geometry.s
-    a = pt.J * pt.J / (m * s * s * pt.r) - params.potential.kappa
-    b = pt.J * pt.p_r / (m * s)
-    return a, b
-
-
-def oscillator_invariant_components(params: Params, pt: PhasePoint) -> tuple[float, float]:
-    """(A, B) = (J^2/(m s^2 r^2) - H, p_r J/(m s r)) for the oscillator."""
-    if not isinstance(params.potential, Oscillator):
-        raise StructuralError("oscillator_invariant_components needs an Oscillator potential")
-    m, s = params.m, params.geometry.s
-    a = pt.J * pt.J / (m * s * s * pt.r * pt.r) - energy(params, pt)
-    b = pt.p_r * pt.J / (m * s * pt.r)
-    return a, b
-
-
-def _components(params: Params, pt: PhasePoint) -> tuple[float, float, int]:
-    """(A, B, phase multiplier c) for whichever supported potential is active."""
+def _charge(params: Params) -> int:
+    """Phase multiplier c: 1 for the Kepler potential, 2 for the oscillator."""
     if isinstance(params.potential, Kepler):
-        a, b = kepler_invariant_components(params, pt)
-        return a, b, 1
+        return 1
     if isinstance(params.potential, Oscillator):
-        a, b = oscillator_invariant_components(params, pt)
-        return a, b, 2
+        return 2
     raise StructuralError(
         f"no conserved complex invariant for {type(params.potential).__name__}"
     )
+
+
+def _kind(params: Params) -> str:
+    return "kepler" if _charge(params) == 1 else "oscillator"
+
+
+def _cmul(a_re, a_im, b_re, b_im):
+    """Complex product on real and imaginary parts, formed as CPython forms
+    it, so arrays and Python complex numbers give the same bits."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _cdiv(re, im, d):
+    """(re + i im) / d for a real d > 0, as CPython divides by complex(d, 0).
+    The zero products keep CPython's signs of zero, which the 17-digit
+    output renders as 0 or -0."""
+    return (re + im * 0.0) / d, (im - re * 0.0) / d
+
+
+class Invariants(NamedTuple):
+    """H, A, B and Z = z_re + i z_im, each a float or an array."""
+
+    h: object
+    a: object
+    b: object
+    z_re: object
+    z_im: object
+
+
+def phase_invariants(params: Params, r, phi, p_r, J) -> Invariants:
+    """H, A, B and Z = (A - iB)^n exp(i c k phi) at raw coordinates.
+
+    The coordinates are floats or numpy arrays, taken elementwise; phi is
+    reduced mod 2*pi first, as PhasePoint stores it.
+
+        Kepler:      A = J^2/(m s^2 r) - kappa      B = J p_r/(m s)
+        Oscillator:  A = J^2/(m s^2 r^2) - H        B = p_r J/(m s r)
+
+    Z needs s = k/n exactly; z_re and z_im are None when the geometry has
+    no rational form.  The power is taken by repeated squaring in CPython's
+    order, so for n <= 100 (where CPython squares too) Z equals
+    ``complex(A, -B)**n * cmath.exp(1j*c*k*phi)`` bit for bit.
+    """
+    c = _charge(params)
+    m, s = params.m, params.geometry.s
+    h = hamiltonian(params, r, p_r, J)
+    if c == 1:
+        a = J * J / (m * s * s * r) - params.potential.kappa
+        b = J * p_r / (m * s)
+    else:
+        a = J * J / (m * s * s * r * r) - h
+        b = p_r * J / (m * s * r)
+    if params.geometry.rational is None:
+        return Invariants(h, a, b, None, None)
+    k, n = params.geometry.rational
+    z_re, z_im = 1.0, 0.0
+    p_re, p_im = a, -b
+    while True:
+        if n & 1:
+            z_re, z_im = _cmul(z_re, z_im, p_re, p_im)
+        n >>= 1
+        if not n:
+            break
+        p_re, p_im = _cmul(p_re, p_im, p_re, p_im)
+    angle = float(c * k) * (phi % TWO_PI)
+    z_re, z_im = _cmul(z_re, z_im, np.cos(angle), np.sin(angle))
+    return Invariants(h, a, b, z_re, z_im)
 
 
 @dataclass(frozen=True)
@@ -91,31 +138,20 @@ class InvariantValue:
         return complex(self.re, self.im)
 
 
-def local_invariant_raw(params: Params, r: float, phi: float, p_r: float, J: float) -> complex:
-    """Local invariant at raw coordinates; phi is used as given, without
-    reduction mod 2*pi.  This is the evaluation that exposes the
-    multivaluedness: for non-integer s the value changes under
-    phi -> phi + 2*pi."""
-    pt = PhasePoint(r=r, phi=0.0, p_r=p_r, J=J)
-    a, b, c = _components(params, pt)
-    return complex(a, -b) * cmath.exp(1j * c * params.geometry.s * phi)
-
-
 def local_invariant(params: Params, pt: PhasePoint) -> InvariantValue:
     """Locally defined invariant C = (A - iB) exp(i c s phi).
 
     Conserved by the flow, but single-valued on the cone only for integer s;
     the ``multivalued`` flag records that.  The stored (reduced) phi is used.
     """
-    a, b, c = _components(params, pt)
-    s = params.geometry.s
-    val = complex(a, -b) * cmath.exp(1j * c * s * pt.phi)
+    inv = phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
+    val = complex(inv.a, -inv.b) * cmath.exp(1j * _charge(params) * params.geometry.s * pt.phi)
     rational = params.geometry.rational
     integer_s = rational is not None and rational[1] == 1
     return InvariantValue(
         re=val.real,
         im=val.imag,
-        kind="kepler" if c == 1 else "oscillator",
+        kind=_kind(params),
         power=1,
         k=rational[0] if rational is not None else None,
         multivalued=not integer_s,
@@ -134,15 +170,13 @@ def global_invariant(params: Params, pt: PhasePoint) -> InvariantValue:
         raise IrrationalScaleError(
             "geometry has no rational form: only the local invariant is defined"
         )
-    k, n = rational
-    a, b, c = _components(params, pt)
-    val = complex(a, -b) ** n * cmath.exp(1j * c * k * pt.phi)
+    inv = phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
     return InvariantValue(
-        re=val.real,
-        im=val.imag,
-        kind="kepler" if c == 1 else "oscillator",
-        power=n,
-        k=k,
+        re=float(inv.z_re),
+        im=float(inv.z_im),
+        kind=_kind(params),
+        power=rational[1],
+        k=rational[0],
         multivalued=False,
     )
 
@@ -154,11 +188,10 @@ def norm_identity_residual(params: Params, pt: PhasePoint) -> float:
     H^2 - omega^2 J^2 / s^2 (oscillator); both follow from the definitions by
     direct algebra, so the residual should sit at machine precision.
     """
-    a, b, c = _components(params, pt)
-    lhs = a * a + b * b
-    m, s = params.m, params.geometry.s
-    h = energy(params, pt)
-    if c == 1:
+    inv = phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
+    lhs = inv.a * inv.a + inv.b * inv.b
+    m, s, h = params.m, params.geometry.s, inv.h
+    if isinstance(params.potential, Kepler):
         kappa = params.potential.kappa
         rhs = 2.0 * h * pt.J * pt.J / (m * s * s) + kappa * kappa
     else:
@@ -169,56 +202,61 @@ def norm_identity_residual(params: Params, pt: PhasePoint) -> float:
 
 # --- Finite-difference Poisson brackets ---
 
-_COORDS = ("r", "phi", "p_r", "J")
+def _stencil(pt: PhasePoint, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference stencil at pt for the steps h and h/2.
 
-
-def _partials(f: Callable[[PhasePoint], complex], pt: PhasePoint, h: float) -> list[complex]:
-    """Central differences of f in each canonical coordinate.
-
-    The step per coordinate is h * max(1, |coordinate|).  Differencing must
-    stay inside r > 0.
+    Returns the coordinates (r, phi, p_r, J), shaped (4, 16), of the shifted
+    points in (step, coordinate, +/-) order, and the divisors 2*delta shaped
+    (2, 4).  The step per coordinate is h * max(1, |coordinate|), and
+    differencing must stay inside r > 0.
     """
-    out = []
-    for name in _COORDS:
-        x = getattr(pt, name)
-        delta = h * max(1.0, abs(x))
-        if name == "r" and x - delta <= 0.0:
-            raise DomainError("finite difference would cross r = 0; reduce h")
-        hi = replace(pt, **{name: x + delta})
-        lo = replace(pt, **{name: x - delta})
-        out.append((f(hi) - f(lo)) / (2.0 * delta))
-    return out
+    x = np.array([pt.r, pt.phi, pt.p_r, pt.J])
+    delta = np.array([[h], [0.5 * h]]) * np.maximum(1.0, np.abs(x))
+    if np.any(x[0] - delta[:, 0] <= 0.0):
+        raise DomainError("finite difference would cross r = 0; reduce h")
+    points = np.tile(x, (2, 4, 2, 1))
+    axis = np.arange(4)
+    points[:, axis, 0, axis] = x + delta
+    points[:, axis, 1, axis] = x - delta
+    return points.reshape(16, 4).T, 2.0 * delta
 
 
-def _bracket_once(f, g, pt: PhasePoint, h: float) -> complex:
-    fr, fphi, fp, fj = _partials(f, pt, h)
-    gr, gphi, gp, gj = _partials(g, pt, h)
-    return fr * gp - fp * gr + fphi * gj - fj * gphi
+def _brackets(re: np.ndarray, im: np.ndarray, den: np.ndarray,
+              pairs: list[tuple[int, int]]) -> list[complex]:
+    """Brackets {f_i, f_j} for each pair (i, j) of fields sampled on the stencil.
+
+    ``re`` and ``im`` hold each field's parts at the 16 stencil points,
+    shaped (fields, 16).  Each bracket is the Richardson extrapolation
+    (4 b(h/2) - b(h)) / 3 of the two step sizes, accurate to O(h^4) for
+    smooth fields.  The complex arithmetic is spelled out on real and
+    imaginary parts in CPython's order, so the values equal complex-number
+    evaluation bit for bit.
+    """
+    re = re.reshape(-1, 2, 4, 2)
+    im = im.reshape(-1, 2, 4, 2)
+    p_re, p_im = _cdiv(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1], den)
+    f, g = (np.array(side) for side in zip(*pairs))
+    fr, fphi, fp, fj = ((p_re[f, :, i], p_im[f, :, i]) for i in range(4))
+    gr, gphi, gp, gj = ((p_re[g, :, i], p_im[g, :, i]) for i in range(4))
+    terms = [_cmul(*fr, *gp), _cmul(*fp, *gr), _cmul(*fphi, *gj), _cmul(*fj, *gphi)]
+    b_re = terms[0][0] - terms[1][0] + terms[2][0] - terms[3][0]
+    b_im = terms[0][1] - terms[1][1] + terms[2][1] - terms[3][1]
+    x_re, x_im = _cmul(4.0, 0.0, b_re[:, 1], b_im[:, 1])
+    v_re, v_im = _cdiv(x_re - b_re[:, 0], x_im - b_im[:, 0], 3.0)
+    return [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())]
 
 
-def poisson_bracket(
-    f: Callable[[PhasePoint], complex],
-    g: Callable[[PhasePoint], complex],
-    pt: PhasePoint,
-    h: float = 1e-5,
-) -> complex:
+def poisson_bracket(f: Callable, g: Callable, pt: PhasePoint, h: float = 1e-5) -> complex:
     """Canonical bracket {f, g} at pt by central differences.
 
-    One Richardson halving is applied: the returned value is the
-    extrapolation of the h and h/2 estimates, accurate to O(h^4) for smooth
-    arguments.  Complex-valued functions are differenced componentwise.
+    f and g take the coordinate arrays ``(r, phi, p_r, J)`` of the stencil
+    points and return one real or complex value per point; phi is passed
+    unreduced.  One Richardson halving is applied, so the value is accurate
+    to O(h^4) for smooth arguments.
     """
-    value, _ = _bracket_extrapolated(f, g, pt, h)
-    return value
-
-
-def _bracket_extrapolated(f, g, pt: PhasePoint, h: float) -> tuple[complex, float]:
-    """(extrapolated bracket, relative agreement between raw and extrapolated)."""
-    b1 = _bracket_once(f, g, pt, h)
-    b2 = _bracket_once(f, g, pt, 0.5 * h)
-    value = (4.0 * b2 - b1) / 3.0
-    agreement = abs(value - b2) / max(abs(value), _ZERO_FLOOR)
-    return value, agreement
+    coords, den = _stencil(pt, h)
+    values = np.array([f(*coords), g(*coords)])
+    return _brackets(values.real, values.imag, den, [(0, 1)])[0]
 
 
 # --- W-algebra verification ---
@@ -261,6 +299,9 @@ def _rel_err(value: complex, expected: complex, scale: float) -> float:
     return abs(value - expected) / max(abs(expected), scale, _ZERO_FLOOR)
 
 
+_I_ABSORBED = "i-absorbed (commutator-normalized) convention"
+
+
 def verify_w_algebra(params: Params, pt: PhasePoint, h: float = 1e-5) -> BracketReport:
     """Evaluate the W-algebra brackets at pt and compare with the closed forms.
 
@@ -288,72 +329,22 @@ def verify_w_algebra(params: Params, pt: PhasePoint, h: float = 1e-5) -> Bracket
             "W-algebra verification needs an exact rational scale factor"
         )
     k, n = rational
-    a, b, c = _components(params, pt)
-    kind = "kepler" if c == 1 else "oscillator"
-    z = global_invariant(params, pt).value
-    hval = energy(params, pt)
-    m = params.m
-    charge = c * k
+    inv = phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
+    kind = _kind(params)
+    z = complex(inv.z_re, inv.z_im)
+    hval, m, charge = inv.h, params.m, _charge(params) * k
 
-    def f_j(q: PhasePoint) -> complex:
-        return complex(q.J)
+    # fields J, H, Z, Zbar on the stencil, evaluated once
+    coords, den = _stencil(pt, h)
+    on = phase_invariants(params, *coords)
+    zero = np.zeros(16)
+    jz, jzb, hz, hj, zzb = _brackets(
+        np.array([coords[3], on.h, on.z_re, on.z_re]),
+        np.array([zero, zero, on.z_im, -on.z_im]),
+        den, [(0, 2), (0, 3), (1, 2), (1, 0), (2, 3)],
+    )
 
-    def f_h(q: PhasePoint) -> complex:
-        return complex(energy(params, q))
-
-    def f_z(q: PhasePoint) -> complex:
-        return global_invariant(params, q).value
-
-    def f_zbar(q: PhasePoint) -> complex:
-        return global_invariant(params, q).value.conjugate()
-
-    scale_z = abs(z)
-    rows: list[BracketRow] = []
-
-    jz, _ = _bracket_extrapolated(f_j, f_z, pt, h)
-    expected = -1j * charge * z
-    rows.append(BracketRow(
-        name="{J,Z}", value=jz, expected=expected,
-        abs_err=abs(jz - expected), rel_err=_rel_err(jz, expected, 0.0),
-        role="check", note="canonical bracket: -i * charge * Z",
-    ))
-    alt = charge * z
-    rows.append(BracketRow(
-        name="{J,Z} i-absorbed", value=jz, expected=alt,
-        abs_err=abs(jz - alt), rel_err=_rel_err(jz, alt, 0.0),
-        role="finding", note="i-absorbed (commutator-normalized) convention",
-    ))
-
-    jzb, _ = _bracket_extrapolated(f_j, f_zbar, pt, h)
-    expected = 1j * charge * z.conjugate()
-    rows.append(BracketRow(
-        name="{J,Zbar}", value=jzb, expected=expected,
-        abs_err=abs(jzb - expected), rel_err=_rel_err(jzb, expected, 0.0),
-        role="check", note="canonical bracket: +i * charge * Zbar",
-    ))
-    alt = -charge * z.conjugate()
-    rows.append(BracketRow(
-        name="{J,Zbar} i-absorbed", value=jzb, expected=alt,
-        abs_err=abs(jzb - alt), rel_err=_rel_err(jzb, alt, 0.0),
-        role="finding", note="i-absorbed (commutator-normalized) convention",
-    ))
-
-    hz, _ = _bracket_extrapolated(f_h, f_z, pt, h)
-    rows.append(BracketRow(
-        name="{H,Z}", value=hz, expected=0.0,
-        abs_err=abs(hz), rel_err=abs(hz) / max(scale_z, _ZERO_FLOOR),
-        role="check", note="Z is a constant of motion; error scaled by |Z|",
-    ))
-
-    hj, _ = _bracket_extrapolated(f_h, f_j, pt, h)
-    rows.append(BracketRow(
-        name="{H,J}", value=hj, expected=0.0,
-        abs_err=abs(hj), rel_err=abs(hj) / max(abs(pt.J), _ZERO_FLOOR),
-        role="check", note="central force conserves J; error scaled by |J|",
-    ))
-
-    zzb, _ = _bracket_extrapolated(f_z, f_zbar, pt, h)
-    norm_sq = a * a + b * b
+    norm_sq = inv.a * inv.a + inv.b * inv.b
     if kind == "kepler":
         kappa = params.potential.kappa
         pref = 4j * n**3 / (m * k) * pt.J * hval
@@ -364,21 +355,29 @@ def verify_w_algebra(params: Params, pt: PhasePoint, h: float = 1e-5) -> Bracket
         pref = -4j * n**3 / k * omega * omega * pt.J
         cand_energy = pref * norm_sq ** (n - 1)
         cand_free = pref * (hval * hval - omega * omega * n * n * pt.J * pt.J / (k * k)) ** (n - 1)
-    scale_zz = max(abs(cand_energy), abs(cand_free))
-    err_energy = _rel_err(zzb, cand_energy, 0.01 * scale_zz)
-    err_free = _rel_err(zzb, cand_free, 0.01 * scale_zz)
-    rows.append(BracketRow(
-        name="{Z,Zbar} energy-in-base", value=zzb, expected=cand_energy,
-        abs_err=abs(zzb - cand_energy), rel_err=err_energy,
-        role="finding", note="power base A^2+B^2 (contains H)",
-    ))
-    rows.append(BracketRow(
-        name="{Z,Zbar} energy-free-base", value=zzb, expected=cand_free,
-        abs_err=abs(zzb - cand_free), rel_err=err_free,
-        role="finding", note="power base without H",
-    ))
-    match_energy = err_energy < 1e-5
-    match_free = err_free < 1e-5
+    scale_zz = 0.01 * max(abs(cand_energy), abs(cand_free))
+
+    table = (  # name, bracket, expected right side, error scale floor, role, note
+        ("{J,Z}", jz, -1j * charge * z, 0.0, "check", "canonical bracket: -i * charge * Z"),
+        ("{J,Z} i-absorbed", jz, charge * z, 0.0, "finding", _I_ABSORBED),
+        ("{J,Zbar}", jzb, 1j * charge * z.conjugate(), 0.0, "check",
+         "canonical bracket: +i * charge * Zbar"),
+        ("{J,Zbar} i-absorbed", jzb, -charge * z.conjugate(), 0.0, "finding", _I_ABSORBED),
+        ("{H,Z}", hz, 0.0, abs(z), "check", "Z is a constant of motion; error scaled by |Z|"),
+        ("{H,J}", hj, 0.0, abs(pt.J), "check", "central force conserves J; error scaled by |J|"),
+        ("{Z,Zbar} energy-in-base", zzb, cand_energy, scale_zz, "finding",
+         "power base A^2+B^2 (contains H)"),
+        ("{Z,Zbar} energy-free-base", zzb, cand_free, scale_zz, "finding",
+         "power base without H"),
+    )
+    rows = [
+        BracketRow(name=name, value=value, expected=expected,
+                   abs_err=abs(value - expected), rel_err=_rel_err(value, expected, scale),
+                   role=role, note=note)
+        for name, value, expected, scale, role, note in table
+    ]
+    match_energy = rows[6].rel_err < 1e-5
+    match_free = rows[7].rel_err < 1e-5
     if match_energy and match_free:
         zzbar_match = "both"
     elif match_energy:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import conedyn as cd
 from conedyn.cli import main
 from conedyn.config import config_to_dict, load_config, parse_config
 from conedyn.errors import ConfigError
@@ -115,6 +116,29 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["exit_status"] == 0
         assert summary["results"]["j_drift_abs"] == 0.0
+
+    @pytest.mark.parametrize("potential,geometry,E", [
+        ({"kind": "kepler", "kappa": 1.0}, {"k": 2, "n": 3}, -0.15),
+        ({"kind": "oscillator", "omega": 1.0}, {"k": 3, "n": 4}, 2.0),
+    ])
+    def test_simulate_z_column_equals_global_invariant(self, tmp_path, capsys,
+                                                       potential, geometry, E):
+        out = tmp_path / "traj.csv"
+        doc = _simulate_doc(str(out))
+        doc["params"].update(potential=potential, geometry=geometry)
+        doc["initial"] = {"level": {"E": E, "J": 1.0}}
+        cfg = load_config(_write(tmp_path, "c.json", doc))
+        assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 0
+        capsys.readouterr()
+        tp = cd.turning_points(cfg.params, E, 1.0)
+        it = cfg.integrator
+        traj = cd.integrate(cfg.params, cd.PhasePoint(r=tp.r_min, phi=0.0, p_r=0.0, J=1.0),
+                            it.dt, it.n_steps, it.sample_every)
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(traj)
+        for i, line in enumerate(lines):
+            z = cd.global_invariant(cfg.params, traj.point(i))
+            assert [float(v) for v in line.split(",")[6:]] == [z.re, z.im]
 
     def test_simulate_without_global_invariant_columns(self, tmp_path, capsys):
         doc = _simulate_doc(str(tmp_path / "t.csv"))

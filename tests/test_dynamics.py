@@ -56,8 +56,9 @@ class TestEffectivePotential:
         )
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            cd.effective_potential(kepler_params(), 1.0, 0.0)
+        for r in (0.0, -1.0, np.array([1.0, 0.0]), np.array([2.0, -1.0, 3.0])):
+            with pytest.raises(DomainError):
+                cd.effective_potential(kepler_params(), 1.0, r)
 
 
 class TestTurningPoints:
@@ -275,7 +276,7 @@ class TestIntegrate:
         params = kepler_params()
         traj = cd.integrate(params, perigee_point(params, -0.375, 1.0), 1e-3, 2000, 20)
         n = len(traj)
-        assert len(traj.points) == n == len(traj.times) == len(traj.series_H)
+        assert n == len(traj.times) == len(traj.r) == len(traj.series_H)
         # reduced angle consistent with the unwrapped accumulator
         wrapped = traj.phi_unwrapped % (2 * math.pi)
         assert np.abs(wrapped - traj.phi).max() < 1e-9

@@ -1,5 +1,6 @@
 """Conserved complex invariants, norm identities, and the bracket algebra."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,40 +10,70 @@ import conedyn as cd
 from conedyn.errors import DomainError, IrrationalScaleError, StructuralError
 from conedyn.sampling import draw_bound_point
 from conedyn.symmetry import verify_w_algebra
-from helpers import bound_energy, kepler_params, oscillator_params, perigee_point
+from helpers import RATIONAL_S, bound_energy, kepler_params, oscillator_params, perigee_point
 
 TWO_PI = 2.0 * math.pi
 
 
+def _ab(params, r, phi, p_r, J):
+    inv = cd.phase_invariants(params, r, phi, p_r, J)
+    return inv.a, inv.b
+
+
+def _continued_local(params, r, phi, p_r, J):
+    """Kepler C = (A - iB) exp(i s phi) with phi used as given, not reduced."""
+    a, b = _ab(params, r, phi, p_r, J)
+    return complex(a, -b) * cmath.exp(1j * params.geometry.s * phi)
+
+
 class TestInvariantComponents:
     def test_kepler_components(self):
-        pt = cd.PhasePoint(r=2.0, phi=0.0, p_r=0.0, J=1.0)
-        assert cd.kepler_invariant_components(kepler_params(), pt) == pytest.approx((-0.5, 0.0))
+        assert _ab(kepler_params(), 2.0, 0.0, 0.0, 1.0) == pytest.approx((-0.5, 0.0))
 
     def test_kepler_circular_vanishes(self):
-        pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
-        assert cd.kepler_invariant_components(kepler_params(), pt) == pytest.approx((0.0, 0.0))
+        assert _ab(kepler_params(), 1.0, 0.0, 0.0, 1.0) == pytest.approx((0.0, 0.0))
 
     def test_kepler_half_cone_circular(self):
-        pt = cd.PhasePoint(r=4.0, phi=0.0, p_r=0.0, J=1.0)
-        assert cd.kepler_invariant_components(kepler_params(1, 2), pt) == pytest.approx((0.0, 0.0))
+        assert _ab(kepler_params(1, 2), 4.0, 0.0, 0.0, 1.0) == pytest.approx((0.0, 0.0))
 
     def test_oscillator_components(self):
-        pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=1.0, J=1.0)
-        params = oscillator_params()
-        assert cd.energy(params, pt) == pytest.approx(1.5)
-        assert cd.oscillator_invariant_components(params, pt) == pytest.approx((-0.5, 1.0))
+        inv = cd.phase_invariants(oscillator_params(), 1.0, 0.0, 1.0, 1.0)
+        assert inv.h == pytest.approx(1.5)
+        assert (inv.a, inv.b) == pytest.approx((-0.5, 1.0))
 
     def test_oscillator_circular_vanishes(self):
-        pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
-        assert cd.oscillator_invariant_components(oscillator_params(), pt) == pytest.approx((0.0, 0.0))
+        assert _ab(oscillator_params(), 1.0, 0.0, 0.0, 1.0) == pytest.approx((0.0, 0.0))
 
     def test_wrong_potential_structural(self):
-        pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
-        with pytest.raises(StructuralError):
-            cd.kepler_invariant_components(oscillator_params(), pt)
-        with pytest.raises(StructuralError):
-            cd.oscillator_invariant_components(kepler_params(), pt)
+        geo = cd.ConeGeometry.from_rational(1, 1)
+        for pot in (cd.PowerLaw(amplitude=-1.0, exponent=-0.5),
+                    cd.LogPotential(strength=1.0, r0=1.0)):
+            with pytest.raises(StructuralError):
+                cd.phase_invariants(cd.Params(m=1.0, geometry=geo, potential=pot),
+                                    1.0, 0.0, 0.0, 1.0)
+
+    def test_no_z_without_rational_form(self):
+        inv = cd.phase_invariants(kepler_params(s=0.7071), 2.0, 0.3, 0.1, 1.0)
+        assert inv.z_re is None and inv.z_im is None
+        assert inv.a == pytest.approx(1.0 / (0.7071 ** 2 * 2.0) - 1.0)
+
+    def test_arrays_match_scalar_complex_arithmetic(self):
+        # elementwise array evaluation equals the scalar evaluation and
+        # complex(A, -B)**n * exp(i c k phi) in Python complex arithmetic, bit for bit
+        rng = np.random.default_rng(14)
+        for k, n in RATIONAL_S:
+            for build, c in ((kepler_params, 1), (oscillator_params, 2)):
+                params = build(k, n, m=1.3)
+                pts = [draw_bound_point(rng, params) for _ in range(50)]
+                coords = [np.array([getattr(p, f) for p in pts]) for f in ("r", "phi", "p_r", "J")]
+                arr = cd.phase_invariants(params, *coords)
+                for i, pt in enumerate(pts):
+                    one = cd.phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
+                    ref = complex(one.a, -one.b) ** n * cmath.exp(1j * c * k * pt.phi)
+                    assert (one.h, one.a, one.b) == (arr.h[i], arr.a[i], arr.b[i])
+                    assert (one.z_re, one.z_im) == (arr.z_re[i], arr.z_im[i])
+                    assert (one.z_re, one.z_im) == (ref.real, ref.imag)
+                    assert one.h == cd.energy(params, pt)
 
 
 class TestLocalInvariant:
@@ -62,15 +93,17 @@ class TestLocalInvariant:
 
     def test_multivalued_for_fractional_scale(self):
         params = kepler_params(2, 3)
-        a = cd.local_invariant_raw(params, 2.0, 0.7, 0.3, 1.0)
-        b = cd.local_invariant_raw(params, 2.0, 0.7 + TWO_PI, 0.3, 1.0)
+        a = _continued_local(params, 2.0, 0.7, 0.3, 1.0)
+        b = _continued_local(params, 2.0, 0.7 + TWO_PI, 0.3, 1.0)
         assert abs(a - b) > 1e-3
-        assert cd.local_invariant(params, cd.PhasePoint(2.0, 0.7, 0.3, 1.0)).multivalued
+        c = cd.local_invariant(params, cd.PhasePoint(2.0, 0.7, 0.3, 1.0))
+        assert c.value == a
+        assert c.multivalued
 
     def test_single_valued_for_integer_scale(self):
         params = kepler_params(1, 1)
-        a = cd.local_invariant_raw(params, 2.0, 0.7, 0.3, 1.0)
-        b = cd.local_invariant_raw(params, 2.0, 0.7 + TWO_PI, 0.3, 1.0)
+        a = _continued_local(params, 2.0, 0.7, 0.3, 1.0)
+        b = _continued_local(params, 2.0, 0.7 + TWO_PI, 0.3, 1.0)
         assert a == pytest.approx(b, rel=1e-12)
         assert not cd.local_invariant(params, cd.PhasePoint(2.0, 0.7, 0.3, 1.0)).multivalued
 
@@ -130,7 +163,7 @@ class TestNormIdentity:
     def test_circular_orbit_both_sides_vanish(self):
         params = kepler_params()
         pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.0, J=1.0)
-        a, b = cd.kepler_invariant_components(params, pt)
+        a, b = _ab(params, pt.r, pt.phi, pt.p_r, pt.J)
         assert a == b == 0.0
         assert cd.norm_identity_residual(params, pt) < 1e-15
 
@@ -143,37 +176,71 @@ class TestNormIdentity:
                 assert cd.norm_identity_residual(params, pt) < 1e-12
 
 
+def _r(r, phi, p_r, J):
+    return r
+
+
+def _phi(r, phi, p_r, J):
+    return phi
+
+
+def _p(r, phi, p_r, J):
+    return p_r
+
+
+def _j(r, phi, p_r, J):
+    return J
+
+
 class TestPoissonBracket:
     def setup_method(self):
         self.pt = cd.PhasePoint(r=1.3, phi=2.0, p_r=0.4, J=1.1)
         self.params = kepler_params()
 
+    def _h(self, *coords):
+        return cd.phase_invariants(self.params, *coords).h
+
     def test_canonical_pairs(self):
-        r = lambda q: q.r
-        p = lambda q: q.p_r
-        phi = lambda q: q.phi
-        J = lambda q: q.J
-        assert cd.poisson_bracket(r, p, self.pt) == pytest.approx(1.0, abs=1e-10)
-        assert cd.poisson_bracket(phi, J, self.pt) == pytest.approx(1.0, abs=1e-10)
-        assert cd.poisson_bracket(r, J, self.pt) == pytest.approx(0.0, abs=1e-10)
+        assert cd.poisson_bracket(_r, _p, self.pt) == pytest.approx(1.0, abs=1e-10)
+        assert cd.poisson_bracket(_phi, _j, self.pt) == pytest.approx(1.0, abs=1e-10)
+        assert cd.poisson_bracket(_r, _j, self.pt) == pytest.approx(0.0, abs=1e-10)
+        # phi reaches the functions unreduced, so a stencil across phi = 0 stays smooth
+        near_zero = cd.PhasePoint(r=1.3, phi=1e-6, p_r=0.4, J=1.1)
+        assert cd.poisson_bracket(_phi, _j, near_zero) == pytest.approx(1.0, abs=1e-10)
 
     def test_hamiltonian_conserves_j(self):
-        h = lambda q: cd.energy(self.params, q)
-        J = lambda q: q.J
-        assert cd.poisson_bracket(h, J, self.pt) == pytest.approx(0.0, abs=1e-9)
+        assert cd.poisson_bracket(self._h, _j, self.pt) == pytest.approx(0.0, abs=1e-9)
 
     def test_antisymmetry(self):
-        h = lambda q: cd.energy(self.params, q)
-        z = lambda q: cd.global_invariant(self.params, q).value
-        ab = cd.poisson_bracket(h, z, self.pt)
-        ba = cd.poisson_bracket(z, h, self.pt)
+        def z(*coords):
+            inv = cd.phase_invariants(self.params, *coords)
+            return inv.z_re + 1j * inv.z_im
+
+        ab = cd.poisson_bracket(self._h, z, self.pt)
+        ba = cd.poisson_bracket(z, self._h, self.pt)
         assert abs(ab + ba) < 1e-10
 
     def test_differencing_across_tip_rejected(self):
-        params = self.params
         tiny = cd.PhasePoint(r=1e-6, phi=0.0, p_r=0.0, J=1.0)
         with pytest.raises(DomainError):
-            cd.poisson_bracket(lambda q: q.r, lambda q: q.p_r, tiny, h=1e-2)
+            cd.poisson_bracket(_r, _p, tiny, h=1e-2)
+
+    def test_same_stencil_as_w_algebra(self):
+        # poisson_bracket and verify_w_algebra difference on one stencil
+        params = oscillator_params(2, 3)
+        pt = draw_bound_point(np.random.default_rng(15), params)
+
+        def z(*coords):
+            inv = cd.phase_invariants(params, *coords)
+            return inv.z_re + 1j * inv.z_im
+
+        def h(*coords):
+            return cd.phase_invariants(params, *coords).h
+
+        rows = {row.name: row.value for row in verify_w_algebra(params, pt).rows}
+        assert cd.poisson_bracket(_j, z, pt) == rows["{J,Z}"]
+        assert cd.poisson_bracket(h, z, pt) == rows["{H,Z}"]
+        assert cd.poisson_bracket(h, _j, pt) == rows["{H,J}"]
 
 
 class TestWAlgebra:
