@@ -57,6 +57,13 @@ class TestPotentials:
         pot = cd.LogPotential(strength=1.0, r0=1.0)
         assert pot.value(math.e) == pytest.approx(1.0)
 
+    def test_nonpositive_radius_rejected(self):
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=cd.Kepler(kappa=1.0))
+        with pytest.raises(DomainError):
+            cd.effective_potential(params, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            cd.effective_potential(params, 1.0, -1.0)
+
     def test_power_law_exponent_bound(self):
         with pytest.raises(DomainError):
             cd.PowerLaw(amplitude=1.0, exponent=-2.0)
