@@ -31,7 +31,6 @@ from .dynamics import (
     effective_potential,
     energy,
     integrate,
-    kernel_backend,
     measure_apsidal_advance,
     step,
     trajectory_apsides,

@@ -26,11 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bertrand import _Well, _refine, apsidal_angle, circular_orbit, radial_period
-from .core import Kepler, Oscillator, Params
+from .core import TWO_PI, Kepler, Oscillator, Params
 from .dynamics import _effective_d2
 from .errors import CircularOrbitError, DomainError, StructuralError
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

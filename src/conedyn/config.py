@@ -315,44 +315,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config", "top level must be a JSON object")
     return parse_config(doc)
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical JSON-ready form; parse(config_to_dict(cfg)) == cfg."""
-    geom = cfg.params.geometry
-    if geom.rational is not None:
-        gd: dict = {"k": geom.rational[0], "n": geom.rational[1]}
-    else:
-        gd = {"s": geom.s}
-    pot = cfg.params.potential
-    if isinstance(pot, Kepler):
-        pd: dict = {"kind": "kepler", "kappa": pot.kappa}
-    elif isinstance(pot, Oscillator):
-        pd = {"kind": "oscillator", "omega": pot.omega}
-    elif isinstance(pot, PowerLaw):
-        pd = {"kind": "power_law", "amplitude": pot.amplitude, "exponent": pot.exponent}
-    else:
-        pd = {"kind": "log", "strength": pot.strength, "r0": pot.r0}
-    doc: dict = {"params": {"m": cfg.params.m, "geometry": gd, "potential": pd}}
-    if cfg.initial_point is not None:
-        doc["initial"] = {"point": {"r": cfg.initial_point.r, "phi": cfg.initial_point.phi,
-                                    "p_r": cfg.initial_point.p_r, "J": cfg.initial_point.J}}
-    elif cfg.initial_level is not None:
-        doc["initial"] = {"level": {"E": cfg.initial_level[0], "J": cfg.initial_level[1]}}
-    if cfg.integrator is not None:
-        doc["integrator"] = {"dt": cfg.integrator.dt, "n_steps": cfg.integrator.n_steps,
-                             "sample_every": cfg.integrator.sample_every}
-    if cfg.closure is not None:
-        doc["closure"] = {"enabled": cfg.closure.enabled, "tol": cfg.closure.tol}
-    doc["quadrature"] = {"tolerance": cfg.quadrature.tolerance,
-                         "max_refinements": cfg.quadrature.max_refinements}
-    if cfg.scan is not None:
-        doc["scan"] = {"exponents": list(cfg.scan.exponents),
-                       "e_fractions": list(cfg.scan.e_fractions),
-                       "lambdas": list(cfg.scan.lambdas),
-                       "include_log_check": cfg.scan.include_log_check}
-    if cfg.levels is not None:
-        doc["levels"] = [{"E": e, "J": j} for e, j in cfg.levels]
-    doc["algebra"] = {"n_points": cfg.algebra.n_points, "h": cfg.algebra.h}
-    if cfg.output is not None:
-        doc["output"] = {"path": cfg.output.path, "format": cfg.output.format}
-    return doc

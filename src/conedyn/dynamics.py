@@ -3,14 +3,13 @@
 The time integration works in the reduced polar coordinates (r, p_r): J is a
 parameter of the reduced flow and conserved exactly by construction, and phi
 is reconstructed by quadrature alongside.  The kick-drift-kick stepper is
-second order and symplectic in (r, p_r); a compiled kernel is used when the
-extension built, with a pure-Python twin selected at import time otherwise.
+second order and symplectic in (r, p_r); it is one pure-Python loop that
+keeps its whole state in locals.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,50 +33,8 @@ from .errors import (
     UnboundedMotionError,
 )
 
-from . import _leapfrog_py
-
-try:
-    from . import _leapfrog  # type: ignore[attr-defined]
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on the build
-    _leapfrog = None
-    HAVE_COMPILED_KERNEL = False
-
-_FORCE_PYTHON = bool(os.environ.get("CONEDYN_PURE_PYTHON"))
-
-
-def kernel_backend() -> str:
-    """Name of the stepper backend selected at import: 'compiled' or 'python'."""
-    if HAVE_COMPILED_KERNEL and not _FORCE_PYTHON:
-        return "compiled"
-    return "python"
-
-
-def _kernel_module(backend: str | None):
-    if backend is None:
-        backend = kernel_backend()
-    if backend == "compiled":
-        if not HAVE_COMPILED_KERNEL:
-            raise StructuralError("compiled kernel requested but not built")
-        return _leapfrog
-    if backend == "python":
-        return _leapfrog_py
-    raise DomainError(f"unknown backend {backend!r}; use 'compiled' or 'python'")
-
-
-def _potential_code(params: Params) -> tuple[int, float, float]:
-    """Encode the potential for the kernels: (kind, c1, c2)."""
-    pot = params.potential
-    if isinstance(pot, Kepler):
-        return _leapfrog_py.POT_KEPLER, pot.kappa, 0.0
-    if isinstance(pot, Oscillator):
-        return _leapfrog_py.POT_OSCILLATOR, pot.beta(params.m), 0.0
-    if isinstance(pot, PowerLaw):
-        return _leapfrog_py.POT_POWER, pot.amplitude, pot.exponent
-    if isinstance(pot, LogPotential):
-        return _leapfrog_py.POT_LOG, pot.strength, 0.0
-    raise StructuralError(f"unsupported potential {type(pot).__name__}")
+# No compiled stepper exists; the name stays for the benchmark harness (ROADMAP item 6).
+HAVE_COMPILED_KERNEL = False
 
 
 # --- Energies ---
@@ -297,33 +254,92 @@ class Trajectory:
         )
 
 
-def _run_kernel(params, pt, dt, n_steps, sample_every, backend):
-    kind, c1, c2 = _potential_code(params)
+def _vprime(params: Params):
+    """V'(r) for the stepper: one closure per potential, constants bound."""
+    pot = params.potential
+    if isinstance(pot, Kepler):
+        kappa = pot.kappa
+
+        def vprime(x):
+            return kappa / (x * x)
+    elif isinstance(pot, Oscillator):
+        beta = pot.beta(params.m)
+
+        def vprime(x):
+            return beta * x
+    elif isinstance(pot, PowerLaw):
+        a_alpha, alpha_m1 = pot.amplitude * pot.exponent, pot.exponent - 1.0
+
+        def vprime(x):
+            return a_alpha * x ** alpha_m1
+    elif isinstance(pot, LogPotential):
+        strength = pot.strength
+
+        def vprime(x):
+            return strength / x
+    else:
+        raise StructuralError(f"unsupported potential {type(pot).__name__}")
+    return vprime
+
+
+def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_every: int):
+    """Advance ``n_steps`` kick-drift-kick steps from ``pt``, sampling every
+    ``sample_every``; sample 0 is the initial state.
+
+    Returns the sampled (r, p_r, unwrapped phi) arrays.  A drift that leaves
+    the r > 0 half-line (or gives NaN) raises TipCollisionError with its
+    step index.
+    """
+    if dt == 0.0 or not math.isfinite(dt):
+        raise DomainError(f"dt must be nonzero and finite, got {dt}")
+    for name, count in (("n_steps", n_steps), ("sample_every", sample_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
+    if n_steps < 1 or sample_every < 1:
+        raise DomainError("n_steps and sample_every must be >= 1")
+    if n_steps % sample_every != 0:
+        raise DomainError("n_steps must be a multiple of sample_every")
+    vprime = _vprime(params)
+
     n_samples = n_steps // sample_every + 1
     out_r = np.empty(n_samples)
     out_pr = np.empty(n_samples)
     out_phi = np.empty(n_samples)
-    mod = _kernel_module(backend)
-    _, _, _, failed = mod.run_leapfrog(
-        pt.r, pt.p_r, pt.phi, pt.J,
-        params.m, params.geometry.s, kind, c1, c2,
-        dt, n_steps, sample_every, out_r, out_pr, out_phi,
-    )
-    if failed >= 0:
-        raise TipCollisionError(step_index=int(failed))
+    r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
+    m, s = params.m, params.geometry.s
+    ms2 = m * s * s
+    cent = (J * J) / ms2
+    half_dt = 0.5 * dt
+    k = 1
+    out_r[0] = r
+    out_pr[0] = p_r
+    out_phi[0] = phi
+
+    for i in range(n_steps):
+        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        r_new = r + dt * (p_r / m)
+        if not (r_new > 0.0):
+            raise TipCollisionError(step_index=i)
+        r_mid = 0.5 * (r + r_new)
+        phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
+        r = r_new
+        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        if (i + 1) % sample_every == 0:
+            out_r[k] = r
+            out_pr[k] = p_r
+            out_phi[k] = phi
+            k += 1
     return out_r, out_pr, out_phi
 
 
-def step(params: Params, pt: PhasePoint, dt: float, backend: str | None = None) -> PhasePoint:
+def step(params: Params, pt: PhasePoint, dt: float) -> PhasePoint:
     """One kick-drift-kick step of the reduced system.
 
     Half-kick p_r, drift r (advancing phi with the drift-midpoint radius),
     half-kick p_r.  J is untouched.  Negative dt is allowed; the scheme is
     exactly time-reversible up to rounding.
     """
-    if dt == 0.0 or not math.isfinite(dt):
-        raise DomainError(f"dt must be nonzero and finite, got {dt}")
-    out_r, out_pr, out_phi = _run_kernel(params, pt, dt, 1, 1, backend)
+    out_r, out_pr, out_phi = _run_kernel(params, pt, dt, 1, 1)
     return PhasePoint(r=float(out_r[1]), phi=float(out_phi[1]),
                       p_r=float(out_pr[1]), J=pt.J)
 
@@ -334,21 +350,18 @@ def integrate(
     dt: float,
     n_steps: int,
     sample_every: int = 1,
-    backend: str | None = None,
+    backend: str = "python",
 ) -> Trajectory:
     """Iterate :func:`step` and record samples.
 
-    ``n_steps`` must be a multiple of ``sample_every`` so the final state is
-    always sampled.  A tip collision propagates with its failing step index.
+    ``n_steps`` and ``sample_every`` are positive integers, and ``n_steps``
+    a multiple of ``sample_every`` so the final state is always sampled.  A
+    tip collision propagates with its failing step index.
     """
-    if dt == 0.0 or not math.isfinite(dt):
-        raise DomainError(f"dt must be nonzero and finite, got {dt}")
-    if n_steps < 1 or sample_every < 1:
-        raise DomainError("n_steps and sample_every must be >= 1")
-    if n_steps % sample_every != 0:
-        raise DomainError("n_steps must be a multiple of sample_every")
-
-    out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every, backend)
+    # "python" is the only stepper; the parameter goes with ROADMAP item 6.
+    if backend != "python":
+        raise DomainError(f"unknown backend {backend!r}; the only stepper is 'python'")
+    out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every)
     n_samples = len(out_r)
     times = dt * sample_every * np.arange(n_samples)
     series_h = hamiltonian(params, out_r, out_pr, pt0.J)

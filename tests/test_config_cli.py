@@ -11,7 +11,7 @@ import pytest
 
 import conedyn as cd
 from conedyn.cli import main
-from conedyn.config import config_to_dict, load_config, parse_config
+from conedyn.config import load_config, parse_config
 from conedyn.errors import ConfigError
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -30,14 +30,6 @@ def _base_doc(**extra):
 
 
 class TestParsing:
-    def test_shipped_configs_round_trip(self):
-        paths = sorted(CONFIG_DIR.glob("*.json"))
-        assert paths, "no example configs shipped"
-        for path in paths:
-            cfg = load_config(str(path))
-            again = parse_config(config_to_dict(cfg))
-            assert again == cfg, path.name
-
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="config.bogus"):
             parse_config(_base_doc(bogus=1))

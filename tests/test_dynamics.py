@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
-from conedyn.dynamics import HAVE_COMPILED_KERNEL
+from conedyn import dynamics
 from conedyn.errors import (
     DomainError,
     ForbiddenEnergyError,
@@ -17,8 +17,6 @@ from conedyn.errors import (
     UnboundedMotionError,
 )
 from helpers import bound_energy, kepler_params, midwell_point, oscillator_params, perigee_point
-
-BACKENDS = ["python"] + (["compiled"] if HAVE_COMPILED_KERNEL else [])
 
 
 class TestEnergy:
@@ -165,22 +163,20 @@ class TestTurningPoints:
 
 
 class TestStep:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reversibility(self, backend):
+    def test_reversibility(self):
         params = kepler_params()
         pt = cd.PhasePoint(r=0.8, phi=0.3, p_r=0.4, J=1.0)
-        fwd = cd.step(params, pt, 1e-3, backend=backend)
-        back = cd.step(params, fwd, -1e-3, backend=backend)
+        fwd = cd.step(params, pt, 1e-3)
+        back = cd.step(params, fwd, -1e-3)
         assert back.r == pytest.approx(pt.r, abs=1e-12)
         assert back.p_r == pytest.approx(pt.p_r, abs=1e-12)
         assert back.phi == pytest.approx(pt.phi, abs=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_circular_orbit_fixed_point(self, backend):
+    def test_circular_orbit_fixed_point(self):
         params = kepler_params()
         pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
         for _ in range(1000):
-            pt = cd.step(params, pt, 1e-3, backend=backend)
+            pt = cd.step(params, pt, 1e-3)
         assert pt.r == pytest.approx(1.0, abs=1e-10)
 
     def test_free_radial_motion(self):
@@ -262,15 +258,17 @@ class TestIntegrate:
             slope = abs(np.polyfit(traj.times[mask], dh[mask], 1)[0])
             assert slope < 1e-12
 
-    @pytest.mark.skipif(not HAVE_COMPILED_KERNEL, reason="compiled kernel not built")
-    def test_backends_agree(self):
+    def test_backend_compat_names(self):
+        # the benchmark harness reads these two names; "python" is the only stepper
+        assert dynamics.HAVE_COMPILED_KERNEL is False
         params = kepler_params(2, 3)
         pt0 = perigee_point(params, -0.15, 1.0)
-        a = cd.integrate(params, pt0, 1e-3, 20000, 100, backend="compiled")
-        b = cd.integrate(params, pt0, 1e-3, 20000, 100, backend="python")
-        assert np.abs(a.r - b.r).max() < 1e-12
-        assert np.abs(a.p_r - b.p_r).max() < 1e-12
-        assert np.abs(a.phi_unwrapped - b.phi_unwrapped).max() < 1e-12
+        a = cd.integrate(params, pt0, 1e-3, 2000, 100, backend="python")
+        b = cd.integrate(params, pt0, 1e-3, 2000, 100)
+        for name in ("r", "p_r", "phi_unwrapped", "series_H"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        with pytest.raises(DomainError, match="backend"):
+            cd.integrate(params, pt0, 1e-3, 2000, 100, backend="compiled")
 
     def test_trajectory_invariants(self):
         params = kepler_params()
@@ -285,8 +283,15 @@ class TestIntegrate:
 
     def test_sample_alignment_required(self):
         params = kepler_params()
+        pt = perigee_point(params, -0.375, 1.0)
         with pytest.raises(DomainError):
-            cd.integrate(params, perigee_point(params, -0.375, 1.0), 1e-3, 1001, 10)
+            cd.integrate(params, pt, 1e-3, 1001, 10)
+        # counts must be integers: no float, bool or numeric string
+        for n_steps, sample_every in ((1000.0, 10), (1000, 10.0), (True, 1),
+                                      (1000, True), ("1000", 10)):
+            with pytest.raises(DomainError, match="integer"):
+                cd.integrate(params, pt, 1e-3, n_steps, sample_every)
+        assert len(cd.integrate(params, pt, 1e-3, np.int64(100), np.int64(10))) == 11
 
     def test_integrate_is_iterated_step(self):
         params = oscillator_params(2, 3, omega=0.7)
