@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -58,11 +59,6 @@ class RunSummary:
     exit_status: int
 
 
-def _fmt(x: float) -> str:
-    """Full 17-significant-digit decimal rendering for CSV fields."""
-    return format(float(x), ".17g")
-
-
 def _setup_logging() -> None:
     levels = {"error": logging.ERROR, "warn": logging.WARNING,
               "info": logging.INFO, "debug": logging.DEBUG}
@@ -91,14 +87,23 @@ def _initial_point(cfg: RunConfig) -> PhasePoint:
     return PhasePoint(r=tp.r_min, phi=0.0, p_r=0.0, J=J)
 
 
-def _write_rows(path: str, fmt: str, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         if fmt == "csv":
             f.write(",".join(header) + "\n")
+            # one line template per tuple of cell types: floats (numpy's
+            # included) get 17 significant digits, which round-trip exactly;
+            # any other cell is rendered by str()
+            templates: dict[tuple, str] = {}
             for row in rows:
-                f.write(",".join(
-                    _fmt(v) if isinstance(v, float) else str(v) for v in row
-                ) + "\n")
+                row = tuple(row)
+                types = tuple(map(type, row))
+                line = templates.get(types)
+                if line is None:
+                    line = templates[types] = ",".join(
+                        "%.17g" if issubclass(t, float) else "%s" for t in types
+                    ) + "\n"
+                f.write(line % row)
         else:
             for row in rows:
                 f.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
@@ -135,7 +140,8 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
     if with_z:
         inv = phase_invariants(params, traj.r, traj.phi, traj.p_r, traj.series_J)
         columns += [inv.z_re, inv.z_im]
-    _write_rows(path, fmt, header, np.column_stack(columns).tolist())
+    # rows stream as tuples of Python floats, with no (samples, columns) copy
+    _write_rows(path, fmt, header, zip(*(c.tolist() for c in columns)))
 
     h0 = float(traj.series_H[0])
     h_drift = float(np.abs(traj.series_H - h0).max()) / max(abs(h0), 1e-300)

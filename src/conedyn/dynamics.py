@@ -4,7 +4,10 @@ The time integration works in the reduced polar coordinates (r, p_r): J is a
 parameter of the reduced flow and conserved exactly by construction, and phi
 is reconstructed by quadrature alongside.  The kick-drift-kick stepper is
 second order and symplectic in (r, p_r); it is one pure-Python loop that
-keeps its whole state in locals.
+keeps its whole state in locals.  It evaluates the radial force once per
+step: the closing half-kick's force is reused as the next opening one (the
+first-same-as-last property of Stormer-Verlet), which is bit-identical to
+evaluating it twice.
 """
 
 from __future__ import annotations
@@ -310,25 +313,28 @@ def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_
     ms2 = m * s * s
     cent = (J * J) / ms2
     half_dt = 0.5 * dt
-    k = 1
     out_r[0] = r
     out_pr[0] = p_r
     out_phi[0] = phi
 
-    for i in range(n_steps):
-        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
-        r_new = r + dt * (p_r / m)
-        if not (r_new > 0.0):
-            raise TipCollisionError(step_index=i)
-        r_mid = 0.5 * (r + r_new)
-        phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
-        r = r_new
-        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
-        if (i + 1) % sample_every == 0:
-            out_r[k] = r
-            out_pr[k] = p_r
-            out_phi[k] = phi
-            k += 1
+    # The closing half-kick's force is the next step's opening force (same
+    # expression at the same r), so each step evaluates it once.
+    force = cent / (r * r * r) - vprime(r)
+    for k in range(1, n_samples):
+        first = (k - 1) * sample_every
+        for i in range(first, first + sample_every):
+            p_r = p_r + half_dt * force
+            r_new = r + dt * (p_r / m)
+            if not (r_new > 0.0):
+                raise TipCollisionError(step_index=i)
+            r_mid = 0.5 * (r + r_new)
+            phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
+            r = r_new
+            force = cent / (r * r * r) - vprime(r)
+            p_r = p_r + half_dt * force
+        out_r[k] = r
+        out_pr[k] = p_r
+        out_phi[k] = phi
     return out_r, out_pr, out_phi
 
 
@@ -352,11 +358,14 @@ def integrate(
     sample_every: int = 1,
     backend: str = "python",
 ) -> Trajectory:
-    """Iterate :func:`step` and record samples.
+    """Advance ``n_steps`` kick-drift-kick steps of ``dt`` from ``pt0`` and
+    record every ``sample_every``-th state; sample 0 is ``pt0``.
 
     ``n_steps`` and ``sample_every`` are positive integers, and ``n_steps``
-    a multiple of ``sample_every`` so the final state is always sampled.  A
-    tip collision propagates with its failing step index.
+    a multiple of ``sample_every`` so the final state is always sampled.
+    Each step equals one :func:`step` call bit for bit.  A negative ``dt``
+    runs backward, with decreasing sample times.  A tip collision
+    propagates with its failing step index.
     """
     # "python" is the only stepper; the parameter goes with ROADMAP item 6.
     if backend != "python":
@@ -409,17 +418,23 @@ class _Hermite:
 
 
 def _interpolants(traj: Trajectory):
-    """Hermite interpolants for r, p_r and the unwrapped angle."""
+    """Hermite interpolants for r, p_r and the unwrapped angle.
+
+    A backward run (dt < 0) has decreasing times; its samples are taken in
+    reverse so that the interpolants always see increasing times.
+    """
     params = traj.params
     J = float(traj.series_J[0])
     m, s = params.m, params.geometry.s
     dr = traj.p_r / m
-    dp = _radial_force(params, J, traj.r)
+    dp = np.asarray(_radial_force(params, J, traj.r), dtype=float)
     dphi = J / (m * s * s * traj.r * traj.r)
+    order = slice(None, None, -1) if traj.dt < 0.0 else slice(None)
+    t = traj.times[order]
     return (
-        _Hermite(traj.times, traj.r, dr),
-        _Hermite(traj.times, traj.p_r, np.asarray(dp, dtype=float)),
-        _Hermite(traj.times, traj.phi_unwrapped, dphi),
+        _Hermite(t, traj.r[order], dr[order]),
+        _Hermite(t, traj.p_r[order], dp[order]),
+        _Hermite(t, traj.phi_unwrapped[order], dphi[order]),
     )
 
 
@@ -434,16 +449,22 @@ class ApsisEvent:
 
 
 def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
-    """Locate apsis passages by root-finding p_r on the Hermite interpolant."""
+    """Locate apsis passages by root-finding p_r on the Hermite interpolant.
+
+    Events are listed in sample order, which is decreasing time for a
+    backward run (dt < 0).
+    """
     r_h, p_h, phi_h = _interpolants(traj)
     p = traj.p_r
     t = traj.times
+    forward = traj.dt > 0.0
     events: list[ApsisEvent] = []
     for i in range(len(p) - 1):
         if p[i] == 0.0 or p[i] * p[i + 1] >= 0.0:
             continue
         t_star = _root(p_h, float(t[i]), float(t[i + 1]), rtol=1e-15)
-        kind = "perigee" if p[i] < 0.0 else "apogee"
+        # r falls before a perigee in sample order: p_r < 0 forward, > 0 backward
+        kind = "perigee" if (p[i] < 0.0) == forward else "apogee"
         events.append(
             ApsisEvent(time=float(t_star), kind=kind,
                        r=float(r_h(t_star)), phi_unwrapped=float(phi_h(t_star)))
@@ -462,7 +483,7 @@ def measure_apsidal_advance(traj: Trajectory) -> tuple[float, float]:
     if len(events) < 3:
         raise DomainError("trajectory too short: fewer than three apsis passages")
     delta_phi = abs(events[1].phi_unwrapped - events[0].phi_unwrapped)
-    period = events[2].time - events[0].time
+    period = abs(events[2].time - events[0].time)
     return delta_phi, period
 
 
@@ -503,7 +524,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
     distance (the angle is normalized by 2*pi), with Hermite interpolation
     between samples.  Radial periods are counted as successive (r, p_r)
     returns, which the reduced dynamics produces exactly once per period.
-    Returns None when no closure occurs within the trajectory.
+    A backward run (dt < 0) reports a negative closure time.  Returns None
+    when no closure occurs within the trajectory.
     """
     if float(traj.series_J[0]) == 0.0:
         raise DomainError("closure detection requires J != 0")
@@ -533,7 +555,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
         if not (d[i] <= 0.2 and d[i] <= d[i - 1] and d[i] < d[i + 1]):
             continue
         periods += 1
-        a, b = float(t[i - 1]), float(t[i + 1])
+        a, b = sorted((float(t[i - 1]), float(t[i + 1])))
         t_star = _golden_min(dist_sq, a, b, xatol=(b - a) * 1e-10)
         d_rp = max(abs(r_h(t_star) - r0) / amp_r, abs(p_h(t_star) - p0) / amp_p)
         winding = (phi_h(t_star) - phi0) / TWO_PI

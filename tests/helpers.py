@@ -3,6 +3,7 @@
 import math
 
 import conedyn as cd
+from conedyn.errors import TipCollisionError
 
 RATIONAL_S = [(1, 1), (1, 2), (2, 3), (3, 4)]
 
@@ -37,3 +38,14 @@ def midwell_point(params, E, J, phi=0.0):
     r0 = 0.5 * (tp.r_min + tp.r_max)
     kin = E - float(cd.effective_potential(params, J, r0))
     return cd.PhasePoint(r=r0, phi=phi, p_r=math.sqrt(2.0 * params.m * kin), J=J)
+
+
+def steps_to_collision(params, pt, dt):
+    """Index of the step that hits the cone tip, counted by one-by-one steps."""
+    n = 0
+    while True:
+        try:
+            pt = cd.step(params, pt, dt)
+        except TipCollisionError:
+            return n
+        n += 1

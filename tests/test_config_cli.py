@@ -7,12 +7,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import conedyn as cd
-from conedyn.cli import main
+from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
 from conedyn.errors import ConfigError
+from helpers import kepler_params, steps_to_collision
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,7 +201,34 @@ class TestCli:
         code = main(["simulate", "--config", _write(tmp_path, "c.json", doc)])
         assert code == 3
         summary = json.loads(capsys.readouterr().out)
-        assert summary["results"]["step_index"] >= 0
+        # the plunge fails inside a block of 10 sampled steps
+        expected = steps_to_collision(
+            kepler_params(2, 3), cd.PhasePoint(r=0.4, phi=0.0, p_r=-1.0, J=0.0), 1e-2)
+        assert expected % 10 not in (0, 9)
+        assert summary["results"]["step_index"] == expected
+
+    def test_csv_rows_render_like_per_cell_format(self, tmp_path):
+        # actions-style rows: an error row, a rational row with int p/q, a
+        # non-rational row with "", plus edge floats and numpy scalars
+        nan, inf = math.nan, math.inf
+        rows = [
+            [5.0, 1.0] + [nan] * 10 + ["error: E=5.0 at or above the escape energy 0.0"],
+            [-0.15, 1.0, 0.1, 1.0, 0.4, 0.6, 1.5, 3, 2, 1e-12, -0.15, 2e-16, "ok"],
+            [-0.2, -1.0, 0.1, -1.0, 0.4, 0.5773, 1.4142, "", "", nan, nan, nan, "ok"],
+            [-0.0, inf, -inf, 5e-324, 1e308, np.float64(0.1), np.float64(-2.5e-310),
+             np.int64(7), np.int64(-3), True, 0.1 + 0.2, -1 / 3, "a,b %s %.17g"],
+        ]
+        header = ["E", "J", "i1", "i2", "omega1", "omega2", "ratio",
+                  "rational_p", "rational_q", "rational_error",
+                  "h_of_i", "roundtrip_rel_err", "status"]
+        out = tmp_path / "rows.csv"
+        _write_rows(str(out), "csv", header, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                     for v in row) + "\n"
+            for row in rows
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_bertrand_scan_cli(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")

@@ -16,7 +16,14 @@ from conedyn.errors import (
     TipCollisionError,
     UnboundedMotionError,
 )
-from helpers import bound_energy, kepler_params, midwell_point, oscillator_params, perigee_point
+from helpers import (
+    bound_energy,
+    kepler_params,
+    midwell_point,
+    oscillator_params,
+    perigee_point,
+    steps_to_collision,
+)
 
 
 class TestEnergy:
@@ -191,19 +198,64 @@ class TestStep:
         assert traj.r[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_tip_collision(self):
-        # J = 0 radial plunge into the Kepler center
+        # J = 0 radial plunge into the Kepler center; the failing step lies
+        # inside a block of 7 sampled steps, so the index counts every step
         params = kepler_params()
         pt = cd.PhasePoint(r=0.5, phi=0.0, p_r=-1.0, J=0.0)
+        expected = steps_to_collision(params, pt, 1e-2)
+        assert expected % 7 not in (0, 6)
         with pytest.raises(TipCollisionError) as err:
-            cd.integrate(params, pt, 1e-2, 1000, 10)
-        assert err.value.step_index >= 0
+            cd.integrate(params, pt, 1e-2, 700, 7)
+        assert err.value.step_index == expected
 
     def test_zero_dt_rejected(self):
         with pytest.raises(DomainError):
             cd.step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
 
 
+def _reference_kdk(params, pt, dt, n_steps, sample_every):
+    """The stepper loop as first written: two force evaluations per step and
+    a modulo test for sampling.  Returns sampled (r, p_r, unwrapped phi)."""
+    vprime = dynamics._vprime(params)
+    m, s = params.m, params.geometry.s
+    ms2 = m * s * s
+    r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
+    cent = (J * J) / ms2
+    half_dt = 0.5 * dt
+    samples = [(r, p_r, phi)]
+    for i in range(n_steps):
+        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        r_new = r + dt * (p_r / m)
+        assert r_new > 0.0
+        r_mid = 0.5 * (r + r_new)
+        phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
+        r = r_new
+        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        if (i + 1) % sample_every == 0:
+            samples.append((r, p_r, phi))
+    return np.array(samples).T
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.0),
+        cd.PowerLaw(amplitude=0.8, exponent=1.5),
+        cd.LogPotential(strength=1.0, r0=1.0),
+    ], ids=["kepler", "oscillator", "power_law", "log"])
+    def test_kernel_bitwise_equals_reference_loop(self, potential):
+        for (k, n), dt, J, sample_every in itertools.product(
+            ((1, 1), (2, 3)), (2e-3, -2e-3), (1.0, -1.0), (1, 7)
+        ):
+            params = cd.Params(m=1.0, geometry=cd.ConeGeometry.from_rational(k, n),
+                               potential=potential)
+            pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=J)
+            traj = cd.integrate(params, pt, dt, 1400, sample_every)
+            ref_r, ref_pr, ref_phi = _reference_kdk(params, pt, dt, 1400, sample_every)
+            assert traj.r.tobytes() == ref_r.tobytes()
+            assert traj.p_r.tobytes() == ref_pr.tobytes()
+            assert traj.phi_unwrapped.tobytes() == ref_phi.tobytes()
+
     def test_j_series_bitwise_constant(self):
         params = kepler_params(2, 3)
         traj = cd.integrate(params, perigee_point(params, -0.15, 1.0), 1e-3, 5000, 50)
@@ -334,6 +386,29 @@ class TestDetectClosure:
         E = bound_energy(params, 1.0, 0.3)
         traj = self._trajectory(params, E, 1.0, 12.5, steps_per_period=10000)
         assert cd.detect_closure(traj, tol=1e-6) is None
+
+    def test_backward_orbit_closes_as_mirror_image(self):
+        # from a perigee at phi = 0, the run with -dt is the forward run under
+        # (t, p_r, phi) -> (-t, -p_r, -phi): same closure, at negative time
+        params = kepler_params(2, 3)
+        pt0 = perigee_point(params, -0.15, 1.0)
+        fwd = cd.integrate(params, pt0, 2e-3, 50000, 50)
+        bwd = cd.integrate(params, pt0, -2e-3, 50000, 50)
+        assert bwd.r.tobytes() == fwd.r.tobytes()
+        assert np.array_equal(bwd.p_r, -fwd.p_r)
+        info_f = cd.detect_closure(fwd, tol=1e-6)
+        info_b = cd.detect_closure(bwd, tol=1e-6)
+        assert info_f.radial_periods == info_b.radial_periods == 2
+        assert info_f.closure_time == pytest.approx(76.476, abs=1e-3)
+        assert info_b.closure_time == pytest.approx(-info_f.closure_time, rel=1e-12)
+        ev_f, ev_b = cd.trajectory_apsides(fwd), cd.trajectory_apsides(bwd)
+        assert [e.kind for e in ev_b] == [e.kind for e in ev_f]
+        for a, b in zip(ev_f, ev_b):
+            assert b.time == pytest.approx(-a.time, rel=1e-12)
+            assert b.r == pytest.approx(a.r, rel=1e-12)
+            assert b.phi_unwrapped == pytest.approx(-a.phi_unwrapped, rel=1e-12)
+        for a, b in zip(cd.measure_apsidal_advance(fwd), cd.measure_apsidal_advance(bwd)):
+            assert b == pytest.approx(a, rel=1e-12)
 
     def test_golden_section_terminates_below_float_spacing(self):
         # at t ~ 1e7 the requested xatol is below one ulp of t
