@@ -20,7 +20,6 @@ from .core import (
     PowerLaw,
     as_power_law,
     from_cartesian,
-    from_power_law,
     to_cartesian,
 )
 from .dynamics import (
@@ -60,12 +59,14 @@ from .symmetry import (
     BracketReport,
     BracketRow,
     InvariantValue,
+    WAlgebraTable,
     global_invariant,
     local_invariant,
     norm_identity_residual,
     phase_invariants,
     poisson_bracket,
     verify_w_algebra,
+    w_algebra_table,
 )
 from . import errors
 

@@ -19,8 +19,11 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from dataclasses import dataclass, asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .errors import (
     TipCollisionError,
 )
 from .sampling import draw_bound_point
-from .symmetry import phase_invariants, verify_w_algebra
+from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
 
 log = logging.getLogger("conedyn")
 
@@ -46,6 +49,8 @@ EXIT_CONFIG = 2
 EXIT_DYNAMICS = 3
 EXIT_INFEASIBLE = 4
 EXIT_IRRATIONAL = 5
+
+_ALGEBRA_BLOCK = 4096  # points per W-algebra table: bounds its memory
 
 
 @dataclass
@@ -87,14 +92,40 @@ def _initial_point(cfg: RunConfig) -> PhasePoint:
     return PhasePoint(r=tp.r_min, phi=0.0, p_r=0.0, J=J)
 
 
+_JSON_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json_cell(t: type):
+    """How json.dumps renders a value of type t: None where the line
+    template's %r already does (float and int), else a function."""
+    if t is float or t is int:
+        return None
+    if issubclass(t, float):
+        return float.__repr__
+    if t is bool:
+        return {True: "true", False: "false"}.__getitem__
+    if issubclass(t, int):
+        return int.__repr__
+    if issubclass(t, str):
+        return encode_basestring_ascii
+    return _JSON_COMPACT.encode
+
+
 def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write rows as CSV, or as JSONL objects keyed by ``header``.
+
+    Each tuple of cell types gets one line template, built on first use.
+    CSV renders floats (numpy's included) with 17 significant digits, which
+    round-trip exactly, and any other cell with str().  A JSONL line equals
+    ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``: floats
+    and ints go through %r, other cells through json's own renderers, and a
+    line in which "nan" or "inf" appears (a non-finite float, or those
+    letters in a key or string) is rendered by json.dumps itself.
+    """
+    templates: dict = {}  # line template (and JSON cell renderers) per cell types
     with open(path, "w", encoding="utf-8") as f:
         if fmt == "csv":
             f.write(",".join(header) + "\n")
-            # one line template per tuple of cell types: floats (numpy's
-            # included) get 17 significant digits, which round-trip exactly;
-            # any other cell is rendered by str()
-            templates: dict[tuple, str] = {}
             for row in rows:
                 row = tuple(row)
                 types = tuple(map(type, row))
@@ -104,9 +135,28 @@ def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]
                         "%.17g" if issubclass(t, float) else "%s" for t in types
                     ) + "\n"
                 f.write(line % row)
-        else:
-            for row in rows:
-                f.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
+            return
+        keys = [encode_basestring_ascii(key).replace("%", "%%") + ":" for key in header]
+        for row in rows:
+            row = tuple(row)
+            types = tuple(map(type, row))
+            entry = templates.get(types)
+            if entry is None:
+                cells = list(map(_json_cell, types))
+                line = ",".join(key + ("%r" if c is None else "%s") for key, c in zip(keys, cells))
+                renders = [(i, c) for i, c in enumerate(cells) if c is not None]
+                entry = templates[types] = ("{" + line + "}\n", renders)
+            line, renders = entry
+            if renders:
+                cells = list(row)
+                for i, render in renders:
+                    cells[i] = render(cells[i])
+                line %= tuple(cells)
+            else:
+                line %= row
+            if "nan" in line or "inf" in line:
+                line = json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+            f.write(line)
 
 
 def _resolve_output(cfg: RunConfig, args) -> tuple[str, str]:
@@ -274,29 +324,41 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:
                           {"error": "irrational scale factor"}, EXIT_IRRATIONAL)
     path, fmt = _resolve_output(cfg, args)
     rng = np.random.default_rng(args.seed)
+    n_points, h = cfg.algebra.n_points, cfg.algebra.h
+    coords = np.empty((4, n_points))
+    for i in range(n_points):
+        pt = draw_bound_point(rng, params)
+        coords[:, i] = pt.r, pt.phi, pt.p_r, pt.J
+    _steps(coords, h)  # a point too near the tip fails here, before any row is written
     header = ["point_index", "bracket", "value_re", "value_im",
               "expected_re", "expected_im", "abs_err", "rel_err", "h", "role", "note"]
-    rows = []
-    worst: dict[str, float] = {}
-    match_counts: dict[str, int] = {}
-    for i in range(cfg.algebra.n_points):
-        pt = draw_bound_point(rng, params)
-        report = verify_w_algebra(params, pt, h=cfg.algebra.h)
-        match_counts[report.zzbar_match] = match_counts.get(report.zzbar_match, 0) + 1
-        for row in report.rows:
-            rows.append([i, row.name, complex(row.value).real, complex(row.value).imag,
-                         complex(row.expected).real, complex(row.expected).imag,
-                         row.abs_err, row.rel_err, report.h, row.role, row.note])
-            if row.role == "check":
-                worst[row.name] = max(worst.get(row.name, 0.0), row.rel_err)
-    _write_rows(path, fmt, header, rows)
+    names, roles, notes = (list(col) for col in zip(*W_ALGEBRA_ROWS))
+    worst = np.zeros(len(CHECK_ROWS))
+    match_counts: Counter[str] = Counter()
+
+    def rows():
+        # blocks of points bound the table's memory; rows stream point by point
+        for start in range(0, n_points, _ALGEBRA_BLOCK):
+            table = w_algebra_table(params, *coords[:, start:start + _ALGEBRA_BLOCK], h)
+            count = table.zzbar_match.size
+            np.maximum(worst, table.rel_err[list(CHECK_ROWS)].max(axis=1), out=worst)
+            match_counts.update(table.zzbar_match.tolist())
+            yield from zip(
+                np.repeat(np.arange(start, start + count), len(names)).tolist(),
+                names * count,
+                *(col.T.ravel().tolist() for col in table[:6]),
+                repeat(h), roles * count, notes * count,
+            )
+
+    _write_rows(path, fmt, header, rows())
+    worst_by_name = {names[i]: err for i, err in zip(CHECK_ROWS, worst.tolist())}
     results = {
         "output": path,
-        "n_points": cfg.algebra.n_points,
-        "worst_rel_err": worst,
-        "zzbar_match": match_counts,
+        "n_points": n_points,
+        "worst_rel_err": worst_by_name,
+        "zzbar_match": dict(match_counts),
     }
-    for name, err in sorted(worst.items()):
+    for name, err in sorted(worst_by_name.items()):
         log.info("worst relative error %-10s %.3e", name, err)
     return RunSummary("verify-algebra", time.perf_counter() - t0, args.seed,
                       results, EXIT_OK)

@@ -274,6 +274,8 @@ def parse_config(doc: dict) -> RunConfig:
         )
         if algebra.n_points < 1:
             raise ConfigError("algebra.n_points", "must be >= 1")
+        if algebra.h <= 0.0:
+            raise ConfigError("algebra.h", f"finite-difference step must be positive, got {algebra.h}")
     else:
         algebra = AlgebraConfig(n_points=100, h=1e-5)
 

@@ -32,7 +32,7 @@ class ConeGeometry:
     s is the ratio of the cone's angular range to 2*pi: s < 1 is a pointed
     cone obtained by removing a wedge (deficit angle 2*pi*(1-s)) from the
     plane, s = 1 is the plane itself, and s > 1 is an excess-angle surface
-    (allowed, but flagged as nonphysical).
+    (allowed; it has no embedding as a pointed cone).
 
     The optional ``rational`` pair (k, n) asserts s = k/n exactly; it is what
     makes the globally defined symmetry integral possible.  It must be
@@ -65,24 +65,6 @@ class ConeGeometry:
         g = math.gcd(k, n)
         k, n = k // g, n // g
         return cls(s=k / n, rational=(k, n))
-
-    @property
-    def deficit_angle(self) -> float:
-        """Wedge angle removed from the plane, 2*pi*(1-s); negative for s > 1."""
-        return TWO_PI * (1.0 - self.s)
-
-    @property
-    def half_angle(self) -> float | None:
-        """Opening half-angle arcsin(s) of the embedded cone; None for s > 1,
-        where no pointed-cone embedding exists."""
-        if self.s > 1.0:
-            return None
-        return math.asin(self.s)
-
-    @property
-    def excess_angle(self) -> bool:
-        """True for s > 1 (no embedding as a pointed cone; formulas still hold)."""
-        return self.s > 1.0
 
 
 # --- Potentials ---
@@ -199,15 +181,6 @@ def as_power_law(pot: PotentialSpec, m: float = 1.0) -> PowerLaw:
     if isinstance(pot, PowerLaw):
         return pot
     raise StructuralError(f"{type(pot).__name__} has no power-law form")
-
-
-def from_power_law(pot: PowerLaw, m: float = 1.0) -> PotentialSpec:
-    """Inverse of :func:`as_power_law` where a named variant exists."""
-    if pot.exponent == -1.0 and pot.amplitude < 0.0:
-        return Kepler(kappa=-pot.amplitude)
-    if pot.exponent == 2.0 and pot.amplitude > 0.0:
-        return Oscillator(omega=math.sqrt(2.0 * pot.amplitude / m))
-    return pot
 
 
 # --- Phase space ---

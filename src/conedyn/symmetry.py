@@ -202,39 +202,52 @@ def norm_identity_residual(params: Params, pt: PhasePoint) -> float:
 
 # --- Finite-difference Poisson brackets ---
 
-def _stencil(pt: PhasePoint, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference stencil at pt for the steps h and h/2.
+def _steps(x: np.ndarray, h: float) -> np.ndarray:
+    """Difference steps for the coordinates x = (r, phi, p_r, J), shaped
+    (4, N): h * max(1, |coordinate|) for the steps h and h/2, shaped
+    (2, 4, N).  Raises DomainError naming the first point whose stencil
+    would reach r <= 0."""
+    if not h > 0.0:
+        raise DomainError(f"finite-difference step must be positive, got {h}")
+    delta = np.array([h, 0.5 * h])[:, None, None] * np.maximum(1.0, np.abs(x))
+    bad = np.flatnonzero(~(x[0] - delta[:, 0] > 0.0).all(axis=0))
+    if bad.size:
+        raise DomainError(
+            f"finite difference would cross r = 0 at point {bad[0]}; reduce h"
+        )
+    return delta
 
-    Returns the coordinates (r, phi, p_r, J), shaped (4, 16), of the shifted
-    points in (step, coordinate, +/-) order, and the divisors 2*delta shaped
-    (2, 4).  The step per coordinate is h * max(1, |coordinate|), and
-    differencing must stay inside r > 0.
+
+def _stencil(x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference stencils at N points for the steps h and h/2.
+
+    ``x`` holds the coordinates (r, phi, p_r, J), shaped (4, N).  Returns the
+    coordinates of the shifted points, shaped (4, 16, N) with the 16 in
+    (step, coordinate, +/-) order, and the divisors 2*delta shaped (2, 4, N).
     """
-    x = np.array([pt.r, pt.phi, pt.p_r, pt.J])
-    delta = np.array([[h], [0.5 * h]]) * np.maximum(1.0, np.abs(x))
-    if np.any(x[0] - delta[:, 0] <= 0.0):
-        raise DomainError("finite difference would cross r = 0; reduce h")
-    points = np.tile(x, (2, 4, 2, 1))
-    axis = np.arange(4)
-    points[:, axis, 0, axis] = x + delta
-    points[:, axis, 1, axis] = x - delta
-    return points.reshape(16, 4).T, 2.0 * delta
+    delta = _steps(x, h)
+    points = np.empty((4, 2, 4, 2, x.shape[1]))
+    points[...] = x[:, None, None, None]
+    for c in range(4):
+        points[c, :, c, 0] = x[c] + delta[:, c]
+        points[c, :, c, 1] = x[c] - delta[:, c]
+    return points.reshape(4, 16, -1), 2.0 * delta
 
 
 def _brackets(re: np.ndarray, im: np.ndarray, den: np.ndarray,
-              pairs: list[tuple[int, int]]) -> list[complex]:
-    """Brackets {f_i, f_j} for each pair (i, j) of fields sampled on the stencil.
+              pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets {f_i, f_j} for each pair (i, j) of fields sampled on the stencils.
 
-    ``re`` and ``im`` hold each field's parts at the 16 stencil points,
-    shaped (fields, 16).  Each bracket is the Richardson extrapolation
-    (4 b(h/2) - b(h)) / 3 of the two step sizes, accurate to O(h^4) for
-    smooth fields.  The complex arithmetic is spelled out on real and
-    imaginary parts in CPython's order, so the values equal complex-number
-    evaluation bit for bit.
+    ``re`` and ``im`` hold each field's parts on the stencils of N points,
+    shaped (fields, 16, N); the result's parts are shaped (pairs, N).  Each
+    bracket is the Richardson extrapolation (4 b(h/2) - b(h)) / 3 of the two
+    step sizes, accurate to O(h^4) for smooth fields.  The complex arithmetic
+    is spelled out on real and imaginary parts in CPython's order, so the
+    values equal complex-number evaluation bit for bit.
     """
-    re = re.reshape(-1, 2, 4, 2)
-    im = im.reshape(-1, 2, 4, 2)
-    p_re, p_im = _cdiv(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1], den)
+    re = re.reshape(-1, 2, 4, 2, re.shape[-1])
+    im = im.reshape(-1, 2, 4, 2, im.shape[-1])
+    p_re, p_im = _cdiv(re[:, :, :, 0] - re[:, :, :, 1], im[:, :, :, 0] - im[:, :, :, 1], den)
     f, g = (np.array(side) for side in zip(*pairs))
     fr, fphi, fp, fj = ((p_re[f, :, i], p_im[f, :, i]) for i in range(4))
     gr, gphi, gp, gj = ((p_re[g, :, i], p_im[g, :, i]) for i in range(4))
@@ -242,8 +255,7 @@ def _brackets(re: np.ndarray, im: np.ndarray, den: np.ndarray,
     b_re = terms[0][0] - terms[1][0] + terms[2][0] - terms[3][0]
     b_im = terms[0][1] - terms[1][1] + terms[2][1] - terms[3][1]
     x_re, x_im = _cmul(4.0, 0.0, b_re[:, 1], b_im[:, 1])
-    v_re, v_im = _cdiv(x_re - b_re[:, 0], x_im - b_im[:, 0], 3.0)
-    return [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())]
+    return _cdiv(x_re - b_re[:, 0], x_im - b_im[:, 0], 3.0)
 
 
 def poisson_bracket(f: Callable, g: Callable, pt: PhasePoint, h: float = 1e-5) -> complex:
@@ -254,12 +266,144 @@ def poisson_bracket(f: Callable, g: Callable, pt: PhasePoint, h: float = 1e-5) -
     unreduced.  One Richardson halving is applied, so the value is accurate
     to O(h^4) for smooth arguments.
     """
-    coords, den = _stencil(pt, h)
+    coords, den = _stencil(np.array([[pt.r], [pt.phi], [pt.p_r], [pt.J]]), h)
     values = np.array([f(*coords), g(*coords)])
-    return _brackets(values.real, values.imag, den, [(0, 1)])[0]
+    b_re, b_im = _brackets(values.real, values.imag, den, [(0, 1)])
+    return complex(b_re[0, 0], b_im[0, 0])
 
 
 # --- W-algebra verification ---
+
+_I_ABSORBED = "i-absorbed (commutator-normalized) convention"
+
+# The eight rows of a W-algebra check: name, role, note.  Role "check" must
+# hold; "finding" is recorded for adjudication.
+W_ALGEBRA_ROWS = (
+    ("{J,Z}", "check", "canonical bracket: -i * charge * Z"),
+    ("{J,Z} i-absorbed", "finding", _I_ABSORBED),
+    ("{J,Zbar}", "check", "canonical bracket: +i * charge * Zbar"),
+    ("{J,Zbar} i-absorbed", "finding", _I_ABSORBED),
+    ("{H,Z}", "check", "Z is a constant of motion; error scaled by |Z|"),
+    ("{H,J}", "check", "central force conserves J; error scaled by |J|"),
+    ("{Z,Zbar} energy-in-base", "finding", "power base A^2+B^2 (contains H)"),
+    ("{Z,Zbar} energy-free-base", "finding", "power base without H"),
+)
+CHECK_ROWS = tuple(i for i, (_, role, _) in enumerate(W_ALGEBRA_ROWS) if role == "check")
+_ZZBAR_MATCH = np.array(["neither", "energy_in_base", "energy_free_base", "both"])
+
+
+class WAlgebraTable(NamedTuple):
+    """The rows of :data:`W_ALGEBRA_ROWS` at N points.
+
+    Every field but ``zzbar_match`` is shaped (8, N), one row per bracket
+    row; ``zzbar_match`` is shaped (N,).
+    """
+
+    value_re: np.ndarray
+    value_im: np.ndarray
+    expected_re: np.ndarray
+    expected_im: np.ndarray
+    abs_err: np.ndarray
+    rel_err: np.ndarray
+    zzbar_match: np.ndarray
+
+
+def _ctimes(c: complex, re, im):
+    """Python complex constant c times re + i im, in CPython's order."""
+    return _cmul(c.real, c.imag, re, im)
+
+
+def _pick(a, b):
+    """Elementwise max(a, b) as Python's max picks it: b only if b > a."""
+    return np.where(b > a, b, a)
+
+
+def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebraTable:
+    """Evaluate the W-algebra brackets at N points and compare with the closed forms.
+
+    The coordinates are floats or 1-D arrays of one length N; phi is reduced
+    mod 2*pi first, as PhasePoint stores it.  Checked relations (canonical
+    bracket, charge c = 1 Kepler / 2 oscillator):
+
+        {J, Z} = -i c k Z        {J, Zbar} = +i c k Zbar
+        {H, Z} = 0               {H, J} = 0
+
+    The i-absorbed versions (+/- c k without the i) are reported alongside as
+    findings, as are both candidate closed forms for {Z, Zbar}:
+
+        Kepler:      (4 i n^3/(m k)) J H * base^(n-1)
+                     with base either A^2+B^2 = 2 n^2 J^2 H/(m k^2) + kappa^2
+                     (energy in the base) or 2 n^2 J^2/(m k^2) + kappa^2
+                     (energy-free base); they differ for n > 1.
+        Oscillator:  -(4 i n^3/k) omega^2 J * (H^2 - omega^2 n^2 J^2/k^2)^(n-1),
+                     whose base already equals A^2+B^2.
+
+    The finite-difference value is the ground truth; ``zzbar_match`` states
+    which candidate it supports at 1e-5 relative: "energy_in_base",
+    "energy_free_base", "both" (they coincide, e.g. n = 1 or any oscillator
+    case), or "neither".  J, H, Z and Zbar are evaluated once on the 16-point
+    stencils of all points.  The right sides are formed as Python complex
+    arithmetic forms them, so each entry equals the scalar complex-number
+    evaluation bit for bit.
+    """
+    rational = params.geometry.rational
+    if rational is None:
+        raise IrrationalScaleError(
+            "W-algebra verification needs an exact rational scale factor"
+        )
+    k, n = rational
+    c, m = _charge(params), params.m
+    charge = c * k
+    x = np.array([r, phi, p_r, J], dtype=float).reshape(4, -1)
+    x[1] %= TWO_PI
+    r, phi, p_r, J = x
+    inv = phase_invariants(params, r, phi, p_r, J)
+    z_re, z_im = inv.z_re, inv.z_im
+
+    # fields J, H, Z, Zbar on the stencils, evaluated once
+    coords, den = _stencil(x, h)
+    on = phase_invariants(params, *coords)
+    flat = np.zeros_like(on.h)
+    v_re, v_im = _brackets(
+        np.array([coords[3], on.h, on.z_re, on.z_re]),
+        np.array([flat, flat, on.z_im, -on.z_im]),
+        den, [(0, 2), (0, 3), (1, 2), (1, 0), (2, 3)],
+    )
+    rows = [0, 0, 1, 1, 2, 3, 4, 4]  # bracket of each row: jz, jzb, hz, hj, zzb
+
+    norm_sq = inv.a * inv.a + inv.b * inv.b
+    if c == 1:
+        kappa = params.potential.kappa
+        pref = _cmul(*_ctimes(4j * n**3 / (m * k), J, 0.0), inv.h, 0.0)
+        free = 2.0 * n * n * J * J / (m * k * k) + kappa * kappa
+    else:
+        omega = params.potential.omega
+        pref = _ctimes(-4j * n**3 / k * omega * omega, J, 0.0)
+        free = inv.h * inv.h - omega * omega * n * n * J * J / (k * k)
+    # Python float powers per point: numpy's pow may round differently
+    cand_energy = _cmul(*pref, np.array([v ** (n - 1) for v in norm_sq.tolist()]), 0.0)
+    cand_free = _cmul(*pref, np.array([v ** (n - 1) for v in free.tolist()]), 0.0)
+    zero = np.zeros_like(z_re)
+    expected = [
+        _ctimes(-1j * charge, z_re, z_im),
+        _ctimes(complex(charge), z_re, z_im),
+        _ctimes(1j * charge, z_re, -z_im),
+        _ctimes(complex(-charge), z_re, -z_im),
+        (zero, zero), (zero, zero), cand_energy, cand_free,
+    ]
+    e_re = np.array([e[0] for e in expected])
+    e_im = np.array([e[1] for e in expected])
+    scale_zz = 0.01 * _pick(np.hypot(*cand_energy), np.hypot(*cand_free))
+    scale = np.array([zero, zero, zero, zero, np.hypot(z_re, z_im), np.abs(J),
+                      scale_zz, scale_zz])
+
+    value_re, value_im = v_re[rows], v_im[rows]
+    abs_err = np.hypot(value_re - e_re, value_im - e_im)
+    rel_err = abs_err / _pick(_pick(np.hypot(e_re, e_im), scale), _ZERO_FLOOR)
+    match = (rel_err[6] < 1e-5).astype(int) + 2 * (rel_err[7] < 1e-5)
+    return WAlgebraTable(value_re, value_im, e_re, e_im, abs_err, rel_err,
+                         _ZZBAR_MATCH[match])
+
 
 @dataclass(frozen=True)
 class BracketRow:
@@ -276,12 +420,7 @@ class BracketRow:
 
 @dataclass(frozen=True)
 class BracketReport:
-    """All verified brackets at one phase point.
-
-    ``zzbar_match`` records which {Z, Zbar} candidate right side the numeric
-    bracket supports: "energy_in_base", "energy_free_base", "both" (they
-    coincide, e.g. n = 1 or any oscillator case), or "neither".
-    """
+    """All verified brackets at one phase point (see :func:`w_algebra_table`)."""
 
     rows: list[BracketRow]
     h: float
@@ -292,101 +431,20 @@ class BracketReport:
     zzbar_match: str
 
     def worst_check_error(self) -> float:
-        return max(row.rel_err for row in self.rows if row.role == "check")
-
-
-def _rel_err(value: complex, expected: complex, scale: float) -> float:
-    return abs(value - expected) / max(abs(expected), scale, _ZERO_FLOOR)
-
-
-_I_ABSORBED = "i-absorbed (commutator-normalized) convention"
+        """Largest check-row relative error; NaN if any of them is NaN."""
+        return float(np.max([row.rel_err for row in self.rows if row.role == "check"]))
 
 
 def verify_w_algebra(params: Params, pt: PhasePoint, h: float = 1e-5) -> BracketReport:
-    """Evaluate the W-algebra brackets at pt and compare with the closed forms.
-
-    Checked relations (canonical bracket, charge c = 1 Kepler / 2 oscillator):
-
-        {J, Z} = -i c k Z        {J, Zbar} = +i c k Zbar
-        {H, Z} = 0               {H, J} = 0
-
-    The i-absorbed versions (+/- c k without the i) are reported alongside as
-    findings, as are both candidate closed forms for {Z, Zbar}:
-
-        Kepler:      (4 i n^3/(m k)) J H * base^(n-1)
-                     with base either A^2+B^2 = 2 n^2 J^2 H/(m k^2) + kappa^2
-                     (energy in the base) or 2 n^2 J^2/(m k^2) + kappa^2
-                     (energy-free base); they differ for n > 1.
-        Oscillator:  -(4 i n^3/k) omega^2 J * (H^2 - omega^2 n^2 J^2/k^2)^(n-1),
-                     whose base already equals A^2+B^2.
-
-    The finite-difference value is the ground truth; ``zzbar_match`` states
-    which candidate it supports at 1e-5 relative.
-    """
-    rational = params.geometry.rational
-    if rational is None:
-        raise IrrationalScaleError(
-            "W-algebra verification needs an exact rational scale factor"
-        )
-    k, n = rational
-    inv = phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
-    kind = _kind(params)
-    z = complex(inv.z_re, inv.z_im)
-    hval, m, charge = inv.h, params.m, _charge(params) * k
-
-    # fields J, H, Z, Zbar on the stencil, evaluated once
-    coords, den = _stencil(pt, h)
-    on = phase_invariants(params, *coords)
-    zero = np.zeros(16)
-    jz, jzb, hz, hj, zzb = _brackets(
-        np.array([coords[3], on.h, on.z_re, on.z_re]),
-        np.array([zero, zero, on.z_im, -on.z_im]),
-        den, [(0, 2), (0, 3), (1, 2), (1, 0), (2, 3)],
-    )
-
-    norm_sq = inv.a * inv.a + inv.b * inv.b
-    if kind == "kepler":
-        kappa = params.potential.kappa
-        pref = 4j * n**3 / (m * k) * pt.J * hval
-        cand_energy = pref * norm_sq ** (n - 1)
-        cand_free = pref * (2.0 * n * n * pt.J * pt.J / (m * k * k) + kappa * kappa) ** (n - 1)
-    else:
-        omega = params.potential.omega
-        pref = -4j * n**3 / k * omega * omega * pt.J
-        cand_energy = pref * norm_sq ** (n - 1)
-        cand_free = pref * (hval * hval - omega * omega * n * n * pt.J * pt.J / (k * k)) ** (n - 1)
-    scale_zz = 0.01 * max(abs(cand_energy), abs(cand_free))
-
-    table = (  # name, bracket, expected right side, error scale floor, role, note
-        ("{J,Z}", jz, -1j * charge * z, 0.0, "check", "canonical bracket: -i * charge * Z"),
-        ("{J,Z} i-absorbed", jz, charge * z, 0.0, "finding", _I_ABSORBED),
-        ("{J,Zbar}", jzb, 1j * charge * z.conjugate(), 0.0, "check",
-         "canonical bracket: +i * charge * Zbar"),
-        ("{J,Zbar} i-absorbed", jzb, -charge * z.conjugate(), 0.0, "finding", _I_ABSORBED),
-        ("{H,Z}", hz, 0.0, abs(z), "check", "Z is a constant of motion; error scaled by |Z|"),
-        ("{H,J}", hj, 0.0, abs(pt.J), "check", "central force conserves J; error scaled by |J|"),
-        ("{Z,Zbar} energy-in-base", zzb, cand_energy, scale_zz, "finding",
-         "power base A^2+B^2 (contains H)"),
-        ("{Z,Zbar} energy-free-base", zzb, cand_free, scale_zz, "finding",
-         "power base without H"),
-    )
+    """:func:`w_algebra_table` at one phase point, as a report of eight rows."""
+    t = w_algebra_table(params, pt.r, pt.phi, pt.p_r, pt.J, h)
+    cols = zip(*(c[:, 0].tolist() for c in t[:6]))
     rows = [
-        BracketRow(name=name, value=value, expected=expected,
-                   abs_err=abs(value - expected), rel_err=_rel_err(value, expected, scale),
-                   role=role, note=note)
-        for name, value, expected, scale, role, note in table
+        BracketRow(name=name, value=complex(v_re, v_im), expected=complex(e_re, e_im),
+                   abs_err=abs_err, rel_err=rel_err, role=role, note=note)
+        for (name, role, note), (v_re, v_im, e_re, e_im, abs_err, rel_err)
+        in zip(W_ALGEBRA_ROWS, cols)
     ]
-    match_energy = rows[6].rel_err < 1e-5
-    match_free = rows[7].rel_err < 1e-5
-    if match_energy and match_free:
-        zzbar_match = "both"
-    elif match_energy:
-        zzbar_match = "energy_in_base"
-    elif match_free:
-        zzbar_match = "energy_free_base"
-    else:
-        zzbar_match = "neither"
-
-    return BracketReport(
-        rows=rows, h=h, point=pt, kind=kind, k=k, n=n, zzbar_match=zzbar_match
-    )
+    k, n = params.geometry.rational
+    return BracketReport(rows=rows, h=h, point=pt, kind=_kind(params), k=k, n=n,
+                         zzbar_match=str(t.zzbar_match[0]))

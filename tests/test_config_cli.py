@@ -73,6 +73,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"scan.e_fractions\[0\]"):
             parse_config(doc)
 
+    def test_algebra_step_positive(self):
+        # h = 0 made every bracket NaN; h < 0 swaps the difference signs
+        for h in (0.0, -1e-5):
+            with pytest.raises(ConfigError, match="algebra.h"):
+                parse_config(_base_doc(algebra={"n_points": 3, "h": h}))
+        assert parse_config(_base_doc(algebra={"h": 1e-4})).algebra.h == 1e-4
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -230,6 +237,26 @@ class TestCli:
         )
         assert out.read_bytes() == expected.encode("utf-8")
 
+    def test_jsonl_rows_render_like_json_dumps(self, tmp_path):
+        nan, inf = math.nan, math.inf
+        header = ["a", "b%s", "c", "d", "e", "f"]
+        rows = [
+            [-0.0, 5e-324, 1e308, -1e-320, 0.1 + 0.2, -1 / 3],
+            [np.float64(0.1), np.float64(-2.5e-310), np.float64(-0.0), np.float64(1e308),
+             np.float64(1e22), 1e16],
+            [-0.0, inf, -inf, nan, 5e-324, 1e308],
+            [np.float64(nan), np.float64(-inf), np.float64(inf), 1.5, "infeasible", "nan"],
+            [True, False, 0, -7, 2**70, None],
+            ['quote " and backslash \\', "tab\tnewline\n\x00\x1f", "π ≈ 3.14 😀",
+             "%s %d %%", "", "ok"],
+            [1, "x", 2.5, True, np.float64(1e-300), "é"],
+        ]
+        out = tmp_path / "rows.jsonl"
+        _write_rows(str(out), "jsonl", header, rows)
+        expected = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                           for row in rows)
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_bertrand_scan_cli(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")
         doc = _base_doc(
@@ -288,6 +315,38 @@ class TestCli:
         row = json.loads(pathlib.Path(out).read_text().splitlines()[0])
         assert {"bracket", "value_re", "value_im", "expected_re",
                 "expected_im", "abs_err", "rel_err", "h"} <= set(row)
+
+    def test_verify_algebra_worst_error_propagates_nan(self, tmp_path, capsys, monkeypatch):
+        # point 1's H overflows, so its brackets are NaN: the worst error must
+        # say so instead of keeping the finite errors of points 0 and 2
+        from conedyn import cli
+
+        draw = cli.draw_bound_point
+        calls = []
+
+        def draw_with_overflow(rng, params):
+            pt = draw(rng, params)
+            calls.append(pt)
+            if len(calls) == 2:
+                pt = cd.PhasePoint(r=pt.r, phi=pt.phi, p_r=1e200, J=pt.J)
+            return pt
+
+        monkeypatch.setattr(cli, "draw_bound_point", draw_with_overflow)
+        doc = _base_doc(algebra={"n_points": 3, "h": 1e-5},
+                        output={"path": str(tmp_path / "a.jsonl"), "format": "jsonl"})
+        with np.errstate(all="ignore"):
+            assert main(["verify-algebra", "--config", _write(tmp_path, "c.json", doc)]) == 0
+        worst = json.loads(capsys.readouterr().out)["results"]["worst_rel_err"]
+        assert list(worst) == ["{J,Z}", "{J,Zbar}", "{H,Z}", "{H,J}"]
+        assert all(math.isnan(v) for v in worst.values())
+
+    def test_verify_algebra_tip_crossing_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "a.jsonl"
+        doc = _base_doc(algebra={"n_points": 3, "h": 1.0},
+                        output={"path": str(out), "format": "jsonl"})
+        assert main(["verify-algebra", "--config", _write(tmp_path, "c.json", doc)]) == 3
+        assert "cross r = 0 at point 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_circular_orbit_drift(self, tmp_path, capsys):
         # the circular radius is a fixed point of the radial dynamics, so the

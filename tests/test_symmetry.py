@@ -9,7 +9,9 @@ import pytest
 import conedyn as cd
 from conedyn.errors import DomainError, IrrationalScaleError, StructuralError
 from conedyn.sampling import draw_bound_point
-from conedyn.symmetry import verify_w_algebra
+from conedyn.symmetry import (
+    W_ALGEBRA_ROWS, _cdiv, _charge, _cmul, _kind, verify_w_algebra, w_algebra_table,
+)
 from helpers import RATIONAL_S, bound_energy, kepler_params, oscillator_params, perigee_point
 
 TWO_PI = 2.0 * math.pi
@@ -309,3 +311,163 @@ class TestWAlgebra:
         pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.1, J=1.0)
         with pytest.raises(IrrationalScaleError):
             verify_w_algebra(params, pt)
+
+
+# --- the scalar W-algebra path before the array table, kept as reference ---
+
+def _reference_stencil(pt, h):
+    x = np.array([pt.r, pt.phi, pt.p_r, pt.J])
+    delta = np.array([[h], [0.5 * h]]) * np.maximum(1.0, np.abs(x))
+    points = np.tile(x, (2, 4, 2, 1))
+    axis = np.arange(4)
+    points[:, axis, 0, axis] = x + delta
+    points[:, axis, 1, axis] = x - delta
+    return points.reshape(16, 4).T, 2.0 * delta
+
+
+def _reference_brackets(re, im, den, pairs):
+    re = re.reshape(-1, 2, 4, 2)
+    im = im.reshape(-1, 2, 4, 2)
+    p_re, p_im = _cdiv(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1], den)
+    f, g = (np.array(side) for side in zip(*pairs))
+    fr, fphi, fp, fj = ((p_re[f, :, i], p_im[f, :, i]) for i in range(4))
+    gr, gphi, gp, gj = ((p_re[g, :, i], p_im[g, :, i]) for i in range(4))
+    terms = [_cmul(*fr, *gp), _cmul(*fp, *gr), _cmul(*fphi, *gj), _cmul(*fj, *gphi)]
+    b_re = terms[0][0] - terms[1][0] + terms[2][0] - terms[3][0]
+    b_im = terms[0][1] - terms[1][1] + terms[2][1] - terms[3][1]
+    x_re, x_im = _cmul(4.0, 0.0, b_re[:, 1], b_im[:, 1])
+    v_re, v_im = _cdiv(x_re - b_re[:, 0], x_im - b_im[:, 0], 3.0)
+    return [complex(a, b) for a, b in zip(v_re.tolist(), v_im.tolist())]
+
+
+def _reference_w_algebra(params, pt, h):
+    """Rows (value, expected, abs_err, rel_err) and zzbar_match, evaluated
+    point by point in Python complex arithmetic."""
+    k, n = params.geometry.rational
+    inv = cd.phase_invariants(params, pt.r, pt.phi, pt.p_r, pt.J)
+    z = complex(inv.z_re, inv.z_im)
+    hval, m, charge = inv.h, params.m, _charge(params) * k
+    coords, den = _reference_stencil(pt, h)
+    on = cd.phase_invariants(params, *coords)
+    zero = np.zeros(16)
+    jz, jzb, hz, hj, zzb = _reference_brackets(
+        np.array([coords[3], on.h, on.z_re, on.z_re]),
+        np.array([zero, zero, on.z_im, -on.z_im]),
+        den, [(0, 2), (0, 3), (1, 2), (1, 0), (2, 3)],
+    )
+    norm_sq = inv.a * inv.a + inv.b * inv.b
+    if _kind(params) == "kepler":
+        kappa = params.potential.kappa
+        pref = 4j * n**3 / (m * k) * pt.J * hval
+        cand_energy = pref * norm_sq ** (n - 1)
+        cand_free = pref * (2.0 * n * n * pt.J * pt.J / (m * k * k) + kappa * kappa) ** (n - 1)
+    else:
+        omega = params.potential.omega
+        pref = -4j * n**3 / k * omega * omega * pt.J
+        cand_energy = pref * norm_sq ** (n - 1)
+        cand_free = pref * (hval * hval - omega * omega * n * n * pt.J * pt.J / (k * k)) ** (n - 1)
+    scale_zz = 0.01 * max(abs(cand_energy), abs(cand_free))
+    table = (
+        (jz, -1j * charge * z, 0.0), (jz, charge * z, 0.0),
+        (jzb, 1j * charge * z.conjugate(), 0.0), (jzb, -charge * z.conjugate(), 0.0),
+        (hz, 0.0, abs(z)), (hj, 0.0, abs(pt.J)),
+        (zzb, cand_energy, scale_zz), (zzb, cand_free, scale_zz),
+    )
+    rows = []
+    for value, expected, scale in table:
+        err = abs(value - expected)
+        rel = abs(value - expected) / max(abs(expected), scale, 1e-12)
+        rows.append((complex(value), complex(expected), err, rel))
+    match_energy, match_free = rows[6][3] < 1e-5, rows[7][3] < 1e-5
+    match = ("both" if match_energy and match_free else "energy_in_base" if match_energy
+             else "energy_free_base" if match_free else "neither")
+    return rows, match
+
+
+def _hex_rows(rows):
+    return [(v.real.hex(), v.imag.hex(), e.real.hex(), e.imag.hex(), err.hex(), rel.hex())
+            for v, e, err, rel in rows]
+
+
+def _table_rows(table, i):
+    """Row tuples of point i of a WAlgebraTable, in the reference's layout."""
+    cols = [c[:, i].tolist() for c in table[:6]]
+    return [(complex(vr, vi), complex(er, ei), err, rel)
+            for vr, vi, er, ei, err, rel in zip(*cols)]
+
+
+def _edge_points(params, rng, count):
+    """Bound points with J of both signs and phi at 0 and just below 2*pi."""
+    below = math.nextafter(TWO_PI, 0.0)
+    pts = []
+    for i in range(count):
+        pt = draw_bound_point(rng, params)
+        phi = (0.0, below, pt.phi)[i % 3]
+        pts.append(cd.PhasePoint(r=pt.r, phi=phi, p_r=pt.p_r, J=pt.J * (-1) ** (i // 3)))
+    return pts
+
+
+W_ALGEBRA_S = [(1, 1), (1, 2), (2, 3), (3, 4), (1, 3), (4, 1)]
+
+
+class TestWAlgebraTable:
+    @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
+                             ids=["kepler", "oscillator"])
+    def test_bitwise_equals_scalar_reference(self, build):
+        rng = np.random.default_rng(16)
+        for k, n in W_ALGEBRA_S:
+            for m in (1.0, 1.7):
+                params = build(k, n, m=m)
+                pts = _edge_points(params, rng, 12)
+                coords = [np.array([getattr(p, f) for p in pts]) for f in ("r", "phi", "p_r", "J")]
+                for h in (1e-5, 1e-4):
+                    batch = w_algebra_table(params, *coords, h)
+                    for i, pt in enumerate(pts):
+                        ref, match = _reference_w_algebra(params, pt, h)
+                        single = w_algebra_table(params, pt.r, pt.phi, pt.p_r, pt.J, h)
+                        report = verify_w_algebra(params, pt, h)
+                        facade = [(row.value, row.expected, row.abs_err, row.rel_err)
+                                  for row in report.rows]
+                        assert _hex_rows(_table_rows(batch, i)) == _hex_rows(ref)
+                        assert _hex_rows(_table_rows(single, 0)) == _hex_rows(ref)
+                        assert _hex_rows(facade) == _hex_rows(ref)
+                        assert batch.zzbar_match[i] == single.zzbar_match[0] == match
+                        assert report.zzbar_match == match
+
+    def test_unreduced_phi_and_zero_z(self):
+        # phi outside [0, 2*pi) is reduced as PhasePoint reduces it; on a
+        # circular orbit Z = 0 exactly, so the signs of zero must match too
+        below = math.nextafter(TWO_PI, 0.0)
+        for params in (kepler_params(1, 1), oscillator_params(1, 1), kepler_params(1, 2, m=1.7)):
+            raw = [(1.0, phi, 0.0, J) for phi in (0.0, below, -0.3, 7.5, -TWO_PI)
+                   for J in (1.0, -1.0)]
+            raw += [(pt.r, pt.phi + shift, pt.p_r, pt.J)
+                    for pt, shift in zip(_edge_points(params, np.random.default_rng(18), 4),
+                                         (-TWO_PI, TWO_PI, 3 * TWO_PI, -5.0))]
+            batch = w_algebra_table(params, *np.array(raw).T)
+            for i, coords in enumerate(raw):
+                ref, match = _reference_w_algebra(params, cd.PhasePoint(*coords), 1e-5)
+                assert _hex_rows(_table_rows(batch, i)) == _hex_rows(ref)
+                assert batch.zzbar_match[i] == match
+
+    def test_rows_and_shapes(self):
+        params = kepler_params(2, 3)
+        pts = _edge_points(params, np.random.default_rng(17), 5)
+        coords = [np.array([getattr(p, f) for p in pts]) for f in ("r", "phi", "p_r", "J")]
+        table = w_algebra_table(params, *coords)
+        assert all(c.shape == (8, 5) for c in table[:6])
+        assert table.zzbar_match.shape == (5,)
+        report = verify_w_algebra(params, pts[0])
+        assert [(r.name, r.role, r.note) for r in report.rows] == list(W_ALGEBRA_ROWS)
+
+    def test_bad_point_in_batch_named(self):
+        params = oscillator_params(1, 2)
+        r = np.array([1.0, 0.8, 1.2, 1e-6, 0.9])
+        with pytest.raises(DomainError, match=r"cross r = 0 at point 3\b"):
+            w_algebra_table(params, r, np.zeros(5), np.zeros(5), np.ones(5), h=1e-2)
+
+    def test_nonpositive_step_rejected(self):
+        pt = cd.PhasePoint(r=1.3, phi=2.0, p_r=0.4, J=1.1)
+        for h in (0.0, -1e-5, math.nan):
+            with pytest.raises(DomainError):
+                verify_w_algebra(kepler_params(), pt, h)
