@@ -9,7 +9,6 @@ finite W-algebra of Poisson brackets.
 """
 
 from .core import (
-    CartesianPoint,
     ConeGeometry,
     Kepler,
     LogPotential,
@@ -19,8 +18,6 @@ from .core import (
     PotentialSpec,
     PowerLaw,
     as_power_law,
-    from_cartesian,
-    to_cartesian,
 )
 from .dynamics import (
     ClosureInfo,

@@ -31,6 +31,7 @@ from .core import Params, PowerLaw
 from .dynamics import (
     _escape_energy,
     _find_ueff_minimum,
+    _raise_at,
     effective_potential,
     turning_points,
 )
@@ -196,10 +197,10 @@ def circular_orbit(params: Params, J: float) -> tuple[float, float]:
 
     Closed form of U_eff'(r_c) = 0: r_c = (J^2/(m s^2 A alpha))^(1/(alpha+2))
     for V = A r^alpha (Kepler and the oscillator included) and
-    r_c = |J|/(s sqrt(m B)) for the log potential; E_c = U_eff(r_c).
+    r_c = |J|/(s sqrt(m B)) for the log potential; E_c = U_eff(r_c).  J may
+    be an array, giving arrays.
     """
-    if J == 0.0:
-        raise DomainError("circular orbit requires J != 0")
+    _raise_at(np.equal(J, 0.0), DomainError, "circular orbit requires J != 0")
     return _find_ueff_minimum(params, J)
 
 

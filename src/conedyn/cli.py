@@ -39,7 +39,7 @@ from .errors import (
     IrrationalScaleError,
     TipCollisionError,
 )
-from .sampling import draw_bound_point
+from .sampling import draw_bound_points
 from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
 
 log = logging.getLogger("conedyn")
@@ -325,10 +325,7 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:
     path, fmt = _resolve_output(cfg, args)
     rng = np.random.default_rng(args.seed)
     n_points, h = cfg.algebra.n_points, cfg.algebra.h
-    coords = np.empty((4, n_points))
-    for i in range(n_points):
-        pt = draw_bound_point(rng, params)
-        coords[:, i] = pt.r, pt.phi, pt.p_r, pt.J
+    coords = draw_bound_points(rng, params, n_points)
     _steps(coords, h)  # a point too near the tip fails here, before any row is written
     header = ["point_index", "bracket", "value_re", "value_im",
               "expected_re", "expected_im", "abs_err", "rel_err", "h", "role", "note"]

@@ -210,20 +210,6 @@ class PhasePoint:
 
 
 @dataclass(frozen=True)
-class CartesianPoint:
-    """State (x1, x2, p1, p2) in the flat chart of the unrolled cone."""
-
-    x1: float
-    x2: float
-    p1: float
-    p2: float
-
-    def __post_init__(self):
-        if self.x1 * self.x1 + self.x2 * self.x2 <= 0.0:
-            raise DomainError("Cartesian point at the origin has no polar image")
-
-
-@dataclass(frozen=True)
 class Params:
     """Mass, geometry and potential bundled as one immutable system definition."""
 
@@ -234,35 +220,3 @@ class Params:
     def __post_init__(self):
         if not (math.isfinite(self.m) and self.m > 0.0):
             raise DomainError(f"mass must be positive, got {self.m}")
-
-
-# --- Operations ---
-
-def to_cartesian(pt: PhasePoint) -> CartesianPoint:
-    """Map a phase point to the flat chart.
-
-    Positions are the usual polar-to-Cartesian map; momenta are the unique
-    pair with x.p = r*p_r and x1*p2 - x2*p1 = J, i.e. the decomposition
-    p = p_r * r_hat + (J/r) * phi_hat.
-    """
-    c, s = math.cos(pt.phi), math.sin(pt.phi)
-    jr = pt.J / pt.r
-    return CartesianPoint(
-        x1=pt.r * c,
-        x2=pt.r * s,
-        p1=pt.p_r * c - jr * s,
-        p2=pt.p_r * s + jr * c,
-    )
-
-
-def from_cartesian(cpt: CartesianPoint) -> PhasePoint:
-    """Inverse of :func:`to_cartesian`; phi comes out reduced to [0, 2*pi)."""
-    r = math.hypot(cpt.x1, cpt.x2)
-    if r <= 0.0:
-        raise DomainError("origin has no polar image")
-    return PhasePoint(
-        r=r,
-        phi=math.atan2(cpt.x2, cpt.x1),
-        p_r=(cpt.x1 * cpt.p1 + cpt.x2 * cpt.p2) / r,
-        J=cpt.x1 * cpt.p2 - cpt.x2 * cpt.p1,
-    )

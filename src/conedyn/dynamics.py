@@ -28,6 +28,7 @@ from .core import (
     as_power_law,
 )
 from .errors import (
+    ConeDynError,
     DomainError,
     ForbiddenEnergyError,
     QuadratureError,
@@ -63,7 +64,7 @@ def effective_potential(params: Params, J: float, r):
 
     Accepts scalar or array r; raises on any non-positive radius.
     """
-    if np.any(np.asarray(r) <= 0.0):
+    if np.count_nonzero(np.asarray(r) <= 0.0):
         raise DomainError("effective potential evaluated at non-positive radius")
     return _effective_potential(params, J, r)
 
@@ -103,12 +104,40 @@ def _escape_energy(params: Params) -> float:
 
 # --- Turning points ---
 
-def _find_ueff_minimum(params: Params, J: float) -> tuple[float, float]:
+def _float_pow(x, p):
+    """x ** p as Python floats compute it: lane by lane for an array, since
+    numpy's pow may round differently.  A scalar overflow raises
+    OverflowError as Python's does; an overflowing lane gives a signed inf."""
+    if np.ndim(x) == 0:
+        return float(x) ** p
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(v ** p)
+        except OverflowError:
+            out.append(math.copysign(math.inf, v) ** p)
+    return np.array(out)
+
+
+def _raise_at(bad, error, message: str, *values) -> None:
+    """Raise ``error`` if any lane of ``bad`` is set.  The message is
+    formatted with each of ``values`` at the first such lane and, unless
+    ``bad`` is a scalar, names that lane."""
+    if not np.count_nonzero(bad):
+        return
+    i = int(np.argmax(bad)) if np.ndim(bad) else ()
+    text = message.format(*(np.asarray(v)[i] if np.ndim(v) else v for v in values))
+    raise error(text if i == () else f"{text} (lane {i})")
+
+
+def _find_ueff_minimum(params: Params, J):
     """Location and value of the minimum of U_eff, in closed form.
 
     For V = A r^alpha, U_eff' = 0 reduces to r^(alpha+2) = J^2/(m s^2 A alpha):
     the critical point is unique, and a minimum exactly when A alpha > 0.
-    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.
+    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.  J is a
+    float, giving floats, or an array, giving arrays; an error names the
+    first bad lane.
     """
     m, s = params.m, params.geometry.s
     if isinstance(params.potential, LogPotential):
@@ -116,17 +145,18 @@ def _find_ueff_minimum(params: Params, J: float) -> tuple[float, float]:
     else:
         law = as_power_law(params.potential, m)
         a_alpha, alpha = law.amplitude * law.exponent, law.exponent
-    if J == 0.0 or a_alpha <= 0.0:
-        raise StructuralError(
-            "effective potential has no interior minimum for these parameters"
-        )
+    _raise_at(np.equal(J, 0.0) | (a_alpha <= 0.0), StructuralError,
+              "effective potential has no interior minimum for these parameters")
     try:
-        r_c = float((J * J / (m * s * s * a_alpha)) ** (1.0 / (alpha + 2.0)))
-        u0 = float(effective_potential(params, J, r_c))
-    except (ArithmeticError, DomainError):  # r_c or U_eff(r_c) is not a float
+        with np.errstate(all="ignore"):
+            r_c = _float_pow(J * J / (m * s * s * a_alpha), 1.0 / (alpha + 2.0))
+            u0 = _effective_potential(params, J, r_c)
+    except ArithmeticError:  # float arithmetic raises where numpy gives inf or nan
         r_c = u0 = math.nan
-    if not (math.isfinite(r_c) and math.isfinite(u0)):
-        raise StructuralError("minimum of U_eff lies outside the float range")
+    _raise_at(~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0)), StructuralError,
+              "minimum of U_eff lies outside the float range")
+    if np.ndim(J) == 0:
+        return float(r_c), float(u0)
     return r_c, u0
 
 
@@ -165,21 +195,109 @@ def _root(f, a: float, b: float, rtol: float) -> float:
 
 @dataclass(frozen=True)
 class TurningPoints:
-    """Inner and outer radii where U_eff(r) = E for a bound level set."""
+    """Inner and outer radii where U_eff(r) = E for a bound level set:
+    floats, or arrays for arrays of (E, J)."""
 
-    r_min: float
-    r_max: float
+    r_min: float | np.ndarray
+    r_max: float | np.ndarray
 
 
-def turning_points(params: Params, E: float, J: float) -> TurningPoints:
+def turning_points(params: Params, E, J) -> TurningPoints:
     """Solve U_eff(r) = E for the two radii bracketing the bound motion.
 
-    Starting from the closed-form minimum r_c, each root is bracketed by
-    doubling (outward) or halving (inward) the radius and then solved with
-    the bracketed root finder to 1e-13 relative.  E at the minimum returns
-    the degenerate pair (r_c, r_c); energies below it are forbidden,
-    energies at or above the escape value are unbounded.
+    E and J are floats or 1-D arrays (broadcast together).  E at the minimum
+    U_0 = U_eff(r_c), within its rounding floor, gives the degenerate pair
+    (r_c, r_c); energies below it are forbidden, energies at or above the
+    escape value are unbounded.  On arrays each error names its first bad
+    lane.
+
+    Kepler and the oscillator have closed forms in which the only
+    subtraction is E - U_0 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 1.8):
+
+        Kepler:      1/r = (1 +/- e)/r_c,  e = sqrt((E - U_0)/|U_0|), with
+                     1 - e = (E/U_0)/(1 + e) so that nothing cancels
+                     near escape
+        Oscillator:  r_max^2 = (E + sqrt((E - U_0)(E + U_0)))/beta, and
+                     r_min^2 r_max^2 = J^2/(m s^2 beta), beta = m omega^2
+
+    They are evaluated elementwise in extended precision (see
+    :func:`_closed_form_radii`), so an array gives each lane the bits of a
+    scalar call.  The power law and the log potential solve each lane with
+    the bracketed root finder: from r_c the root is bracketed by doubling
+    (outward) or halving (inward) the radius, then solved to 1e-13 relative.
     """
+    if not isinstance(params.potential, (Kepler, Oscillator)):
+        if np.ndim(E) == 0 and np.ndim(J) == 0:
+            return _solved_turning_points(params, float(E), float(J))
+        E, J = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(J, dtype=float))
+        radii = np.empty((2, E.size))
+        for i, (e, j) in enumerate(zip(E.ravel().tolist(), J.ravel().tolist())):
+            try:
+                tp = _solved_turning_points(params, e, j)
+            except ConeDynError as exc:
+                raise type(exc)(f"{exc} (lane {i})") from exc
+            radii[:, i] = tp.r_min, tp.r_max
+        return TurningPoints(radii[0].reshape(E.shape), radii[1].reshape(E.shape))
+
+    E, J = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(J, dtype=float))
+    m, s = params.m, params.geometry.s
+    r_c, u0 = _find_ueff_minimum(params, J)
+    _raise_at(np.isnan(E), DomainError, "energy is NaN")
+    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff
+    k_c = J * J / (2.0 * m * s ** 2 * r_c * r_c)
+    tol_circ = 1e-13 * np.maximum(np.maximum(np.abs(u0), np.abs(E)), k_c)
+    _raise_at(E < u0 - tol_circ, ForbiddenEnergyError,
+              "E={} lies below the effective-potential minimum {}", E, u0)
+    top = _escape_energy(params)
+    _raise_at(E >= top, UnboundedMotionError, "E={} at or above the escape energy {}", E, top)
+    r_min, r_max = _closed_form_radii(params, E, J)
+    circular = E - u0 <= tol_circ
+    r_min = np.where(circular, r_c, r_min)
+    r_max = np.where(circular, r_c, r_max)
+    _raise_at(~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
+              "turning points of E={} lie outside the float range", E)
+    if E.ndim == 0:
+        return TurningPoints(r_min=float(r_min), r_max=float(r_max))
+    return TurningPoints(r_min=r_min, r_max=r_max)
+
+
+# The closed-form turning points are evaluated in this type and rounded
+# once to float.  numpy's longdouble is the x87 80-bit format on x86-64 (and
+# plain double on some platforms, where the double's error bounds hold).
+_EXTENDED = np.longdouble
+
+
+def _closed_form_radii(params: Params, E: np.ndarray, J: np.ndarray):
+    """Kepler and oscillator turning points (see :func:`turning_points`) in
+    :data:`_EXTENDED` precision.  With 64-bit significands the rounding of
+    E - U_0 drops from 2^-53 to 2^-64 relative, and the radii come out
+    correctly rounded but for rare ties.  Lanes with E - U_0 <= 0 give NaN."""
+    ld = _EXTENDED
+    E, J = E.astype(ld), J.astype(ld)
+    m, s = ld(params.m), ld(params.geometry.s)
+    with np.errstate(all="ignore"):
+        if isinstance(params.potential, Kepler):
+            kappa = ld(params.potential.kappa)
+            r_c = J * J / (m * s * s * kappa)
+            u0 = -kappa / (2 * r_c)
+            e = np.sqrt((E - u0) / -u0)
+            r_min = r_c / (1 + e)
+            r_max = r_c * (1 + e) / (E / u0)  # 1 - e = (E/U_0)/(1 + e)
+        else:
+            omega = ld(params.potential.omega)
+            beta = m * omega * omega
+            w_c2 = J * J / (m * s * s * beta)  # r_c^4 = r_min^2 r_max^2
+            u0 = beta * np.sqrt(w_c2)
+            w_max = (E + np.sqrt((E - u0) * (E + u0))) / beta
+            r_min = np.sqrt(w_c2 / w_max)
+            r_max = np.sqrt(w_max)
+        return r_min.astype(float), r_max.astype(float)
+
+
+def _solved_turning_points(params: Params, E: float, J: float) -> TurningPoints:
+    """Turning points of one level set by bracketed root finding, for
+    potentials without a closed form."""
     r_c, u0 = _find_ueff_minimum(params, J)
     # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff
     k_c = J * J / (2.0 * params.m * params.geometry.s ** 2 * r_c * r_c)

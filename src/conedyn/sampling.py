@@ -1,4 +1,4 @@
-"""Seeded sampling of bound level sets and phase points.
+"""Seeded sampling of phase points on bound level sets.
 
 Used by the verify-algebra command and by the test suite; everything is
 driven by an explicit numpy Generator so runs are reproducible.
@@ -11,31 +11,42 @@ import math
 import numpy as np
 
 from .bertrand import circular_orbit
-from .core import Params, PhasePoint
+from .core import TWO_PI, Params, PhasePoint
 from .dynamics import _escape_energy, effective_potential, turning_points
 
 
-def draw_bound_level(
+def draw_bound_points(
     rng: np.random.Generator,
     params: Params,
+    n: int,
     j_range: tuple[float, float] = (0.5, 1.5),
     depth_range: tuple[float, float] = (0.1, 0.7),
-) -> tuple[float, float]:
-    """Random (E, J) with bounded, non-circular motion.
+) -> np.ndarray:
+    """n random phase points on random bound, non-circular level sets.
 
-    J is uniform in ``j_range``; E sits at a uniform fraction of the well
-    above its bottom (up to escape for potentials with one, up to twice the
-    circular energy scale for confining ones).
+    Returns the coordinates (r, phi, p_r, J), shaped (4, n).  One
+    ``rng.uniform`` call draws an (n, 5) block whose columns are, per point:
+    J, uniform in ``j_range``; the fraction of the well above its bottom at
+    which E sits, uniform in ``depth_range`` (the well reaches up to escape
+    for potentials with one, up to twice the circular energy scale for
+    confining ones); the fraction u in [0.05, 0.95] of [r_min, r_max] at
+    which r sits; the sign of p_r; and phi in [0, 2*pi).  The draws are those
+    of n successive points, so the first k of n points do not depend on n.
     """
-    J = float(rng.uniform(*j_range))
+    lo = (j_range[0], depth_range[0], 0.05, -1.0, 0.0)
+    hi = (j_range[1], depth_range[1], 0.95, 1.0, TWO_PI)
+    J, f, u, sign, phi = rng.uniform(lo, hi, size=(n, 5)).T
     _, e_c = circular_orbit(params, J)
     top = _escape_energy(params)
-    f = float(rng.uniform(*depth_range))
     if math.isfinite(top):
         E = e_c + f * (top - e_c)
     else:
-        E = e_c + f * 2.0 * max(abs(e_c), 1.0)
-    return E, J
+        E = e_c + f * 2.0 * np.maximum(np.abs(e_c), 1.0)
+    tp = turning_points(params, E, J)
+    r = tp.r_min + u * (tp.r_max - tp.r_min)
+    kinetic = E - effective_potential(params, J, r)
+    p_r = np.copysign(np.sqrt(np.maximum(2.0 * params.m * kinetic, 0.0)), sign)
+    return np.array([r, phi, p_r, J])
 
 
 def draw_bound_point(
@@ -44,18 +55,6 @@ def draw_bound_point(
     j_range: tuple[float, float] = (0.5, 1.5),
     depth_range: tuple[float, float] = (0.1, 0.7),
 ) -> PhasePoint:
-    """Random phase point on a random bound level set.
-
-    r is uniform strictly inside [r_min, r_max]; the sign of p_r and the
-    angle are drawn independently.
-    """
-    E, J = draw_bound_level(rng, params, j_range, depth_range)
-    tp = turning_points(params, E, J)
-    u = float(rng.uniform(0.05, 0.95))
-    r = tp.r_min + u * (tp.r_max - tp.r_min)
-    kinetic = E - float(effective_potential(params, J, r))
-    p_r = math.copysign(
-        math.sqrt(max(2.0 * params.m * kinetic, 0.0)), rng.uniform(-1.0, 1.0)
-    )
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    """:func:`draw_bound_points` for one point, as a PhasePoint."""
+    r, phi, p_r, J = draw_bound_points(rng, params, 1, j_range, depth_range)[:, 0].tolist()
     return PhasePoint(r=r, phi=phi, p_r=p_r, J=J)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import TWO_PI, Kepler, Oscillator, Params, PhasePoint
-from .dynamics import hamiltonian
+from .dynamics import _float_pow, hamiltonian
 from .errors import DomainError, IrrationalScaleError, StructuralError
 
 _ZERO_FLOOR = 1e-12  # relative comparisons switch to absolute below this
@@ -344,7 +344,9 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
     case), or "neither".  J, H, Z and Zbar are evaluated once on the 16-point
     stencils of all points.  The right sides are formed as Python complex
     arithmetic forms them, so each entry equals the scalar complex-number
-    evaluation bit for bit.
+    evaluation bit for bit.  A point at which a bracket or a right side
+    leaves the float range (an overflowing power base, say) gets NaN values
+    and errors in all eight rows.
     """
     rational = params.geometry.rational
     if rational is None:
@@ -380,9 +382,8 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
         omega = params.potential.omega
         pref = _ctimes(-4j * n**3 / k * omega * omega, J, 0.0)
         free = inv.h * inv.h - omega * omega * n * n * J * J / (k * k)
-    # Python float powers per point: numpy's pow may round differently
-    cand_energy = _cmul(*pref, np.array([v ** (n - 1) for v in norm_sq.tolist()]), 0.0)
-    cand_free = _cmul(*pref, np.array([v ** (n - 1) for v in free.tolist()]), 0.0)
+    cand_energy = _cmul(*pref, _float_pow(norm_sq, n - 1), 0.0)
+    cand_free = _cmul(*pref, _float_pow(free, n - 1), 0.0)
     zero = np.zeros_like(z_re)
     expected = [
         _ctimes(-1j * charge, z_re, z_im),
@@ -398,6 +399,10 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
                       scale_zz, scale_zz])
 
     value_re, value_im = v_re[rows], v_im[rows]
+    # a point whose brackets or right sides left the float range has no
+    # bracket values: NaN in every row, so its errors are NaN too
+    lost = ~np.isfinite([value_re, value_im, e_re, e_im]).all(axis=(0, 1))
+    value_re[:, lost] = value_im[:, lost] = np.nan
     abs_err = np.hypot(value_re - e_re, value_im - e_im)
     rel_err = abs_err / _pick(_pick(np.hypot(e_re, e_im), scale), _ZERO_FLOOR)
     match = (rel_err[6] < 1e-5).astype(int) + 2 * (rel_err[7] < 1e-5)

@@ -321,17 +321,14 @@ class TestCli:
         # say so instead of keeping the finite errors of points 0 and 2
         from conedyn import cli
 
-        draw = cli.draw_bound_point
-        calls = []
+        draw = cli.draw_bound_points
 
-        def draw_with_overflow(rng, params):
-            pt = draw(rng, params)
-            calls.append(pt)
-            if len(calls) == 2:
-                pt = cd.PhasePoint(r=pt.r, phi=pt.phi, p_r=1e200, J=pt.J)
-            return pt
+        def draw_with_overflow(rng, params, n):
+            coords = draw(rng, params, n)
+            coords[2, 1] = 1e200
+            return coords
 
-        monkeypatch.setattr(cli, "draw_bound_point", draw_with_overflow)
+        monkeypatch.setattr(cli, "draw_bound_points", draw_with_overflow)
         doc = _base_doc(algebra={"n_points": 3, "h": 1e-5},
                         output={"path": str(tmp_path / "a.jsonl"), "format": "jsonl"})
         with np.errstate(all="ignore"):
@@ -339,6 +336,31 @@ class TestCli:
         worst = json.loads(capsys.readouterr().out)["results"]["worst_rel_err"]
         assert list(worst) == ["{J,Z}", "{J,Zbar}", "{H,Z}", "{H,J}"]
         assert all(math.isnan(v) for v in worst.values())
+
+    def test_verify_algebra_overflowing_power_base(self, tmp_path, capsys, monkeypatch):
+        # Kepler s = 1/3 at r = 1, p_r = 1e80, J = 1: the {Z,Zbar} power base
+        # overflows; the point's rows are NaN and the run ends with exit 0
+        from conedyn import cli
+
+        draw = cli.draw_bound_points
+
+        def draw_with_overflow(rng, params, n):
+            coords = draw(rng, params, n)
+            coords[:, 1] = 1.0, 0.3, 1e80, 1.0
+            return coords
+
+        monkeypatch.setattr(cli, "draw_bound_points", draw_with_overflow)
+        out = tmp_path / "a.jsonl"
+        doc = _base_doc(algebra={"n_points": 3, "h": 1e-5},
+                        output={"path": str(out), "format": "jsonl"})
+        doc["params"]["geometry"] = {"k": 1, "n": 3}
+        with np.errstate(all="ignore"):
+            assert main(["verify-algebra", "--config", _write(tmp_path, "c.json", doc)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert all(math.isnan(v) for v in results["worst_rel_err"].values())
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 24
+        assert all(math.isnan(row["rel_err"]) == (row["point_index"] == 1) for row in rows)
 
     def test_verify_algebra_tip_crossing_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "a.jsonl"

@@ -108,55 +108,3 @@ class TestPhasePoint:
         geo = cd.ConeGeometry(s=1.0)
         with pytest.raises(DomainError):
             cd.Params(m=0.0, geometry=geo, potential=cd.Kepler(kappa=1.0))
-
-
-class TestChartConversions:
-    def test_tangential_point(self):
-        cpt = cd.to_cartesian(cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0))
-        assert (cpt.x1, cpt.x2) == pytest.approx((1.0, 0.0))
-        assert (cpt.p1, cpt.p2) == pytest.approx((0.0, 1.0))
-
-    def test_radial_point(self):
-        cpt = cd.to_cartesian(cd.PhasePoint(r=2.0, phi=math.pi / 2, p_r=1.0, J=0.0))
-        assert (cpt.x1, cpt.x2) == pytest.approx((0.0, 2.0), abs=1e-15)
-        assert (cpt.p1, cpt.p2) == pytest.approx((0.0, 1.0), abs=1e-15)
-
-    def test_mixed_point(self):
-        # solve x.p = r p_r and x1 p2 - x2 p1 = J by hand at phi = 0
-        cpt = cd.to_cartesian(cd.PhasePoint(r=1.0, phi=0.0, p_r=1.0, J=1.0))
-        assert (cpt.p1, cpt.p2) == pytest.approx((1.0, 1.0))
-
-    def test_from_cartesian_tangential(self):
-        pt = cd.from_cartesian(cd.CartesianPoint(x1=1.0, x2=0.0, p1=0.0, p2=1.0))
-        assert (pt.r, pt.phi, pt.p_r, pt.J) == pytest.approx((1.0, 0.0, 0.0, 1.0))
-
-    def test_from_cartesian_radial(self):
-        pt = cd.from_cartesian(cd.CartesianPoint(x1=0.0, x2=2.0, p1=0.0, p2=1.0))
-        assert (pt.r, pt.phi, pt.p_r, pt.J) == pytest.approx((2.0, math.pi / 2, 1.0, 0.0))
-
-    def test_from_cartesian_generic(self):
-        pt = cd.from_cartesian(cd.CartesianPoint(x1=3.0, x2=4.0, p1=1.0, p2=0.0))
-        assert pt.r == pytest.approx(5.0)
-        assert pt.phi == pytest.approx(math.atan2(4.0, 3.0))
-        assert pt.p_r == pytest.approx(3.0 / 5.0)
-        assert pt.J == pytest.approx(-4.0)
-
-    def test_origin_rejected(self):
-        with pytest.raises(DomainError):
-            cd.CartesianPoint(x1=0.0, x2=0.0, p1=1.0, p2=0.0)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            pt = cd.PhasePoint(
-                r=float(rng.uniform(0.05, 20.0)),
-                phi=float(rng.uniform(0.0, TWO_PI)),
-                p_r=float(rng.uniform(-3.0, 3.0)),
-                J=float(rng.uniform(-3.0, 3.0)),
-            )
-            back = cd.from_cartesian(cd.to_cartesian(pt))
-            assert back.r == pytest.approx(pt.r, rel=1e-12)
-            assert back.p_r == pytest.approx(pt.p_r, rel=1e-12, abs=1e-12)
-            assert back.J == pytest.approx(pt.J, rel=1e-12, abs=1e-12)
-            dphi = (back.phi - pt.phi + math.pi) % TWO_PI - math.pi
-            assert abs(dphi) < 1e-12

@@ -1,5 +1,6 @@
 """Hamiltonian, turning points, the leapfrog stepper, and closure detection."""
 
+import decimal
 import itertools
 import math
 
@@ -17,6 +18,7 @@ from conedyn.errors import (
     UnboundedMotionError,
 )
 from helpers import (
+    RATIONAL_S,
     bound_energy,
     kepler_params,
     midwell_point,
@@ -167,6 +169,99 @@ class TestTurningPoints:
                 for r in (tp.r_min, tp.r_max):
                     u = float(cd.effective_potential(params, J, r))
                     assert abs(u - E) <= 1e-10 * abs(E)
+
+
+def _reference_turning_points(params, E, J):
+    """Turning points and U_0 of one level set to 50 digits, in decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        m, s, E, J = D(params.m), D(params.geometry.s), D(E), D(J)
+        a = J * J / (2 * m * s * s)  # U_eff = a/r^2 + V(r)
+        if isinstance(params.potential, cd.Kepler):
+            kappa = D(params.potential.kappa)
+            u0 = -kappa * kappa / (4 * a)
+            if E <= u0:
+                return None, None, u0
+            q = kappa + (kappa * kappa + 4 * a * E).sqrt()
+            return 2 * a / q, q / (-2 * E), u0
+        beta = m * D(params.potential.omega) ** 2
+        u0 = (2 * a * beta).sqrt()
+        if E <= u0:
+            return None, None, u0
+        w = (E + (E * E - u0 * u0).sqrt()) / beta
+        return (2 * a / beta / w).sqrt(), w.sqrt(), u0
+
+
+TP_FRACTIONS = [10.0 ** -k for k in range(12, 0, -1)] + [0.3, 0.5, 0.9, 0.99, 0.999999]
+
+
+class TestTurningPointArrays:
+    @pytest.mark.parametrize("extended", [np.longdouble, np.float64], ids=["longdouble", "double"])
+    @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
+                             ids=["kepler", "oscillator"])
+    def test_closed_forms_against_decimal_reference(self, build, extended, monkeypatch):
+        # E - U_0 from 1e-12 to 0.999999 of |U_0|: within 2e-15 from 1e-2 up,
+        # and within 8 eps/e, the conditioning of the level set, below; also
+        # where numpy's longdouble is plain double
+        monkeypatch.setattr(dynamics, "_EXTENDED", extended)
+        eps = np.finfo(float).eps
+        for (k, n), m, J in itertools.product(RATIONAL_S, (1.0, 1.7), (1e-6, 1.0, 1e6)):
+            params = build(k, n, m=m)
+            u0 = _reference_turning_points(params, 1.0, J)[2]
+            for f in TP_FRACTIONS:
+                E = float(u0 + decimal.Decimal(f) * abs(u0))
+                want_min, want_max, _ = _reference_turning_points(params, E, J)
+                e = math.sqrt(float((decimal.Decimal(E) - u0) / abs(u0)))
+                bound = 2e-15 if f >= 1e-2 else 8.0 * eps / e
+                tp = cd.turning_points(params, E, J)
+                for got, want in ((tp.r_min, want_min), (tp.r_max, want_max)):
+                    err = float(abs(decimal.Decimal(got) - want) / want)
+                    assert err <= bound, (k, n, m, J, f, err)
+
+    def test_array_equals_scalar_calls(self):
+        # closed forms elementwise, root finding per lane: each lane's bits
+        # are those of the scalar call, a circular lane included
+        rng = np.random.default_rng(21)
+        log = cd.Params(m=1.3, geometry=cd.ConeGeometry(s=0.7),
+                        potential=cd.LogPotential(strength=0.8, r0=1.5))
+        power = cd.Params(m=1.0, geometry=cd.ConeGeometry.from_rational(2, 3),
+                          potential=cd.PowerLaw(amplitude=1.0, exponent=0.5))
+        for params in (kepler_params(2, 3, m=1.7), oscillator_params(3, 4, omega=0.8),
+                       kepler_params(1, 1), log, power):
+            J = rng.uniform(-2.0, 2.0, 40)
+            _, e_c = cd.circular_orbit(params, J)
+            # above the bottom, below escape (at 0) where there is one
+            E = e_c + rng.uniform(0.0, 0.9, 40) * np.abs(e_c)
+            E[3] = e_c[3]
+            tp = cd.turning_points(params, E, J)
+            lanes = [cd.turning_points(params, e, j) for e, j in zip(E.tolist(), J.tolist())]
+            assert tp.r_min.tobytes() == np.array([t.r_min for t in lanes]).tobytes()
+            assert tp.r_max.tobytes() == np.array([t.r_max for t in lanes]).tobytes()
+            assert tp.r_min[3] == tp.r_max[3]
+            assert type(lanes[0].r_min) is float and type(lanes[0].r_max) is float
+
+    def test_typed_errors_name_the_first_bad_lane(self):
+        kep = kepler_params()
+        power = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                          potential=cd.PowerLaw(amplitude=-1.0, exponent=-0.5))
+        J = np.ones(4)
+        for params in (kep, power):  # closed form, and root finding per lane
+            _, e_c = cd.circular_orbit(params, 1.0)
+            for lane, value, error in ((2, 2.0 * e_c, ForbiddenEnergyError),
+                                       (1, 1.0, UnboundedMotionError)):
+                E = np.full(4, 0.5 * e_c)
+                E[lane] = E[3] = value
+                with pytest.raises(error, match=rf"\(lane {lane}\)$"):
+                    cd.turning_points(params, E, J)
+        for J_bad, match in ((1e-100, "float range"), (0.0, "no interior minimum")):
+            with pytest.raises(StructuralError, match=rf"{match}.* \(lane 2\)$"):
+                cd.turning_points(kep, np.full(3, -0.3), np.array([1.0, 1.0, J_bad]))
+        with pytest.raises(DomainError, match=r"NaN \(lane 1\)$"):
+            cd.turning_points(oscillator_params(), np.array([2.0, math.nan]), 1.0)
+        with pytest.raises(ForbiddenEnergyError) as info:
+            cd.turning_points(kep, -0.7, 1.0)
+        assert "lane" not in str(info.value)
 
 
 class TestStep:

@@ -471,3 +471,24 @@ class TestWAlgebraTable:
         for h in (0.0, -1e-5, math.nan):
             with pytest.raises(DomainError):
                 verify_w_algebra(kepler_params(), pt, h)
+
+    def test_overflowing_power_base_gives_nan_rows(self):
+        # Kepler s = 1/3: at p_r = 1e80 the {Z,Zbar} power base (A^2+B^2)^2
+        # overflows a float; the point gets NaN rows, as p_r = 1e200 (whose
+        # H overflows) does, and the finite points keep their bits
+        params = kepler_params(1, 3)
+        pts = _edge_points(params, np.random.default_rng(19), 2)
+        raw = [(pts[0].r, pts[0].phi, pts[0].p_r, pts[0].J), (1.0, 0.3, 1e80, 1.0),
+               (pts[1].r, pts[1].phi, pts[1].p_r, pts[1].J), (1.0, 0.3, 1e200, 1.0)]
+        with np.errstate(all="ignore"):
+            table = w_algebra_table(params, *np.array(raw).T)
+            report = verify_w_algebra(params, cd.PhasePoint(r=1.0, phi=0.3, p_r=1e80, J=1.0))
+        finite = w_algebra_table(params, *np.array(raw[::2]).T)
+        for i in (1, 3):
+            for col in (table.value_re, table.value_im, table.abs_err, table.rel_err):
+                assert np.isnan(col[:, i]).all()
+            assert table.zzbar_match[i] == "neither"
+        for i, j in ((0, 0), (2, 1)):
+            assert _hex_rows(_table_rows(table, i)) == _hex_rows(_table_rows(finite, j))
+            assert table.zzbar_match[i] == finite.zzbar_match[j]
+        assert math.isnan(report.worst_check_error())
