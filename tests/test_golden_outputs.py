@@ -17,13 +17,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     ("simulate", "simulate_kepler_s23.json", "csv"):
-        "a1b093e11e3590d6026cbc61ef9db31fafa66104daa39ce3be2905488aed2450",
+        "e06ca407585faa4b029eaf26c67996ea369a04f6afe97f67987a14d7ed7d7159",
     ("actions", "actions_kepler_s23.json", "jsonl"):
-        "571f64c1704535e6dbc22df97337628049a79b7e95ffae64a06c1b7bbf6ca1ef",
+        "8f412bd29d259d10d10eddc805723990edc9e8ac1ca0e8a1d6724d13d90de351",
     ("bertrand", "bertrand_scan.json", "csv"):
         "5cb36763ebbc1aab7e602aaac5d847fb3c947bfc148a2c020518756cdb68cbb3",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
-        "b019317e72cc90952e77be7a0351e4ddc381304c904d6287e4fc9c5b90119a29",
+        "35f689baca6b7ad0c4f3a9e4eb6088f1ea85a85b39d568ac6850b05f759246ad",
 }
 
 
