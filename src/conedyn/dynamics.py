@@ -104,12 +104,9 @@ def _escape_energy(params: Params) -> float:
 
 # --- Turning points ---
 
-def _float_pow(x, p):
-    """x ** p as Python floats compute it: lane by lane for an array, since
-    numpy's pow may round differently.  A scalar overflow raises
-    OverflowError as Python's does; an overflowing lane gives a signed inf."""
-    if np.ndim(x) == 0:
-        return float(x) ** p
+def _float_pow(x: np.ndarray, p) -> np.ndarray:
+    """x ** p lane by lane as Python floats compute it (numpy's pow may round
+    differently); a lane that overflows gives a signed inf."""
     out = []
     for v in x.tolist():
         try:
@@ -145,18 +142,26 @@ def _find_ueff_minimum(params: Params, J):
     else:
         law = as_power_law(params.potential, m)
         a_alpha, alpha = law.amplitude * law.exponent, law.exponent
-    _raise_at(np.equal(J, 0.0) | (a_alpha <= 0.0), StructuralError,
-              "effective potential has no interior minimum for these parameters")
-    try:
-        with np.errstate(all="ignore"):
-            r_c = _float_pow(J * J / (m * s * s * a_alpha), 1.0 / (alpha + 2.0))
-            u0 = _effective_potential(params, J, r_c)
-    except ArithmeticError:  # float arithmetic raises where numpy gives inf or nan
-        r_c = u0 = math.nan
-    _raise_at(~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0)), StructuralError,
-              "minimum of U_eff lies outside the float range")
-    if np.ndim(J) == 0:
-        return float(r_c), float(u0)
+    no_minimum = "effective potential has no interior minimum for these parameters"
+    off_range = "minimum of U_eff lies outside the float range"
+    p = 1.0 / (alpha + 2.0)
+    if np.ndim(J) == 0:  # Python floats, cheap for the per-cell scan
+        J = float(J)
+        if J == 0.0 or a_alpha <= 0.0:
+            raise StructuralError(no_minimum)
+        try:
+            r_c = float((J * J / (m * s * s * a_alpha)) ** p)
+            u0 = float(_effective_potential(params, J, r_c))
+        except ArithmeticError:  # r_c or U_eff(r_c) is not a float
+            r_c = u0 = math.nan
+        if not (r_c > 0.0 and math.isfinite(r_c) and math.isfinite(u0)):
+            raise StructuralError(off_range)
+        return r_c, u0
+    _raise_at((J == 0.0) | (a_alpha <= 0.0), StructuralError, no_minimum)
+    with np.errstate(all="ignore"):
+        r_c = _float_pow(J * J / (m * s * s * a_alpha), p)
+        u0 = _effective_potential(params, J, r_c)
+    _raise_at(~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0)), StructuralError, off_range)
     return r_c, u0
 
 

@@ -171,26 +171,27 @@ class TestTurningPoints:
                     assert abs(u - E) <= 1e-10 * abs(E)
 
 
-def _reference_turning_points(params, E, J):
-    """Turning points and U_0 of one level set to 50 digits, in decimal."""
+def _reference_level(params, f, J):
+    """The float E nearest U_0 + f |U_0|, its turning points and
+    e = sqrt((E - U_0)/|U_0|), to 50 digits in decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         D = decimal.Decimal
-        m, s, E, J = D(params.m), D(params.geometry.s), D(E), D(J)
+        m, s, J = D(params.m), D(params.geometry.s), D(J)
         a = J * J / (2 * m * s * s)  # U_eff = a/r^2 + V(r)
         if isinstance(params.potential, cd.Kepler):
             kappa = D(params.potential.kappa)
             u0 = -kappa * kappa / (4 * a)
-            if E <= u0:
-                return None, None, u0
-            q = kappa + (kappa * kappa + 4 * a * E).sqrt()
-            return 2 * a / q, q / (-2 * E), u0
-        beta = m * D(params.potential.omega) ** 2
-        u0 = (2 * a * beta).sqrt()
-        if E <= u0:
-            return None, None, u0
-        w = (E + (E * E - u0 * u0).sqrt()) / beta
-        return (2 * a / beta / w).sqrt(), w.sqrt(), u0
+        else:
+            beta = m * D(params.potential.omega) ** 2
+            u0 = (2 * a * beta).sqrt()
+        E = float(u0 + D(f) * abs(u0))
+        e = ((D(E) - u0) / abs(u0)).sqrt()
+        if isinstance(params.potential, cd.Kepler):
+            q = kappa + (kappa * kappa + 4 * a * D(E)).sqrt()
+            return E, 2 * a / q, q / (-2 * D(E)), float(e)
+        w = (D(E) + (D(E) * D(E) - u0 * u0).sqrt()) / beta
+        return E, (2 * a / beta / w).sqrt(), w.sqrt(), float(e)
 
 
 TP_FRACTIONS = [10.0 ** -k for k in range(12, 0, -1)] + [0.3, 0.5, 0.9, 0.99, 0.999999]
@@ -201,18 +202,17 @@ class TestTurningPointArrays:
     @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
                              ids=["kepler", "oscillator"])
     def test_closed_forms_against_decimal_reference(self, build, extended, monkeypatch):
-        # E - U_0 from 1e-12 to 0.999999 of |U_0|: within 2e-15 from 1e-2 up,
-        # and within 8 eps/e, the conditioning of the level set, below; also
+        # E - U_0 from 1e-12 to 0.999999 of |U_0| (and, for the oscillator's
+        # topless well, up to 1e6 |U_0|): within 2e-15 from 1e-2 up, and
+        # within 8 eps/e, the conditioning of the level set, below; also
         # where numpy's longdouble is plain double
         monkeypatch.setattr(dynamics, "_EXTENDED", extended)
         eps = np.finfo(float).eps
+        fractions = TP_FRACTIONS + ([10.0, 1e3, 1e6] if build is oscillator_params else [])
         for (k, n), m, J in itertools.product(RATIONAL_S, (1.0, 1.7), (1e-6, 1.0, 1e6)):
             params = build(k, n, m=m)
-            u0 = _reference_turning_points(params, 1.0, J)[2]
-            for f in TP_FRACTIONS:
-                E = float(u0 + decimal.Decimal(f) * abs(u0))
-                want_min, want_max, _ = _reference_turning_points(params, E, J)
-                e = math.sqrt(float((decimal.Decimal(E) - u0) / abs(u0)))
+            for f in fractions:
+                E, want_min, want_max, e = _reference_level(params, f, J)
                 bound = 2e-15 if f >= 1e-2 else 8.0 * eps / e
                 tp = cd.turning_points(params, E, J)
                 for got, want in ((tp.r_min, want_min), (tp.r_max, want_max)):

@@ -1,13 +1,35 @@
 """Seeded sampling: the batched draw and its one-point facade."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn.dynamics import _escape_energy, _solved_turning_points
 from conedyn.sampling import draw_bound_point, draw_bound_points
 from helpers import RATIONAL_S, kepler_params, oscillator_params
+
+
+def _reference_point(rng, params):
+    """The sampler before batching: five scalar draws per point, and turning
+    points from the bracketed root finder."""
+    J = float(rng.uniform(0.5, 1.5))
+    _, e_c = cd.circular_orbit(params, J)
+    top = _escape_energy(params)
+    f = float(rng.uniform(0.1, 0.7))
+    if math.isfinite(top):
+        E = e_c + f * (top - e_c)
+    else:
+        E = e_c + f * 2.0 * max(abs(e_c), 1.0)
+    tp = _solved_turning_points(params, E, J)
+    u = float(rng.uniform(0.05, 0.95))
+    r = tp.r_min + u * (tp.r_max - tp.r_min)
+    kinetic = E - float(cd.effective_potential(params, J, r))
+    p_r = math.copysign(math.sqrt(max(2.0 * params.m * kinetic, 0.0)), rng.uniform(-1.0, 1.0))
+    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    return r, phi, p_r, J
 
 
 @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
@@ -38,3 +60,18 @@ def test_points_lie_inside_their_wells():
         width = tp.r_max - tp.r_min
         assert (r - tp.r_min > 0.04 * width).all() and (tp.r_max - r > 0.04 * width).all()
         assert (p_r > 0.0).any() and (p_r < 0.0).any()
+
+
+@pytest.mark.parametrize("build", [kepler_params, oscillator_params],
+                         ids=["kepler", "oscillator"])
+def test_matches_the_scalar_sampler(build):
+    # the same stream: J and phi keep their bits; r and p_r move only by
+    # the last bits of the closed-form turning points
+    for k, n in ((1, 2), (2, 3), (3, 4)):
+        params = build(k, n)
+        coords = draw_bound_points(np.random.default_rng(k + n), params, 250)
+        rng = np.random.default_rng(k + n)
+        r, phi, p_r, J = np.array([_reference_point(rng, params) for _ in range(250)]).T
+        assert coords[1].tobytes() == phi.tobytes() and coords[3].tobytes() == J.tobytes()
+        assert np.allclose(coords[0], r, rtol=1e-13, atol=0.0)
+        assert np.allclose(coords[2], p_r, rtol=1e-13, atol=0.0)
