@@ -267,9 +267,8 @@ def turning_points(params: Params, E, J) -> TurningPoints:
     return TurningPoints(r_min=r_min, r_max=r_max)
 
 
-# The closed-form turning points are evaluated in this type and rounded
-# once to float.  numpy's longdouble is the x87 80-bit format on x86-64 (and
-# plain double on some platforms, where the double's error bounds hold).
+# x87 80-bit on x86-64; plain double on some platforms, where the closed
+# forms keep the double's error bounds
 _EXTENDED = np.longdouble
 
 
