@@ -8,7 +8,8 @@ import pytest
 
 import conedyn as cd
 from conedyn.dynamics import _effective_d2
-from conedyn.errors import CircularOrbitError, DomainError
+from conedyn.actions import radial_action
+from conedyn.errors import CircularOrbitError, DomainError, QuadratureError
 from helpers import bound_energy, kepler_params, midwell_point, oscillator_params
 
 PI = math.pi
@@ -119,6 +120,49 @@ class TestRadialPeriod:
         traj = cd.integrate(params, midwell_point(params, E, J), dt, n, 40)
         _, t_meas = cd.measure_apsidal_advance(traj)
         assert t_meas == pytest.approx(T, rel=1e-6)
+
+
+_POWER_HALF = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                        potential=cd.PowerLaw(amplitude=1.0, exponent=0.5))
+
+
+class TestRefinementPaths:
+    """Each way the order doubling can end, pinned bit for bit: float.hex of
+    (radial_period, apsidal_angle, radial_action) at E - U_0 = frac |U_0|,
+    J = 1, and the log records that name the path (the radial action at
+    1e-4 converges before it stagnates)."""
+
+    @pytest.mark.parametrize("params, frac, kwargs, record, pinned", [
+        (kepler_params(), 1e-2, {}, ("", 0),
+         ("0x1.983b64b52931ep+2", "0x1.921fb5442c134p+1", "0x1.4a2883c8174c0p-8")),
+        (kepler_params(), 1e-4, {}, ("quadrature stagnated at", 2),
+         ("0x1.922f27046959cp+2", "0x1.921fb57da1ac8p+1", "0x1.a3763c7354c4bp-15")),
+        (_POWER_HALF, 1e-8, {}, ("order 256 breached the endpoint floor", 3),
+         ("0x1.bac95a2299878p+2", "0x1.fca0cea0ce256p+0", "0x1.0fa338ac464bbp-26")),
+        (kepler_params(), 1e-2, {"max_refinements": 0}, ("quadrature did not reach", 3),
+         ("0x1.983b64b53ad6cp+2", "0x1.921fb5444561ep+1", "0x1.4a2883c8174f0p-8")),
+    ], ids=["converged", "stagnated", "endpoint-breach", "no-refinement"])
+    def test_pinned(self, caplog, params, frac, kwargs, record, pinned):
+        _, u0 = cd.circular_orbit(params, 1.0)
+        E = u0 + frac * abs(u0)
+        caplog.set_level("DEBUG", logger="conedyn")
+        got = (cd.radial_period(params, E, 1.0, **kwargs),
+               cd.apsidal_angle(params, E, 1.0, **kwargs).delta_phi,
+               radial_action(params, E, 1.0, **kwargs))
+        assert tuple(v.hex() for v in got) == pinned
+        prefix, count = record
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == count and all(m.startswith(prefix) for m in messages)
+
+    def test_first_order_failure_raises(self):
+        # at 1e-10 of the well depth the first order already meets the
+        # rounding floor of E - U_eff, and nothing is kept
+        params = kepler_params()
+        _, u0 = cd.circular_orbit(params, 1.0)
+        E = u0 + 1e-10 * abs(u0)
+        for f in (cd.radial_period, cd.apsidal_angle, radial_action):
+            with pytest.raises(QuadratureError, match="not positive"):
+                f(params, E, 1.0)
 
 
 class TestCircularOrbit:
