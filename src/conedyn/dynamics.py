@@ -120,7 +120,7 @@ def _raise_at(bad, error, message: str, *values) -> None:
     """Raise ``error`` if any lane of ``bad`` is set.  The message is
     formatted with each of ``values`` at the first such lane and, unless
     ``bad`` is a scalar, names that lane."""
-    if not np.count_nonzero(bad):
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return
     i = int(np.argmax(bad)) if np.ndim(bad) else ()
     text = message.format(*(np.asarray(v)[i] if np.ndim(v) else v for v in values))
@@ -210,11 +210,12 @@ class TurningPoints:
 def turning_points(params: Params, E, J) -> TurningPoints:
     """Solve U_eff(r) = E for the two radii bracketing the bound motion.
 
-    E and J are floats or 1-D arrays (broadcast together).  E at the minimum
-    U_0 = U_eff(r_c), within its rounding floor, gives the degenerate pair
-    (r_c, r_c); energies below it are forbidden, energies at or above the
-    escape value are unbounded.  On arrays each error names its first bad
-    lane.
+    E and J are floats or 1-D arrays (broadcast together).  Every level is
+    classified here, for all potentials, in this order: a NaN energy is a
+    DomainError; one below the minimum U_0 = U_eff(r_c) (E = -inf included)
+    is forbidden; one at or above the escape energy (E = +inf included) is
+    unbounded; one at U_0 within its rounding floor gives the degenerate
+    pair (r_c, r_c).  On arrays each error names its first bad lane.
 
     Kepler and the oscillator have closed forms in which the only
     subtraction is E - U_0 (Higham, Accuracy and Stability of Numerical
@@ -228,41 +229,46 @@ def turning_points(params: Params, E, J) -> TurningPoints:
 
     They are evaluated elementwise in extended precision (see
     :func:`_closed_form_radii`), so an array gives each lane the bits of a
-    scalar call.  The power law and the log potential solve each lane with
-    the bracketed root finder: from r_c the root is bracketed by doubling
-    (outward) or halving (inward) the radius, then solved to 1e-13 relative.
+    scalar call.  The power law and the log potential solve each
+    non-circular lane with :func:`_solved_turning_points`.
     """
-    if not isinstance(params.potential, (Kepler, Oscillator)):
-        if np.ndim(E) == 0 and np.ndim(J) == 0:
-            return _solved_turning_points(params, float(E), float(J))
+    scalar = np.ndim(E) == 0 and np.ndim(J) == 0
+    if scalar:  # Python floats: the scan makes one call per cell
+        E, J, maximum = float(E), float(J), max
+    else:
         E, J = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(J, dtype=float))
-        radii = np.empty((2, E.size))
-        for i, (e, j) in enumerate(zip(E.ravel().tolist(), J.ravel().tolist())):
-            try:
-                tp = _solved_turning_points(params, e, j)
-            except ConeDynError as exc:
-                raise type(exc)(f"{exc} (lane {i})") from exc
-            radii[:, i] = tp.r_min, tp.r_max
-        return TurningPoints(radii[0].reshape(E.shape), radii[1].reshape(E.shape))
-
-    E, J = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(J, dtype=float))
+        maximum = np.maximum
     m, s = params.m, params.geometry.s
     r_c, u0 = _find_ueff_minimum(params, J)
-    _raise_at(np.isnan(E), DomainError, "energy is NaN")
-    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff
+    _raise_at(E != E, DomainError, "energy is NaN")  # NaN != NaN, for floats and arrays
+    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff;
+    # infinite at E = -inf, which is tested on its own
     k_c = J * J / (2.0 * m * s ** 2 * r_c * r_c)
-    tol_circ = 1e-13 * np.maximum(np.maximum(np.abs(u0), np.abs(E)), k_c)
-    _raise_at(E < u0 - tol_circ, ForbiddenEnergyError,
+    tol_circ = 1e-13 * maximum(maximum(abs(u0), abs(E)), k_c)
+    _raise_at((E < u0 - tol_circ) | (E == -math.inf), ForbiddenEnergyError,
               "E={} lies below the effective-potential minimum {}", E, u0)
     top = _escape_energy(params)
     _raise_at(E >= top, UnboundedMotionError, "E={} at or above the escape energy {}", E, top)
-    r_min, r_max = _closed_form_radii(params, E, J)
     circular = E - u0 <= tol_circ
-    r_min = np.where(circular, r_c, r_min)
-    r_max = np.where(circular, r_c, r_max)
-    _raise_at(~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
-              "turning points of E={} lie outside the float range", E)
-    if E.ndim == 0:
+    if isinstance(params.potential, (Kepler, Oscillator)):
+        r_min, r_max = _closed_form_radii(params, E, J)
+        r_min = np.where(circular, r_c, r_min)
+        r_max = np.where(circular, r_c, r_max)
+        _raise_at(np.logical_not((r_min > 0.0) & (r_max < math.inf)), StructuralError,
+                  "turning points of E={} lie outside the float range", E)
+    else:  # one root solve per non-circular lane; its radii lie in (0, inf)
+        lanes = [(E, J, r_c, circular)] if scalar else zip(
+            E.tolist(), J.tolist(), r_c.tolist(), circular.tolist())
+        radii = []
+        for i, (e, j, c, circ) in enumerate(lanes):
+            try:
+                radii.append((c, c) if circ else _solved_turning_points(params, e, j, c))
+            except ConeDynError as exc:
+                if scalar:
+                    raise
+                raise type(exc)(f"{exc} (lane {i})") from exc
+        r_min, r_max = radii[0] if scalar else np.array(radii).reshape(-1, 2).T
+    if scalar:
         return TurningPoints(r_min=float(r_min), r_max=float(r_max))
     return TurningPoints(r_min=r_min, r_max=r_max)
 
@@ -272,13 +278,13 @@ def turning_points(params: Params, E, J) -> TurningPoints:
 _EXTENDED = np.longdouble
 
 
-def _closed_form_radii(params: Params, E: np.ndarray, J: np.ndarray):
+def _closed_form_radii(params: Params, E, J):
     """Kepler and oscillator turning points (see :func:`turning_points`) in
     :data:`_EXTENDED` precision.  With 64-bit significands the rounding of
     E - U_0 drops from 2^-53 to 2^-64 relative, and the radii come out
     correctly rounded but for rare ties.  Lanes with E - U_0 <= 0 give NaN."""
     ld = _EXTENDED
-    E, J = E.astype(ld), J.astype(ld)
+    E, J = np.asarray(E, dtype=ld), np.asarray(J, dtype=ld)
     m, s = ld(params.m), ld(params.geometry.s)
     with np.errstate(all="ignore"):
         if isinstance(params.potential, Kepler):
@@ -299,22 +305,11 @@ def _closed_form_radii(params: Params, E: np.ndarray, J: np.ndarray):
         return r_min.astype(float), r_max.astype(float)
 
 
-def _solved_turning_points(params: Params, E: float, J: float) -> TurningPoints:
-    """Turning points of one level set by bracketed root finding, for
-    potentials without a closed form."""
-    r_c, u0 = _find_ueff_minimum(params, J)
-    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff
-    k_c = J * J / (2.0 * params.m * params.geometry.s ** 2 * r_c * r_c)
-    tol_circ = 1e-13 * max(abs(u0), abs(E), k_c)
-    if E < u0 - tol_circ:
-        raise ForbiddenEnergyError(
-            f"E={E} lies below the effective-potential minimum {u0}"
-        )
-    if E - u0 <= tol_circ:
-        return TurningPoints(r_min=r_c, r_max=r_c)
-    top = _escape_energy(params)
-    if E >= top:
-        raise UnboundedMotionError(f"E={E} at or above the escape energy {top}")
+def _solved_turning_points(params: Params, E: float, J: float, r_c: float) -> tuple[float, float]:
+    """(r_min, r_max) of one non-circular, bound level set by bracketed root
+    finding, for potentials without a closed form: from the circular radius
+    r_c the root is bracketed by doubling (outward) or halving (inward) the
+    radius, then solved to 1e-13 relative."""
 
     def f(r: float) -> float:
         # r is r_c times a power of 2 or inside a positive bracket: no check needed
@@ -333,7 +328,7 @@ def _solved_turning_points(params: Params, E: float, J: float) -> TurningPoints:
 
     r_max = _root(f, r_c, far_end(2.0), rtol=1e-13)
     r_min = _root(f, far_end(0.5), r_c, rtol=1e-13)
-    return TurningPoints(r_min=r_min, r_max=r_max)
+    return r_min, r_max
 
 
 # --- Time integration ---

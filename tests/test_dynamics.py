@@ -257,8 +257,20 @@ class TestTurningPointArrays:
         for J_bad, match in ((1e-100, "float range"), (0.0, "no interior minimum")):
             with pytest.raises(StructuralError, match=rf"{match}.* \(lane 2\)$"):
                 cd.turning_points(kep, np.full(3, -0.3), np.array([1.0, 1.0, J_bad]))
-        with pytest.raises(DomainError, match=r"NaN \(lane 1\)$"):
-            cd.turning_points(oscillator_params(), np.array([2.0, math.nan]), 1.0)
+        log = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                        potential=cd.LogPotential(strength=0.8, r0=1.5))
+        for params in (kep, oscillator_params(), power, log):
+            # non-finite energies: one typed error for every potential
+            _, e_c = cd.circular_orbit(params, 1.0)
+            for value, error in ((math.nan, DomainError), (-math.inf, ForbiddenEnergyError),
+                                 (math.inf, UnboundedMotionError)):
+                with pytest.raises(error) as info:
+                    cd.turning_points(params, value, 1.0)
+                assert "lane" not in str(info.value)
+                E = np.full(4, e_c + 0.1 * abs(e_c))
+                E[1] = E[3] = value
+                with pytest.raises(error, match=r"\(lane 1\)$"):
+                    cd.turning_points(params, E, J)
         with pytest.raises(ForbiddenEnergyError) as info:
             cd.turning_points(kep, -0.7, 1.0)
         assert "lane" not in str(info.value)

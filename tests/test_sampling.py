@@ -16,16 +16,16 @@ def _reference_point(rng, params):
     """The sampler before batching: five scalar draws per point, and turning
     points from the bracketed root finder."""
     J = float(rng.uniform(0.5, 1.5))
-    _, e_c = cd.circular_orbit(params, J)
+    r_c, e_c = cd.circular_orbit(params, J)
     top = _escape_energy(params)
     f = float(rng.uniform(0.1, 0.7))
     if math.isfinite(top):
         E = e_c + f * (top - e_c)
     else:
         E = e_c + f * 2.0 * max(abs(e_c), 1.0)
-    tp = _solved_turning_points(params, E, J)
+    r_min, r_max = _solved_turning_points(params, E, J, r_c)
     u = float(rng.uniform(0.05, 0.95))
-    r = tp.r_min + u * (tp.r_max - tp.r_min)
+    r = r_min + u * (r_max - r_min)
     kinetic = E - float(cd.effective_potential(params, J, r))
     p_r = math.copysign(math.sqrt(max(2.0 * params.m * kinetic, 0.0)), rng.uniform(-1.0, 1.0))
     phi = float(rng.uniform(0.0, 2.0 * math.pi))
