@@ -25,10 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bertrand import _Well, _refine, apsidal_angle, circular_orbit, radial_period
+from .bertrand import _Well, apsidal_angle, circular_orbit, radial_period
 from .core import TWO_PI, Kepler, Oscillator, Params
 from .dynamics import _effective_d2
 from .errors import CircularOrbitError, DomainError, StructuralError
+
+# continued-fraction test of a frequency ratio: largest denominator, and the
+# distance from p/q within which the ratio counts as rational
+Q_MAX = 64
+RATIONAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,11 @@ def radial_action(
     except CircularOrbitError:
         return 0.0
     m = params.m
-
-    def at_order(order: int) -> float:
-        theta, _, g, w = well.nodes(order)
-        integrand = m * well.rho**2 * np.sin(theta) ** 2 * np.sqrt(g)
-        return float(w @ integrand) / math.pi
-
-    value, _ = _refine(at_order, tolerance, max_refinements)
-    return value
+    value, _ = well.integral(
+        lambda theta, r, g: m * well.rho**2 * np.sin(theta) ** 2 * np.sqrt(g),
+        tolerance, max_refinements,
+    )
+    return value / math.pi
 
 
 def hamiltonian_from_actions(params: Params, I1: float, I2: float) -> float:
@@ -101,8 +103,6 @@ def frequencies(
     params: Params,
     E: float,
     J: float,
-    q_max: int = 64,
-    rational_tol: float = 1e-9,
     tolerance: float = 1e-10,
     max_refinements: int = 6,
 ) -> ActionData:
@@ -112,8 +112,8 @@ def frequencies(
     from the apsidal angle (the angle advances 2*dphi per radial period).  On
     a circular level set both come from the harmonic limit instead.  The
     ratio is tested for rationality by continued fractions with denominator
-    bound ``q_max`` and acceptance tolerance ``rational_tol``; floats cannot
-    certify rationality, so this is the operational criterion.
+    bound :data:`Q_MAX` and acceptance tolerance :data:`RATIONAL_TOL`; floats
+    cannot certify rationality, so this is the operational criterion.
     """
     if J == 0.0:
         raise DomainError("frequency analysis requires J != 0")
@@ -136,33 +136,27 @@ def frequencies(
         omega1=omega1,
         omega2=omega2,
         ratio=ratio,
-        rational_approx=_rationalize(ratio, q_max, rational_tol),
+        rational_approx=_rationalize(ratio),
     )
 
 
-def _rationalize(x: float, q_max: int, tol: float) -> RationalApprox | None:
-    """Best rational p/q with q <= q_max; accepted only within tol of x."""
-    frac = Fraction(x).limit_denominator(q_max)
+def _rationalize(x: float) -> RationalApprox | None:
+    """Best rational p/q with q <= Q_MAX; accepted only within RATIONAL_TOL of x."""
+    frac = Fraction(x).limit_denominator(Q_MAX)
     err = abs(x - frac.numerator / frac.denominator)
-    if err > tol:
+    if err > RATIONAL_TOL:
         return None
     return RationalApprox(p=frac.numerator, q=frac.denominator, error=err)
 
 
-def predict_closure(
-    params: Params,
-    E: float,
-    J: float,
-    q_max: int = 64,
-    rational_tol: float = 1e-9,
-) -> tuple[int, int] | None:
+def predict_closure(params: Params, E: float, J: float) -> tuple[int, int] | None:
     """Reduced integer pair (n1, n2) with omega1/omega2 = n1/n2, if accepted.
 
     A bound orbit closes exactly when the ratio is rational; it then closes
     after n2 radial periods (and n1 angular turns).  Returns None when the
     continued-fraction criterion rejects the ratio.
     """
-    data = frequencies(params, E, J, q_max=q_max, rational_tol=rational_tol)
+    data = frequencies(params, E, J)
     if data.rational_approx is None:
         return None
     return data.rational_approx.p, data.rational_approx.q

@@ -29,10 +29,10 @@ import numpy as np
 
 from .core import Params, PowerLaw
 from .dynamics import (
+    _effective_potential,
     _escape_energy,
     _find_ueff_minimum,
     _raise_at,
-    effective_potential,
     turning_points,
 )
 from .errors import (
@@ -47,6 +47,7 @@ log = logging.getLogger("conedyn")
 PASS_FLATNESS = 1e-6
 FAIL_FLATNESS = 1e-3
 _START_ORDER = 64
+_WIDTH_LEVELS = 50  # energy levels of the width-law fit
 
 
 @lru_cache(maxsize=32)
@@ -54,43 +55,6 @@ def _gauss_theta(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, pi]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
-
-
-def _refine(
-    integral_at: Callable[[int], float],
-    tolerance: float,
-    max_refinements: int,
-) -> tuple[float, float]:
-    """Double the quadrature order until successive estimates agree.
-
-    Returns (value, relative change at the last doubling).  Two guards keep
-    deep refinement from degrading nearly-circular wells, where the innermost
-    nodes approach the rounding floor of E - U_eff near the turning points:
-    refinement stops once the successive change stagnates (the noise floor),
-    and an endpoint breach at a deeper order falls back to the last good
-    estimate.  A genuinely inconsistent well still fails at the first order.
-    """
-    order = _START_ORDER
-    value = integral_at(order)
-    err = math.inf
-    for _ in range(max_refinements):
-        order *= 2
-        try:
-            new = integral_at(order)
-        except QuadratureError:
-            log.debug("order %d breached the endpoint floor; keeping %.1e", order, err)
-            return value, err
-        prev_err, err = err, abs(new - value) / max(abs(new), 1e-300)
-        value = new
-        if err <= tolerance:
-            return value, err
-        if err >= 0.5 * prev_err:
-            # spectral convergence would cut the change by orders of
-            # magnitude per doubling; stalling means rounding noise
-            log.debug("quadrature stagnated at %.1e (order %d)", err, order)
-            return value, err
-    log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, err)
-    return value, err
 
 
 class _Well:
@@ -109,21 +73,54 @@ class _Well:
         self.E = E
         self.J = J
 
-    def nodes(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(theta, r, g, weights) at the transformed quadrature nodes, where
-        g(theta) = (2/m)(E - U_eff) / (rho*sin(theta))^2 is smooth and
-        positive across the well."""
-        theta, w = _gauss_theta(order)
-        r = self.r_mid - self.rho * np.cos(theta)
-        d = (2.0 / self.params.m) * (
-            self.E - effective_potential(self.params, self.J, r)
-        )
-        g = d / (self.rho * np.sin(theta)) ** 2
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise QuadratureError(
-                "transformed integrand not positive: turning points inconsistent"
-            )
-        return theta, r, g, w
+    def integral(
+        self,
+        integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        tolerance: float,
+        max_refinements: int,
+    ) -> tuple[float, float]:
+        """Gauss-Legendre sum over theta in [0, pi] of integrand(theta, r, g),
+        doubling the order until successive sums agree.
+
+        Here r = r_mid - rho*cos(theta), and g = (2/m)(E - U_eff(r)) /
+        (rho*sin(theta))^2 is smooth and positive across the well.  Returns
+        (value, relative change at the last doubling).  Two guards keep deep
+        refinement from degrading nearly-circular wells, where the innermost
+        nodes approach the rounding floor of E - U_eff near the turning
+        points: refinement stops once the successive change stagnates (the
+        noise floor), and an endpoint breach at a deeper order falls back to
+        the last good sum.  A genuinely inconsistent well still fails at the
+        first order.
+        """
+        params, E, J, rho = self.params, self.E, self.J, self.rho
+        order, value, err = _START_ORDER, math.nan, math.inf
+        for refinement in range(1 + max(max_refinements, 0)):
+            theta, w = _gauss_theta(order)
+            # the nodes lie strictly inside (r_min, r_max): no radius check
+            r = self.r_mid - rho * np.cos(theta)
+            d = (2.0 / params.m) * (E - _effective_potential(params, J, r))
+            g = d / (rho * np.sin(theta)) ** 2
+            if not (g.min() > 0.0 and g.max() < math.inf):
+                if refinement == 0:
+                    raise QuadratureError(
+                        "transformed integrand not positive: turning points inconsistent"
+                    )
+                log.debug("order %d breached the endpoint floor; keeping %.1e", order, err)
+                return value, err
+            new = float(w @ integrand(theta, r, g))
+            if refinement:
+                prev_err, err = err, abs(new - value) / max(abs(new), 1e-300)
+                if err <= tolerance:
+                    return new, err
+                if err >= 0.5 * prev_err:
+                    # spectral convergence would cut the change by orders of
+                    # magnitude per doubling; stalling means rounding noise
+                    log.debug("quadrature stagnated at %.1e (order %d)", err, order)
+                    return new, err
+            value = new
+            order *= 2
+        log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, err)
+        return value, err
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,10 @@ def apsidal_angle(
         raise DomainError("apsidal angle requires J != 0")
     s = params.geometry.s
     lam_mag = abs(J) / s  # magnitude: the swept angle is reported positive
-    well = _Well(params, E, J)
     m = params.m
-
-    def at_order(order: int) -> float:
-        _, r, g, w = well.nodes(order)
-        return float(w @ (lam_mag / (m * r * r) / np.sqrt(g)))
-
-    integral, err = _refine(at_order, tolerance, max_refinements)
+    integral, err = _Well(params, E, J).integral(
+        lambda theta, r, g: lam_mag / (m * r * r) / np.sqrt(g), tolerance, max_refinements
+    )
     return ApsidalResult(
         delta_phi=integral / s, lam=J / s, E=E, quadrature_error_estimate=err
     )
@@ -182,13 +175,9 @@ def radial_period(
     Twice the half-period integral of dr / sqrt((2/m)(E - U_eff)), with the
     same singularity-removing substitution as :func:`apsidal_angle`.
     """
-    well = _Well(params, E, J)
-
-    def at_order(order: int) -> float:
-        _, _, g, w = well.nodes(order)
-        return float(w @ (2.0 / np.sqrt(g)))
-
-    period, _ = _refine(at_order, tolerance, max_refinements)
+    period, _ = _Well(params, E, J).integral(
+        lambda theta, r, g: 2.0 / np.sqrt(g), tolerance, max_refinements
+    )
     return period
 
 
@@ -243,12 +232,7 @@ class WidthLawResult:
     max_residual: float
 
 
-def width_law_check(
-    params: Params,
-    J: float,
-    n_levels: int = 50,
-    u_cap: float | None = None,
-) -> WidthLawResult:
+def width_law_check(params: Params, J: float) -> WidthLawResult:
     """Test whether the reduced well width grows exactly like sqrt(U - U0).
 
     The reduced 1D potential in the variable x = lam/(m r) is
@@ -257,27 +241,24 @@ def width_law_check(
     width at level U is (lam/m)(1/r_min - 1/r_max) from the turning points
     of that level.  An energy-independent oscillation period is equivalent
     to the width law x2(U) - x1(U) = a*sqrt(U - U0) holding exactly; the
-    returned maximum relative residual certifies or refutes it.
+    returned maximum relative residual certifies or refutes it.  The fit
+    takes 50 levels up to ten well depths above U0, or up to 0.98 of the way
+    to a finite escape energy.
     """
     if J == 0.0:
         raise DomainError("width law requires J != 0")
-    if n_levels < 2:
-        raise DomainError("need at least two energy levels for the fit")
     scale = abs(J) / (params.geometry.s * params.m)  # lam/m
     _, u0 = _find_ueff_minimum(params, J)
 
-    if u_cap is None:
-        u_cap = u0 + 10.0 * (abs(u0) if u0 != 0.0 else 1.0)
+    u_cap = u0 + 10.0 * (abs(u0) if u0 != 0.0 else 1.0)
     # x -> 0 is r -> infinity: a finite escape energy caps the left branch.
     u_left_sup = _escape_energy(params)
     if u_cap >= u_left_sup:
         u_cap = u0 + 0.98 * (u_left_sup - u0)
 
-    levels = u0 + (np.arange(1, n_levels + 1) / n_levels) * (u_cap - u0)
-    widths = np.empty(n_levels)
-    for i, lev in enumerate(levels):
-        tp = turning_points(params, float(lev), J)
-        widths[i] = scale * (1.0 / tp.r_min - 1.0 / tp.r_max)
+    levels = u0 + (np.arange(1, _WIDTH_LEVELS + 1) / _WIDTH_LEVELS) * (u_cap - u0)
+    tp = turning_points(params, levels, J)
+    widths = scale * (1.0 / tp.r_min - 1.0 / tp.r_max)
 
     sqrt_du = np.sqrt(levels - u0)
     a_fit = float(widths @ sqrt_du / (sqrt_du @ sqrt_du))
