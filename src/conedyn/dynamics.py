@@ -117,9 +117,9 @@ def _float_pow(x: np.ndarray, p) -> np.ndarray:
 
 
 def _raise_at(bad, error, message: str, *values) -> None:
-    """Raise ``error`` if any lane of ``bad`` is set.  The message is
-    formatted with each of ``values`` at the first such lane and, unless
-    ``bad`` is a scalar, names that lane."""
+    """Raise ``error`` if any lane of ``bad`` (a bool or a boolean array) is
+    set.  The message is formatted with each of ``values`` at the first such
+    lane and, unless ``bad`` is a scalar, names that lane."""
     if not (bad.any() if isinstance(bad, np.ndarray) else bad):
         return
     i = int(np.argmax(bad)) if np.ndim(bad) else ()
