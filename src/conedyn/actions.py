@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bertrand import _Well, apsidal_angle, circular_orbit, radial_period
+from .bertrand import _Well, circular_orbit
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _effective_d2
+from .dynamics import _as_lanes, _effective_d2, _float_pow, _raise_first
 from .errors import CircularOrbitError, DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
@@ -69,13 +69,21 @@ def radial_action(
     Works for any potential variant, not just the two with closed-form H(I);
     a circular level set has I2 = 0 exactly.
     """
-    try:
-        well = _Well(params, E, J)
-    except CircularOrbitError:
+    errors: dict = {}
+    well = _Well(params, *_as_lanes(E, J)[1], errors)
+    if isinstance(errors.get(0), CircularOrbitError):
         return 0.0
-    m = params.m
+    i2 = _radial_action(well, tolerance, max_refinements)
+    _raise_first(errors, name_lane=False)
+    return i2.item()
+
+
+def _radial_action(well: _Well, tolerance: float, max_refinements: int) -> np.ndarray:
+    """Radial action I2 per lane of the well."""
+    m = well.params.m
+    rho_sq = _float_pow(well.rho, 2)  # the bits of rho**2 on one float
     value, _ = well.integral(
-        lambda theta, r, g: m * well.rho**2 * np.sin(theta) ** 2 * np.sqrt(g),
+        lambda theta, r, g, k: m * rho_sq[k, None] * np.sin(theta) ** 2 * np.sqrt(g),
         tolerance, max_refinements,
     )
     return value / math.pi
@@ -118,17 +126,21 @@ def frequencies(
     if J == 0.0:
         raise DomainError("frequency analysis requires J != 0")
     m, s = params.m, params.geometry.s
-    try:
-        i2 = radial_action(params, E, J, tolerance, max_refinements)
-        t_r = radial_period(params, E, J, tolerance, max_refinements)
-        dphi = apsidal_angle(params, E, J, tolerance, max_refinements).delta_phi
-        omega2 = TWO_PI / t_r
-        omega1 = omega2 * dphi / math.pi
-    except CircularOrbitError:
+    # one well for the three integrals: its turning points are solved once
+    errors: dict = {}
+    well = _Well(params, *_as_lanes(E, J)[1], errors)
+    if isinstance(errors.get(0), CircularOrbitError):
         r_c, _ = circular_orbit(params, J)
         i2 = 0.0
         omega2 = math.sqrt(float(_effective_d2(params, J, r_c)) / m)
         omega1 = abs(J) / (m * s * s * r_c * r_c)
+    else:
+        i2 = _radial_action(well, tolerance, max_refinements).item()
+        t_r = well.period(tolerance, max_refinements).item()
+        dphi = well.swept_angle(tolerance, max_refinements)[0].item()
+        _raise_first(errors, name_lane=False)
+        omega2 = TWO_PI / t_r
+        omega1 = omega2 * dphi / math.pi
     ratio = omega1 / omega2
     return ActionData(
         i1=J,

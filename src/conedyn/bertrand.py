@@ -29,15 +29,18 @@ import numpy as np
 
 from .core import Params, PowerLaw
 from .dynamics import (
+    _alive,
+    _as_lanes,
     _effective_potential,
     _escape_energy,
     _find_ueff_minimum,
-    _raise_at,
+    _raise_first,
+    _record,
+    _turning_points,
     turning_points,
 )
 from .errors import (
     CircularOrbitError,
-    ConeDynError,
     DomainError,
     QuadratureError,
 )
@@ -47,6 +50,7 @@ log = logging.getLogger("conedyn")
 PASS_FLATNESS = 1e-6
 FAIL_FLATNESS = 1e-3
 _START_ORDER = 64
+_NODE_BLOCK = 1 << 16  # lanes x nodes evaluated at once: bounds a batch's memory
 _WIDTH_LEVELS = 50  # energy levels of the width-law fit
 
 
@@ -58,69 +62,116 @@ def _gauss_theta(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Well:
-    """Geometry of one bound well: turning points and the transformed integrand."""
+    """Geometry of bound wells, one lane per level set (E[k], J[k]) of the
+    1-D arrays E and J: turning points and the transformed integrand.  A
+    lane that fails records its first error in ``errors`` (lane -> error)
+    and the other lanes carry on."""
 
-    def __init__(self, params: Params, E: float, J: float):
-        tp = turning_points(params, E, J)
-        self.r_mid = 0.5 * (tp.r_min + tp.r_max)
-        self.rho = 0.5 * (tp.r_max - tp.r_min)
-        if self.rho <= 1e-8 * self.r_mid:
-            raise CircularOrbitError(
+    def __init__(self, params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
+        r_min, r_max = _turning_points(params, E, J, errors)
+        self.r_mid = 0.5 * (r_min + r_max)
+        self.rho = 0.5 * (r_max - r_min)
+        _record(errors, self.rho <= 1e-8 * self.r_mid, CircularOrbitError,
                 "level set is circular (r_min = r_max within tolerance); "
-                "use small_oscillation_freq for the degenerate limit"
-            )
-        self.params = params
-        self.E = E
-        self.J = J
+                "use small_oscillation_freq for the degenerate limit")
+        self.params, self.E, self.J, self.errors = params, E, J, errors
 
     def integral(
         self,
-        integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        integrand: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
         tolerance: float,
         max_refinements: int,
-    ) -> tuple[float, float]:
-        """Gauss-Legendre sum over theta in [0, pi] of integrand(theta, r, g),
-        doubling the order until successive sums agree.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre sums over theta in [0, pi] of integrand(theta, r, g,
+        k), doubling the order of each lane until its successive sums agree.
 
-        Here r = r_mid - rho*cos(theta), and g = (2/m)(E - U_eff(r)) /
-        (rho*sin(theta))^2 is smooth and positive across the well.  Returns
-        (value, relative change at the last doubling).  Two guards keep deep
-        refinement from degrading nearly-circular wells, where the innermost
-        nodes approach the rounding floor of E - U_eff near the turning
-        points: refinement stops once the successive change stagnates (the
-        noise floor), and an endpoint breach at a deeper order falls back to
-        the last good sum.  A genuinely inconsistent well still fails at the
-        first order.
+        The integrand gets the rows k (an index array) of the lanes still
+        refining, with r = r_mid - rho*cos(theta) and g = (2/m)(E - U_eff(r))
+        / (rho*sin(theta))^2, which is smooth and positive across the well,
+        as (len(k), order) matrices; each lane is summed on its own, so it
+        has the bits of a one-lane call.  Returns the values and the relative
+        changes at the last doubling, NaN in failed lanes.  Two guards keep
+        deep refinement from degrading nearly-circular wells, where the
+        innermost nodes approach the rounding floor of E - U_eff near the
+        turning points: a lane stops once its successive change stagnates
+        (the noise floor), and an endpoint breach at a deeper order falls back
+        to its last good sum.  A genuinely inconsistent well still fails at
+        the first order, with a QuadratureError in ``errors``.
         """
-        params, E, J, rho = self.params, self.E, self.J, self.rho
-        order, value, err = _START_ORDER, math.nan, math.inf
+        params, E, J, rho, errors = self.params, self.E, self.J, self.rho, self.errors
+        n = E.size
+        value, err = [math.nan] * n, [math.inf] * n  # per lane: last sum and change
+        out_value, out_err = np.full(n, math.nan), np.full(n, math.nan)
+
+        def finish(lane: int, v: float, e: float) -> None:
+            out_value[lane], out_err[lane] = v, e
+
+        active = np.flatnonzero(_alive(errors, n))
+        order = _START_ORDER
         for refinement in range(1 + max(max_refinements, 0)):
+            if not active.size:
+                break
             theta, w = _gauss_theta(order)
-            # the nodes lie strictly inside (r_min, r_max): no radius check
-            r = self.r_mid - rho * np.cos(theta)
-            d = (2.0 / params.m) * (E - _effective_potential(params, J, r))
-            g = d / (rho * np.sin(theta)) ** 2
-            if not (g.min() > 0.0 and g.max() < math.inf):
-                if refinement == 0:
-                    raise QuadratureError(
-                        "transformed integrand not positive: turning points inconsistent"
-                    )
-                log.debug("order %d breached the endpoint floor; keeping %.1e", order, err)
-                return value, err
-            new = float(w @ integrand(theta, r, g))
-            if refinement:
-                prev_err, err = err, abs(new - value) / max(abs(new), 1e-300)
-                if err <= tolerance:
-                    return new, err
-                if err >= 0.5 * prev_err:
-                    # spectral convergence would cut the change by orders of
-                    # magnitude per doubling; stalling means rounding noise
-                    log.debug("quadrature stagnated at %.1e (order %d)", err, order)
-                    return new, err
-            value = new
+            cos, sin = np.cos(theta), np.sin(theta)
+            refining = []
+            rows = max(1, _NODE_BLOCK // order)
+            for start in range(0, active.size, rows):
+                k = active[start:start + rows]
+                with np.errstate(all="ignore"):
+                    # the nodes lie strictly inside (r_min, r_max): no radius check
+                    r = self.r_mid[k, None] - rho[k, None] * cos
+                    u = _effective_potential(params, J[k, None], r)
+                    d = (2.0 / params.m) * (E[k, None] - u)
+                    g = d / (rho[k, None] * sin) ** 2
+                    f = integrand(theta, r, g, k)
+                positive = ((g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)).tolist()
+                for lane, row, ok in zip(k.tolist(), f, positive):
+                    if not ok:
+                        if refinement == 0:
+                            errors[lane] = QuadratureError(
+                                "transformed integrand not positive: turning points inconsistent")
+                        else:
+                            log.debug("order %d breached the endpoint floor; keeping %.1e",
+                                      order, err[lane])
+                            finish(lane, value[lane], err[lane])
+                        continue
+                    new = float(w @ row)
+                    if refinement:
+                        prev_err = err[lane]
+                        err[lane] = change = abs(new - value[lane]) / max(abs(new), 1e-300)
+                        if change <= tolerance:
+                            finish(lane, new, change)
+                            continue
+                        if change >= 0.5 * prev_err:
+                            # spectral convergence would cut the change by orders of
+                            # magnitude per doubling; stalling means rounding noise
+                            log.debug("quadrature stagnated at %.1e (order %d)", change, order)
+                            finish(lane, new, change)
+                            continue
+                    value[lane] = new
+                    refining.append(lane)
+            active = np.array(refining, dtype=int)
             order *= 2
-        log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, err)
-        return value, err
+        for lane in active.tolist():
+            log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, err[lane])
+            finish(lane, value[lane], err[lane])
+        return out_value, out_err
+
+    def swept_angle(self, tolerance: float, max_refinements: int):
+        """Perigee-to-apogee angle delta_phi per lane, and its error estimate."""
+        s, m = self.params.geometry.s, self.params.m
+        lam_mag = np.abs(self.J) / s  # magnitude: the swept angle is reported positive
+        integral, err = self.integral(
+            lambda theta, r, g, k: lam_mag[k, None] / (m * r * r) / np.sqrt(g),
+            tolerance, max_refinements,
+        )
+        return integral / s, err
+
+    def period(self, tolerance: float, max_refinements: int) -> np.ndarray:
+        """Full radial period per lane."""
+        period, _ = self.integral(lambda theta, r, g, k: 2.0 / np.sqrt(g),
+                                  tolerance, max_refinements)
+        return period
 
 
 @dataclass(frozen=True)
@@ -148,19 +199,23 @@ def apsidal_angle(
     """Angle swept between adjacent perigee and apogee, by quadrature.
 
     Evaluates the transformed integral described in the module docstring and
-    divides by s.  Circular input raises :class:`CircularOrbitError`.
+    divides by s, as one lane of :func:`_apsidal_lanes`.  Circular input
+    raises :class:`CircularOrbitError`.
     """
-    if J == 0.0:
-        raise DomainError("apsidal angle requires J != 0")
-    s = params.geometry.s
-    lam_mag = abs(J) / s  # magnitude: the swept angle is reported positive
-    m = params.m
-    integral, err = _Well(params, E, J).integral(
-        lambda theta, r, g: lam_mag / (m * r * r) / np.sqrt(g), tolerance, max_refinements
-    )
-    return ApsidalResult(
-        delta_phi=integral / s, lam=J / s, E=E, quadrature_error_estimate=err
-    )
+    errors: dict = {}
+    delta_phi, err = _apsidal_lanes(params, *_as_lanes(E, J)[1], tolerance,
+                                    max_refinements, errors)
+    _raise_first(errors, name_lane=False)
+    return ApsidalResult(delta_phi=delta_phi.item(), lam=J / params.geometry.s, E=E,
+                         quadrature_error_estimate=err.item())
+
+
+def _apsidal_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: float,
+                   max_refinements: int, errors: dict):
+    """delta_phi and its quadrature error estimate per lane of the 1-D arrays
+    E and J; a failed lane holds NaN and records its error in ``errors``."""
+    _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
+    return _Well(params, E, J, errors).swept_angle(tolerance, max_refinements)
 
 
 def radial_period(
@@ -175,10 +230,10 @@ def radial_period(
     Twice the half-period integral of dr / sqrt((2/m)(E - U_eff)), with the
     same singularity-removing substitution as :func:`apsidal_angle`.
     """
-    period, _ = _Well(params, E, J).integral(
-        lambda theta, r, g: 2.0 / np.sqrt(g), tolerance, max_refinements
-    )
-    return period
+    errors: dict = {}
+    period = _Well(params, *_as_lanes(E, J)[1], errors).period(tolerance, max_refinements)
+    _raise_first(errors, name_lane=False)
+    return period.item()
 
 
 def circular_orbit(params: Params, J: float) -> tuple[float, float]:
@@ -189,8 +244,12 @@ def circular_orbit(params: Params, J: float) -> tuple[float, float]:
     r_c = |J|/(s sqrt(m B)) for the log potential; E_c = U_eff(r_c).  J may
     be an array, giving arrays.
     """
-    _raise_at(np.equal(J, 0.0), DomainError, "circular orbit requires J != 0")
-    return _find_ueff_minimum(params, J)
+    scalar, (J,) = _as_lanes(J)
+    errors: dict = {}
+    _record(errors, J == 0.0, DomainError, "circular orbit requires J != 0")
+    r_c, u0 = _find_ueff_minimum(params, J, errors)
+    _raise_first(errors, name_lane=not scalar)
+    return (r_c.item(), u0.item()) if scalar else (r_c, u0)
 
 
 @dataclass(frozen=True)
@@ -248,7 +307,7 @@ def width_law_check(params: Params, J: float) -> WidthLawResult:
     if J == 0.0:
         raise DomainError("width law requires J != 0")
     scale = abs(J) / (params.geometry.s * params.m)  # lam/m
-    _, u0 = _find_ueff_minimum(params, J)
+    _, u0 = circular_orbit(params, J)
 
     u_cap = u0 + 10.0 * (abs(u0) if u0 != 0.0 else 1.0)
     # x -> 0 is r -> infinity: a finite escape energy caps the left branch.
@@ -318,13 +377,14 @@ def _classify_flatness(flatness: float, constant: float, expected: float) -> str
     return "inconclusive"
 
 
-def _scan_energy(params: Params, J: float, fraction: float) -> float:
-    """Energy at the given fraction of the bound well above its bottom."""
-    _, u0 = _find_ueff_minimum(params, J)
+def _scan_energy(params: Params, J: np.ndarray, fractions: np.ndarray, errors: dict):
+    """Energies at the given fractions of the bound wells above their
+    bottoms, per lane; NaN where the well itself fails."""
+    _, u0 = _find_ueff_minimum(params, J, errors)
     top = _escape_energy(params)
     if math.isfinite(top):
-        return u0 + fraction * (top - u0)
-    return u0 + fraction * 10.0 * max(abs(u0), 1.0)
+        return u0 + fractions * (top - u0)
+    return u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0)
 
 
 def bertrand_scan(
@@ -341,30 +401,31 @@ def bertrand_scan(
     (A = -1 for alpha < 0, A = +1 for alpha > 0).  Energies are specified as
     fractions of the bound well (bottom to escape, or ten well depths for
     confining potentials), which keeps every exponent's grid inside its own
-    bounded-motion region.  A cell that raises a ConeDynError (alpha = 0 has
-    no well at all) is flagged infeasible; any other error propagates.
+    bounded-motion region.  Each exponent's cells are the lanes of one
+    batch, each with the bits of its own :func:`apsidal_angle` call.  A cell
+    that fails with a ConeDynError (alpha = 0 has no well at all) is flagged
+    infeasible; any other error propagates.
     """
     s = params_base.geometry.s
+    lam_cells = [lam for lam in lambdas for _ in e_fractions]
+    J = np.array(lam_cells, dtype=float) * s
+    fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas))
     cells: list[ScanCell] = []
     verdicts: list[FamilyVerdict] = []
     for alpha in exponents:
         expected = math.pi / math.sqrt(alpha + 2.0)
-        values: list[float] = []
         pot = PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
         params = replace(params_base, potential=pot)
-        for lam in lambdas:
-            J = lam * s
-            for f in e_fractions:
-                E = math.nan  # reported when the well itself is infeasible
-                try:
-                    E = _scan_energy(params, J, f)
-                    res = apsidal_angle(params, E, J, tolerance, max_refinements)
-                except ConeDynError as exc:  # per-cell failures are recorded
-                    cells.append(ScanCell(alpha, E, lam, None, f"infeasible: {exc}"))
-                    continue
-                sdphi = res.delta_phi * s
-                values.append(sdphi)
-                cells.append(ScanCell(alpha, E, lam, sdphi, "ok"))
+        errors: dict = {}
+        E = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
+        delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors)
+        values: list[float] = []
+        for k, (lam, e, sdphi) in enumerate(zip(lam_cells, E.tolist(), (delta_phi * s).tolist())):
+            if k in errors:  # per-cell failures are recorded
+                cells.append(ScanCell(alpha, e, lam, None, f"infeasible: {errors[k]}"))
+                continue
+            values.append(sdphi)
+            cells.append(ScanCell(alpha, e, lam, sdphi, "ok"))
         if not values:
             verdicts.append(FamilyVerdict(alpha, None, None, expected, "infeasible"))
             continue

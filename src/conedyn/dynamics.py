@@ -28,7 +28,6 @@ from .core import (
     as_power_law,
 )
 from .errors import (
-    ConeDynError,
     DomainError,
     ForbiddenEnergyError,
     QuadratureError,
@@ -103,38 +102,94 @@ def _escape_energy(params: Params) -> float:
 
 
 # --- Turning points ---
+#
+# The well geometry works on lanes: 1-D arrays with one level set (E, J) per
+# element.  A lane that fails holds NaN and records its first error in an
+# ``errors`` dict (lane -> ConeDynError) while the other lanes carry on, and
+# each lane does exactly the float operations of a one-lane call, so its
+# bits do not depend on the batch around it.
 
 def _float_pow(x: np.ndarray, p) -> np.ndarray:
-    """x ** p lane by lane as Python floats compute it (numpy's pow may round
-    differently); a lane that overflows gives a signed inf."""
+    """x ** p lane by lane as Python floats compute it (numpy's power rounds
+    differently in a few percent of lanes).  A lane where Python raises
+    (overflow, or zero to a negative power) gives numpy's signed inf."""
     out = []
     for v in x.tolist():
         try:
             out.append(v ** p)
-        except OverflowError:
-            out.append(math.copysign(math.inf, v) ** p)
+        except ArithmeticError:
+            out.append(math.copysign(1.0, v) ** p * math.inf)
     return np.array(out)
 
 
-def _raise_at(bad, error, message: str, *values) -> None:
-    """Raise ``error`` if any lane of ``bad`` (a bool or a boolean array) is
-    set.  The message is formatted with each of ``values`` at the first such
-    lane and, unless ``bad`` is a scalar, names that lane."""
-    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+def _as_lanes(*values):
+    """(scalar, lanes): whether every value is a scalar, and the values as
+    1-D float arrays broadcast together."""
+    scalar = all(np.ndim(v) == 0 for v in values)
+    return scalar, np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                         for v in values))
+
+
+def _record(errors: dict, bad: np.ndarray, error, message: str, *values, lanes=None) -> None:
+    """Record ``error`` for each set element i of the boolean array ``bad``,
+    at lane ``lanes[i]`` (or lane i), unless that lane has an error already.
+    The message is formatted with each of ``values`` (arrays aligned with
+    ``bad``, or scalars) at i, as Python floats."""
+    if not np.count_nonzero(bad):
         return
-    i = int(np.argmax(bad)) if np.ndim(bad) else ()
-    text = message.format(*(np.asarray(v)[i] if np.ndim(v) else v for v in values))
-    raise error(text if i == () else f"{text} (lane {i})")
+    for i in bad.nonzero()[0].tolist():
+        lane = i if lanes is None else int(lanes[i])
+        if lane not in errors:
+            errors[lane] = error(message.format(
+                *(v[i].item() if isinstance(v, np.ndarray) else v for v in values)))
 
 
-def _find_ueff_minimum(params: Params, J):
-    """Location and value of the minimum of U_eff, in closed form.
+def _alive(errors: dict, n: int) -> np.ndarray:
+    """Mask of the lanes among n that have no error recorded."""
+    alive = np.ones(n, dtype=bool)
+    alive[list(errors)] = False
+    return alive
+
+
+def _raise_first(errors: dict, name_lane: bool) -> None:
+    """Raise the error of the first failed lane, if any; ``name_lane`` adds
+    the lane to its message (for array calls)."""
+    if errors:
+        lane = min(errors)
+        exc = errors[lane]
+        raise type(exc)(f"{exc} (lane {lane})") if name_lane else exc
+
+
+def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray):
+    """U_eff(r) with the bits of one call per lane on Python floats: the
+    power law's r ** alpha goes through :func:`_float_pow`.  Also returns
+    the mask of lanes where such a call raises ArithmeticError (a zero
+    divisor, or r ** alpha out of range); they hold NaN."""
+    m, s = params.m, params.geometry.s
+    pot = params.potential
+    with np.errstate(all="ignore"):
+        den = 2.0 * m * s * s * r * r
+        raised = den == 0.0
+        if isinstance(pot, PowerLaw):
+            power = _float_pow(r, pot.exponent)
+            raised |= np.isinf(power) & np.isfinite(r)
+            v = pot.amplitude * power
+        else:
+            v = pot.value(r, m)
+        u = J * J / den + v
+    np.copyto(u, math.nan, where=raised)
+    return u, raised
+
+
+def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
+    """Location r_c and value U_0 = U_eff(r_c) of the minimum of U_eff, in
+    closed form, per lane of J.
 
     For V = A r^alpha, U_eff' = 0 reduces to r^(alpha+2) = J^2/(m s^2 A alpha):
     the critical point is unique, and a minimum exactly when A alpha > 0.
-    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.  J is a
-    float, giving floats, or an array, giving arrays; an error names the
-    first bad lane.
+    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.  Both are
+    evaluated with Python-float powers, so each lane has the bits of a
+    one-lane call; failed lanes hold NaN.
     """
     m, s = params.m, params.geometry.s
     if isinstance(params.potential, LogPotential):
@@ -142,60 +197,75 @@ def _find_ueff_minimum(params: Params, J):
     else:
         law = as_power_law(params.potential, m)
         a_alpha, alpha = law.amplitude * law.exponent, law.exponent
-    no_minimum = "effective potential has no interior minimum for these parameters"
-    off_range = "minimum of U_eff lies outside the float range"
-    p = 1.0 / (alpha + 2.0)
-    if np.ndim(J) == 0:  # Python floats, cheap for the per-cell scan
-        J = float(J)
-        if J == 0.0 or a_alpha <= 0.0:
-            raise StructuralError(no_minimum)
-        try:
-            r_c = float((J * J / (m * s * s * a_alpha)) ** p)
-            u0 = float(_effective_potential(params, J, r_c))
-        except ArithmeticError:  # r_c or U_eff(r_c) is not a float
-            r_c = u0 = math.nan
-        if not (r_c > 0.0 and math.isfinite(r_c) and math.isfinite(u0)):
-            raise StructuralError(off_range)
-        return r_c, u0
-    _raise_at((J == 0.0) | (a_alpha <= 0.0), StructuralError, no_minimum)
+    _record(errors, (J == 0.0) | (a_alpha <= 0.0), StructuralError,
+            "effective potential has no interior minimum for these parameters")
+    if a_alpha <= 0.0:  # a negative base has no real power
+        return np.full(J.shape, math.nan), np.full(J.shape, math.nan)
     with np.errstate(all="ignore"):
-        r_c = _float_pow(J * J / (m * s * s * a_alpha), p)
-        u0 = _effective_potential(params, J, r_c)
-    _raise_at(~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0)), StructuralError, off_range)
+        r_c = _float_pow(J * J / (m * s * s * a_alpha), 1.0 / (alpha + 2.0))
+    u0, _ = _effective_potential_lanes(params, J, r_c)
+    bad = ~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0))
+    _record(errors, bad, StructuralError, "minimum of U_eff lies outside the float range")
+    np.copyto(r_c, math.nan, where=bad)
+    np.copyto(u0, math.nan, where=bad)
     return r_c, u0
 
 
-def _root(f, a: float, b: float, rtol: float) -> float:
-    """Root of f in a finite [a, b] where f(a) and f(b) have opposite signs.
+def _root(f, a: np.ndarray, b: np.ndarray, rtol: float):
+    """Roots of f in finite brackets [a, b] where f(a) and f(b) have opposite
+    signs, one lane per element of the 1-D arrays a and b; f(x, i) gives f
+    at the points x of the lanes i (an index array).
 
     Regula falsi with the Illinois modification (the weight of an end kept
     twice in a row is halved), bisecting when the secant point leaves the
     bracket.  The sign change is always kept; once the bracket is within
     rtol (relative), a last secant step on the unweighted ends gives the root.
+    A lane stops once it is solved or fails, and does exactly the float
+    operations of a solve on its own.  Returns the roots (NaN where a lane
+    failed) and the QuadratureError of each failed lane, by lane.
     """
-    fa, fb = f(a), f(b)
-    # signs are compared, not multiplied: a product of tiny values underflows
-    if not (math.isfinite(a) and math.isfinite(b) and (fa < 0.0 < fb or fb < 0.0 < fa)):
-        raise QuadratureError(f"root not bracketed in [{a}, {b}]")
-    ga = fa  # the Illinois-weighted value at a
-    for _ in range(200):
-        x = (a * fb - b * ga) / (fb - ga)
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if math.isnan(fx):
-            raise QuadratureError(f"root solve met the non-finite value {fx} at {x}")
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) != (fb < 0.0):
-            a, fa, ga = b, fb, fb
-        else:
-            ga *= 0.5
-        b, fb = x, fx
-        if abs(b - a) <= rtol * abs(b):
-            x = (a * fb - b * fa) / (fb - fa)
-            return x if math.isfinite(x) else 0.5 * (a + b)  # f(a) or f(b) infinite
-    raise QuadratureError(f"root solve in [{a}, {b}] did not converge")
+    roots = np.full(np.shape(a), math.nan)
+    failed: dict = {}
+    i = np.arange(roots.size)
+    with np.errstate(all="ignore"):
+        fa, fb = f(a, i), f(b, i)
+        # signs are compared, not multiplied: a product of tiny values underflows
+        ok = (np.isfinite(a) & np.isfinite(b)
+              & (((fa < 0.0) & (0.0 < fb)) | ((fb < 0.0) & (0.0 < fa))))
+        _record(failed, ~ok, QuadratureError, "root not bracketed in [{}, {}]", a, b)
+        i, a, b, fa, fb = i[ok], a[ok], b[ok], fa[ok], fb[ok]
+        ga = fa  # the Illinois-weighted value at a
+        for _ in range(200):
+            if not i.size:
+                break
+            x = (a * fb - b * ga) / (fb - ga)
+            inside = (np.minimum(a, b) < x) & (x < np.maximum(a, b))
+            np.copyto(x, 0.5 * (a + b), where=~inside)
+            fx = f(x, i)
+            # in place on the lanes' own copies: a sign change moves a to b
+            flip = (fx < 0.0) != (fb < 0.0)
+            ga = 0.5 * ga
+            np.copyto(ga, fb, where=flip)
+            np.copyto(a, b, where=flip)
+            np.copyto(fa, fb, where=flip)
+            b, fb = x, fx
+            bad, hit = np.isnan(fx), fx == 0.0
+            done = np.abs(b - a) <= rtol * np.abs(b)
+            stop = bad | hit | done
+            if not np.count_nonzero(stop):
+                continue
+            _record(failed, bad, QuadratureError,
+                    "root solve met the non-finite value {} at {}", fx, x, lanes=i)
+            roots[i[hit]] = x[hit]
+            done &= ~(bad | hit)
+            last = (a * fb - b * fa) / (fb - fa)
+            # f(a) or f(b) infinite gives no secant point
+            roots[i[done]] = np.where(np.isfinite(last), last, 0.5 * (a + b))[done]
+            keep = ~stop
+            i, a, b, fa, fb, ga = i[keep], a[keep], b[keep], fa[keep], fb[keep], ga[keep]
+        _record(failed, np.ones(i.size, dtype=bool), QuadratureError,
+                "root solve in [{}, {}] did not converge", a, b, lanes=i)
+    return roots, failed
 
 
 @dataclass(frozen=True)
@@ -210,12 +280,14 @@ class TurningPoints:
 def turning_points(params: Params, E, J) -> TurningPoints:
     """Solve U_eff(r) = E for the two radii bracketing the bound motion.
 
-    E and J are floats or 1-D arrays (broadcast together).  Every level is
-    classified here, for all potentials, in this order: a NaN energy is a
+    E and J are floats, giving floats, or 1-D arrays (broadcast together),
+    giving arrays whose lanes have the bits of scalar calls.  Every level is
+    classified, for all potentials, in this order: a NaN energy is a
     DomainError; one below the minimum U_0 = U_eff(r_c) (E = -inf included)
     is forbidden; one at or above the escape energy (E = +inf included) is
     unbounded; one at U_0 within its rounding floor gives the degenerate
-    pair (r_c, r_c).  On arrays each error names its first bad lane.
+    pair (r_c, r_c).  An array call raises the error of its first failing
+    lane, as a scalar call on that lane raises it, and names the lane.
 
     Kepler and the oscillator have closed forms in which the only
     subtraction is E - U_0 (Higham, Accuracy and Stability of Numerical
@@ -228,49 +300,52 @@ def turning_points(params: Params, E, J) -> TurningPoints:
                      r_min^2 r_max^2 = J^2/(m s^2 beta), beta = m omega^2
 
     They are evaluated elementwise in extended precision (see
-    :func:`_closed_form_radii`), so an array gives each lane the bits of a
-    scalar call.  The power law and the log potential solve each
-    non-circular lane with :func:`_solved_turning_points`.
+    :func:`_closed_form_radii`).  The power law and the log potential solve
+    all non-circular lanes at once with :func:`_solved_turning_points`.
     """
-    scalar = np.ndim(E) == 0 and np.ndim(J) == 0
-    if scalar:  # Python floats: the scan makes one call per cell
-        E, J, maximum = float(E), float(J), max
-    else:
-        E, J = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(J, dtype=float))
-        maximum = np.maximum
+    scalar, (E, J) = _as_lanes(E, J)
+    errors: dict = {}
+    r_min, r_max = _turning_points(params, E, J, errors)
+    _raise_first(errors, name_lane=not scalar)
+    if scalar:
+        return TurningPoints(r_min=float(r_min[0]), r_max=float(r_max[0]))
+    return TurningPoints(r_min=r_min, r_max=r_max)
+
+
+def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
+    """(r_min, r_max) of :func:`turning_points` on lanes: failed lanes hold
+    NaN and record their error in ``errors``."""
     m, s = params.m, params.geometry.s
-    r_c, u0 = _find_ueff_minimum(params, J)
-    _raise_at(E != E, DomainError, "energy is NaN")  # NaN != NaN, for floats and arrays
-    # rounding floor of E - U_eff near r_c, scaled by E and the terms of U_eff;
-    # infinite at E = -inf, which is tested on its own
-    k_c = J * J / (2.0 * m * s ** 2 * r_c * r_c)
-    tol_circ = 1e-13 * maximum(maximum(abs(u0), abs(E)), k_c)
-    _raise_at((E < u0 - tol_circ) | (E == -math.inf), ForbiddenEnergyError,
-              "E={} lies below the effective-potential minimum {}", E, u0)
+    r_c, u0 = _find_ueff_minimum(params, J, errors)
+    _record(errors, E != E, DomainError, "energy is NaN")  # NaN != NaN
     top = _escape_energy(params)
-    _raise_at(E >= top, UnboundedMotionError, "E={} at or above the escape energy {}", E, top)
-    circular = E - u0 <= tol_circ
+    with np.errstate(all="ignore"):
+        # rounding floor of E - U_eff near r_c, scaled by E and the terms of
+        # U_eff; infinite at E = -inf, which is tested on its own
+        k_c = J * J / (2.0 * m * s ** 2 * r_c * r_c)
+        tol_circ = 1e-13 * np.maximum(np.maximum(abs(u0), abs(E)), k_c)
+        _record(errors, (E < u0 - tol_circ) | (E == -math.inf), ForbiddenEnergyError,
+                "E={} lies below the effective-potential minimum {}", E, u0)
+        _record(errors, E >= top, UnboundedMotionError,
+                "E={} at or above the escape energy {}", E, top)
+        circular = E - u0 <= tol_circ
     if isinstance(params.potential, (Kepler, Oscillator)):
         r_min, r_max = _closed_form_radii(params, E, J)
         r_min = np.where(circular, r_c, r_min)
         r_max = np.where(circular, r_c, r_max)
-        _raise_at(np.logical_not((r_min > 0.0) & (r_max < math.inf)), StructuralError,
-                  "turning points of E={} lie outside the float range", E)
-    else:  # one root solve per non-circular lane; its radii lie in (0, inf)
-        lanes = [(E, J, r_c, circular)] if scalar else zip(
-            E.tolist(), J.tolist(), r_c.tolist(), circular.tolist())
-        radii = []
-        for i, (e, j, c, circ) in enumerate(lanes):
-            try:
-                radii.append((c, c) if circ else _solved_turning_points(params, e, j, c))
-            except ConeDynError as exc:
-                if scalar:
-                    raise
-                raise type(exc)(f"{exc} (lane {i})") from exc
-        r_min, r_max = radii[0] if scalar else np.array(radii).reshape(-1, 2).T
-    if scalar:
-        return TurningPoints(r_min=float(r_min), r_max=float(r_max))
-    return TurningPoints(r_min=r_min, r_max=r_max)
+        _record(errors, ~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
+                "turning points of E={} lie outside the float range", E)
+    else:  # one batched root solve for the non-circular lanes
+        r_min, r_max = r_c.copy(), r_c.copy()
+        lanes = np.flatnonzero(~circular & _alive(errors, E.size))
+        r_min[lanes], r_max[lanes], failed = _solved_turning_points(
+            params, E[lanes], J[lanes], r_c[lanes])
+        for i, exc in failed.items():
+            errors[int(lanes[i])] = exc
+    if errors:
+        alive = _alive(errors, E.size)
+        r_min, r_max = np.where(alive, r_min, math.nan), np.where(alive, r_max, math.nan)
+    return r_min, r_max
 
 
 # x87 80-bit on x86-64; plain double on some platforms, where the closed
@@ -305,30 +380,41 @@ def _closed_form_radii(params: Params, E, J):
         return r_min.astype(float), r_max.astype(float)
 
 
-def _solved_turning_points(params: Params, E: float, J: float, r_c: float) -> tuple[float, float]:
-    """(r_min, r_max) of one non-circular, bound level set by bracketed root
-    finding, for potentials without a closed form: from the circular radius
-    r_c the root is bracketed by doubling (outward) or halving (inward) the
-    radius, then solved to 1e-13 relative."""
+def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray):
+    """(r_min, r_max, failed) of non-circular, bound level sets, one lane
+    each, by bracketed root finding, for potentials without a closed form:
+    from the circular radius r_c the root is bracketed by doubling (outward)
+    or halving (inward) the radius, then solved to 1e-13 relative.
+    ``failed`` maps each failed lane to its QuadratureError."""
+    failed: dict = {}
 
-    def f(r: float) -> float:
+    def f(r, lanes):
         # r is r_c times a power of 2 or inside a positive bracket: no check needed
-        try:
-            return float(_effective_potential(params, J, r)) - E
-        except ArithmeticError as exc:
-            raise QuadratureError(f"U_eff({r}) is outside the float range") from exc
+        u, raised = _effective_potential_lanes(params, J[lanes], r)
+        _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
+                r, lanes=lanes)
+        return u - E[lanes]
 
-    def far_end(factor: float) -> float:
+    def far_end(factor: float, lanes: np.ndarray) -> np.ndarray:
         # terminates both ways: J != 0 makes U_eff blow up at the tip, and E
-        # is below the escape energy
+        # is below the escape energy; a lane whose U_eff fails stops on NaN
         r = r_c * factor
-        while f(r) <= 0.0:
-            r *= factor
+        while lanes.size:
+            lanes = lanes[f(r[lanes], lanes) <= 0.0]
+            r[lanes] *= factor
         return r
 
-    r_max = _root(f, r_c, far_end(2.0), rtol=1e-13)
-    r_min = _root(f, far_end(0.5), r_c, rtol=1e-13)
-    return r_min, r_max
+    r_max, r_min = np.full(E.size, math.nan), np.full(E.size, math.nan)
+    lanes = np.arange(E.size)
+    for factor, out in ((2.0, r_max), (0.5, r_min)):
+        far = far_end(factor, lanes)
+        lanes = lanes[_alive(failed, E.size)[lanes]]
+        ends = (r_c[lanes], far[lanes]) if factor > 1.0 else (far[lanes], r_c[lanes])
+        out[lanes], bad = _root(lambda x, i, lanes=lanes: f(x, lanes[i]), *ends, rtol=1e-13)
+        for i, exc in bad.items():
+            failed.setdefault(int(lanes[i]), exc)
+        lanes = lanes[_alive(failed, E.size)[lanes]]
+    return r_min, r_max, failed
 
 
 # --- Time integration ---
@@ -572,21 +658,17 @@ def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
     backward run (dt < 0).
     """
     r_h, p_h, phi_h = _interpolants(traj)
-    p = traj.p_r
-    t = traj.times
+    p, t = traj.p_r, traj.times
     forward = traj.dt > 0.0
-    events: list[ApsisEvent] = []
-    for i in range(len(p) - 1):
-        if p[i] == 0.0 or p[i] * p[i + 1] >= 0.0:
-            continue
-        t_star = _root(p_h, float(t[i]), float(t[i + 1]), rtol=1e-15)
-        # r falls before a perigee in sample order: p_r < 0 forward, > 0 backward
-        kind = "perigee" if (p[i] < 0.0) == forward else "apogee"
-        events.append(
-            ApsisEvent(time=float(t_star), kind=kind,
+    # one root-solve lane per sign change of p_r between samples
+    i = np.flatnonzero((p[:-1] != 0.0) & ~(p[:-1] * p[1:] >= 0.0))
+    times, failed = _root(lambda x, _: np.array([p_h(v) for v in x.tolist()]),
+                          t[i], t[i + 1], rtol=1e-15)
+    _raise_first(failed, name_lane=False)
+    # r falls before a perigee in sample order: p_r < 0 forward, > 0 backward
+    return [ApsisEvent(time=t_star, kind="perigee" if (p[k] < 0.0) == forward else "apogee",
                        r=float(r_h(t_star)), phi_unwrapped=float(phi_h(t_star)))
-        )
-    return events
+            for k, t_star in zip(i.tolist(), times.tolist())]
 
 
 def measure_apsidal_advance(traj: Trajectory) -> tuple[float, float]:

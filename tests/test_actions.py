@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn import bertrand
 from conedyn.errors import DomainError, StructuralError
 from helpers import RATIONAL_S, bound_energy, kepler_params, midwell_point, oscillator_params
 
@@ -86,6 +87,19 @@ class TestFrequencies:
         data = cd.frequencies(kepler_params(), -0.5, 1.0)
         assert data.i2 == 0.0
         assert data.ratio == pytest.approx(1.0, rel=1e-10)
+
+    def test_one_turning_point_solve_per_level(self, monkeypatch):
+        # the radial action, period and apsidal angle share one well
+        calls = []
+        solve = bertrand._turning_points
+        monkeypatch.setattr(bertrand, "_turning_points",
+                            lambda *args: calls.append(args) or solve(*args))
+        power = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=0.8),
+                          potential=cd.PowerLaw(amplitude=1.0, exponent=1.0))
+        for params, E in ((kepler_params(2, 3), -0.15), (power, 2.5)):
+            calls.clear()
+            cd.frequencies(params, E, 1.0)
+            assert len(calls) == 1
 
     def test_period_frequency_consistency(self):
         params = kepler_params(3, 4)

@@ -1,6 +1,8 @@
 """Apsidal-angle quadrature, harmonic limits, width law, and the exponent scan."""
 
+import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import conedyn as cd
 from conedyn.dynamics import _effective_d2
 from conedyn.actions import radial_action
-from conedyn.errors import CircularOrbitError, DomainError, QuadratureError
+from conedyn.errors import CircularOrbitError, ConeDynError, DomainError, QuadratureError
 from helpers import bound_energy, kepler_params, midwell_point, oscillator_params
 
 PI = math.pi
@@ -182,6 +184,26 @@ class TestCircularOrbit:
         with pytest.raises(DomainError):
             cd.circular_orbit(kepler_params(), 0.0)
 
+    def test_power_law_lanes_equal_float_evaluation(self):
+        # every lane of an array call has the bits of r_c and U_eff(r_c)
+        # evaluated on Python floats, which numpy's power misses in a few
+        # percent of lanes; the scalar call agrees
+        m, s = 1.3, 0.7
+        J = np.random.default_rng(8).uniform(0.2, 5.0, 2000)
+        for alpha in (-1.5, -0.5, 0.3, 1.0, 2.7):
+            amp = 1.0 if alpha > 0 else -1.0
+            params = cd.Params(m=m, geometry=cd.ConeGeometry(s=s),
+                               potential=cd.PowerLaw(amplitude=amp, exponent=alpha))
+            r_c, u0 = cd.circular_orbit(params, J)
+            want = []
+            for j in J.tolist():
+                rc = (j * j / (m * s * s * (amp * alpha))) ** (1.0 / (alpha + 2.0))
+                want.append((rc.hex(), (j * j / (2.0 * m * s * s * rc * rc)
+                                        + amp * rc ** alpha).hex()))
+            assert [(a.hex(), b.hex()) for a, b in zip(r_c.tolist(), u0.tolist())] == want
+            assert [tuple(v.hex() for v in cd.circular_orbit(params, j))
+                    for j in J[:20].tolist()] == want[:20]
+
 
 class TestSmallOscillation:
     def test_power_law_family(self):
@@ -289,12 +311,58 @@ class TestBertrandScan:
             assert report.verdicts[0].verdict == "infeasible"
             assert all("float range" in c.status for c in report.cells)
 
+    def test_cells_equal_one_lane_calls(self, caplog):
+        # each exponent's cells are the lanes of one batch: every cell has
+        # the bits, status and log records of its own apsidal_angle call.
+        # The grid meets every way a cell ends: no well (alpha = 0), a well
+        # bottom out of float range (alpha = -1.9999, lam = 2), a circular
+        # level (1e-16), a root solve that does not converge (Kepler at
+        # lam = 1e150), U_eff out of float range (alpha = 100, lam = 1e150),
+        # and the stagnation and endpoint-breach guards (1e-8, 1e-4)
+        params = kepler_params(2, 3)
+        caplog.set_level("DEBUG", logger="conedyn")
+        report = cd.bertrand_scan(params, [0.0, -1.9999, -1.0, 0.5, 100.0],
+                                  [1e-16, 1e-8, 1e-4, 0.3], [2.0, 1.0, 1e150])
+        scan_records = Counter(r.getMessage() for r in caplog.records)
+        caplog.clear()
+        s = params.geometry.s
+        for cell in report.cells:
+            if math.isnan(cell.E):
+                continue
+            alpha = cell.family_param
+            pot = cd.PowerLaw(amplitude=1.0 if alpha > 0 else -1.0, exponent=alpha)
+            try:
+                res = cd.apsidal_angle(replace(params, potential=pot), cell.E, cell.lam * s)
+            except ConeDynError as exc:
+                assert cell.status == f"infeasible: {exc}"
+                continue
+            assert cell.status == "ok"
+            assert cell.s_delta_phi.hex() == (res.delta_phi * s).hex()
+        assert Counter(r.getMessage() for r in caplog.records) == scan_records
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 7
+        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 3
+        # the statuses and bits of the cells before batching
+        status = {"o": "ok",
+                  "m": "effective potential has no interior minimum for these parameters",
+                  "f": "minimum of U_eff lies outside the float range",
+                  "c": "level set is circular (r_min = r_max within tolerance); "
+                       "use small_oscillation_freq for the degenerate limit",
+                  "r": "root solve in [1.0010415475915504e+154, 1.244603055572228e+240] "
+                       "did not converge",
+                  "u": "U_eff(1669.5468984228312) is outside the float range"}
+        codes = "mmmm mmmm mmmm ffff ffff ffff cooo cooo crrr cooo cooo cooo cooo cooo cuuu"
+        assert [c.status for c in report.cells] == [
+            status[k] if k == "o" else f"infeasible: {status[k]}" for k in codes.replace(" ", "")]
+        bits = repr([(c.E.hex(), c.s_delta_phi and c.s_delta_phi.hex()) for c in report.cells])
+        assert hashlib.sha256(bits.encode()).hexdigest() == (
+            "824c3fb915e5201aaea882dbd58836f989f8e49fd938d0f7a36d7a2ac92db4b8")
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ConeDynError marks a cell infeasible; anything else is a bug
         def broken(*args, **kwargs):
             raise TypeError("bug in the quadrature")
 
-        monkeypatch.setattr("conedyn.bertrand.apsidal_angle", broken)
+        monkeypatch.setattr("conedyn.bertrand._apsidal_lanes", broken)
         with pytest.raises(TypeError, match="bug in the quadrature"):
             cd.bertrand_scan(kepler_params(), [-1.0], [0.3], [1.0])
 

@@ -68,6 +68,16 @@ class TestEffectivePotential:
                 cd.effective_potential(kepler_params(), 1.0, r)
 
 
+def _root_one_lane(f, a, b, rtol):
+    """dynamics._root on one lane of the scalar function f: its root, or its
+    error raised."""
+    roots, failed = dynamics._root(lambda x, _: np.array([f(v) for v in x.tolist()]),
+                                   np.array([a]), np.array([b]), rtol)
+    if failed:
+        raise failed[0]
+    return roots[0]
+
+
 class TestTurningPoints:
     def test_kepler_quadratic_roots(self):
         tp = cd.turning_points(kepler_params(), -0.375, 1.0)
@@ -129,27 +139,23 @@ class TestTurningPoints:
             assert tp.r_min == pytest.approx(math.sqrt(J * J / (ms2 * q)), rel=1e-12)
 
     def test_root_failures_are_typed(self):
-        from conedyn.dynamics import _root
-
         with pytest.raises(QuadratureError, match="not bracketed"):
-            _root(lambda x: x, 1.0, 2.0, 1e-13)
+            _root_one_lane(lambda x: x, 1.0, 2.0, 1e-13)
         with pytest.raises(QuadratureError, match="non-finite"):
-            _root(lambda x: x - 1.5 if x in (1.0, 2.0) else math.nan, 1.0, 2.0, 1e-13)
+            _root_one_lane(lambda x: x - 1.5 if x in (1.0, 2.0) else math.nan, 1.0, 2.0, 1e-13)
         # a tolerance below the float spacing cannot be met
         with pytest.raises(QuadratureError, match="did not converge"):
-            _root(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
+            _root_one_lane(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
 
     def test_root_edge_values(self):
-        from conedyn.dynamics import _root
-
         # f(a) * f(b) underflows to 0 here; the sign change is still found
-        x = _root(lambda x: (x - 1.5) * 1e-200, 1.0, 2.0, 1e-13)
+        x = _root_one_lane(lambda x: (x - 1.5) * 1e-200, 1.0, 2.0, 1e-13)
         assert x == pytest.approx(1.5, rel=1e-13)
         # an infinite value at the end kept to the last step gives no NaN
-        x = _root(lambda x: math.inf if x <= 1.0 else -1.0, 1.0, 2.0, 1e-13)
+        x = _root_one_lane(lambda x: math.inf if x <= 1.0 else -1.0, 1.0, 2.0, 1e-13)
         assert x == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(QuadratureError, match="not bracketed"):
-            _root(lambda x: x - 1.5, 1.0, math.inf, 1e-13)
+            _root_one_lane(lambda x: x - 1.5, 1.0, math.inf, 1e-13)
 
     def test_float_range_is_structural(self):
         # r_c = 2^10000 overflows; r_c = 1e-200^2 leaves J^2/r_c^2 infinite

@@ -23,7 +23,7 @@ def _reference_point(rng, params):
         E = e_c + f * (top - e_c)
     else:
         E = e_c + f * 2.0 * max(abs(e_c), 1.0)
-    r_min, r_max = _solved_turning_points(params, E, J, r_c)
+    (r_min,), (r_max,), _ = _solved_turning_points(params, *np.array([[E], [J], [r_c]]))
     u = float(rng.uniform(0.05, 0.95))
     r = r_min + u * (r_max - r_min)
     kinetic = E - float(cd.effective_potential(params, J, r))
