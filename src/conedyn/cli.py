@@ -95,9 +95,18 @@ def _initial_point(cfg: RunConfig) -> PhasePoint:
 _JSON_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
-def _json_cell(t: type):
+class _JsonStrings(dict):
+    """JSON renderings of strings, each rendered once and then looked up."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = out = encode_basestring_ascii(text)
+        return out
+
+
+def _json_cell(t: type, strings: _JsonStrings):
     """How json.dumps renders a value of type t: None where the line
-    template's %r already does (float and int), else a function."""
+    template's %r already does (float and int), else a function; strings
+    come from ``strings``."""
     if t is float or t is int:
         return None
     if issubclass(t, float):
@@ -107,7 +116,7 @@ def _json_cell(t: type):
     if issubclass(t, int):
         return int.__repr__
     if issubclass(t, str):
-        return encode_basestring_ascii
+        return strings.__getitem__
     return _JSON_COMPACT.encode
 
 
@@ -118,9 +127,10 @@ def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]
     CSV renders floats (numpy's included) with 17 significant digits, which
     round-trip exactly, and any other cell with str().  A JSONL line equals
     ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``: floats
-    and ints go through %r, other cells through json's own renderers, and a
-    line in which "nan" or "inf" appears (a non-finite float, or those
-    letters in a key or string) is rendered by json.dumps itself.
+    and ints go through %r, other cells through json's own renderers (each
+    distinct string is rendered once per call), and a line in which "nan" or
+    "inf" appears (a non-finite float, or those letters in a key or string)
+    is rendered by json.dumps itself.
     """
     templates: dict = {}  # line template (and JSON cell renderers) per cell types
     with open(path, "w", encoding="utf-8") as f:
@@ -136,13 +146,14 @@ def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]
                     ) + "\n"
                 f.write(line % row)
             return
+        strings = _JsonStrings()
         keys = [encode_basestring_ascii(key).replace("%", "%%") + ":" for key in header]
         for row in rows:
             row = tuple(row)
             types = tuple(map(type, row))
             entry = templates.get(types)
             if entry is None:
-                cells = list(map(_json_cell, types))
+                cells = [_json_cell(t, strings) for t in types]
                 line = ",".join(key + ("%r" if c is None else "%s") for key, c in zip(keys, cells))
                 renders = [(i, c) for i, c in enumerate(cells) if c is not None]
                 entry = templates[types] = ("{" + line + "}\n", renders)

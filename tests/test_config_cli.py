@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn import cli
 from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
 from conedyn.errors import ConfigError
@@ -256,6 +258,31 @@ class TestCli:
         expected = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
                            for row in rows)
         assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_jsonl_strings_rendered_once_per_call(self, tmp_path, monkeypatch):
+        # verify-algebra repeats eight (bracket, role, note) triples on every
+        # row: each distinct string is rendered once per call, and every
+        # line still equals json.dumps
+        rendered = Counter()
+
+        def counting(text):
+            rendered[text] += 1
+            return json.encoder.encode_basestring_ascii(text)
+
+        monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+        header = ["i", "bracket", "x", "note"]
+        rows = [[i, "{H,Z}" if i % 2 else "{J,Z}", i / 7, "é ok"] for i in range(50)]
+        rows += [[50, "é ok", 1.5, "{H,Z}"], [51, "a", 2.5, "nan cell"]]
+        for call in range(2):
+            out = tmp_path / f"rows{call}.jsonl"
+            _write_rows(str(out), "jsonl", header, rows)
+            expected = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                               for row in rows)
+            assert out.read_bytes() == expected.encode("utf-8")
+        # the keys and the five distinct strings, once per call ("nan cell"
+        # also puts its line through json.dumps, which renders it again there)
+        assert rendered == Counter(
+            {text: 2 for text in header + ["{H,Z}", "{J,Z}", "é ok", "a", "nan cell"]})
 
     def test_bertrand_scan_cli(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")
