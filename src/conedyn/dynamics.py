@@ -3,15 +3,19 @@
 The time integration works in the reduced polar coordinates (r, p_r): J is a
 parameter of the reduced flow and conserved exactly by construction, and phi
 is reconstructed by quadrature alongside.  The kick-drift-kick stepper is
-second order and symplectic in (r, p_r); it is one pure-Python loop that
-keeps its whole state in locals.  It evaluates the radial force once per
-step: the closing half-kick's force is reused as the next opening one (the
+second order and symplectic in (r, p_r).  It is one pure-Python loop
+source, compiled once per potential class with that class's force written
+in, that keeps its whole state in locals.  It evaluates the radial force
+once per step: the closing half-kick is reused as the next opening one (the
 first-same-as-last property of Stormer-Verlet), which is bit-identical to
-evaluating it twice.
+evaluating it twice.  The loop only records each new radius; per block of
+steps, numpy forms the angle increments and sums them in order, which is
+bit-identical to the running sum, so memory stays at one block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -460,41 +464,98 @@ class Trajectory:
         )
 
 
-def _vprime(params: Params):
-    """V'(r) for the stepper: one closure per potential, constants bound."""
-    pot = params.potential
-    if isinstance(pot, Kepler):
-        kappa = pot.kappa
+# V'(r) for each potential class, spliced into the stepper loop as source,
+# with r2 = r * r at hand, and its constants (c, p) from the potential and m.
+_FORCE = {
+    Kepler: ("c / r2", lambda pot, m: (pot.kappa, 0.0)),
+    Oscillator: ("c * r", lambda pot, m: (pot.beta(m), 0.0)),
+    PowerLaw: ("c * r ** p", lambda pot, m: (pot.amplitude * pot.exponent,
+                                             pot.exponent - 1.0)),
+    LogPotential: ("c / r", lambda pot, m: (pot.strength, 0.0)),
+}
 
-        def vprime(x):
-            return kappa / (x * x)
-    elif isinstance(pot, Oscillator):
-        beta = pot.beta(params.m)
+# Steps per angle block: bounds the stepper's buffers at about 1 MB whatever
+# n_steps and sample_every are.
+_BLOCK = 1 << 16
 
-        def vprime(x):
-            return beta * x
-    elif isinstance(pot, PowerLaw):
-        a_alpha, alpha_m1 = pot.amplitude * pot.exponent, pot.exponent - 1.0
+_LOOP = """\
+def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
+        out_r, out_pr, out_phi):
+    half_dt = 0.5 * dt
+    cent = (J * J) / ms2
+    radii = np.empty(block + 1)  # r before and after each step of a block
+    store = memoryview(radii)    # item stores cheaper than numpy's or array's
+    dphi = np.empty(block + 1)
+    i = 0                # steps before the current block
+    k = 1                # next sample
+    left = sample_every  # steps to the next sample
+    j = 1                # the opening force belongs to step 0
+    try:
+        r2 = r * r
+        kick = half_dt * (cent / (r2 * r) - ({force}))
+        while i < n_steps:
+            n = min(block, n_steps - i)
+            store[0] = r
+            done = 0
+            while done < n:
+                stop = done + min(left, n - done)
+                for j in range(done + 1, stop + 1):
+                    p_r += kick
+                    r += dt * (p_r / m)
+                    if not r > 0.0:
+                        raise TipCollisionError(step_index=i + j - 1)
+                    store[j] = r
+                    r2 = r * r
+                    kick = half_dt * (cent / (r2 * r) - ({force}))
+                    p_r += kick
+                left -= stop - done
+                done = stop
+                if not left:
+                    out_r[k] = r
+                    out_pr[k] = p_r
+                    k += 1
+                    left = sample_every
+            # phi += dt * (J / (ms2 * (r_mid * r_mid))) per step, summed in order
+            with np.errstate(all="ignore"):
+                d = dphi[1:n + 1]
+                np.add(radii[:n], radii[1:n + 1], out=d)
+                d *= 0.5
+                d *= d
+                d *= ms2
+                np.divide(J, d, out=d)
+                d *= dt
+            dphi[0] = phi
+            np.add.accumulate(dphi[:n + 1], out=dphi[:n + 1])
+            phi = float(dphi[n])
+            lo = i // sample_every + 1
+            hi = (i + n) // sample_every + 1
+            out_phi[lo:hi] = dphi[lo * sample_every - i:n + 1:sample_every]
+            i += n
+    except ArithmeticError as exc:
+        raise DomainError(f"radial force at step {i + j - 1} is outside the float "
+                          f"range (r={r!r})") from exc
+"""
 
-        def vprime(x):
-            return a_alpha * x ** alpha_m1
-    elif isinstance(pot, LogPotential):
-        strength = pot.strength
 
-        def vprime(x):
-            return strength / x
-    else:
-        raise StructuralError(f"unsupported potential {type(pot).__name__}")
-    return vprime
+@functools.cache
+def _stepper(kind: type):
+    """The stepper loop with the force of potential class ``kind`` spliced
+    in, compiled once per class (as dataclasses builds ``__init__``)."""
+    namespace = {"np": np, "DomainError": DomainError,
+                 "TipCollisionError": TipCollisionError}
+    source = _LOOP.replace("{force}", _FORCE[kind][0])
+    exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_every: int):
     """Advance ``n_steps`` kick-drift-kick steps from ``pt``, sampling every
     ``sample_every``; sample 0 is the initial state.
 
-    Returns the sampled (r, p_r, unwrapped phi) arrays.  A drift that leaves
-    the r > 0 half-line (or gives NaN) raises TipCollisionError with its
-    step index.
+    Returns the sampled (r, p_r, unwrapped phi) arrays.  A start point with
+    a non-finite H is a DomainError, and so is a force outside the float
+    range, with its step index.  A drift that leaves the r > 0 half-line
+    (or gives NaN) raises TipCollisionError with its step index.
     """
     if dt == 0.0 or not math.isfinite(dt):
         raise DomainError(f"dt must be nonzero and finite, got {dt}")
@@ -505,39 +566,27 @@ def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_
         raise DomainError("n_steps and sample_every must be >= 1")
     if n_steps % sample_every != 0:
         raise DomainError("n_steps must be a multiple of sample_every")
-    vprime = _vprime(params)
+    pot, m = params.potential, params.m
+    kind = next((k for k in type(pot).__mro__ if k in _FORCE), None)
+    if kind is None:
+        raise StructuralError(f"unsupported potential {type(pot).__name__}")
+    with np.errstate(all="ignore"):
+        h0 = hamiltonian(params, np.float64(pt.r), pt.p_r, pt.J)
+    if not np.isfinite(h0):
+        raise DomainError(f"start point has non-finite energy H={h0}")
 
     n_samples = n_steps // sample_every + 1
     out_r = np.empty(n_samples)
     out_pr = np.empty(n_samples)
     out_phi = np.empty(n_samples)
-    r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
-    m, s = params.m, params.geometry.s
-    ms2 = m * s * s
-    cent = (J * J) / ms2
-    half_dt = 0.5 * dt
-    out_r[0] = r
-    out_pr[0] = p_r
-    out_phi[0] = phi
-
-    # The closing half-kick's force is the next step's opening force (same
-    # expression at the same r), so each step evaluates it once.
-    force = cent / (r * r * r) - vprime(r)
-    for k in range(1, n_samples):
-        first = (k - 1) * sample_every
-        for i in range(first, first + sample_every):
-            p_r = p_r + half_dt * force
-            r_new = r + dt * (p_r / m)
-            if not (r_new > 0.0):
-                raise TipCollisionError(step_index=i)
-            r_mid = 0.5 * (r + r_new)
-            phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
-            r = r_new
-            force = cent / (r * r * r) - vprime(r)
-            p_r = p_r + half_dt * force
-        out_r[k] = r
-        out_pr[k] = p_r
-        out_phi[k] = phi
+    out_r[0] = pt.r
+    out_pr[0] = pt.p_r
+    out_phi[0] = pt.phi
+    c, p = _FORCE[kind][1](pot, m)
+    s = params.geometry.s
+    n_steps, sample_every = int(n_steps), int(sample_every)
+    _stepper(kind)(pt.r, pt.p_r, pt.phi, pt.J, m, m * s * s, c, p, dt, n_steps,
+                   sample_every, min(_BLOCK, n_steps), out_r, out_pr, out_phi)
     return out_r, out_pr, out_phi
 
 
@@ -576,7 +625,8 @@ def integrate(
     out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every)
     n_samples = len(out_r)
     times = dt * sample_every * np.arange(n_samples)
-    series_h = hamiltonian(params, out_r, out_pr, pt0.J)
+    with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
+        series_h = hamiltonian(params, out_r, out_pr, pt0.J)
     return Trajectory(
         params=params,
         dt=dt,

@@ -216,6 +216,25 @@ class TestCli:
         assert expected % 10 not in (0, 9)
         assert summary["results"]["step_index"] == expected
 
+    def test_force_overflow_is_domain_error(self, tmp_path, capsys):
+        # the first drift carries r to 1e148, where r ** 3 overflows
+        doc = _simulate_doc(str(tmp_path / "t.csv"))
+        doc["params"]["potential"] = {"kind": "power_law", "amplitude": 1.0, "exponent": 4.0}
+        doc["initial"] = {"point": {"r": 1.0, "phi": 0.0, "p_r": 1e150, "J": 1.0}}
+        doc["integrator"] = {"dt": 1e-2, "n_steps": 1000, "sample_every": 10}
+        code = main(["simulate", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 3
+        assert "radial force at step 0 is outside the float range" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_non_finite_start_energy_rejected(self, tmp_path, capsys):
+        doc = _simulate_doc(str(tmp_path / "t.csv"))
+        doc["initial"] = {"point": {"r": 1.0, "phi": 0.0, "p_r": 1e300, "J": 1.0}}
+        code = main(["simulate", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 3
+        assert "non-finite energy H=inf" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_csv_rows_render_like_per_cell_format(self, tmp_path):
         # actions-style rows: an error row, a rational row with int p/q, a
         # non-rational row with "", plus edge floats and numpy scalars

@@ -3,6 +3,8 @@
 import decimal
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,8 +330,9 @@ class TestStep:
 
 def _reference_kdk(params, pt, dt, n_steps, sample_every):
     """The stepper loop as first written: two force evaluations per step and
-    a modulo test for sampling.  Returns sampled (r, p_r, unwrapped phi)."""
-    vprime = dynamics._vprime(params)
+    a modulo test for sampling, the angle summed step by step and V' from
+    the potential's own d1.  Returns sampled (r, p_r, unwrapped phi)."""
+    pot = params.potential
     m, s = params.m, params.geometry.s
     ms2 = m * s * s
     r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
@@ -337,16 +340,24 @@ def _reference_kdk(params, pt, dt, n_steps, sample_every):
     half_dt = 0.5 * dt
     samples = [(r, p_r, phi)]
     for i in range(n_steps):
-        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        p_r = p_r + half_dt * (cent / (r * r * r) - pot.d1(r, m))
         r_new = r + dt * (p_r / m)
         assert r_new > 0.0
         r_mid = 0.5 * (r + r_new)
         phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
         r = r_new
-        p_r = p_r + half_dt * (cent / (r * r * r) - vprime(r))
+        p_r = p_r + half_dt * (cent / (r * r * r) - pot.d1(r, m))
         if (i + 1) % sample_every == 0:
             samples.append((r, p_r, phi))
     return np.array(samples).T
+
+
+def _assert_equals_reference(params, pt, dt, n_steps, sample_every):
+    traj = cd.integrate(params, pt, dt, n_steps, sample_every)
+    ref_r, ref_pr, ref_phi = _reference_kdk(params, pt, dt, n_steps, sample_every)
+    assert traj.r.tobytes() == ref_r.tobytes()
+    assert traj.p_r.tobytes() == ref_pr.tobytes()
+    assert traj.phi_unwrapped.tobytes() == ref_phi.tobytes()
 
 
 class TestIntegrate:
@@ -356,18 +367,48 @@ class TestIntegrate:
         cd.PowerLaw(amplitude=0.8, exponent=1.5),
         cd.LogPotential(strength=1.0, r0=1.0),
     ], ids=["kepler", "oscillator", "power_law", "log"])
-    def test_kernel_bitwise_equals_reference_loop(self, potential):
-        for (k, n), dt, J, sample_every in itertools.product(
-            ((1, 1), (2, 3)), (2e-3, -2e-3), (1.0, -1.0), (1, 7)
+    def test_kernel_bitwise_equals_reference_loop(self, potential, monkeypatch):
+        # m = 1.7 makes p_r / m inexact
+        for (k, n), dt, J, sample_every, m in itertools.product(
+            ((1, 1), (2, 3)), (2e-3, -2e-3), (1.0, -1.0), (1, 7), (1.0, 1.7)
         ):
-            params = cd.Params(m=1.0, geometry=cd.ConeGeometry.from_rational(k, n),
+            params = cd.Params(m=m, geometry=cd.ConeGeometry.from_rational(k, n),
                                potential=potential)
-            pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=J)
-            traj = cd.integrate(params, pt, dt, 1400, sample_every)
-            ref_r, ref_pr, ref_phi = _reference_kdk(params, pt, dt, 1400, sample_every)
-            assert traj.r.tobytes() == ref_r.tobytes()
-            assert traj.p_r.tobytes() == ref_pr.tobytes()
-            assert traj.phi_unwrapped.tobytes() == ref_phi.tobytes()
+            _assert_equals_reference(params, cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=J),
+                                     dt, 1400, sample_every)
+        # the angle is summed per block of steps: cross block boundaries with
+        # several samples per block and with samples split across blocks
+        params = cd.Params(m=1.7, geometry=cd.ConeGeometry.from_rational(2, 3),
+                           potential=potential)
+        pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
+        _assert_equals_reference(params, pt, 2e-3, 140_000, 70_000)
+        monkeypatch.setattr(dynamics, "_BLOCK", 64)
+        for sample_every in (1, 7, 150):
+            _assert_equals_reference(params, pt, 2e-3, 1050, sample_every)
+
+    def test_angle_past_float_range_equals_reference_loop(self):
+        # r_mid * r_mid overflows to inf, so every angle increment is 0, as
+        # Python floats give it, and numpy warns about nothing
+        params = kepler_params(2, 3)
+        pt = cd.PhasePoint(r=1e160, phi=0.3, p_r=-1e153, J=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sample_every in (1, 9):
+                _assert_equals_reference(params, pt, 1e5, 90, sample_every)
+
+    def test_memory_bounded_by_one_block(self):
+        # without blocks, one radius and one angle increment per step would
+        # need about 16 MB
+        params = kepler_params()
+        pt = perigee_point(params, -0.375, 1.0)
+        cd.integrate(params, pt, 1e-3, 10, 10)  # compile the loop outside the trace
+        tracemalloc.start()
+        try:
+            cd.integrate(params, pt, 1e-3, 1_000_000, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_j_series_bitwise_constant(self):
         params = kepler_params(2, 3)
