@@ -28,7 +28,6 @@ from .dynamics import (
     energy,
     integrate,
     measure_apsidal_advance,
-    step,
     trajectory_apsides,
     turning_points,
 )

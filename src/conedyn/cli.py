@@ -21,8 +21,9 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import chain
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,7 +41,8 @@ from .errors import (
     TipCollisionError,
 )
 from .sampling import draw_bound_points
-from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
+from .symmetry import (BRACKET_OF_ROW, CHECK_ROWS, W_ALGEBRA_ROWS, ZERO_RIGHT_SIDE_ROWS, _steps,
+                       phase_invariants, w_algebra_table)
 
 log = logging.getLogger("conedyn")
 
@@ -93,81 +95,98 @@ def _initial_point(cfg: RunConfig) -> PhasePoint:
 
 
 _JSON_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK_LINES = 512  # lines per %: bounds the text and lists held at once
 
 
-class _JsonStrings(dict):
-    """JSON renderings of strings, each rendered once and then looked up."""
+class _Fixed(NamedTuple):
+    """A cell with one value on every row of a file."""
 
-    def __missing__(self, text: str) -> str:
-        self[text] = out = encode_basestring_ascii(text)
+    value: object
+
+
+def _csv_cell(value) -> str:
+    """A cell as csv.writer renders it (QUOTE_MINIMAL), but with floats,
+    numpy's included, to 17 significant digits."""
+    text = "%.17g" % value if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_cell(value) -> str:
+    """A value as json.dumps renders it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return _JSON_COMPACT.encode(value)
+
+
+def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence],
+                blocks: Iterable[Sequence]) -> None:
+    """Write records of rows as CSV, or as JSONL objects keyed by ``header``.
+
+    A record is one row per entry of ``lines``, and each entry lists a row's
+    cells: an int picks that column of the block, a :class:`_Fixed` holds
+    the cell's value for the whole file.  ``blocks`` yields lists of columns
+    of equal length, one record per index.  CSV renders floats with 17
+    significant digits, which round-trip exactly, and other cells with
+    str(), quoted as csv.writer quotes them.  A JSONL line equals
+    ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``.
+
+    Each cell is rendered once: a fixed cell and each distinct string once
+    per call, a float column that a record uses twice once per record.  The
+    numbers of a numpy column go straight into one ``%`` per
+    ``_CHUNK_LINES`` lines; in JSONL, a column in which one np.isfinite per
+    block finds a non-finite number gets json's names for those cells.
+    """
+    csv_out = fmt == "csv"
+    render = _csv_cell if csv_out else _json_cell
+    number = "%.17g" if csv_out else "%s"  # str(float) is repr, as json has it
+    strings: dict[str, str] = {}
+
+    def cell(value) -> str:
+        if type(value) is not str:
+            return render(value)
+        out = strings.get(value)
+        if out is None:
+            out = strings[value] = render(value)
         return out
 
-
-def _json_cell(t: type, strings: _JsonStrings):
-    """How json.dumps renders a value of type t: None where the line
-    template's %r already does (float and int), else a function; strings
-    come from ``strings``."""
-    if t is float or t is int:
-        return None
-    if issubclass(t, float):
-        return float.__repr__
-    if t is bool:
-        return {True: "true", False: "false"}.__getitem__
-    if issubclass(t, int):
-        return int.__repr__
-    if issubclass(t, str):
-        return strings.__getitem__
-    return _JSON_COMPACT.encode
-
-
-def _write_rows(path: str, fmt: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write rows as CSV, or as JSONL objects keyed by ``header``.
-
-    Each tuple of cell types gets one line template, built on first use.
-    CSV renders floats (numpy's included) with 17 significant digits, which
-    round-trip exactly, and any other cell with str().  A JSONL line equals
-    ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``: floats
-    and ints go through %r, other cells through json's own renderers (each
-    distinct string is rendered once per call), and a line in which "nan" or
-    "inf" appears (a non-finite float, or those letters in a key or string)
-    is rendered by json.dumps itself.
-    """
-    templates: dict = {}  # line template (and JSON cell renderers) per cell types
+    refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
+    used = sorted(set(refs))
+    keys = [cell(key).replace("%", "%%") + ":" for key in header]
+    per_chunk = max(1, _CHUNK_LINES // len(lines))
     with open(path, "w", encoding="utf-8") as f:
-        if fmt == "csv":
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                row = tuple(row)
-                types = tuple(map(type, row))
-                line = templates.get(types)
-                if line is None:
-                    line = templates[types] = ",".join(
-                        "%.17g" if issubclass(t, float) else "%s" for t in types
-                    ) + "\n"
-                f.write(line % row)
-            return
-        strings = _JsonStrings()
-        keys = [encode_basestring_ascii(key).replace("%", "%%") + ":" for key in header]
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            entry = templates.get(types)
-            if entry is None:
-                cells = [_json_cell(t, strings) for t in types]
-                line = ",".join(key + ("%r" if c is None else "%s") for key, c in zip(keys, cells))
-                renders = [(i, c) for i, c in enumerate(cells) if c is not None]
-                entry = templates[types] = ("{" + line + "}\n", renders)
-            line, renders = entry
-            if renders:
-                cells = list(row)
-                for i, render in renders:
-                    cells[i] = render(cells[i])
-                line %= tuple(cells)
-            else:
-                line %= row
-            if "nan" in line or "inf" in line:
-                line = json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-            f.write(line)
+        if csv_out:
+            f.write(",".join(map(cell, header)) + "\n")
+        for block in blocks:
+            kinds = {j: block[j].dtype.kind if isinstance(block[j], np.ndarray) else "O"
+                     for j in used}
+            # floats go raw into the %, but those a record repeats are rendered first
+            repeated = {j for j in used if kinds[j] == "f" and refs.count(j) > 1}
+            fix = set() if csv_out else {
+                j for j in used if kinds[j] == "f" and not np.isfinite(block[j]).all()}
+            pieces = [[cell(c.value).replace("%", "%%") if isinstance(c, _Fixed)
+                       else number if kinds[c] == "f" and c not in repeated else "%s"
+                       for c in line] for line in lines]
+            template = "".join(
+                ",".join(p) + "\n" if csv_out
+                else "{" + ",".join(map(str.__add__, keys, p)) + "}\n" for p in pieces)
+            count = len(block[0])
+            for a in range(0, count, per_chunk):
+                cols = {}
+                for j in used:
+                    part = block[j][a:a + per_chunk]
+                    if kinds[j] not in "fiu":
+                        cols[j] = list(map(cell, part))
+                        continue
+                    values = part.tolist()
+                    if j in fix:
+                        for i in np.flatnonzero(~np.isfinite(part)).tolist():
+                            values[i] = _JSON_NONFINITE[repr(values[i])]
+                    cols[j] = list(map(number.__mod__, values)) if j in repeated else values
+                values = chain.from_iterable(zip(*[cols[j] for j in refs]))
+                f.write(template * min(per_chunk, count - a) % tuple(values))
 
 
 def _resolve_output(cfg: RunConfig, args) -> tuple[str, str]:
@@ -197,12 +216,13 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
 
     with_z = _supports_global_invariant(params)
     header = ["t", "r", "phi", "p_r", "J", "H"] + (["Z_re", "Z_im"] if with_z else [])
-    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_J, traj.series_H]
+    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_H]
     if with_z:
         inv = phase_invariants(params, traj.r, traj.phi, traj.p_r, traj.series_J)
         columns += [inv.z_re, inv.z_im]
-    # rows stream as tuples of Python floats, with no (samples, columns) copy
-    _write_rows(path, fmt, header, zip(*(c.tolist() for c in columns)))
+    # the stepper never changes J: series_J is np.full of the start J
+    line = [0, 1, 2, 3, _Fixed(float(traj.series_J[0]))] + list(range(4, len(columns)))
+    _write_rows(path, fmt, header, [line], [columns])
 
     h0 = float(traj.series_H[0])
     h_drift = float(np.abs(traj.series_H - h0).max()) / max(abs(h0), 1e-300)
@@ -240,10 +260,11 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         max_refinements=cfg.quadrature.max_refinements,
     )
     header = ["family_param", "E", "lambda", "s_delta_phi", "status"]
-    rows = [[c.family_param, c.E, c.lam,
-             c.s_delta_phi if c.s_delta_phi is not None else math.nan, c.status]
-            for c in report.cells]
-    _write_rows(path, fmt, header, rows)
+    numbers = np.array([[c.family_param, c.E, c.lam,
+                         c.s_delta_phi if c.s_delta_phi is not None else math.nan]
+                        for c in report.cells])
+    _write_rows(path, fmt, header, [range(5)],
+                [[*numbers.T, [c.status for c in report.cells]]])
 
     n_ok = sum(1 for c in report.cells if c.status == "ok")
     results: dict = {
@@ -307,7 +328,7 @@ def cmd_actions(cfg: RunConfig, args) -> RunSummary:
         n_ok += 1
         log.info("level (E=%g, J=%g): ratio=%.12g rational=%s", E, J, data.ratio,
                  (ra.p, ra.q) if ra else None)
-    _write_rows(path, fmt, header, rows)
+    _write_rows(path, fmt, header, [range(len(header))], [list(zip(*rows))])
     results = {
         "output": path,
         "records_ok": n_ok,
@@ -340,26 +361,29 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:
     _steps(coords, h)  # a point too near the tip fails here, before any row is written
     header = ["point_index", "bracket", "value_re", "value_im",
               "expected_re", "expected_im", "abs_err", "rel_err", "h", "role", "note"]
-    names, roles, notes = (list(col) for col in zip(*W_ALGEBRA_ROWS))
+    # a block's columns are the point index, then each table field's eight
+    # rows; a row's value is read from the first row of its bracket
+    first = [BRACKET_OF_ROW.index(b) for b in BRACKET_OF_ROW]
+    lines = []
+    for k, (name, role, note) in enumerate(W_ALGEBRA_ROWS):
+        cells = [1 + 8 * field + row for field, row in enumerate([first[k]] * 2 + [k] * 4)]
+        if k in ZERO_RIGHT_SIDE_ROWS:
+            cells[2:4] = [_Fixed(0.0)] * 2
+        lines.append([0, _Fixed(name), *cells, _Fixed(h), _Fixed(role), _Fixed(note)])
     worst = np.zeros(len(CHECK_ROWS))
     match_counts: Counter[str] = Counter()
 
-    def rows():
-        # blocks of points bound the table's memory; rows stream point by point
+    def blocks():
+        # blocks of points bound the table's memory
         for start in range(0, n_points, _ALGEBRA_BLOCK):
             table = w_algebra_table(params, *coords[:, start:start + _ALGEBRA_BLOCK], h)
             count = table.zzbar_match.size
             np.maximum(worst, table.rel_err[list(CHECK_ROWS)].max(axis=1), out=worst)
             match_counts.update(table.zzbar_match.tolist())
-            yield from zip(
-                np.repeat(np.arange(start, start + count), len(names)).tolist(),
-                names * count,
-                *(col.T.ravel().tolist() for col in table[:6]),
-                repeat(h), roles * count, notes * count,
-            )
+            yield [np.arange(start, start + count), *(row for field in table[:6] for row in field)]
 
-    _write_rows(path, fmt, header, rows())
-    worst_by_name = {names[i]: err for i, err in zip(CHECK_ROWS, worst.tolist())}
+    _write_rows(path, fmt, header, lines, blocks())
+    worst_by_name = {W_ALGEBRA_ROWS[i][0]: err for i, err in zip(CHECK_ROWS, worst.tolist())}
     results = {
         "output": path,
         "n_points": n_points,

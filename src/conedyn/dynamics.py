@@ -590,18 +590,6 @@ def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_
     return out_r, out_pr, out_phi
 
 
-def step(params: Params, pt: PhasePoint, dt: float) -> PhasePoint:
-    """One kick-drift-kick step of the reduced system.
-
-    Half-kick p_r, drift r (advancing phi with the drift-midpoint radius),
-    half-kick p_r.  J is untouched.  Negative dt is allowed; the scheme is
-    exactly time-reversible up to rounding.
-    """
-    out_r, out_pr, out_phi = _run_kernel(params, pt, dt, 1, 1)
-    return PhasePoint(r=float(out_r[1]), phi=float(out_phi[1]),
-                      p_r=float(out_pr[1]), J=pt.J)
-
-
 def integrate(
     params: Params,
     pt0: PhasePoint,
@@ -615,9 +603,11 @@ def integrate(
 
     ``n_steps`` and ``sample_every`` are positive integers, and ``n_steps``
     a multiple of ``sample_every`` so the final state is always sampled.
-    Each step equals one :func:`step` call bit for bit.  A negative ``dt``
-    runs backward, with decreasing sample times.  A tip collision
-    propagates with its failing step index.
+    Each step is one kick-drift-kick step: half-kick p_r, drift r (advancing
+    phi with the drift-midpoint radius), half-kick p_r; J is untouched.  A
+    negative ``dt`` runs backward, with decreasing sample times, and the
+    scheme is time-reversible up to rounding.  A tip collision propagates
+    with its failing step index.
     """
     # "python" is the only stepper; the parameter goes with ROADMAP item 6.
     if backend != "python":

@@ -40,12 +40,17 @@ def midwell_point(params, E, J, phi=0.0):
     return cd.PhasePoint(r=r0, phi=phi, p_r=math.sqrt(2.0 * params.m * kin), J=J)
 
 
+def one_step(params, pt, dt):
+    """The phase point one kick-drift-kick step of dt after pt."""
+    return cd.integrate(params, pt, dt, 1, 1).point(1)
+
+
 def steps_to_collision(params, pt, dt):
     """Index of the step that hits the cone tip, counted by one-by-one steps."""
     n = 0
     while True:
         try:
-            pt = cd.step(params, pt, dt)
+            pt = one_step(params, pt, dt)
         except TipCollisionError:
             return n
         n += 1

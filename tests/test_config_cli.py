@@ -1,5 +1,7 @@
 """Config parsing, serialization round-trips, CLI behavior, and exit codes."""
 
+import csv
+import io
 import json
 import math
 from collections import Counter
@@ -15,7 +17,9 @@ import conedyn as cd
 from conedyn import cli
 from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
-from conedyn.errors import ConfigError
+from conedyn.errors import ConeDynError, ConfigError
+from conedyn.sampling import draw_bound_points as cli_draw_bound_points
+from conedyn.symmetry import W_ALGEBRA_ROWS
 from helpers import kepler_params, steps_to_collision
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -96,6 +100,102 @@ def _simulate_doc(out, n_steps=2000, closure=False):
         closure={"enabled": closure, "tol": 1e-6},
         output={"path": out, "format": "csv"},
     )
+
+
+def _write_table(path, fmt, header, rows):
+    """_write_rows over plain rows: one block whose columns are tuples."""
+    _write_rows(str(path), fmt, header, [range(len(header))], [list(zip(*rows))])
+
+
+def _reference_bytes(fmt, header, rows):
+    """The rows rendered one by one: json.dumps per JSONL line, or csv.writer
+    with floats to 17 significant digits and lines ended by "\\n"."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
+                       for row in rows).encode("utf-8")
+    out = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(
+            [format(v, ".17g") if isinstance(v, float) else v for v in row])
+        out.append(buf.getvalue()[:-2] + "\n")  # excel dialect ends a row with \r\n
+    return "".join(out).encode("utf-8")
+
+
+def _draw_with_overflow_at_4(rng, params, n):
+    # Kepler s = 1/3 at r = 1, p_r = 1e80, J = 1: the {Z,Zbar} power base
+    # overflows and the point's rows are NaN
+    coords = cli_draw_bound_points(rng, params, n)
+    coords[:, 4] = 1.0, 0.3, 1e80, 1.0
+    return coords
+
+
+def _simulate_rows(cfg, seed):
+    tp = cd.turning_points(cfg.params, *cfg.initial_level)
+    it = cfg.integrator
+    traj = cd.integrate(cfg.params, cd.PhasePoint(r=tp.r_min, phi=0.0, p_r=0.0,
+                                                  J=cfg.initial_level[1]),
+                        it.dt, it.n_steps, it.sample_every)
+    inv = cd.phase_invariants(cfg.params, traj.r, traj.phi, traj.p_r, traj.series_J)
+    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_J, traj.series_H,
+               inv.z_re, inv.z_im]
+    return (["t", "r", "phi", "p_r", "J", "H", "Z_re", "Z_im"],
+            list(zip(*(c.tolist() for c in columns))))
+
+
+def _bertrand_rows(cfg, seed):
+    scan, quad = cfg.scan, cfg.quadrature
+    report = cd.bertrand_scan(cfg.params, scan.exponents, scan.e_fractions, scan.lambdas,
+                              tolerance=quad.tolerance, max_refinements=quad.max_refinements)
+    return (["family_param", "E", "lambda", "s_delta_phi", "status"],
+            [[c.family_param, c.E, c.lam,
+              math.nan if c.s_delta_phi is None else c.s_delta_phi, c.status]
+             for c in report.cells])
+
+
+def _actions_rows(cfg, seed):
+    rows = []
+    for E, J in cfg.levels:
+        try:
+            d = cd.frequencies(cfg.params, E, J, tolerance=cfg.quadrature.tolerance,
+                               max_refinements=cfg.quadrature.max_refinements)
+        except ConeDynError as exc:
+            rows.append([E, J] + [math.nan] * 10 + [f"error: {exc}"])
+            continue
+        h = cd.hamiltonian_from_actions(cfg.params, d.i1, d.i2)
+        ra = d.rational_approx
+        rows.append([E, J, d.i1, d.i2, d.omega1, d.omega2, d.ratio,
+                     ra.p if ra else "", ra.q if ra else "", ra.error if ra else math.nan,
+                     h, abs(h - E) / max(abs(E), 1e-300), "ok"])
+    return (["E", "J", "i1", "i2", "omega1", "omega2", "ratio", "rational_p",
+             "rational_q", "rational_error", "h_of_i", "roundtrip_rel_err", "status"], rows)
+
+
+def _algebra_rows(cfg, seed):
+    coords = _draw_with_overflow_at_4(np.random.default_rng(seed), cfg.params,
+                                      cfg.algebra.n_points)
+    h = cfg.algebra.h
+    table = cd.w_algebra_table(cfg.params, *coords, h)
+    return (["point_index", "bracket", "value_re", "value_im", "expected_re",
+             "expected_im", "abs_err", "rel_err", "h", "role", "note"],
+            [[i, name, *(field[k, i].item() for field in table[:6]), h, role, note]
+             for i in range(coords.shape[1])
+             for k, (name, role, note) in enumerate(W_ALGEBRA_ROWS)])
+
+
+# per subcommand: a config (output added by the test) and its rows built
+# from the library, one by one
+_PER_ROW = {
+    "simulate": (_simulate_doc(None, n_steps=2000), _simulate_rows),
+    "bertrand": (_base_doc(scan={"exponents": [-1.0, 0.0, 1.0], "e_fractions": [0.2, 0.5, 0.8],
+                                 "lambdas": [1.0, 1.5]}), _bertrand_rows),
+    "actions": (_base_doc(levels=[{"E": -0.15, "J": 1.0}, {"E": -0.1, "J": 1.2},
+                                  {"E": 5.0, "J": 1.0}]), _actions_rows),
+    "verify-algebra": ({**_base_doc(algebra={"n_points": 7, "h": 1e-5}),
+                        "params": {"m": 1.0, "geometry": {"k": 1, "n": 3},
+                                   "potential": {"kind": "kepler", "kappa": 1.0}}},
+                       _algebra_rows),
+}
 
 
 class TestCli:
@@ -237,7 +337,8 @@ class TestCli:
 
     def test_csv_rows_render_like_per_cell_format(self, tmp_path):
         # actions-style rows: an error row, a rational row with int p/q, a
-        # non-rational row with "", plus edge floats and numpy scalars
+        # non-rational row with "", plus edge floats and numpy scalars; string
+        # cells are quoted as csv.writer quotes them
         nan, inf = math.nan, math.inf
         rows = [
             [5.0, 1.0] + [nan] * 10 + ["error: E=5.0 at or above the escape energy 0.0"],
@@ -245,18 +346,18 @@ class TestCli:
             [-0.2, -1.0, 0.1, -1.0, 0.4, 0.5773, 1.4142, "", "", nan, nan, nan, "ok"],
             [-0.0, inf, -inf, 5e-324, 1e308, np.float64(0.1), np.float64(-2.5e-310),
              np.int64(7), np.int64(-3), True, 0.1 + 0.2, -1 / 3, "a,b %s %.17g"],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 'say "hi"', "cr\ronly", 8.0, 9.0, 10.0,
+             "infeasible: root not bracketed in [0.5, 2.0]"],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1, 2, 8.0, 9.0, 10.0, "two\nlines"],
         ]
         header = ["E", "J", "i1", "i2", "omega1", "omega2", "ratio",
                   "rational_p", "rational_q", "rational_error",
                   "h_of_i", "roundtrip_rel_err", "status"]
         out = tmp_path / "rows.csv"
-        _write_rows(str(out), "csv", header, rows)
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
-                     for v in row) + "\n"
-            for row in rows
-        )
-        assert out.read_bytes() == expected.encode("utf-8")
+        _write_table(out, "csv", header, rows)
+        assert out.read_bytes() == _reference_bytes("csv", header, rows)
+        with open(out, newline="") as f:
+            assert [r[-1] for r in csv.reader(f)][-2:] == [rows[-2][-1], rows[-1][-1]]
 
     def test_jsonl_rows_render_like_json_dumps(self, tmp_path):
         nan, inf = math.nan, math.inf
@@ -273,10 +374,8 @@ class TestCli:
             [1, "x", 2.5, True, np.float64(1e-300), "é"],
         ]
         out = tmp_path / "rows.jsonl"
-        _write_rows(str(out), "jsonl", header, rows)
-        expected = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-                           for row in rows)
-        assert out.read_bytes() == expected.encode("utf-8")
+        _write_table(out, "jsonl", header, rows)
+        assert out.read_bytes() == _reference_bytes("jsonl", header, rows)
 
     def test_jsonl_strings_rendered_once_per_call(self, tmp_path, monkeypatch):
         # verify-algebra repeats eight (bracket, role, note) triples on every
@@ -294,14 +393,29 @@ class TestCli:
         rows += [[50, "é ok", 1.5, "{H,Z}"], [51, "a", 2.5, "nan cell"]]
         for call in range(2):
             out = tmp_path / f"rows{call}.jsonl"
-            _write_rows(str(out), "jsonl", header, rows)
-            expected = "".join(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n"
-                               for row in rows)
-            assert out.read_bytes() == expected.encode("utf-8")
-        # the keys and the five distinct strings, once per call ("nan cell"
-        # also puts its line through json.dumps, which renders it again there)
+            _write_table(out, "jsonl", header, rows)
+            assert out.read_bytes() == _reference_bytes("jsonl", header, rows)
+        # the keys and the five distinct strings, once per call
         assert rendered == Counter(
             {text: 2 for text in header + ["{H,Z}", "{J,Z}", "é ok", "a", "nan cell"]})
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("command", sorted(_PER_ROW))
+    def test_output_equals_per_row_reference(self, tmp_path, capsys, monkeypatch,
+                                             command, fmt):
+        # small blocks and chunks put their boundaries inside the file; the
+        # verify-algebra run has a NaN point inside a block and a chunk
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 16)
+        monkeypatch.setattr(cli, "_ALGEBRA_BLOCK", 3)
+        monkeypatch.setattr(cli, "draw_bound_points", _draw_with_overflow_at_4)
+        doc, reference_rows = _PER_ROW[command]
+        out = tmp_path / f"out.{fmt}"
+        config = _write(tmp_path, "c.json", {**doc, "output": {"path": str(out), "format": fmt}})
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", config, "--seed", "3"]) == 0
+            header, rows = reference_rows(load_config(config), 3)
+        capsys.readouterr()
+        assert out.read_bytes() == _reference_bytes(fmt, header, rows)
 
     def test_bertrand_scan_cli(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")

@@ -24,6 +24,7 @@ from helpers import (
     bound_energy,
     kepler_params,
     midwell_point,
+    one_step,
     oscillator_params,
     perigee_point,
     steps_to_collision,
@@ -288,8 +289,8 @@ class TestStep:
     def test_reversibility(self):
         params = kepler_params()
         pt = cd.PhasePoint(r=0.8, phi=0.3, p_r=0.4, J=1.0)
-        fwd = cd.step(params, pt, 1e-3)
-        back = cd.step(params, fwd, -1e-3)
+        fwd = one_step(params, pt, 1e-3)
+        back = one_step(params, fwd, -1e-3)
         assert back.r == pytest.approx(pt.r, abs=1e-12)
         assert back.p_r == pytest.approx(pt.p_r, abs=1e-12)
         assert back.phi == pytest.approx(pt.phi, abs=1e-12)
@@ -298,7 +299,7 @@ class TestStep:
         params = kepler_params()
         pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
         for _ in range(1000):
-            pt = cd.step(params, pt, 1e-3)
+            pt = one_step(params, pt, 1e-3)
         assert pt.r == pytest.approx(1.0, abs=1e-10)
 
     def test_free_radial_motion(self):
@@ -325,7 +326,7 @@ class TestStep:
 
     def test_zero_dt_rejected(self):
         with pytest.raises(DomainError):
-            cd.step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
+            one_step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
 
 
 def _reference_kdk(params, pt, dt, n_steps, sample_every):
@@ -505,7 +506,7 @@ class TestIntegrate:
         traj = cd.integrate(params, pt, 1e-3, 50, 1)
         walked = pt
         for i in range(1, 51):
-            walked = cd.step(params, walked, 1e-3)
+            walked = one_step(params, walked, 1e-3)
             assert walked.r == traj.r[i]
             assert walked.p_r == traj.p_r[i]
 
