@@ -41,8 +41,7 @@ from .errors import (
     TipCollisionError,
 )
 from .sampling import draw_bound_points
-from .symmetry import (BRACKET_OF_ROW, CHECK_ROWS, W_ALGEBRA_ROWS, ZERO_RIGHT_SIDE_ROWS, _steps,
-                       phase_invariants, w_algebra_table)
+from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
 
 log = logging.getLogger("conedyn")
 
@@ -121,6 +120,15 @@ def _json_cell(value) -> str:
     return _JSON_COMPACT.encode(value)
 
 
+def _kind(column) -> str:
+    """How :func:`_write_rows` renders a column: "f" float64 and "i" integer
+    arrays go into the % as numbers, "O" anything else cell by cell."""
+    dtype = getattr(column, "dtype", None)
+    if dtype == np.float64:
+        return "f"
+    return "i" if dtype is not None and dtype.kind in "iu" else "O"
+
+
 def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence],
                 blocks: Iterable[Sequence]) -> None:
     """Write records of rows as CSV, or as JSONL objects keyed by ``header``.
@@ -133,11 +141,12 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
     str(), quoted as csv.writer quotes them.  A JSONL line equals
     ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``.
 
-    Each cell is rendered once: a fixed cell and each distinct string once
-    per call, a float column that a record uses twice once per record.  The
-    numbers of a numpy column go straight into one ``%`` per
-    ``_CHUNK_LINES`` lines; in JSONL, a column in which one np.isfinite per
-    block finds a non-finite number gets json's names for those cells.
+    Each value is rendered once, with the bytes of its own rendering: a
+    fixed cell and each distinct string once per call, a float64 column
+    that holds one value over a block once per block, and a float64 column
+    equal bit for bit to an earlier one over a block once per record.
+    Numbers go straight into one ``%`` per ``_CHUNK_LINES`` lines; in JSONL
+    the non-finite floats, found by np.isfinite, get json's names.
     """
     csv_out = fmt == "csv"
     render = _csv_cell if csv_out else _json_cell
@@ -152,22 +161,39 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
             out = strings[value] = render(value)
         return out
 
+    def literal(value) -> str:  # a cell written into the % template
+        return cell(value).replace("%", "%%")
+
     refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
-    used = sorted(set(refs))
-    keys = [cell(key).replace("%", "%%") + ":" for key in header]
+    keys = [literal(key) + ":" for key in header]
     per_chunk = max(1, _CHUNK_LINES // len(lines))
     with open(path, "w", encoding="utf-8") as f:
         if csv_out:
             f.write(",".join(map(cell, header)) + "\n")
         for block in blocks:
-            kinds = {j: block[j].dtype.kind if isinstance(block[j], np.ndarray) else "O"
-                     for j in used}
+            kinds = {j: _kind(block[j]) for j in set(refs)}
+            # a float column with one value goes into the template as text;
+            # one equal to an earlier column is read from that column
+            text, same, seen = {}, {}, {}
+            for j in sorted(kinds):
+                same[j] = j
+                if kinds[j] != "f":
+                    continue
+                bits = block[j].view(np.int64)
+                if (bits == bits[0]).all():
+                    text[j] = literal(block[j][0].item())
+                    continue
+                i = seen.setdefault(hash(bits.tobytes()), j)
+                if i != j and np.array_equal(bits, block[i].view(np.int64)):
+                    same[j] = i
+            order = [same[c] for c in refs if c not in text]  # the column of each %
+            columns = set(order)
             # floats go raw into the %, but those a record repeats are rendered first
-            repeated = {j for j in used if kinds[j] == "f" and refs.count(j) > 1}
+            repeated = {j for j in columns if kinds[j] == "f" and order.count(j) > 1}
             fix = set() if csv_out else {
-                j for j in used if kinds[j] == "f" and not np.isfinite(block[j]).all()}
-            pieces = [[cell(c.value).replace("%", "%%") if isinstance(c, _Fixed)
-                       else number if kinds[c] == "f" and c not in repeated else "%s"
+                j for j in columns if kinds[j] == "f" and not np.isfinite(block[j]).all()}
+            pieces = [[literal(c.value) if isinstance(c, _Fixed) else text[c] if c in text
+                       else number if kinds[c] == "f" and same[c] not in repeated else "%s"
                        for c in line] for line in lines]
             template = "".join(
                 ",".join(p) + "\n" if csv_out
@@ -175,9 +201,9 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
             count = len(block[0])
             for a in range(0, count, per_chunk):
                 cols = {}
-                for j in used:
+                for j in columns:
                     part = block[j][a:a + per_chunk]
-                    if kinds[j] not in "fiu":
+                    if kinds[j] == "O":
                         cols[j] = list(map(cell, part))
                         continue
                     values = part.tolist()
@@ -185,7 +211,7 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
                         for i in np.flatnonzero(~np.isfinite(part)).tolist():
                             values[i] = _JSON_NONFINITE[repr(values[i])]
                     cols[j] = list(map(number.__mod__, values)) if j in repeated else values
-                values = chain.from_iterable(zip(*[cols[j] for j in refs]))
+                values = chain.from_iterable(zip(*[cols[j] for j in order]))
                 f.write(template * min(per_chunk, count - a) % tuple(values))
 
 
@@ -216,13 +242,11 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
 
     with_z = _supports_global_invariant(params)
     header = ["t", "r", "phi", "p_r", "J", "H"] + (["Z_re", "Z_im"] if with_z else [])
-    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_H]
+    columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_J, traj.series_H]
     if with_z:
         inv = phase_invariants(params, traj.r, traj.phi, traj.p_r, traj.series_J)
         columns += [inv.z_re, inv.z_im]
-    # the stepper never changes J: series_J is np.full of the start J
-    line = [0, 1, 2, 3, _Fixed(float(traj.series_J[0]))] + list(range(4, len(columns)))
-    _write_rows(path, fmt, header, [line], [columns])
+    _write_rows(path, fmt, header, [range(len(header))], [columns])
 
     h0 = float(traj.series_H[0])
     h_drift = float(np.abs(traj.series_H - h0).max()) / max(abs(h0), 1e-300)
@@ -361,15 +385,10 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:
     _steps(coords, h)  # a point too near the tip fails here, before any row is written
     header = ["point_index", "bracket", "value_re", "value_im",
               "expected_re", "expected_im", "abs_err", "rel_err", "h", "role", "note"]
-    # a block's columns are the point index, then each table field's eight
-    # rows; a row's value is read from the first row of its bracket
-    first = [BRACKET_OF_ROW.index(b) for b in BRACKET_OF_ROW]
-    lines = []
-    for k, (name, role, note) in enumerate(W_ALGEBRA_ROWS):
-        cells = [1 + 8 * field + row for field, row in enumerate([first[k]] * 2 + [k] * 4)]
-        if k in ZERO_RIGHT_SIDE_ROWS:
-            cells[2:4] = [_Fixed(0.0)] * 2
-        lines.append([0, _Fixed(name), *cells, _Fixed(h), _Fixed(role), _Fixed(note)])
+    # a block's columns are the point index, then each table field's eight rows
+    lines = [[0, _Fixed(name), *(1 + 8 * field + k for field in range(6)),
+              _Fixed(h), _Fixed(role), _Fixed(note)]
+             for k, (name, role, note) in enumerate(W_ALGEBRA_ROWS)]
     worst = np.zeros(len(CHECK_ROWS))
     match_counts: Counter[str] = Counter()
 

@@ -289,10 +289,6 @@ W_ALGEBRA_ROWS = (
     ("{Z,Zbar} energy-free-base", "finding", "power base without H"),
 )
 CHECK_ROWS = tuple(i for i, (_, role, _) in enumerate(W_ALGEBRA_ROWS) if role == "check")
-# The bracket each row evaluates ({J,Z}, {J,Zbar}, {H,Z}, {H,J}, {Z,Zbar}), so
-# rows of one bracket hold equal values; and the rows whose right side is 0.0.
-BRACKET_OF_ROW = (0, 0, 1, 1, 2, 3, 4, 4)
-ZERO_RIGHT_SIDE_ROWS = (4, 5)
 _ZZBAR_MATCH = np.array(["neither", "energy_in_base", "energy_free_base", "both"])
 
 
@@ -375,6 +371,7 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
         np.array([flat, flat, on.z_im, -on.z_im]),
         den, [(0, 2), (0, 3), (1, 2), (1, 0), (2, 3)],
     )
+    rows = [0, 0, 1, 1, 2, 3, 4, 4]  # bracket of each row: jz, jzb, hz, hj, zzb
 
     norm_sq = inv.a * inv.a + inv.b * inv.b
     if c == 1:
@@ -401,7 +398,7 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
     scale = np.array([zero, zero, zero, zero, np.hypot(z_re, z_im), np.abs(J),
                       scale_zz, scale_zz])
 
-    value_re, value_im = v_re[list(BRACKET_OF_ROW)], v_im[list(BRACKET_OF_ROW)]
+    value_re, value_im = v_re[rows], v_im[rows]
     # a point whose brackets or right sides left the float range has no
     # bracket values: NaN in every row, so its errors are NaN too
     lost = ~np.isfinite([value_re, value_im, e_re, e_im]).all(axis=(0, 1))

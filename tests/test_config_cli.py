@@ -18,7 +18,7 @@ from conedyn import cli
 from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
 from conedyn.errors import ConeDynError, ConfigError
-from conedyn.sampling import draw_bound_points as cli_draw_bound_points
+from conedyn.sampling import draw_bound_points
 from conedyn.symmetry import W_ALGEBRA_ROWS
 from helpers import kepler_params, steps_to_collision
 
@@ -125,7 +125,7 @@ def _reference_bytes(fmt, header, rows):
 def _draw_with_overflow_at_4(rng, params, n):
     # Kepler s = 1/3 at r = 1, p_r = 1e80, J = 1: the {Z,Zbar} power base
     # overflows and the point's rows are NaN
-    coords = cli_draw_bound_points(rng, params, n)
+    coords = draw_bound_points(rng, params, n)
     coords[:, 4] = 1.0, 0.3, 1e80, 1.0
     return coords
 
@@ -398,6 +398,33 @@ class TestCli:
         # the keys and the five distinct strings, once per call
         assert rendered == Counter(
             {text: 2 for text in header + ["{H,Z}", "{J,Z}", "é ok", "a", "nan cell"]})
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_equal_and_constant_columns_keep_their_bytes(self, tmp_path, monkeypatch, fmt):
+        # float columns constant over a block, or equal to another column,
+        # are rendered once; a zero's sign or a NaN must not merge columns
+        # that differ, across blocks and chunks of two records
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 4)
+        n = 5
+        x = np.linspace(-1.0, 1.0, n)
+        zero, signed = np.zeros(n), np.zeros(n)
+        signed[3] = -0.0
+        nan = x.copy()
+        nan[2] = math.nan
+        blocks = [
+            [np.arange(n), x, x.copy(), zero, signed, np.full(n, 1e300), nan, nan.copy(),
+             np.full(n, math.inf)],
+            [np.arange(n, 2 * n), x, -x, signed, zero, np.full(n, -0.0), nan, x,
+             np.full(n, math.nan)],
+        ]
+        lines = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 1, cli._Fixed("%s")],
+                 [0, 4, 3, 2, 1, 8, 7, 6, 5, cli._Fixed(-0.0), 2]]
+        header = list("abcdefghijk")
+        out = tmp_path / f"rows.{fmt}"
+        _write_rows(str(out), fmt, header, lines, blocks)
+        rows = [[c.value if isinstance(c, cli._Fixed) else block[c].tolist()[i] for c in line]
+                for block in blocks for i in range(n) for line in lines]
+        assert out.read_bytes() == _reference_bytes(fmt, header, rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("command", sorted(_PER_ROW))
