@@ -50,7 +50,7 @@ log = logging.getLogger("conedyn")
 PASS_FLATNESS = 1e-6
 FAIL_FLATNESS = 1e-3
 _START_ORDER = 64
-_NODE_BLOCK = 1 << 16  # lanes x nodes evaluated at once: bounds a batch's memory
+_NODE_BLOCK = 1 << 13  # lanes x nodes evaluated at once: bounds a batch's memory
 _WIDTH_LEVELS = 50  # energy levels of the width-law fit
 
 
@@ -75,6 +75,26 @@ class _Well:
                 "level set is circular (r_min = r_max within tolerance); "
                 "use small_oscillation_freq for the degenerate limit")
         self.params, self.E, self.J, self.errors = params, E, J, errors
+        # the batch's potentials, and the one of each lane: a power law with
+        # one (A, alpha) per lane is split into its distinct pairs, so that
+        # each is evaluated with Python-float constants as in a one-lane call
+        pot = params.potential
+        if isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
+            pairs: dict = {}
+            self.group = np.array([pairs.setdefault(pair, len(pairs)) for pair in
+                                   zip(pot.amplitude.tolist(), pot.exponent.tolist())], dtype=int)
+            self.parts = [replace(params, potential=PowerLaw(*pair)) for pair in pairs]
+        else:
+            self.group, self.parts = np.zeros(E.size, dtype=int), [params]
+
+    def _effective_potential(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """U_eff at the nodes r of the lanes k, one evaluation per potential."""
+        group = self.group[k]
+        u = np.empty_like(r)
+        for g in set(group.tolist()):
+            rows = group == g
+            u[rows] = _effective_potential(self.parts[g], self.J[k[rows], None], r[rows])
+        return u
 
     def integral(
         self,
@@ -98,7 +118,7 @@ class _Well:
         to its last good sum.  A genuinely inconsistent well still fails at
         the first order, with a QuadratureError in ``errors``.
         """
-        params, E, J, rho, errors = self.params, self.E, self.J, self.rho, self.errors
+        params, E, rho, errors = self.params, self.E, self.rho, self.errors
         n = E.size
         value, err = [math.nan] * n, [math.inf] * n  # per lane: last sum and change
         out_value, out_err = np.full(n, math.nan), np.full(n, math.nan)
@@ -120,7 +140,7 @@ class _Well:
                 with np.errstate(all="ignore"):
                     # the nodes lie strictly inside (r_min, r_max): no radius check
                     r = self.r_mid[k, None] - rho[k, None] * cos
-                    u = _effective_potential(params, J[k, None], r)
+                    u = self._effective_potential(r, k)
                     d = (2.0 / params.m) * (E[k, None] - u)
                     g = d / (rho[k, None] * sin) ** 2
                     f = integrand(theta, r, g, k)
@@ -382,9 +402,9 @@ def _scan_energy(params: Params, J: np.ndarray, fractions: np.ndarray, errors: d
     bottoms, per lane; NaN where the well itself fails."""
     _, u0 = _find_ueff_minimum(params, J, errors)
     top = _escape_energy(params)
-    if math.isfinite(top):
-        return u0 + fractions * (top - u0)
-    return u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf in the lanes not taken
+        return np.where(np.isfinite(top), u0 + fractions * (top - u0),
+                        u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0))
 
 
 def bertrand_scan(
@@ -398,34 +418,42 @@ def bertrand_scan(
     """Scan s*dphi over an (E, lam) grid for each power-law exponent.
 
     For each exponent alpha the attractive sign is chosen automatically
-    (A = -1 for alpha < 0, A = +1 for alpha > 0).  Energies are specified as
-    fractions of the bound well (bottom to escape, or ten well depths for
-    confining potentials), which keeps every exponent's grid inside its own
-    bounded-motion region.  Each exponent's cells are the lanes of one
-    batch, each with the bits of its own :func:`apsidal_angle` call.  A cell
-    that fails with a ConeDynError (alpha = 0 has no well at all) is flagged
-    infeasible; any other error propagates.
+    (A = -1 for alpha < 0, A = +1 for alpha > 0); an exponent at or below -2
+    is a DomainError, raised before any cell is evaluated.  Energies are
+    specified as fractions of the bound well (bottom to escape, or ten well
+    depths for confining potentials), which keeps every exponent's grid
+    inside its own bounded-motion region.  The cells of all exponents are
+    the lanes of one batch, a power law with one (A, alpha) per lane, and
+    each has the bits of its own :func:`apsidal_angle` call; the verdicts
+    are taken per exponent on slices of the batch.  A cell that fails with
+    a ConeDynError (alpha = 0 has no well at all) is flagged infeasible; any
+    other error propagates.
     """
+    laws = [PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
+            for alpha in exponents]
     s = params_base.geometry.s
     lam_cells = [lam for lam in lambdas for _ in e_fractions]
-    J = np.array(lam_cells, dtype=float) * s
-    fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas))
+    n = len(lam_cells)
+    J = np.tile(np.array(lam_cells, dtype=float) * s, len(laws))
+    fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas) * len(laws))
+    params = replace(params_base, potential=PowerLaw(
+        amplitude=np.repeat([law.amplitude for law in laws], n),
+        exponent=np.repeat(np.asarray(exponents, dtype=float), n)))
+    errors: dict = {}
+    E = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
+    delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors)
+    E, s_delta_phi = E.tolist(), (delta_phi * s).tolist()
     cells: list[ScanCell] = []
     verdicts: list[FamilyVerdict] = []
-    for alpha in exponents:
+    for g, alpha in enumerate(exponents):
         expected = math.pi / math.sqrt(alpha + 2.0)
-        pot = PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
-        params = replace(params_base, potential=pot)
-        errors: dict = {}
-        E = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
-        delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors)
         values: list[float] = []
-        for k, (lam, e, sdphi) in enumerate(zip(lam_cells, E.tolist(), (delta_phi * s).tolist())):
+        for k, lam in enumerate(lam_cells, start=g * n):
             if k in errors:  # per-cell failures are recorded
-                cells.append(ScanCell(alpha, e, lam, None, f"infeasible: {errors[k]}"))
+                cells.append(ScanCell(alpha, E[k], lam, None, f"infeasible: {errors[k]}"))
                 continue
-            values.append(sdphi)
-            cells.append(ScanCell(alpha, e, lam, sdphi, "ok"))
+            values.append(s_delta_phi[k])
+            cells.append(ScanCell(alpha, E[k], lam, s_delta_phi[k], "ok"))
         if not values:
             verdicts.append(FamilyVerdict(alpha, None, None, expected, "infeasible"))
             continue

@@ -250,6 +250,11 @@ def parse_config(doc: dict) -> RunConfig:
             lambdas=_number_list(sc["lambdas"], "scan.lambdas"),
             include_log_check=include_log,
         )
+        for i, alpha in enumerate(scan.exponents):
+            if alpha <= -2.0:
+                raise ConfigError(f"scan.exponents[{i}]", f"exponents must be > -2, got {alpha}")
+            if alpha in scan.exponents[:i]:
+                raise ConfigError(f"scan.exponents[{i}]", f"exponent {alpha} is repeated")
         for i, f in enumerate(scan.e_fractions):
             if not (0.0 < f < 1.0):
                 raise ConfigError(f"scan.e_fractions[{i}]", "fractions must lie in (0, 1)")

@@ -121,16 +121,18 @@ class PowerLaw:
     """Power-law potential V(r) = A * r**alpha with alpha > -2.
 
     A = 0 is accepted as the free-particle limit (bound-motion operations
-    will fail on it with a structural error, as they should).
+    will fail on it with a structural error, as they should).  The well
+    geometry also takes A and alpha as 1-D arrays, one power law per lane
+    of a batch (as :func:`conedyn.bertrand.bertrand_scan` builds).
     """
 
-    amplitude: float
-    exponent: float
+    amplitude: float | np.ndarray
+    exponent: float | np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.amplitude):
+        if not np.isfinite(self.amplitude).all():
             raise DomainError(f"amplitude must be finite, got {self.amplitude}")
-        if not (math.isfinite(self.exponent) and self.exponent > -2.0):
+        if not (np.isfinite(self.exponent) & (np.asarray(self.exponent) > -2.0)).all():
             raise DomainError(f"exponent must be > -2, got {self.exponent}")
 
     def value(self, r, m: float = 1.0):

@@ -16,8 +16,9 @@ bit-identical to the running sum, so memory stays at one block.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,19 +90,19 @@ def _radial_force(params: Params, J: float, r):
     return J * J / (m * s * s * r * r * r) - params.potential.d1(r, m)
 
 
-def _escape_energy(params: Params) -> float:
-    """lim U_eff(r) as r -> infinity; energies at or above it are unbounded."""
+def _escape_energy(params: Params):
+    """lim U_eff(r) as r -> infinity; energies at or above it are unbounded.
+    A float, or an array for a power law with one (A, alpha) per lane."""
     pot = params.potential
     if isinstance(pot, Kepler):
         return 0.0
     if isinstance(pot, (Oscillator, LogPotential)):
         return math.inf
     if isinstance(pot, PowerLaw):
-        if pot.exponent < 0.0 or pot.amplitude == 0.0:
-            return 0.0
-        if pot.exponent == 0.0:
-            return pot.amplitude
-        return math.inf if pot.amplitude > 0.0 else -math.inf
+        a, alpha = pot.amplitude, pot.exponent
+        top = np.select([(alpha < 0.0) | (a == 0.0), alpha == 0.0], [0.0, a],
+                        np.copysign(math.inf, a))
+        return top if top.ndim else top.item()
     raise StructuralError(f"unsupported potential {type(pot).__name__}")
 
 
@@ -111,18 +112,21 @@ def _escape_energy(params: Params) -> float:
 # element.  A lane that fails holds NaN and records its first error in an
 # ``errors`` dict (lane -> ConeDynError) while the other lanes carry on, and
 # each lane does exactly the float operations of a one-lane call, so its
-# bits do not depend on the batch around it.
+# bits do not depend on the batch around it.  A power law may hold one
+# (A, alpha) per lane (see :func:`_at_lanes`): a batch of potentials takes
+# the same path as one potential.
 
 def _float_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p lane by lane as Python floats compute it (numpy's power rounds
-    differently in a few percent of lanes).  A lane where Python raises
-    (overflow, or zero to a negative power) gives numpy's signed inf."""
+    differently in a few percent of lanes); p is a scalar or one exponent
+    per lane.  A lane where Python raises (overflow, or zero to a negative
+    power) gives numpy's signed inf."""
     out = []
-    for v in x.tolist():
+    for v, q in zip(x.tolist(), itertools.repeat(p) if np.ndim(p) == 0 else p.tolist()):
         try:
-            out.append(v ** p)
+            out.append(v ** q)
         except ArithmeticError:
-            out.append(math.copysign(1.0, v) ** p * math.inf)
+            out.append(math.copysign(1.0, v) ** q * math.inf)
     return np.array(out)
 
 
@@ -164,6 +168,15 @@ def _raise_first(errors: dict, name_lane: bool) -> None:
         raise type(exc)(f"{exc} (lane {lane})") if name_lane else exc
 
 
+def _at_lanes(params: Params, lanes: np.ndarray) -> Params:
+    """``params`` for the lanes ``lanes`` (an index array) of a batch: a
+    power law with one (A, alpha) per lane keeps those lanes' pairs."""
+    pot = params.potential
+    if isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
+        return replace(params, potential=PowerLaw(pot.amplitude[lanes], pot.exponent[lanes]))
+    return params
+
+
 def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray):
     """U_eff(r) with the bits of one call per lane on Python floats: the
     power law's r ** alpha goes through :func:`_float_pow`.  Also returns
@@ -203,10 +216,10 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
         a_alpha, alpha = law.amplitude * law.exponent, law.exponent
     _record(errors, (J == 0.0) | (a_alpha <= 0.0), StructuralError,
             "effective potential has no interior minimum for these parameters")
-    if a_alpha <= 0.0:  # a negative base has no real power
-        return np.full(J.shape, math.nan), np.full(J.shape, math.nan)
     with np.errstate(all="ignore"):
-        r_c = _float_pow(J * J / (m * s * s * a_alpha), 1.0 / (alpha + 2.0))
+        # NaN where A alpha <= 0: a negative base has no real power
+        base = np.where(a_alpha > 0.0, J * J / (m * s * s * a_alpha), math.nan)
+        r_c = _float_pow(base, 1.0 / (alpha + 2.0))
     u0, _ = _effective_potential_lanes(params, J, r_c)
     bad = ~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0))
     _record(errors, bad, StructuralError, "minimum of U_eff lies outside the float range")
@@ -343,7 +356,7 @@ def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
         r_min, r_max = r_c.copy(), r_c.copy()
         lanes = np.flatnonzero(~circular & _alive(errors, E.size))
         r_min[lanes], r_max[lanes], failed = _solved_turning_points(
-            params, E[lanes], J[lanes], r_c[lanes])
+            _at_lanes(params, lanes), E[lanes], J[lanes], r_c[lanes])
         for i, exc in failed.items():
             errors[int(lanes[i])] = exc
     if errors:
@@ -394,7 +407,7 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
 
     def f(r, lanes):
         # r is r_c times a power of 2 or inside a positive bracket: no check needed
-        u, raised = _effective_potential_lanes(params, J[lanes], r)
+        u, raised = _effective_potential_lanes(_at_lanes(params, lanes), J[lanes], r)
         _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
                 r, lanes=lanes)
         return u - E[lanes]

@@ -357,6 +357,34 @@ class TestBertrandScan:
         assert hashlib.sha256(bits.encode()).hexdigest() == (
             "824c3fb915e5201aaea882dbd58836f989f8e49fd938d0f7a36d7a2ac92db4b8")
 
+    def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
+        # a DomainError before any cell is evaluated, not a math error
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr("conedyn.bertrand._scan_energy", evaluated)
+        for exponents in ([-2.5], [-2.0], [-1.0, 2.0, -2.0]):
+            with pytest.raises(DomainError, match="exponent must be > -2"):
+                cd.bertrand_scan(kepler_params(), exponents, [0.3], [1.0])
+
+    def test_cells_independent_of_the_batch(self):
+        # an exponent's cells have the same bits and statuses scanned alone
+        # or among others, in any order (0.0 has no well)
+        params = kepler_params(2, 3)
+        grid = ([0.05, 0.3, 0.8], [0.6, 1.0, 1.7])
+
+        def cells(report, alpha):
+            return [(c.E.hex(), c.lam, c.s_delta_phi and c.s_delta_phi.hex(), c.status)
+                    for c in report.cells if c.family_param == alpha]
+
+        exponents = [-1.0, 2.0, 0.5, 0.0]
+        alone = {a: cells(cd.bertrand_scan(params, [a], *grid), a) for a in exponents}
+        for order in (exponents, exponents[::-1], [0.5, -1.0, 0.0, 2.0]):
+            report = cd.bertrand_scan(params, order, *grid)
+            assert [v.family_param for v in report.verdicts] == order
+            for a in order:
+                assert cells(report, a) == alone[a]
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ConeDynError marks a cell infeasible; anything else is a bug
         def broken(*args, **kwargs):

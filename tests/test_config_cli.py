@@ -79,6 +79,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"scan.e_fractions\[0\]"):
             parse_config(doc)
 
+    def test_scan_exponents_checked(self):
+        # at or below -2 there is no power law to scan; a repeat would share
+        # its summary keys (str(alpha)) with the first and lose a verdict
+        for exponents, bad in (([-1.0, -2.5], 1), ([-2.0], 0), ([2.0, -1.0, 2.0], 2),
+                               ([0.0, -0.0], 1)):
+            doc = _base_doc(scan={"exponents": exponents, "e_fractions": [0.5],
+                                  "lambdas": [1.0]})
+            with pytest.raises(ConfigError, match=rf"scan.exponents\[{bad}\]"):
+                parse_config(doc)
+
     def test_algebra_step_positive(self):
         # h = 0 made every bracket NaN; h < 0 swaps the difference signs
         for h in (0.0, -1e-5):
@@ -467,6 +477,16 @@ class TestCli:
         code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
         assert code == 4
         capsys.readouterr()
+
+    def test_bertrand_exponent_at_minus_two_exit_code(self, tmp_path, capsys):
+        doc = _base_doc(
+            scan={"exponents": [-1.0, -2.0], "e_fractions": [0.5], "lambdas": [1.0]},
+            output={"path": str(tmp_path / "scan.csv"), "format": "csv"},
+        )
+        code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 2
+        assert "scan.exponents[1]" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_actions_cli(self, tmp_path, capsys):
         out = str(tmp_path / "actions.jsonl")

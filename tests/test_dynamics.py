@@ -250,6 +250,39 @@ class TestTurningPointArrays:
             assert tp.r_min[3] == tp.r_max[3]
             assert type(lanes[0].r_min) is float and type(lanes[0].r_max) is float
 
+    def test_per_lane_power_laws_equal_their_own_calls(self):
+        # one (A, alpha) per lane: each lane has the bits of a call with its
+        # own power law, whatever the other lanes' exponents are
+        rng = np.random.default_rng(5)
+        alpha = np.repeat([-1.5, -1.0, 0.5, 2.0, 3.0], 8)
+        amp = np.where(alpha > 0.0, 1.3, -0.7)
+        J = rng.uniform(0.3, 2.0, alpha.size)
+        geometry = cd.ConeGeometry.from_rational(2, 3)
+        batch = cd.Params(m=1.1, geometry=geometry, potential=cd.PowerLaw(amp, alpha))
+        _, e_c = cd.circular_orbit(batch, J)
+        E = e_c + rng.uniform(0.05, 0.9, alpha.size) * np.abs(e_c)
+        tp = cd.turning_points(batch, E, J)
+        for k, (a, p) in enumerate(zip(amp.tolist(), alpha.tolist())):
+            params = cd.Params(m=1.1, geometry=geometry, potential=cd.PowerLaw(a, p))
+            one = cd.turning_points(params, E[k].item(), J[k].item())
+            assert (tp.r_min[k].item(), tp.r_max[k].item()) == (one.r_min, one.r_max)
+
+    def test_float_pow_per_lane_exponents(self):
+        # Python's ** lane by lane; where it raises (overflow, zero to a
+        # negative power) the lane holds numpy's signed inf
+        x = [2.5, 0.3, 7.0, 1e200, -1e200, 0.0, -0.0, 1e-300, 2.0]
+        p = [2.0, -1.0, 0.5, 2.0, 3.0, -1.5, -1.0, -2.0, 1.0 / 3.0]
+        want = [math.inf, -math.inf, math.inf, -math.inf, math.inf]
+        got = dynamics._float_pow(np.array(x), np.array(p)).tolist()
+        for v, q, g in zip(x, p, got):
+            try:
+                w = v ** q
+            except ArithmeticError:
+                w = want.pop(0)
+            assert g.hex() == w.hex(), (v, q)
+        assert not want
+        assert dynamics._float_pow(np.array(x[:3]), 2.0).tolist() == [v ** 2.0 for v in x[:3]]
+
     def test_typed_errors_name_the_first_bad_lane(self):
         kep = kepler_params()
         power = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
@@ -398,14 +431,14 @@ class TestIntegrate:
                 _assert_equals_reference(params, pt, 1e5, 90, sample_every)
 
     def test_memory_bounded_by_one_block(self):
-        # without blocks, one radius and one angle increment per step would
-        # need about 16 MB
+        # five blocks of steps: without blocks, even one array of doubles
+        # per step would need 2.6 MB
         params = kepler_params()
         pt = perigee_point(params, -0.375, 1.0)
         cd.integrate(params, pt, 1e-3, 10, 10)  # compile the loop outside the trace
         tracemalloc.start()
         try:
-            cd.integrate(params, pt, 1e-3, 1_000_000, 1_000_000)
+            cd.integrate(params, pt, 1e-3, 327_680, 327_680)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
