@@ -120,13 +120,14 @@ def _float_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p lane by lane as Python floats compute it (numpy's power rounds
     differently in a few percent of lanes); p is a scalar or one exponent
     per lane.  A lane where Python raises (overflow, or zero to a negative
-    power) gives numpy's signed inf."""
+    power) takes numpy's power, a signed inf."""
     out = []
     for v, q in zip(x.tolist(), itertools.repeat(p) if np.ndim(p) == 0 else p.tolist()):
         try:
             out.append(v ** q)
         except ArithmeticError:
-            out.append(math.copysign(1.0, v) ** q * math.inf)
+            with np.errstate(all="ignore"):
+                out.append(float(np.power(v, q)))
     return np.array(out)
 
 

@@ -270,9 +270,9 @@ class TestTurningPointArrays:
     def test_float_pow_per_lane_exponents(self):
         # Python's ** lane by lane; where it raises (overflow, zero to a
         # negative power) the lane holds numpy's signed inf
-        x = [2.5, 0.3, 7.0, 1e200, -1e200, 0.0, -0.0, 1e-300, 2.0]
-        p = [2.0, -1.0, 0.5, 2.0, 3.0, -1.5, -1.0, -2.0, 1.0 / 3.0]
-        want = [math.inf, -math.inf, math.inf, -math.inf, math.inf]
+        x = [2.5, 0.3, 7.0, 1e200, -1e200, 0.0, -0.0, -0.0, 1e-300, 2.0]
+        p = [2.0, -1.0, 0.5, 2.0, 3.0, -1.5, -1.0, -1.5, -2.0, 1.0 / 3.0]
+        want = [math.inf, -math.inf, math.inf, -math.inf, math.inf, math.inf]
         got = dynamics._float_pow(np.array(x), np.array(p)).tolist()
         for v, q, g in zip(x, p, got):
             try:
