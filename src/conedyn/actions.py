@@ -20,8 +20,7 @@ senses give the same energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ Q_MAX = 64
 RATIONAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RationalApprox:
+class RationalApprox(NamedTuple):
     """Continued-fraction rational approximation p/q accepted for a ratio."""
 
     p: int
@@ -45,8 +43,7 @@ class RationalApprox:
     error: float
 
 
-@dataclass(frozen=True)
-class ActionData:
+class ActionData(NamedTuple):
     """Actions, frequencies and rationality data for one (E, J) level set."""
 
     i1: float
@@ -154,6 +151,8 @@ def frequencies(
 
 def _rationalize(x: float) -> RationalApprox | None:
     """Best rational p/q with q <= Q_MAX; accepted only within RATIONAL_TOL of x."""
+    from fractions import Fraction  # its only use: kept off the package's start-up
+
     frac = Fraction(x).limit_denominator(Q_MAX)
     err = abs(x - frac.numerator / frac.denominator)
     if err > RATIONAL_TOL:

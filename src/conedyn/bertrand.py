@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,8 +194,7 @@ class _Well:
         return period
 
 
-@dataclass(frozen=True)
-class ApsidalResult:
+class ApsidalResult(NamedTuple):
     """Perigee-to-apogee angle of a bound level set.
 
     ``lam`` is the angular momentum rescaled to the unrolled plane (J/s);
@@ -272,8 +271,7 @@ def circular_orbit(params: Params, J: float) -> tuple[float, float]:
     return (r_c.item(), u0.item()) if scalar else (r_c, u0)
 
 
-@dataclass(frozen=True)
-class SmallOscillation:
+class SmallOscillation(NamedTuple):
     """Harmonic data of the near-circular limit.
 
     ``omega_sq`` is the dimensionless squared frequency of the reduced 1D
@@ -303,8 +301,7 @@ def small_oscillation_freq(params: Params, J: float) -> SmallOscillation:
 
 # --- Width law ---
 
-@dataclass(frozen=True)
-class WidthLawResult:
+class WidthLawResult(NamedTuple):
     """Least-squares fit of the well width against sqrt(energy above bottom)."""
 
     a_fit: float
@@ -347,8 +344,7 @@ def width_law_check(params: Params, J: float) -> WidthLawResult:
 
 # --- Exponent scan ---
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     """One (exponent, E, lam) evaluation of the scanned quantity s*dphi."""
 
     family_param: float
@@ -358,8 +354,7 @@ class ScanCell:
     status: str
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     """Aggregate over the (E, lam) grid for one exponent.
 
     ``verdict`` is "pass" (flat within 1e-6 and the constant matches the
@@ -374,8 +369,7 @@ class FamilyVerdict:
     verdict: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Closed-orbit candidate scan over a family of power-law exponents."""
 
     family: str

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import (
     ConeGeometry,
@@ -26,47 +25,40 @@ from .core import (
 from .errors import ConeDynError, ConfigError
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(NamedTuple):
     dt: float
     n_steps: int
     sample_every: int
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
+class ClosureConfig(NamedTuple):
     enabled: bool
     tol: float
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(NamedTuple):
     tolerance: float
     max_refinements: int
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     exponents: tuple[float, ...]
     e_fractions: tuple[float, ...]
     lambdas: tuple[float, ...]
     include_log_check: bool
 
 
-@dataclass(frozen=True)
-class AlgebraConfig:
+class AlgebraConfig(NamedTuple):
     n_points: int
     h: float
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     path: str
     format: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated experiment definition; fields irrelevant to a command are None."""
 
     params: Params

@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,8 +287,7 @@ def _root(f, a: np.ndarray, b: np.ndarray, rtol: float):
     return roots, failed
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(NamedTuple):
     """Inner and outer radii where U_eff(r) = E for a bound level set:
     floats, or arrays for arrays of (E, J)."""
 
@@ -695,8 +695,7 @@ def _interpolants(traj: Trajectory):
     )
 
 
-@dataclass(frozen=True)
-class ApsisEvent:
+class ApsisEvent(NamedTuple):
     """A refined p_r zero crossing: perigee (r minimum) or apogee (r maximum)."""
 
     time: float
@@ -761,8 +760,7 @@ def _golden_min(f, a: float, b: float, xatol: float) -> float:
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
-class ClosureInfo:
+class ClosureInfo(NamedTuple):
     """First detected return to the initial phase-space point."""
 
     closure_time: float

@@ -25,7 +25,6 @@ always explicit.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -117,8 +116,7 @@ def phase_invariants(params: Params, r, phi, p_r, J) -> Invariants:
     return Invariants(h, a, b, z_re, z_im)
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(NamedTuple):
     """Value of the complex invariant at one phase point.
 
     ``power`` is the power of C that was taken (1 for the local invariant);
@@ -410,8 +408,7 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
                          _ZZBAR_MATCH[match])
 
 
-@dataclass(frozen=True)
-class BracketRow:
+class BracketRow(NamedTuple):
     """One numerically evaluated bracket against one candidate right side."""
 
     name: str
@@ -423,8 +420,7 @@ class BracketRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     """All verified brackets at one phase point (see :func:`w_algebra_table`)."""
 
     rows: list[BracketRow]

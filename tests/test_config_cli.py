@@ -208,15 +208,77 @@ _PER_ROW = {
 }
 
 
+# the records of the package: NamedTuples, with these fields (and defaults)
+_RECORDS = {
+    "actions.RationalApprox": ("p", "q", "error"),
+    "actions.ActionData": ("i1", "i2", "omega1", "omega2", "ratio", "rational_approx"),
+    "bertrand.ApsidalResult": ("delta_phi", "lam", "E", "quadrature_error_estimate"),
+    "bertrand.SmallOscillation": ("omega_sq", "apsidal_limit"),
+    "bertrand.WidthLawResult": ("a_fit", "max_residual"),
+    "bertrand.ScanCell": ("family_param", "E", "lam", "s_delta_phi", "status"),
+    "bertrand.FamilyVerdict": ("family_param", "flatness", "constant", "expected_constant",
+                               "verdict"),
+    "bertrand.ScanReport": ("family", "cells", "verdicts"),
+    "config.IntegratorConfig": ("dt", "n_steps", "sample_every"),
+    "config.ClosureConfig": ("enabled", "tol"),
+    "config.QuadratureConfig": ("tolerance", "max_refinements"),
+    "config.ScanConfig": ("exponents", "e_fractions", "lambdas", "include_log_check"),
+    "config.AlgebraConfig": ("n_points", "h"),
+    "config.OutputConfig": ("path", "format"),
+    "config.RunConfig": ("params", "initial_point", "initial_level", "integrator", "closure",
+                         "quadrature", "scan", "levels", "algebra", "output"),
+    "dynamics.TurningPoints": ("r_min", "r_max"),
+    "dynamics.ApsisEvent": ("time", "kind", "r", "phi_unwrapped"),
+    "dynamics.ClosureInfo": ("closure_time", "radial_periods"),
+    "symmetry.InvariantValue": ("re", "im", "kind", "power", "k", "multivalued"),
+    "symmetry.BracketRow": ("name", "value", "expected", "abs_err", "rel_err", "role", "note"),
+    "symmetry.BracketReport": ("rows", "h", "point", "kind", "k", "n", "zzbar_match"),
+}
+_RECORD_DEFAULTS = {"symmetry.BracketRow": {"note": ""}}
+# the dataclasses that stay: validated values, a frozen-array trajectory,
+# and the run summary that perfbench reads with dataclasses.asdict
+_DATACLASSES = {"core.ConeGeometry", "core.Kepler", "core.Oscillator", "core.PowerLaw",
+                "core.LogPotential", "core.PhasePoint", "core.Params",
+                "dynamics.Trajectory", "cli.RunSummary"}
+
+
+def _fresh_import(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter after ``import conedyn.cli``."""
+    src = str(CONFIG_DIR.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", "import conedyn.cli\n" + code],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    return out.stdout
+
+
 class TestCli:
     def test_import_loads_no_scipy(self):
-        src = str(CONFIG_DIR.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = ("import sys, conedyn.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert out.stdout.strip() == "[]"
+        code = "import sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert _fresh_import(code).strip() == "[]"
+
+    def test_import_footprint(self):
+        # start-up cost of every subcommand: no fractions module, and a
+        # dataclass only where a plain record will not do
+        code = """
+import dataclasses, inspect, json, sys
+classes = {f"{name.removeprefix('conedyn.')}.{c.__name__}": c
+           for name, module in list(sys.modules.items()) if name.startswith("conedyn.")
+           for c in vars(module).values()
+           if inspect.isclass(c) and c.__module__ == name}
+print(json.dumps({
+    "fractions": "fractions" in sys.modules,
+    "dataclasses": sorted(n for n, c in classes.items() if dataclasses.is_dataclass(c)),
+    "records": {n: [issubclass(c, tuple), c._fields, c._field_defaults]
+                for n, c in classes.items() if hasattr(c, "_fields")},
+}))
+"""
+        found = json.loads(_fresh_import(code))
+        assert found["fractions"] is False
+        assert found["dataclasses"] == sorted(_DATACLASSES)
+        for name, fields in _RECORDS.items():
+            assert found["records"][name] == [True, list(fields),
+                                              _RECORD_DEFAULTS.get(name, {})], name
 
     def test_simulate_writes_trajectory_csv(self, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")
