@@ -146,7 +146,8 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
     that holds one value over a block once per block, and a float64 column
     equal bit for bit to an earlier one over a block once per record.
     Numbers go straight into one ``%`` per ``_CHUNK_LINES`` lines; in JSONL
-    the non-finite floats, found by np.isfinite, get json's names.
+    the non-finite floats, found by np.isfinite, get json's names.  A path
+    that cannot be opened for writing raises :class:`ConfigError`.
     """
     csv_out = fmt == "csv"
     render = _csv_cell if csv_out else _json_cell
@@ -167,7 +168,11 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
     refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
     keys = [literal(key) + ":" for key in header]
     per_chunk = max(1, _CHUNK_LINES // len(lines))
-    with open(path, "w", encoding="utf-8") as f:
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("output.path", f"cannot write {path}: {exc.strerror or exc}") from exc
+    with f:
         if csv_out:
             f.write(",".join(map(cell, header)) + "\n")
         for block in blocks:
@@ -424,7 +429,10 @@ _COMMANDS = {
 
 
 def _seed_arg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # rejected below, with the message of a negative seed
     if value < 0:
         raise argparse.ArgumentTypeError("seed must be a nonnegative integer")
     return value

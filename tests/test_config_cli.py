@@ -1,6 +1,7 @@
 """Config parsing, serialization round-trips, CLI behavior, and exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -361,6 +362,34 @@ print(json.dumps({
         r0 = float(lines[1].split(",")[1])
         # 17 significant digits reproduce the double exactly
         assert float(format(r0, ".17g")) == r0
+
+    @pytest.mark.parametrize("command", sorted(_PER_ROW))
+    @pytest.mark.parametrize("target,reason", [("missing/out.csv", errno.ENOENT),
+                                               (".", errno.EISDIR)],
+                             ids=["missing_dir", "directory"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         command, target, reason):
+        monkeypatch.setenv("CONE_LOG", "error")  # the actions doc logs a failed level
+        doc, _ = _PER_ROW[command]
+        config = _write(tmp_path, "c.json", {**doc, "output": {"path": str(tmp_path / "a")}})
+        out = tmp_path / target
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", config, "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: output.path: cannot write {out}: "
+                                f"{os.strerror(reason)}\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5", ""])
+    def test_seed_must_be_nonnegative_integer(self, tmp_path, capsys, seed):
+        config = _write(tmp_path, "c.json", _simulate_doc(str(tmp_path / "t.csv")))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", config, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: seed must be a nonnegative integer\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--config",
