@@ -1,10 +1,10 @@
 """Command-line front end: simulate | bertrand | actions | verify-algebra.
 
 Each subcommand reads one JSON config (see :mod:`conedyn.config`), runs the
-experiment, writes result files (CSV or JSONL, floats rendered with 17
-significant digits for round-trip fidelity), and prints a JSON run summary
-to stdout.  Diagnostics go to stderr, controlled by the CONE_LOG environment
-variable (error | warn | info | debug).
+experiment, writes result files (CSV with floats as ``'%.17g'``, or JSONL
+with floats as their shortest ``repr``, both round-tripping exactly), and
+prints a JSON run summary to stdout.  Diagnostics go to stderr, controlled
+by the CONE_LOG environment variable (error | warn | info | debug).
 
 Exit codes: 0 ok, 2 config error, 3 dynamics error, 4 scan/levels all
 infeasible, 5 irrational scale factor where a rational one is required.
@@ -13,6 +13,7 @@ infeasible, 5 irrational scale factor where a rational one is required.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -95,7 +96,16 @@ def _initial_point(cfg: RunConfig) -> PhasePoint:
 
 _JSON_COMPACT = json.JSONEncoder(separators=(",", ":"))
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CHUNK_LINES = 512  # lines per %: bounds the text and lists held at once
+_CHUNK_LINES = 512  # JSONL lines per %: bounds the text and lists held at once
+_CSV_ROWS = 1024  # CSV lines per byte matrix: bounds the matrices held at once
+
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)  # 5**27 < 2**63
+_E4, _E8, _E16, _E17 = (np.uint64(10**p) for p in (4, 8, 16, 17))
+_U1, _U32, _U64, _HALF = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(1 << 63)
+_LOW32 = np.uint64(0xFFFFFFFF)
+# a _g17 lane: sign, "0.000", 17 digits each followed by ".", exponent, 4 unused
+_LANE = 48
+_GAP = b"\xff"  # a byte the CSV writer drops; UTF-8 text never holds it
 
 
 class _Fixed(NamedTuple):
@@ -122,11 +132,264 @@ def _json_cell(value) -> str:
 
 def _kind(column) -> str:
     """How :func:`_write_rows` renders a column: "f" float64 and "i" integer
-    arrays go into the % as numbers, "O" anything else cell by cell."""
+    arrays as numbers, "O" anything else cell by cell."""
     dtype = getattr(column, "dtype", None)
     if dtype == np.float64:
         return "f"
     return "i" if dtype is not None and dtype.kind in "iu" else "O"
+
+
+def _padded(data: list[bytes], width: int = 0) -> np.ndarray:
+    """Each bytes at the start of one row of a uint8 matrix, the rest of
+    the row _GAP bytes."""
+    width = max(width, 1, *map(len, data))
+    return np.frombuffer(b"".join(d.ljust(width, _GAP) for d in data),
+                         np.uint8).reshape(len(data), width)
+
+
+def _scaled(M: np.ndarray, E2: np.ndarray, X: np.ndarray):
+    """``q = floor(M 2**E2 10**(16 - X))`` for 53-bit integers M, whether q
+    rounds up (to nearest, ties to even), and whether q is exact and has
+    17 digits.  A shift out of range gives 0 in numpy; such lanes fail."""
+    k = 16 - X
+    s = -E2 - k  # M 2**E2 10**k = M 5**k / 2**s
+    exact = (k.view(np.uint64) <= 27) & ((s - 1).view(np.uint64) <= 62)
+    P = _POW5.take(k, mode="clip")
+    s = s.view(np.uint64)
+    # M 5**k = hi 2**64 + lo from 32-bit limbs: no partial sum exceeds 2**64
+    m0, m1, p0, p1 = M & _LOW32, M >> _U32, P & _LOW32, P >> _U32
+    lo0 = m0 * p0
+    mid = m1 * p0 + m0 * p1
+    lo = lo0 + (mid << _U32)
+    hi = m1 * p1 + (mid >> _U32) + (lo < lo0)
+    left = _U64 - s
+    q = (hi << left) | (lo >> s)
+    up = ((lo << left) | (q & _U1)) > _HALF  # the remainder, as a fraction of 2**64
+    return q, up, exact & ((hi >> s) == 0) & (q - _E16 < _E17 - _E16)
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4-digit groups 0 to 9999 as words with a digit in each even
+    byte, and the rest of a :func:`_g17` lane by exponent X (-11 to 16),
+    place of the last digit that is not 0, and sign: row
+    ``34 (X + 11) + 2 place + sign``, as words."""
+    g = np.arange(10**4, dtype=np.uint64)
+    digits = sum((g // np.uint64(10**(3 - i)) % np.uint64(10) + np.uint64(48))
+                 << np.uint64(16 * i) for i in range(4))
+    X = np.arange(-11, 17)[:, None, None]
+    last = np.arange(17)[:, None]
+    whole = (X >= 0) & (X <= 16)  # ddd.ddd
+    small = (X < 0) & (X >= -4)  # 0.000ddd
+    expo = ~(whole | small)  # d.ddde-XX
+    keep = np.zeros((28, 17, 2, _LANE), bool)
+    keep[..., 0] = np.arange(2)
+    keep[..., 1:6] = np.arange(5) < np.where(small, 1 - X, 0)[..., None]
+    keep[..., 6:40:2] = np.arange(17) <= np.where(whole, np.maximum(last, X), last)[..., None]
+    point = np.where(whole & (X < last), X, np.where(expo & (last > 0), 0, -1))
+    keep[..., 7:40:2] = np.arange(17) == point[..., None]
+    keep[..., 40:44] = expo[..., None]
+    text = np.zeros((28, 1, 1, _LANE), np.uint8)  # 0 where a digit goes
+    text[..., :6] = np.frombuffer(b"-0.000", np.uint8)
+    text[..., 7:40:2] = ord(".")
+    text[..., 40] = ord("e")
+    text[..., 41] = np.where(X < 0, ord("-"), ord("+"))
+    text[..., 42] = abs(X) // 10 + ord("0")
+    text[..., 43] = abs(X) % 10 + ord("0")
+    lanes = np.where(keep, text, np.uint8(_GAP[0]))
+    return digits, lanes.reshape(-1, _LANE).view("<u8")
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each v of a float64 array: row i of the uint8
+    matrix returned holds x[i]'s text, with _GAP bytes between and after
+    its parts.
+
+    A finite x with ``1e-10 <= |x| < 1e16`` is ``M 2**E2`` with M < 2**53.
+    Its 17 significant digits are ``M 5**k / 2**s`` for ``k = 16 - X``,
+    X = floor(log10 |x|), rounded to nearest with ties to even: exact
+    integer arithmetic on uint64 (128-bit products from 32-bit limbs), as
+    correctly rounded as Python's own formatting.  The floor of the product
+    lies in [10**16, 10**17) exactly when X is right, so np.log10's guess of
+    X is checked and corrected; a round up to 10**17 moves X up one.  A row
+    holds a sign, "0.000", the 17 digits each followed by a point, and an
+    exponent, as little-endian words; a table row picked by X, sign and
+    the last digit that is not 0 lays out %g's text: fixed notation for
+    ``-4 <= X < 17``, ``d.ddde-XX`` below, without trailing zeros, and
+    without a point that no digit follows.  Every other value (0,
+    subnormals, non-finite, outside the range) and any lane the check
+    rejects twice is rendered by Python's '%.17g'.
+    """
+    digits, lanes = _g17_tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e16)
+    a[~fast] = 1.0  # a stand-in, rendered below by Python
+    mantissa, E2 = np.frexp(a)
+    M = (mantissa * 2.0**53).astype(np.uint64)
+    E2 -= 53
+    X = np.floor(np.log10(a)).astype(np.int64)  # one off near a power of ten
+    q, up, ok = _scaled(M, E2, X)
+    redo = np.flatnonzero(fast & ~ok)
+    if redo.size:
+        X[redo] += np.where(q[redo] < _E16, -1, 1)
+        q[redo], up[redo], ok[redo] = _scaled(M[redo], E2[redo], X[redo])
+    ok &= fast
+    q += up
+    carry = q == _E17
+    q[carry] = _E16
+    X += carry
+
+    # digit 0, then four groups of four digits
+    head = q // _E8
+    d0 = head // _E8
+    groups = np.empty((4, n), np.uint64)
+    groups[1] = head - d0 * _E8
+    groups[3] = q - head * _E8
+    groups[::2] = groups[1::2] // _E4
+    groups[1::2] -= groups[::2] * _E4
+    words = np.empty((n, _LANE // 8), "<u8")
+    words[:, 0] = (d0 + np.uint64(48)) << np.uint64(48)
+    words[:, 1:5] = digits.take(groups.view(np.int64)).T
+    words[:, 5] = 0
+    chars = words.view(np.uint8)
+    last = np.full(n, 16)
+    rows = np.flatnonzero(groups[3] % np.uint64(10) == 0)
+    if rows.size:
+        last[rows] -= np.argmax(chars[rows, 38:5:-2] != ord("0"), axis=1)
+    words |= lanes.take(34 * (X + 11) + 2 * last + np.signbit(x), axis=0, mode="clip")
+
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        chars[rows] = _padded(list(map(b"%.17g".__mod__, x[rows].tolist())), _LANE)
+    return chars
+
+
+def _trim(lanes: np.ndarray) -> np.ndarray:
+    """The bytes of :func:`_g17` rows less the leading and trailing ones
+    that are _GAP in every row."""
+    words = lanes.view("<u8")
+    head = int(np.bitwise_and.reduce(words[:, 0])).to_bytes(8, "little")
+    tail = int(np.bitwise_and.reduce(words[:, -1])).to_bytes(8, "little").rstrip(_GAP)
+    return lanes[:, 8 - len(head.lstrip(_GAP)):_LANE - 8 + len(tail) if tail else 39]
+
+
+def _join_rows(parts: list, count: int) -> bytes:
+    """The bytes of ``count`` rows, each the concatenation of ``parts``:
+    bytes stand on every row, a uint8 matrix gives each row its own row,
+    and the _GAP bytes are dropped."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    out = np.empty((count, sum(widths)), np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        out[:, at:at + width] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part
+        at += width
+    return out.tobytes().translate(None, _GAP)
+
+
+def _block_columns(block: Sequence, refs: list[int]):
+    """How a block's columns render: each one's kind, the float columns that
+    hold one value (column -> value), and for each column the first column
+    equal to it bit for bit (itself if none)."""
+    kinds = {j: _kind(block[j]) for j in set(refs)}
+    fixed, same, seen = {}, {}, {}
+    for j in sorted(kinds):
+        same[j] = j
+        if kinds[j] != "f":
+            continue
+        bits = block[j].view(np.int64)
+        if (bits == bits[0]).all():
+            fixed[j] = block[j][0].item()
+            continue
+        i = seen.setdefault(hash(bits.tobytes()), j)
+        if i != j and np.array_equal(bits, block[i].view(np.int64)):
+            same[j] = i
+    return kinds, fixed, same
+
+
+def _text_column(part, kind: str, cell) -> np.ndarray:
+    """A slice of an integer or object column as :func:`_g17` renders a
+    float column, each distinct integer or text rendered once."""
+    if kind == "i":
+        values, inverse = np.unique(part, return_inverse=True)
+        texts = list(map(cell, values.tolist()))
+    else:
+        index: dict[str, int] = {}
+        inverse = [index.setdefault(text, len(index)) for text in map(cell, part)]
+        texts = list(index)
+    return _padded([text.encode() for text in texts])[inverse]
+
+
+def _write_csv(f, header: list[str], lines: Sequence[Sequence], blocks, cell) -> None:
+    """CSV rows as byte matrices: every float64 column of up to ``_CSV_ROWS``
+    lines goes through :func:`_g17` in one call."""
+    f.write((",".join(map(cell, header)) + "\n").encode())
+    refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
+    per_block = max(1, _CSV_ROWS // len(lines))
+    for block in blocks:
+        kinds, fixed, same = _block_columns(block, refs)
+        # the record as text that stands on every row between rendered columns
+        parts, text = [], ""
+        for line in lines:
+            for i, c in enumerate(line):
+                text += "," if i else ""
+                if isinstance(c, _Fixed) or c in fixed:
+                    text += cell(c.value if isinstance(c, _Fixed) else fixed[c])
+                else:
+                    parts += [text.encode(), same[c]]
+                    text = ""
+            text += "\n"
+        parts.append(text.encode())
+        columns = {p for p in parts if isinstance(p, int)}
+        floats = sorted(j for j in columns if kinds[j] == "f")
+        count = len(block[0])
+        for a in range(0, count, per_block):
+            n = min(per_block, count - a)
+            cols = {j: _text_column(block[j][a:a + n], kinds[j], cell)
+                    for j in columns if kinds[j] != "f"}
+            if floats:
+                chars = _g17(np.concatenate([block[j][a:a + n] for j in floats]))
+                for i, j in enumerate(floats):
+                    cols[j] = _trim(chars[i * n:(i + 1) * n])
+            f.write(_join_rows([cols[p] if isinstance(p, int) else p for p in parts], n))
+
+
+def _write_jsonl(f, header: list[str], lines: Sequence[Sequence], blocks, cell) -> None:
+    """JSONL lines through one ``%`` per ``_CHUNK_LINES`` lines: numbers go
+    into it raw, since str(float) is the repr json writes, and only the
+    non-finite floats, found by np.isfinite, get json's names."""
+
+    def literal(value) -> str:  # a cell written into the % template
+        return cell(value).replace("%", "%%")
+
+    refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
+    keys = [literal(key) + ":" for key in header]
+    per_chunk = max(1, _CHUNK_LINES // len(lines))
+    for block in blocks:
+        kinds, fixed, same = _block_columns(block, refs)
+        order = [same[c] for c in refs if c not in fixed]  # the column of each %
+        columns = set(order)
+        # those a record repeats are rendered before the %
+        repeated = {j for j in columns if kinds[j] == "f" and order.count(j) > 1}
+        fix = {j for j in columns if kinds[j] == "f" and not np.isfinite(block[j]).all()}
+        pieces = [[literal(c.value) if isinstance(c, _Fixed) else literal(fixed[c])
+                   if c in fixed else "%s" for c in line] for line in lines]
+        template = "".join("{" + ",".join(map(str.__add__, keys, p)) + "}\n" for p in pieces)
+        count = len(block[0])
+        for a in range(0, count, per_chunk):
+            cols = {}
+            for j in columns:
+                part = block[j][a:a + per_chunk]
+                if kinds[j] == "O":
+                    cols[j] = list(map(cell, part))
+                    continue
+                values = part.tolist()
+                if j in fix:
+                    for i in np.flatnonzero(~np.isfinite(part)).tolist():
+                        values[i] = _JSON_NONFINITE[repr(values[i])]
+                cols[j] = list(map(str, values)) if j in repeated else values
+            values = chain.from_iterable(zip(*[cols[j] for j in order]))
+            f.write((template * min(per_chunk, count - a) % tuple(values)).encode())
 
 
 def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence],
@@ -136,22 +399,20 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
     A record is one row per entry of ``lines``, and each entry lists a row's
     cells: an int picks that column of the block, a :class:`_Fixed` holds
     the cell's value for the whole file.  ``blocks`` yields lists of columns
-    of equal length, one record per index.  CSV renders floats with 17
-    significant digits, which round-trip exactly, and other cells with
-    str(), quoted as csv.writer quotes them.  A JSONL line equals
+    of equal length, one record per index.  CSV renders floats as
+    ``'%.17g'``, which round-trips exactly, and other cells with str(),
+    quoted as csv.writer quotes them.  A JSONL line equals
     ``json.dumps(dict(zip(header, row)), separators=(",", ":"))``.
 
     Each value is rendered once, with the bytes of its own rendering: a
     fixed cell and each distinct string once per call, a float64 column
     that holds one value over a block once per block, and a float64 column
-    equal bit for bit to an earlier one over a block once per record.
-    Numbers go straight into one ``%`` per ``_CHUNK_LINES`` lines; in JSONL
-    the non-finite floats, found by np.isfinite, get json's names.  A path
-    that cannot be opened for writing raises :class:`ConfigError`.
+    equal bit for bit to an earlier one over a block once per record.  CSV
+    renders float64 columns with :func:`_g17`, and each distinct integer
+    once per ``_CSV_ROWS`` lines.  A path that cannot be opened for writing
+    raises :class:`ConfigError`.
     """
-    csv_out = fmt == "csv"
-    render = _csv_cell if csv_out else _json_cell
-    number = "%.17g" if csv_out else "%s"  # str(float) is repr, as json has it
+    render = _csv_cell if fmt == "csv" else _json_cell
     strings: dict[str, str] = {}
 
     def cell(value) -> str:
@@ -162,62 +423,12 @@ def _write_rows(path: str, fmt: str, header: list[str], lines: Sequence[Sequence
             out = strings[value] = render(value)
         return out
 
-    def literal(value) -> str:  # a cell written into the % template
-        return cell(value).replace("%", "%%")
-
-    refs = [c for line in lines for c in line if not isinstance(c, _Fixed)]
-    keys = [literal(key) + ":" for key in header]
-    per_chunk = max(1, _CHUNK_LINES // len(lines))
     try:
-        f = open(path, "w", encoding="utf-8")
+        f = open(path, "wb")
     except OSError as exc:
         raise ConfigError("output.path", f"cannot write {path}: {exc.strerror or exc}") from exc
     with f:
-        if csv_out:
-            f.write(",".join(map(cell, header)) + "\n")
-        for block in blocks:
-            kinds = {j: _kind(block[j]) for j in set(refs)}
-            # a float column with one value goes into the template as text;
-            # one equal to an earlier column is read from that column
-            text, same, seen = {}, {}, {}
-            for j in sorted(kinds):
-                same[j] = j
-                if kinds[j] != "f":
-                    continue
-                bits = block[j].view(np.int64)
-                if (bits == bits[0]).all():
-                    text[j] = literal(block[j][0].item())
-                    continue
-                i = seen.setdefault(hash(bits.tobytes()), j)
-                if i != j and np.array_equal(bits, block[i].view(np.int64)):
-                    same[j] = i
-            order = [same[c] for c in refs if c not in text]  # the column of each %
-            columns = set(order)
-            # floats go raw into the %, but those a record repeats are rendered first
-            repeated = {j for j in columns if kinds[j] == "f" and order.count(j) > 1}
-            fix = set() if csv_out else {
-                j for j in columns if kinds[j] == "f" and not np.isfinite(block[j]).all()}
-            pieces = [[literal(c.value) if isinstance(c, _Fixed) else text[c] if c in text
-                       else number if kinds[c] == "f" and same[c] not in repeated else "%s"
-                       for c in line] for line in lines]
-            template = "".join(
-                ",".join(p) + "\n" if csv_out
-                else "{" + ",".join(map(str.__add__, keys, p)) + "}\n" for p in pieces)
-            count = len(block[0])
-            for a in range(0, count, per_chunk):
-                cols = {}
-                for j in columns:
-                    part = block[j][a:a + per_chunk]
-                    if kinds[j] == "O":
-                        cols[j] = list(map(cell, part))
-                        continue
-                    values = part.tolist()
-                    if j in fix:
-                        for i in np.flatnonzero(~np.isfinite(part)).tolist():
-                            values[i] = _JSON_NONFINITE[repr(values[i])]
-                    cols[j] = list(map(number.__mod__, values)) if j in repeated else values
-                values = chain.from_iterable(zip(*[cols[j] for j in order]))
-                f.write(template * min(per_chunk, count - a) % tuple(values))
+        (_write_csv if fmt == "csv" else _write_jsonl)(f, header, lines, blocks, cell)
 
 
 def _resolve_output(cfg: RunConfig, args) -> tuple[str, str]:
@@ -357,7 +568,10 @@ def cmd_actions(cfg: RunConfig, args) -> RunSummary:
         n_ok += 1
         log.info("level (E=%g, J=%g): ratio=%.12g rational=%s", E, J, data.ratio,
                  (ra.p, ra.q) if ra else None)
-    _write_rows(path, fmt, header, [range(len(header))], [list(zip(*rows))])
+    # all but p, q and status are floats, which render by column
+    columns = [c if name in ("rational_p", "rational_q", "status") else np.array(c, np.float64)
+               for name, c in zip(header, zip(*rows))]
+    _write_rows(path, fmt, header, [range(len(header))], [columns])
     results = {
         "output": path,
         "records_ok": n_ok,

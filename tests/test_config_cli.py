@@ -459,6 +459,48 @@ print(json.dumps({
         assert out.read_bytes() == _reference_bytes("csv", header, rows)
         with open(out, newline="") as f:
             assert [r[-1] for r in csv.reader(f)][-2:] == [rows[-2][-1], rows[-1][-1]]
+        # NUL and non-ASCII strings keep their bytes; columns of floats alone
+        # also go in as float64 arrays, through the vectorized formatter
+        rows.append([0.5, -0.25, 1e-05, 123456.789, 9.999999999999998e15, 2.0**53, 1e-10,
+                     "\x00", "é", 3.5, -1e-300, 0.25, "nul\x00 π ≈ 3.14 😀 \x00"])
+        columns = [np.array(c) if all(isinstance(v, float) for v in c) else c
+                   for c in zip(*rows)]
+        assert sum(isinstance(c, np.ndarray) for c in columns) == 9
+        for blocks in ([list(zip(*rows))], [columns]):
+            _write_rows(str(out), "csv", header, [range(len(header))], blocks)
+            assert out.read_bytes() == _reference_bytes("csv", header, rows)
+
+    def test_g17_matches_percent_format(self):
+        # the CSV float formatter against '%.17g', byte for byte, on 10**6
+        # values: bit patterns, magnitudes log-uniform over the float range
+        # and over the formatter's own, powers of ten and their neighbours,
+        # round-ups to a power of ten, exact ties, integers, and the edges
+        rng = np.random.default_rng(14)
+        p10 = 10.0 ** np.arange(-12, 18)
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, math.inf, math.nan, tiny, 2 * tiny, 2.2250738585072014e-308,
+                   np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
+                   1e-14, 1e-305, 1e-243, 1e23, 2.0**51, 2.0**53, 1e-10, 1e16]
+        parts = [
+            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-330, 308.25, 50_000),
+            10.0 ** rng.uniform(-10.5, 16.5, 760_000),
+            np.concatenate([p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)]),
+            np.nextafter(np.array([1e-4, 0.1, 1e-5, 1e-9, 1e15]), 0),
+            np.arange(40_000) / 4,  # exact quarters, and ties at digit 18 near 2**51
+            (2**53 - 4 * np.arange(20_000)) / 4,
+            np.arange(60_000) * 2.0**-20,
+            rng.integers(0, 2**53, 20_000).astype(np.float64),
+            np.array(special),
+        ]
+        values = np.concatenate(parts)
+        values.view(np.uint64)[rng.random(len(values)) < 0.5] ^= np.uint64(1 << 63)
+        assert len(values) >= 10**6
+        with np.errstate(over="ignore"):
+            for start in range(0, len(values), 2**17):
+                x = values[start:start + 2**17]
+                got = cli._join_rows([cli._g17(x), b"\n"], len(x))
+                assert got == b"".join(map(b"%.17g\n".__mod__, x.tolist()))
 
     def test_jsonl_rows_render_like_json_dumps(self, tmp_path):
         nan, inf = math.nan, math.inf
@@ -506,6 +548,7 @@ print(json.dumps({
         # are rendered once; a zero's sign or a NaN must not merge columns
         # that differ, across blocks and chunks of two records
         monkeypatch.setattr(cli, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(cli, "_CSV_ROWS", 4)
         n = 5
         x = np.linspace(-1.0, 1.0, n)
         zero, signed = np.zeros(n), np.zeros(n)
@@ -534,6 +577,7 @@ print(json.dumps({
         # small blocks and chunks put their boundaries inside the file; the
         # verify-algebra run has a NaN point inside a block and a chunk
         monkeypatch.setattr(cli, "_CHUNK_LINES", 16)
+        monkeypatch.setattr(cli, "_CSV_ROWS", 16)
         monkeypatch.setattr(cli, "_ALGEBRA_BLOCK", 3)
         monkeypatch.setattr(cli, "draw_bound_points", _draw_with_overflow_at_4)
         doc, reference_rows = _PER_ROW[command]
