@@ -153,7 +153,7 @@ def _scaled(M: np.ndarray, E2: np.ndarray, X: np.ndarray):
     17 digits.  A shift out of range gives 0 in numpy; such lanes fail."""
     k = 16 - X
     s = -E2 - k  # M 2**E2 10**k = M 5**k / 2**s
-    exact = (k.view(np.uint64) <= 27) & ((s - 1).view(np.uint64) <= 62)
+    exact = (k.view(np.uint64) <= 27) & ((s - 1).view(np.uint64) <= 62)  # 0..27, 1..63
     P = _POW5.take(k, mode="clip")
     s = s.view(np.uint64)
     # M 5**k = hi 2**64 + lo from 32-bit limbs: no partial sum exceeds 2**64
@@ -220,7 +220,7 @@ def _g17(x: np.ndarray) -> np.ndarray:
     subnormals, non-finite, outside the range) and any lane the check
     rejects twice is rendered by Python's '%.17g'.
     """
-    digits, lanes = _g17_tables()
+    digits, layouts = _g17_tables()
     n = len(x)
     a = np.abs(x)
     fast = (a >= 1e-10) & (a < 1e16)
@@ -253,11 +253,11 @@ def _g17(x: np.ndarray) -> np.ndarray:
     words[:, 1:5] = digits.take(groups.view(np.int64)).T
     words[:, 5] = 0
     chars = words.view(np.uint8)
-    last = np.full(n, 16)
+    last = np.full(n, 16)  # the place of the last digit that is not 0
     rows = np.flatnonzero(groups[3] % np.uint64(10) == 0)
     if rows.size:
         last[rows] -= np.argmax(chars[rows, 38:5:-2] != ord("0"), axis=1)
-    words |= lanes.take(34 * (X + 11) + 2 * last + np.signbit(x), axis=0, mode="clip")
+    words |= layouts.take(34 * (X + 11) + 2 * last + np.signbit(x), axis=0, mode="clip")
 
     rows = np.flatnonzero(~ok)
     if rows.size:

@@ -639,6 +639,24 @@ print(json.dumps({
         assert (ok["rational_p"], ok["rational_q"]) == (3, 2)
         assert abs(ok["roundtrip_rel_err"]) < 1e-8
 
+    def test_actions_csv_floats_go_through_the_kernel(self, tmp_path, capsys, monkeypatch):
+        # the ten float columns reach the writer as float64 arrays, so the
+        # CSV kernel formats them as whole columns, not cell by cell
+        seen = []
+
+        def spy(x):
+            seen.append(x.copy())
+            return kernel(x)
+
+        kernel = cli._g17
+        monkeypatch.setattr(cli, "_g17", spy)
+        monkeypatch.setenv("CONE_LOG", "error")
+        doc = {**_PER_ROW["actions"][0], "output": {"path": str(tmp_path / "a.csv")}}
+        assert main(["actions", "--config", _write(tmp_path, "c.json", doc)]) == 0
+        capsys.readouterr()
+        assert len(seen) == 1 and len(seen[0]) % 3 == 0
+        assert seen[0][:3].tolist() == [-0.15, -0.1, 5.0]  # E, the first column
+
     def test_verify_algebra_cli(self, tmp_path, capsys):
         out = str(tmp_path / "algebra.jsonl")
         doc = {
