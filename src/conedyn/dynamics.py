@@ -10,7 +10,10 @@ once per step: the closing half-kick is reused as the next opening one (the
 first-same-as-last property of Stormer-Verlet), which is bit-identical to
 evaluating it twice.  The loop only records each new radius; per block of
 steps, numpy forms the angle increments and sums them in order, which is
-bit-identical to the running sum, so memory stays at one block.
+bit-identical to the running sum, so memory stays at one block.  The tip is
+checked once per block too: one numpy test finds the first radius that is
+not positive, the step a per-step test would have stopped at.  For m = 1 the
+drift is compiled without its exact division by m.
 """
 
 from __future__ import annotations
@@ -497,8 +500,8 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         out_r, out_pr, out_phi):
     half_dt = 0.5 * dt
     cent = (J * J) / ms2
-    radii = np.empty(block + 1)  # r before and after each step of a block
-    store = memoryview(radii)    # item stores cheaper than numpy's or array's
+    radii = np.ones(block + 1)  # r before and after each step of a block (1.0: not stored)
+    store = memoryview(radii)   # item stores cheaper than numpy's or array's
     dphi = np.empty(block + 1)
     i = 0                # steps before the current block
     k = 1                # next sample
@@ -512,12 +515,10 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
             store[0] = r
             done = 0
             while done < n:
-                stop = done + min(left, n - done)
+                stop = done + (left if left < n - done else n - done)
                 for j in range(done + 1, stop + 1):
                     p_r += kick
-                    r += dt * (p_r / m)
-                    if not r > 0.0:
-                        raise TipCollisionError(step_index=i + j - 1)
+                    r += {drift}
                     store[j] = r
                     r2 = r * r
                     kick = half_dt * (cent / (r2 * r) - ({force}))
@@ -525,10 +526,12 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
                 left -= stop - done
                 done = stop
                 if not left:
-                    out_r[k] = r
+                    out_r[k] = r  # out_r and out_pr are memoryviews too
                     out_pr[k] = p_r
                     k += 1
                     left = sample_every
+            if not radii[1:n + 1].min() > 0.0:  # the tip, once per block (NaN too)
+                raise TipCollisionError(step_index=i + int(np.argmin(radii[1:n + 1] > 0.0)))
             # phi += dt * (J / (ms2 * (r_mid * r_mid))) per step, summed in order
             with np.errstate(all="ignore"):
                 d = dphi[1:n + 1]
@@ -545,19 +548,24 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
             hi = (i + n) // sample_every + 1
             out_phi[lo:hi] = dphi[lo * sample_every - i:n + 1:sample_every]
             i += n
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
+        # past the tip the block runs on into 1/0, overflow, or a complex r (TypeError)
+        if not radii[1:j + 1].min() > 0.0:
+            raise TipCollisionError(step_index=i + int(np.argmin(radii[1:j + 1] > 0.0))) from None
         raise DomainError(f"radial force at step {i + j - 1} is outside the float "
                           f"range (r={r!r})") from exc
 """
 
 
 @functools.cache
-def _stepper(kind: type):
+def _stepper(kind: type, unit_mass: bool):
     """The stepper loop with the force of potential class ``kind`` spliced
-    in, compiled once per class (as dataclasses builds ``__init__``)."""
+    in, compiled once per class and unit-mass flag (as dataclasses builds
+    ``__init__``); x / 1.0 == x, so unit mass drops the division."""
     namespace = {"np": np, "DomainError": DomainError,
                  "TipCollisionError": TipCollisionError}
-    source = _LOOP.replace("{force}", _FORCE[kind][0])
+    source = (_LOOP.replace("{force}", _FORCE[kind][0])
+              .replace("{drift}", "dt * p_r" if unit_mass else "dt * (p_r / m)"))
     exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
     return namespace["run"]
 
@@ -599,8 +607,10 @@ def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_
     c, p = _FORCE[kind][1](pot, m)
     s = params.geometry.s
     n_steps, sample_every = int(n_steps), int(sample_every)
-    _stepper(kind)(pt.r, pt.p_r, pt.phi, pt.J, m, m * s * s, c, p, dt, n_steps,
-                   sample_every, min(_BLOCK, n_steps), out_r, out_pr, out_phi)
+    # Python floats: numpy scalars past the tip would warn, not raise or go complex
+    _stepper(kind, m == 1.0)(float(pt.r), float(pt.p_r), pt.phi, float(pt.J), m, m * s * s,
+                             c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
+                             memoryview(out_r), memoryview(out_pr), out_phi)
     return out_r, out_pr, out_phi
 
 
@@ -801,11 +811,11 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
         dp = (p_h(x) - p0) / amp_p
         return dr * dr + dp * dp
 
-    periods = 0
-    for i in range(start + 1, len(d) - 1):
-        if not (d[i] <= 0.2 and d[i] <= d[i - 1] and d[i] < d[i + 1]):
-            continue
-        periods += 1
+    # candidates: local minima of d at or below 0.2, from sample start + 1 on
+    mid = d[1:-1]
+    near = (mid <= 0.2) & (mid <= d[:-2]) & (mid < d[2:])
+    near[:start] = False
+    for periods, i in enumerate((np.flatnonzero(near) + 1).tolist(), start=1):
         a, b = sorted((float(t[i - 1]), float(t[i + 1])))
         t_star = _golden_min(dist_sq, a, b, xatol=(b - a) * 1e-10)
         d_rp = max(abs(r_h(t_star) - r0) / amp_r, abs(p_h(t_star) - p0) / amp_p)

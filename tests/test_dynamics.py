@@ -1,5 +1,6 @@
 """Hamiltonian, turning points, the leapfrog stepper, and closure detection."""
 
+import dataclasses
 import decimal
 import itertools
 import math
@@ -357,6 +358,38 @@ class TestStep:
             cd.integrate(params, pt, 1e-2, 700, 7)
         assert err.value.step_index == expected
 
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.0),
+        cd.PowerLaw(amplitude=0.8, exponent=1.5),  # r ** 0.5 turns complex past the tip
+        cd.LogPotential(strength=1.0, r0=1.0),
+    ], ids=["kepler", "oscillator", "power_law", "log"])
+    def test_tip_collision_at_block_edges(self, potential, monkeypatch):
+        # the tip is checked once per block of steps, so a crossing may be
+        # found after the loop ran on: on the first step, on the last step
+        # of a block and on the first step of the next one
+        monkeypatch.setattr(dynamics, "_BLOCK", 64)
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=potential)
+        pt, dt = cd.PhasePoint(r=0.5, phi=0.0, p_r=-1.0, J=0.0), 1e-3
+        total = steps_to_collision(params, pt, dt)
+        plunge = cd.integrate(params, pt, dt, total, 1)
+        for step in (0, 63, 64):
+            start = plunge.point(total - step)
+            assert steps_to_collision(params, start, dt) == step
+            # numpy scalars in the start point take the same path, with no warning
+            as_numpy = cd.PhasePoint(*map(np.float64, dataclasses.astuple(start)))
+            for pt, sample_every in itertools.product((start, as_numpy), (1, 8)):
+                with pytest.raises(TipCollisionError) as err:
+                    cd.integrate(params, pt, dt, 128, sample_every)
+                assert err.value.step_index == step
+
+    def test_opening_force_overflow_is_domain_error(self):
+        # r ** -2.5 leaves the float range before step 0 stores a radius
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                           potential=cd.PowerLaw(amplitude=1.0, exponent=-1.5))
+        with pytest.raises(DomainError, match="step 0 is outside the float range"):
+            cd.integrate(params, cd.PhasePoint(r=1e-150, phi=0.0, p_r=0.0, J=0.0), 1e-3, 10)
+
     def test_zero_dt_rejected(self):
         with pytest.raises(DomainError):
             one_step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
@@ -417,6 +450,10 @@ class TestIntegrate:
         pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
         _assert_equals_reference(params, pt, 2e-3, 140_000, 70_000)
         monkeypatch.setattr(dynamics, "_BLOCK", 64)
+        for sample_every in (1, 7, 150):
+            _assert_equals_reference(params, pt, 2e-3, 1050, sample_every)
+        # unit mass drops the division p_r / m from the drift
+        params = cd.Params(m=1.0, geometry=params.geometry, potential=potential)
         for sample_every in (1, 7, 150):
             _assert_equals_reference(params, pt, 2e-3, 1050, sample_every)
 
@@ -544,6 +581,40 @@ class TestIntegrate:
             assert walked.p_r == traj.p_r[i]
 
 
+def _reference_detect_closure(traj, tol):
+    """detect_closure as first written: the candidate samples are found by a
+    scan of one sample at a time."""
+    r, p, t = traj.r, traj.p_r, traj.times
+    amp_r = float(r.max() - r.min())
+    amp_p = max(float(p.max() - p.min()), 1e-300)
+    r0, p0, phi0 = float(r[0]), float(p[0]), float(traj.phi_unwrapped[0])
+    d = np.maximum(np.abs(r - r0) / amp_r, np.abs(p - p0) / amp_p)
+    departed = np.nonzero(d > 0.35)[0]
+    if len(departed) == 0:
+        return None
+    start = int(departed[0])
+    r_h, p_h, phi_h = dynamics._interpolants(traj)
+
+    def dist_sq(x):
+        dr = (r_h(x) - r0) / amp_r
+        dp = (p_h(x) - p0) / amp_p
+        return dr * dr + dp * dp
+
+    periods = 0
+    for i in range(start + 1, len(d) - 1):
+        if not (d[i] <= 0.2 and d[i] <= d[i - 1] and d[i] < d[i + 1]):
+            continue
+        periods += 1
+        a, b = sorted((float(t[i - 1]), float(t[i + 1])))
+        t_star = dynamics._golden_min(dist_sq, a, b, xatol=(b - a) * 1e-10)
+        d_rp = max(abs(r_h(t_star) - r0) / amp_r, abs(p_h(t_star) - p0) / amp_p)
+        winding = (phi_h(t_star) - phi0) / (2 * math.pi)
+        d_phi = abs(winding - round(winding))
+        if d_rp <= tol and d_phi <= tol:
+            return cd.ClosureInfo(closure_time=t_star, radial_periods=periods)
+    return None
+
+
 class TestDetectClosure:
     def _trajectory(self, params, E, J, n_periods, steps_per_period=20000, sample_every=50):
         T = cd.radial_period(params, E, J)
@@ -597,6 +668,29 @@ class TestDetectClosure:
             assert b.phi_unwrapped == pytest.approx(-a.phi_unwrapped, rel=1e-12)
         for a, b in zip(cd.measure_apsidal_advance(fwd), cd.measure_apsidal_advance(bwd)):
             assert b == pytest.approx(a, rel=1e-12)
+
+    def test_equals_reference_scan(self):
+        kep, irr = kepler_params(2, 3), kepler_params(s=1.0 / math.sqrt(2.0))
+        pt = perigee_point(kep, -0.15, 1.0)
+        fwd = cd.integrate(kep, pt, 2e-3, 50000, 50)
+        cases = [fwd, cd.integrate(kep, pt, -2e-3, 50000, 50),
+                 self._trajectory(irr, bound_energy(irr, 1.0, 0.3), 1.0, 12.5, 10000)]
+        cases.append(cd.integrate(irr, perigee_point(irr, -0.15, 1.0), -2e-3, 20000, 50))
+        # a NaN p_r makes every distance NaN, so no sample departs
+        p_r = fwd.p_r.copy()
+        p_r[7] = np.nan
+        cases.append(dataclasses.replace(fwd, p_r=p_r))
+        # one sample per half radial period from mid-well: start is sample 1,
+        # and the first candidate, sample 2, is the closure
+        flat = kepler_params()
+        half = cd.radial_period(flat, -0.375, 1.0) / 2
+        cases.append(cd.integrate(flat, midwell_point(flat, -0.375, 1.0), half / 5000,
+                                  30000, 5000))
+        infos = [cd.detect_closure(traj, tol=1e-6) for traj in cases]
+        assert infos == [_reference_detect_closure(traj, tol=1e-6) for traj in cases]
+        assert infos[0].radial_periods == infos[1].radial_periods == 2
+        assert infos[2] is None and infos[4] is None
+        assert infos[5].radial_periods == 1
 
     def test_golden_section_terminates_below_float_spacing(self):
         # at t ~ 1e7 the requested xatol is below one ulp of t
