@@ -552,6 +552,8 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         # past the tip the block runs on into 1/0, overflow, or a complex r (TypeError)
         if not radii[1:j + 1].min() > 0.0:
             raise TipCollisionError(step_index=i + int(np.argmin(radii[1:j + 1] > 0.0))) from None
+        if isinstance(exc, TypeError):
+            raise
         raise DomainError(f"radial force at step {i + j - 1} is outside the float "
                           f"range (r={r!r})") from exc
 """
