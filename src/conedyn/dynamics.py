@@ -182,20 +182,25 @@ def _at_lanes(params: Params, lanes: np.ndarray) -> Params:
     return params
 
 
-def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray):
+def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
     """U_eff(r) with the bits of one call per lane on Python floats: the
-    power law's r ** alpha goes through :func:`_float_pow`.  Also returns
-    the mask of lanes where such a call raises ArithmeticError (a zero
-    divisor, or r ** alpha out of range); they hold NaN."""
+    power law's r ** alpha goes through :func:`_float_pow`.  ``lanes`` (an
+    index array) picks the (A, alpha) of r's lanes from a power law with one
+    pair per lane.  Also returns the mask of lanes where such a call raises
+    ArithmeticError (a zero divisor, or r ** alpha out of range); they hold
+    NaN."""
     m, s = params.m, params.geometry.s
     pot = params.potential
     with np.errstate(all="ignore"):
         den = 2.0 * m * s * s * r * r
         raised = den == 0.0
         if isinstance(pot, PowerLaw):
-            power = _float_pow(r, pot.exponent)
+            a, alpha = pot.amplitude, pot.exponent
+            if lanes is not None and np.ndim(alpha):
+                a, alpha = a[lanes], alpha[lanes]
+            power = _float_pow(r, alpha)
             raised |= np.isinf(power) & np.isfinite(r)
-            v = pot.amplitude * power
+            v = a * power
         else:
             v = pot.value(r, m)
         u = J * J / den + v
@@ -411,7 +416,7 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
 
     def f(r, lanes):
         # r is r_c times a power of 2 or inside a positive bracket: no check needed
-        u, raised = _effective_potential_lanes(_at_lanes(params, lanes), J[lanes], r)
+        u, raised = _effective_potential_lanes(params, J[lanes], r, lanes)
         _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
                 r, lanes=lanes)
         return u - E[lanes]
