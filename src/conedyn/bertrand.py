@@ -15,6 +15,10 @@ period and (in the actions module) the radial action.
 
 Everything here is s-free once expressed in lam: the geometry enters only
 through lam = J/s and the final division of the integral by s.
+
+The Gauss-Legendre rule is computed here (Newton's method on the Legendre
+recurrence), and each lane's sum is a numpy row sum: neither LAPACK nor
+BLAS is called, so the quadrature bits do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -54,10 +58,56 @@ _NODE_BLOCK = 1 << 13  # lanes x nodes evaluated at once: bounds a batch's memor
 _WIDTH_LEVELS = 50  # energy levels of the width-law fit
 
 
+def _legendre(n: int, x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence.  ``exact`` takes
+    j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2} with integer coefficients;
+    otherwise P_j = x P_{j-1} + (j - 1)/j (x P_{j-1} - P_{j-2}) saves an
+    operation, but its rounded (j - 1)/j scale P_n by some sqrt(n) ulp,
+    which moves no root."""
+    p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(2, n + 1):
+        np.multiply(x, p1, out=t)
+        if exact:
+            t *= 2 * j - 1
+            p0 *= j - 1
+            t -= p0
+            t /= j
+            p0, p1, t = p1, t, p0
+        else:
+            p0 -= t
+            p0 *= (1.0 - j) / j
+            p0 += t
+            p0, p1 = p1, p0
+    return p1, p0
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n, started from Tricomi's guess, moves the
+    nonnegative nodes until a step is below 1e-14 (the next one would be
+    below rounding); the weights are 2 / ((1 - x^2) P_n'(x)^2) at the final
+    nodes, and the negative half mirrors the positive one."""
+    k = np.arange(1, n // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x = np.append(x, 0.0)
+    for _ in range(20):
+        p, q = _legendre(n, x, exact=False)
+        dx = p * (x - 1.0) * (x + 1.0) / (n * (x * p - q))  # P_n / P_n'
+        x -= dx
+        if np.abs(dx).max() <= 1e-14:
+            break
+    p, q = _legendre(n, x, exact=True)
+    dp = n * (x * p - q) / ((x - 1.0) * (x + 1.0))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate([-x[:n // 2], x[::-1]]), np.concatenate([w[:n // 2], w[::-1]])
+
+
 @lru_cache(maxsize=32)
 def _gauss_theta(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, pi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     return 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
 
 
@@ -108,8 +158,11 @@ class _Well:
         The integrand gets the rows k (an index array) of the lanes still
         refining, with r = r_mid - rho*cos(theta) and g = (2/m)(E - U_eff(r))
         / (rho*sin(theta))^2, which is smooth and positive across the well,
-        as (len(k), order) matrices; each lane is summed on its own, so it
-        has the bits of a one-lane call.  Returns the values and the relative
+        as (len(k), order) matrices.  Each lane's sum is the numpy row sum of
+        integrand * w, which sums every row pairwise on its own and calls no
+        BLAS, so a lane has the bits of a one-lane call whatever the batch or
+        the BLAS kernel; convergence, stagnation, breach and failure are masks
+        over the lanes still refining.  Returns the values and the relative
         changes at the last doubling, NaN in failed lanes.  Two guards keep
         deep refinement from degrading nearly-circular wells, where the
         innermost nodes approach the rounding floor of E - U_eff near the
@@ -120,12 +173,8 @@ class _Well:
         """
         params, E, rho, errors = self.params, self.E, self.rho, self.errors
         n = E.size
-        value, err = [math.nan] * n, [math.inf] * n  # per lane: last sum and change
+        value, err = np.full(n, math.nan), np.full(n, math.inf)  # per lane: last sum and change
         out_value, out_err = np.full(n, math.nan), np.full(n, math.nan)
-
-        def finish(lane: int, v: float, e: float) -> None:
-            out_value[lane], out_err[lane] = v, e
-
         active = np.flatnonzero(_alive(errors, n))
         order = _START_ORDER
         for refinement in range(1 + max(max_refinements, 0)):
@@ -133,48 +182,46 @@ class _Well:
                 break
             theta, w = _gauss_theta(order)
             cos, sin = np.cos(theta), np.sin(theta)
-            refining = []
+            new, positive = np.empty(active.size), np.empty(active.size, dtype=bool)
             rows = max(1, _NODE_BLOCK // order)
             for start in range(0, active.size, rows):
-                k = active[start:start + rows]
+                k, block = active[start:start + rows], slice(start, start + rows)
                 with np.errstate(all="ignore"):
                     # the nodes lie strictly inside (r_min, r_max): no radius check
                     r = self.r_mid[k, None] - rho[k, None] * cos
                     u = self._effective_potential(r, k)
                     d = (2.0 / params.m) * (E[k, None] - u)
                     g = d / (rho[k, None] * sin) ** 2
-                    f = integrand(theta, r, g, k)
-                positive = ((g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)).tolist()
-                for lane, row, ok in zip(k.tolist(), f, positive):
-                    if not ok:
-                        if refinement == 0:
-                            errors[lane] = QuadratureError(
-                                "transformed integrand not positive: turning points inconsistent")
-                        else:
-                            log.debug("order %d breached the endpoint floor; keeping %.1e",
-                                      order, err[lane])
-                            finish(lane, value[lane], err[lane])
-                        continue
-                    new = float(w @ row)
-                    if refinement:
-                        prev_err = err[lane]
-                        err[lane] = change = abs(new - value[lane]) / max(abs(new), 1e-300)
-                        if change <= tolerance:
-                            finish(lane, new, change)
-                            continue
-                        if change >= 0.5 * prev_err:
-                            # spectral convergence would cut the change by orders of
-                            # magnitude per doubling; stalling means rounding noise
-                            log.debug("quadrature stagnated at %.1e (order %d)", change, order)
-                            finish(lane, new, change)
-                            continue
-                    value[lane] = new
-                    refining.append(lane)
-            active = np.array(refining, dtype=int)
+                    new[block] = (integrand(theta, r, g, k) * w).sum(axis=1)
+                positive[block] = (g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)
+            if refinement == 0:
+                _record(errors, ~positive, QuadratureError,
+                        "transformed integrand not positive: turning points inconsistent",
+                        lanes=active)
+            else:
+                breached = active[~positive]
+                for e in err[breached].tolist():
+                    log.debug("order %d breached the endpoint floor; keeping %.1e", order, e)
+                out_value[breached], out_err[breached] = value[breached], err[breached]
+            active, new = active[positive], new[positive]
+            if refinement:
+                with np.errstate(all="ignore"):
+                    change = np.abs(new - value[active]) / np.maximum(np.abs(new), 1e-300)
+                # spectral convergence would cut the change by orders of magnitude
+                # per doubling; stalling means rounding noise
+                converged = change <= tolerance
+                stagnated = ~converged & (change >= 0.5 * err[active])
+                for c in change[stagnated].tolist():
+                    log.debug("quadrature stagnated at %.1e (order %d)", c, order)
+                err[active] = change
+                done = converged | stagnated
+                out_value[active[done]], out_err[active[done]] = new[done], change[done]
+                active, new = active[~done], new[~done]
+            value[active] = new
             order *= 2
-        for lane in active.tolist():
-            log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, err[lane])
-            finish(lane, value[lane], err[lane])
+        for e in err[active].tolist():
+            log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
+        out_value[active], out_err[active] = value[active], err[active]
         return out_value, out_err
 
     def swept_angle(self, tolerance: float, max_refinements: int):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 import conedyn as cd
 from conedyn.dynamics import _effective_d2
 from conedyn.actions import radial_action
+from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.errors import CircularOrbitError, ConeDynError, DomainError, QuadratureError
 from helpers import bound_energy, kepler_params, midwell_point, oscillator_params
 
@@ -165,6 +167,62 @@ class TestRefinementPaths:
         for f in (cd.radial_period, cd.apsidal_angle, radial_action):
             with pytest.raises(QuadratureError, match="not positive"):
                 f(params, E, 1.0)
+
+
+    def test_mixed_batch_equals_one_lane_calls(self, caplog):
+        # one well holds a converged, a stagnated, an endpoint-breach and a
+        # first-order-failure lane (Kepler at these fractions of its depth):
+        # each lane's value, error estimate, error and log records are those
+        # of its own one-lane call, in either lane order
+        params = kepler_params()
+        _, u0 = cd.circular_orbit(params, 1.0)
+        E = u0 + np.array([1e-2, 1e-4, 3e-8, 1e-10]) * abs(u0)
+        caplog.set_level("DEBUG", logger="conedyn")
+
+        def swept(lanes):
+            caplog.clear()
+            errors: dict = {}
+            value, err = _Well(params, E[lanes], np.ones(len(lanes)), errors).swept_angle(1e-10, 6)
+            return (value.tolist(), err.tolist(), {k: repr(e) for k, e in errors.items()},
+                    Counter(r.getMessage() for r in caplog.records))
+
+        alone = [swept([lane]) for lane in range(E.size)]
+        assert [a[3] for a in alone] == [
+            Counter(), Counter({"quadrature stagnated at 7.1e-09 (order 256)": 1}),
+            Counter({"order 256 breached the endpoint floor; keeping 9.2e-06": 1}), Counter()]
+        assert alone[3][2] == {0: "QuadratureError('transformed integrand not positive: "
+                                  "turning points inconsistent')"}
+        for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+            value, err, errors, records = swept(order)
+            for i, lane in enumerate(order):
+                assert value[i].hex() == alone[lane][0][0].hex()
+                assert err[i].hex() == alone[lane][1][0].hex()
+                assert errors.get(i) == alone[lane][2].get(0)
+            assert records == sum((a[3] for a in alone), Counter())
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        # sum w P_j(x) = 0 for 1 <= j <= 2n - 1 (P_j by the recurrence) and
+        # sum w = 2; the nodes are symmetric, sorted, inside (-1, 1)
+        x, w = _gauss_legendre(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and np.all(w > 0.0)
+        assert abs(w.sum() - 2.0) <= 4 * np.spacing(2.0)
+        p0, p1, worst = np.ones_like(x), x.copy(), 0.0
+        for j in range(1, 2 * n):
+            worst = max(worst, abs((w * p1).sum()))
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        assert worst <= 2e-15
+
+    def test_cost_at_4096(self):
+        best = math.inf
+        for _ in range(7):
+            start = time.process_time()
+            _gauss_legendre(4096)
+            best = min(best, time.process_time() - start)
+        assert best < 0.3
 
 
 class TestCircularOrbit:

@@ -258,6 +258,16 @@ class TestCli:
         code = "import sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         assert _fresh_import(code).strip() == "[]"
 
+    def test_bertrand_run_loads_no_numpy_polynomial(self, tmp_path):
+        # the Gauss-Legendre rule is computed in conedyn, not by leggauss
+        code = f"""
+import sys
+cli.main(["bertrand", "--config", {str(CONFIG_DIR / "bertrand_scan.json")!r},
+          "--output", {str(tmp_path / "scan.csv")!r}])
+print("numpy.polynomial" in sys.modules)
+"""
+        assert _fresh_import("from conedyn import cli\n" + code).splitlines()[-1] == "False"
+
     def test_import_footprint(self):
         # start-up cost of every subcommand: no fractions module, and a
         # dataclass only where a plain record will not do
