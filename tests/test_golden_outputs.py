@@ -19,9 +19,9 @@ GOLDEN = {
     ("simulate", "simulate_kepler_s23.json", "csv"):
         "e06ca407585faa4b029eaf26c67996ea369a04f6afe97f67987a14d7ed7d7159",
     ("actions", "actions_kepler_s23.json", "jsonl"):
-        "8f412bd29d259d10d10eddc805723990edc9e8ac1ca0e8a1d6724d13d90de351",
+        "1dabbda5f064d1c438796a877a1e6180634dcee30050614fdedcc6788bb7c8ae",
     ("bertrand", "bertrand_scan.json", "csv"):
-        "5cb36763ebbc1aab7e602aaac5d847fb3c947bfc148a2c020518756cdb68cbb3",
+        "3ce5247ee656f48ac41fce4f1f699994c37f08e4305222e93dad319d174ee4be",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
         "35f689baca6b7ad0c4f3a9e4eb6088f1ea85a85b39d568ac6850b05f759246ad",
 }
