@@ -793,11 +793,14 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
     between samples.  Radial periods are counted as successive (r, p_r)
     returns, which the reduced dynamics produces exactly once per period.
     A backward run (dt < 0) reports a negative closure time.  Returns None
-    when no closure occurs within the trajectory.
+    when no closure occurs within the trajectory; a non-finite r or p_r is
+    a DomainError.
     """
     if float(traj.series_J[0]) == 0.0:
         raise DomainError("closure detection requires J != 0")
     r, p, t = traj.r, traj.p_r, traj.times
+    if not (np.isfinite(r).all() and np.isfinite(p).all()):
+        raise DomainError("closure detection requires finite r and p_r")
     amp_r = float(r.max() - r.min())
     amp_p = max(float(p.max() - p.min()), 1e-300)
     if amp_r <= 1e-9 * max(float(r.mean()), 1e-300):
@@ -806,10 +809,8 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
     r0, p0, phi0 = float(r[0]), float(p[0]), float(traj.phi_unwrapped[0])
     d = np.maximum(np.abs(r - r0) / amp_r, np.abs(p - p0) / amp_p)
 
-    departed = np.nonzero(d > 0.35)[0]
-    if len(departed) == 0:
-        return None
-    start = int(departed[0])
+    # the sample farthest from r0 in r has d >= 0.5: some sample departs
+    start = int(np.argmax(d > 0.35))
 
     r_h, p_h, phi_h = _interpolants(traj)
 

@@ -676,10 +676,6 @@ class TestDetectClosure:
         cases = [fwd, cd.integrate(kep, pt, -2e-3, 50000, 50),
                  self._trajectory(irr, bound_energy(irr, 1.0, 0.3), 1.0, 12.5, 10000)]
         cases.append(cd.integrate(irr, perigee_point(irr, -0.15, 1.0), -2e-3, 20000, 50))
-        # a NaN p_r makes every distance NaN, so no sample departs
-        p_r = fwd.p_r.copy()
-        p_r[7] = np.nan
-        cases.append(dataclasses.replace(fwd, p_r=p_r))
         # one sample per half radial period from mid-well: start is sample 1,
         # and the first candidate, sample 2, is the closure
         flat = kepler_params()
@@ -689,8 +685,14 @@ class TestDetectClosure:
         infos = [cd.detect_closure(traj, tol=1e-6) for traj in cases]
         assert infos == [_reference_detect_closure(traj, tol=1e-6) for traj in cases]
         assert infos[0].radial_periods == infos[1].radial_periods == 2
-        assert infos[2] is None and infos[4] is None
-        assert infos[5].radial_periods == 1
+        assert infos[2] is None
+        assert infos[4].radial_periods == 1
+        # a NaN r or p_r would make every distance NaN: a typed error
+        for column in ("r", "p_r"):
+            bad = getattr(fwd, column).copy()
+            bad[7] = np.nan
+            with pytest.raises(DomainError, match="finite r and p_r"):
+                cd.detect_closure(dataclasses.replace(fwd, **{column: bad}))
 
     def test_golden_section_terminates_below_float_spacing(self):
         # at t ~ 1e7 the requested xatol is below one ulp of t
