@@ -168,7 +168,6 @@ class TestRefinementPaths:
             with pytest.raises(QuadratureError, match="not positive"):
                 f(params, E, 1.0)
 
-
     def test_mixed_batch_equals_one_lane_calls(self, caplog):
         # one well holds a converged, a stagnated, an endpoint-breach and a
         # first-order-failure lane (Kepler at these fractions of its depth):

@@ -3,7 +3,10 @@
 The hashes cover the result files only.  The stdout summary carries
 ``wall_time_s`` and so is never hashed.  They were taken on x86-64 Linux
 (glibc libm, numpy 2.x); a different libm may round cos, sin or pow
-differently in the last bit and so give other bytes.
+differently in the last bit and so give other bytes.  They do not depend on
+the OpenBLAS kernel (CI checks them under ``OPENBLAS_CORETYPE=Prescott``),
+but the bertrand hash does depend on numpy's CPU dispatch: without AVX-512,
+numpy's ``power`` rounds some ``r ** alpha`` differently.
 """
 
 import hashlib
