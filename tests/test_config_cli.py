@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
-from conedyn import cli
+from conedyn import cli, writer
 from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
 from conedyn.errors import ConeDynError, ConfigError
@@ -291,6 +291,31 @@ print(json.dumps({
             assert found["records"][name] == [True, list(fields),
                                               _RECORD_DEFAULTS.get(name, {})], name
 
+    def test_writer_imported_by_a_run_only(self, tmp_path):
+        # import conedyn.cli and load_config leave the writer uncompiled; a
+        # verify-algebra run imports it, and with it no dataclass record and
+        # no fractions module
+        doc = {**_base_doc(algebra={"n_points": 3, "h": 1e-5}),
+               "output": {"path": str(tmp_path / "a.jsonl"), "format": "jsonl"}}
+        config = _write(tmp_path, "c.json", doc)
+        code = f"""
+import dataclasses, inspect, json, sys
+from conedyn import cli
+cli.load_config({config!r})
+loaded = ["conedyn.writer" in sys.modules]
+cli.main(["verify-algebra", "--config", {config!r}])
+loaded.append("conedyn.writer" in sys.modules)
+writer = sys.modules["conedyn.writer"]
+print(json.dumps({{
+    "loaded": loaded,
+    "fractions": "fractions" in sys.modules,
+    "dataclasses": [n for n, c in vars(writer).items()
+                    if inspect.isclass(c) and dataclasses.is_dataclass(c)],
+}}))
+"""
+        found = json.loads(_fresh_import(code).splitlines()[-1])
+        assert found == {"loaded": [False, True], "fractions": False, "dataclasses": []}
+
     def test_simulate_writes_trajectory_csv(self, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")
         code = main(["simulate", "--config",
@@ -486,17 +511,17 @@ print(json.dumps({
         # and over the formatter's own, powers of ten and their neighbours,
         # round-ups to a power of ten, exact ties, integers, and the edges
         rng = np.random.default_rng(14)
-        p10 = 10.0 ** np.arange(-12, 18)
+        p10 = 10.0 ** np.arange(-32, 18)
         tiny = np.nextafter(0.0, 1.0)
         special = [0.0, math.inf, math.nan, tiny, 2 * tiny, 2.2250738585072014e-308,
                    np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
-                   1e-14, 1e-305, 1e-243, 1e23, 2.0**51, 2.0**53, 1e-10, 1e16]
+                   1e-14, 1e-305, 1e-243, 1e23, 2.0**51, 2.0**53, 1e-10, 1e16, 1e-30]
         parts = [
             rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
             10.0 ** rng.uniform(-330, 308.25, 50_000),
-            10.0 ** rng.uniform(-10.5, 16.5, 760_000),
+            10.0 ** rng.uniform(-30.5, 16.5, 760_000),
             np.concatenate([p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)]),
-            np.nextafter(np.array([1e-4, 0.1, 1e-5, 1e-9, 1e15]), 0),
+            np.nextafter(np.array([1e-4, 0.1, 1e-5, 1e-9, 1e15, 1e-11, 1e-12, 1e-30]), 0),
             np.arange(40_000) / 4,  # exact quarters, and ties at digit 18 near 2**51
             (2**53 - 4 * np.arange(20_000)) / 4,
             np.arange(60_000) * 2.0**-20,
@@ -509,8 +534,74 @@ print(json.dumps({
         with np.errstate(over="ignore"):
             for start in range(0, len(values), 2**17):
                 x = values[start:start + 2**17]
-                got = cli._join_rows([cli._g17(x), b"\n"], len(x))
+                got = writer._join_rows([writer._g17(x), b"\n"], len(x))
                 assert got == b"".join(map(b"%.17g\n".__mod__, x.tolist()))
+
+    def test_shortest_matches_repr(self):
+        # the JSONL float formatter against json's float text (repr, and
+        # NaN, Infinity, -Infinity), byte for byte, on 10**6 values: bit
+        # patterns, magnitudes log-uniform over the fast range and past
+        # its ends, decimals rounded to every length, powers of two (whose
+        # interval is asymmetric), where repr switches notation, integers,
+        # and the edges
+        rng = np.random.default_rng(17)
+        p10 = 10.0 ** np.arange(-32, 18)
+        edges = np.array([1e16, 1e-4, 1e-5, 1e-30, 1e-25])
+        special = [0.0, math.nan, math.inf, 5e-324, 1.7976931348623157e308,
+                   2.2250738585072014e-308, 0.1 + 0.2, 1 / 3, 2.0**53, 9007199254740993.0]
+        mixed = 10.0 ** rng.uniform(-5, 12, 20_000)
+        parts = [
+            rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-25, 16, 500_000),
+            10.0 ** rng.uniform(-31, -24, 20_000),
+            np.concatenate([np.round(mixed, d) for d in range(16)]),
+            np.round(10.0 ** rng.uniform(-25, -5, 20_000), 30),
+            2.0 ** np.arange(-110, 60),
+            np.concatenate([p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)]),
+            np.concatenate([edges + 0.0] + [np.nextafter(edges, d) for d in (0, np.inf)]),
+            np.concatenate([np.nextafter(np.nextafter(edges, d), d) for d in (0, np.inf)]),
+            np.arange(-50_000, 50_000) * 1.0,
+            rng.integers(0, 2**53, 30_000).astype(np.float64),
+            np.arange(60_000) * 2.0**-20,
+            np.array(special),
+        ]
+        values = np.concatenate(parts)
+        values.view(np.uint64)[rng.random(len(values)) < 0.5] ^= np.uint64(1 << 63)
+        assert len(values) >= 10**6
+        names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        lengths = set()
+        for start in range(0, len(values), 2**17):
+            x = values[start:start + 2**17]
+            texts = [names.get(t, t) for t in map(repr, x.tolist())]
+            assert writer._join_rows([writer._shortest(x), b"\n"], len(x)) == \
+                "".join(t + "\n" for t in texts).encode()
+            lengths.update(len(t.split("e")[0].replace(".", "").strip("-0")) for t in texts)
+        assert set(range(1, 18)) <= lengths
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_float_kernels_correct_a_wrong_exponent_guess(self, monkeypatch, shift):
+        # np.log10's guess of the decimal exponent, one off on every lane,
+        # is corrected on both sides of the two-limb and three-limb cores
+        rng = np.random.default_rng(18)
+        x = 10.0 ** rng.uniform(-30, 16, 50_000)
+        x[::2] *= -1
+        x = np.concatenate([x, 2.0 ** np.arange(-99, 53)])
+        log10 = np.log10
+
+        def guess(a, out=None):
+            out = log10(a, out=out)
+            out += shift
+            return out
+
+        monkeypatch.setattr(np, "log10", guess)
+        # every lane from 1e-30 to 2**51 (where x 10**(16 - X) is not a
+        # whole number) comes out exact: none is left to Python
+        fast = (np.abs(x) >= 1e-30) & (np.abs(x) < 2.0**51)
+        assert writer._decimal(x, True)[2][2][fast].all()
+        assert writer._join_rows([writer._g17(x), b"\n"], len(x)) == \
+            b"".join(map(b"%.17g\n".__mod__, x.tolist()))
+        assert writer._join_rows([writer._shortest(x), b"\n"], len(x)) == \
+            "".join(f"{v!r}\n" for v in x.tolist()).encode()
 
     def test_jsonl_rows_render_like_json_dumps(self, tmp_path):
         nan, inf = math.nan, math.inf
@@ -540,7 +631,7 @@ print(json.dumps({
             rendered[text] += 1
             return json.encoder.encode_basestring_ascii(text)
 
-        monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+        monkeypatch.setattr(writer, "encode_basestring_ascii", counting)
         header = ["i", "bracket", "x", "note"]
         rows = [[i, "{H,Z}" if i % 2 else "{J,Z}", i / 7, "é ok"] for i in range(50)]
         rows += [[50, "é ok", 1.5, "{H,Z}"], [51, "a", 2.5, "nan cell"]]
@@ -557,8 +648,7 @@ print(json.dumps({
         # float columns constant over a block, or equal to another column,
         # are rendered once; a zero's sign or a NaN must not merge columns
         # that differ, across blocks and chunks of two records
-        monkeypatch.setattr(cli, "_CHUNK_LINES", 4)
-        monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+        monkeypatch.setattr(writer, "_MATRIX_LINES", 4)
         n = 5
         x = np.linspace(-1.0, 1.0, n)
         zero, signed = np.zeros(n), np.zeros(n)
@@ -586,8 +676,7 @@ print(json.dumps({
                                              command, fmt):
         # small blocks and chunks put their boundaries inside the file; the
         # verify-algebra run has a NaN point inside a block and a chunk
-        monkeypatch.setattr(cli, "_CHUNK_LINES", 16)
-        monkeypatch.setattr(cli, "_CSV_ROWS", 16)
+        monkeypatch.setattr(writer, "_MATRIX_LINES", 16)
         monkeypatch.setattr(cli, "_ALGEBRA_BLOCK", 3)
         monkeypatch.setattr(cli, "draw_bound_points", _draw_with_overflow_at_4)
         doc, reference_rows = _PER_ROW[command]
@@ -658,8 +747,8 @@ print(json.dumps({
             seen.append(x.copy())
             return kernel(x)
 
-        kernel = cli._g17
-        monkeypatch.setattr(cli, "_g17", spy)
+        kernel = writer._g17
+        monkeypatch.setattr(writer, "_g17", spy)
         monkeypatch.setenv("CONE_LOG", "error")
         doc = {**_PER_ROW["actions"][0], "output": {"path": str(tmp_path / "a.csv")}}
         assert main(["actions", "--config", _write(tmp_path, "c.json", doc)]) == 0
