@@ -395,18 +395,17 @@ def _trimmed(chars: np.ndarray, count: int) -> list[np.ndarray]:
     return out
 
 
-def _join_rows(parts: list, count: int) -> bytearray:
+def _join_rows(parts: list, count: int) -> bytes:
     """The bytes of ``count`` rows, each the concatenation of ``parts``:
     bytes stand on every row, a uint8 matrix gives each row its own row,
     and the _GAP bytes are dropped."""
     widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
-    text = bytearray(count * sum(widths))
-    out = np.frombuffer(text, np.uint8).reshape(count, sum(widths))
+    out = np.empty((count, sum(widths)), np.uint8)
     at = 0
     for part, width in zip(parts, widths):
         out[:, at:at + width] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part
         at += width
-    return text.translate(None, _GAP)
+    return out.tobytes().translate(None, _GAP)
 
 
 def _block_columns(block: Sequence, refs: list[int]):
