@@ -115,10 +115,12 @@ class _Well:
     """Geometry of bound wells, one lane per level set (E[k], J[k]) of the
     1-D arrays E and J: turning points and the transformed integrand.  A
     lane that fails records its first error in ``errors`` (lane -> error)
-    and the other lanes carry on."""
+    and the other lanes carry on.  ``minimum`` is the (r_c, U_0) of the
+    lanes' wells, if the caller has it already (see :func:`_turning_points`)."""
 
-    def __init__(self, params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
-        r_min, r_max = _turning_points(params, E, J, errors)
+    def __init__(self, params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
+                 minimum=None):
+        r_min, r_max = _turning_points(params, E, J, errors, minimum)
         self.r_mid = 0.5 * (r_min + r_max)
         self.rho = 0.5 * (r_max - r_min)
         _record(errors, self.rho <= 1e-8 * self.r_mid, CircularOrbitError,
@@ -130,10 +132,11 @@ class _Well:
         # each is evaluated with Python-float constants as in a one-lane call
         pot = params.potential
         if isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
-            pairs: dict = {}
-            self.group = np.array([pairs.setdefault(pair, len(pairs)) for pair in
-                                   zip(pot.amplitude.tolist(), pot.exponent.tolist())], dtype=int)
-            self.parts = [replace(params, potential=PowerLaw(*pair)) for pair in pairs]
+            # each pair's bits as one complex A + i alpha, which np.unique sorts fast
+            pairs = np.column_stack([pot.amplitude, pot.exponent]).view(complex)[:, 0]
+            pairs, self.group = np.unique(pairs, return_inverse=True)
+            self.parts = [replace(params, potential=PowerLaw(pair.real, pair.imag))
+                          for pair in pairs.tolist()]
         else:
             self.group, self.parts = np.zeros(E.size, dtype=int), [params]
 
@@ -277,11 +280,12 @@ def apsidal_angle(
 
 
 def _apsidal_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: float,
-                   max_refinements: int, errors: dict):
+                   max_refinements: int, errors: dict, minimum=None):
     """delta_phi and its quadrature error estimate per lane of the 1-D arrays
-    E and J; a failed lane holds NaN and records its error in ``errors``."""
+    E and J; a failed lane holds NaN and records its error in ``errors``.
+    ``minimum`` is passed on to :class:`_Well`."""
     _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
-    return _Well(params, E, J, errors).swept_angle(tolerance, max_refinements)
+    return _Well(params, E, J, errors, minimum).swept_angle(tolerance, max_refinements)
 
 
 def radial_period(
@@ -440,12 +444,14 @@ def _classify_flatness(flatness: float, constant: float, expected: float) -> str
 
 def _scan_energy(params: Params, J: np.ndarray, fractions: np.ndarray, errors: dict):
     """Energies at the given fractions of the bound wells above their
-    bottoms, per lane; NaN where the well itself fails."""
-    _, u0 = _find_ueff_minimum(params, J, errors)
+    bottoms, per lane, NaN where the well itself fails; and the wells'
+    minimum (r_c, U_0) of :func:`_find_ueff_minimum`."""
+    minimum = _find_ueff_minimum(params, J, errors)
+    u0 = minimum[1]
     top = _escape_energy(params)
     with np.errstate(invalid="ignore"):  # inf - inf in the lanes not taken
         return np.where(np.isfinite(top), u0 + fractions * (top - u0),
-                        u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0))
+                        u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0)), minimum
 
 
 def bertrand_scan(
@@ -481,20 +487,17 @@ def bertrand_scan(
         amplitude=np.repeat([law.amplitude for law in laws], n),
         exponent=np.repeat(np.asarray(exponents, dtype=float), n)))
     errors: dict = {}
-    E = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
-    delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors)
-    E, s_delta_phi = E.tolist(), (delta_phi * s).tolist()
-    cells: list[ScanCell] = []
+    E, minimum = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
+    delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors, minimum)
+    s_delta_phi, status = (delta_phi * s).tolist(), ["ok"] * J.size
+    for k, exc in errors.items():  # per-cell failures are recorded
+        s_delta_phi[k], status[k] = None, f"infeasible: {exc}"
+    cells = list(map(ScanCell, [alpha for alpha in exponents for _ in range(n)], E.tolist(),
+                     lam_cells * len(exponents), s_delta_phi, status))
     verdicts: list[FamilyVerdict] = []
     for g, alpha in enumerate(exponents):
         expected = math.pi / math.sqrt(alpha + 2.0)
-        values: list[float] = []
-        for k, lam in enumerate(lam_cells, start=g * n):
-            if k in errors:  # per-cell failures are recorded
-                cells.append(ScanCell(alpha, E[k], lam, None, f"infeasible: {errors[k]}"))
-                continue
-            values.append(s_delta_phi[k])
-            cells.append(ScanCell(alpha, E[k], lam, s_delta_phi[k], "ok"))
+        values = [v for v in s_delta_phi[g * n:(g + 1) * n] if v is not None]
         if not values:
             verdicts.append(FamilyVerdict(alpha, None, None, expected, "infeasible"))
             continue

@@ -202,13 +202,11 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         max_refinements=cfg.quadrature.max_refinements,
     )
     header = ["family_param", "E", "lambda", "s_delta_phi", "status"]
-    numbers = np.array([[c.family_param, c.E, c.lam,
-                         c.s_delta_phi if c.s_delta_phi is not None else math.nan]
-                        for c in report.cells])
-    _write_rows(path, fmt, header, [range(5)],
-                [[*numbers.T, [c.status for c in report.cells]]])
+    family, E, lam, value, status = zip(*report.cells)
+    numbers = np.array([family, E, lam, [math.nan if v is None else v for v in value]])
+    _write_rows(path, fmt, header, [range(5)], [[*numbers, list(status)]])
 
-    n_ok = sum(1 for c in report.cells if c.status == "ok")
+    n_ok = status.count("ok")
     results: dict = {
         "output": path,
         "passing": report.passing(),

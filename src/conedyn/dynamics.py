@@ -19,7 +19,6 @@ drift is compiled without its exact division by m.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -123,10 +122,18 @@ def _escape_energy(params: Params):
 def _float_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p lane by lane as Python floats compute it (numpy's power rounds
     differently in a few percent of lanes); p is a scalar or one exponent
-    per lane.  A lane where Python raises (overflow, or zero to a negative
-    power) takes numpy's power, a signed inf."""
+    per lane.  The lanes go through one C-level ``map(pow, ...)``, the same
+    call as ``v ** q``.  If a lane raises (overflow, or zero to a negative
+    power), the batch is redone lane by lane, and each raising lane takes
+    numpy's power, a signed inf."""
+    base = x.tolist()
+    exps = [p] * len(base) if np.ndim(p) == 0 else p.tolist()
+    try:
+        return np.fromiter(map(pow, base, exps), float, len(base))
+    except ArithmeticError:
+        pass
     out = []
-    for v, q in zip(x.tolist(), itertools.repeat(p) if np.ndim(p) == 0 else p.tolist()):
+    for v, q in zip(base, exps):
         try:
             out.append(v ** q)
         except ArithmeticError:
@@ -238,10 +245,11 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     return r_c, u0
 
 
-def _root(f, a: np.ndarray, b: np.ndarray, rtol: float):
+def _root(f, a: np.ndarray, b: np.ndarray, rtol: float, fa=None, fb=None):
     """Roots of f in finite brackets [a, b] where f(a) and f(b) have opposite
     signs, one lane per element of the 1-D arrays a and b; f(x, i) gives f
-    at the points x of the lanes i (an index array).
+    at the points x of the lanes i (an index array).  ``fa`` and ``fb``, if
+    given, are the values of f at a and b, which are then not evaluated.
 
     Regula falsi with the Illinois modification (the weight of an end kept
     twice in a row is halved), bisecting when the secant point leaves the
@@ -255,7 +263,8 @@ def _root(f, a: np.ndarray, b: np.ndarray, rtol: float):
     failed: dict = {}
     i = np.arange(roots.size)
     with np.errstate(all="ignore"):
-        fa, fb = f(a, i), f(b, i)
+        fa = f(a, i) if fa is None else fa
+        fb = f(b, i) if fb is None else fb
         # signs are compared, not multiplied: a product of tiny values underflows
         ok = (np.isfinite(a) & np.isfinite(b)
               & (((fa < 0.0) & (0.0 < fb)) | ((fb < 0.0) & (0.0 < fa))))
@@ -338,11 +347,14 @@ def turning_points(params: Params, E, J) -> TurningPoints:
     return TurningPoints(r_min=r_min, r_max=r_max)
 
 
-def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
+def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
+                    minimum=None):
     """(r_min, r_max) of :func:`turning_points` on lanes: failed lanes hold
-    NaN and record their error in ``errors``."""
+    NaN and record their error in ``errors``.  ``minimum`` is the (r_c, U_0)
+    of :func:`_find_ueff_minimum` for J and ``errors``, if the caller has it
+    already."""
     m, s = params.m, params.geometry.s
-    r_c, u0 = _find_ueff_minimum(params, J, errors)
+    r_c, u0 = _find_ueff_minimum(params, J, errors) if minimum is None else minimum
     _record(errors, E != E, DomainError, "energy is NaN")  # NaN != NaN
     top = _escape_energy(params)
     with np.errstate(all="ignore"):
@@ -365,7 +377,7 @@ def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict):
         r_min, r_max = r_c.copy(), r_c.copy()
         lanes = np.flatnonzero(~circular & _alive(errors, E.size))
         r_min[lanes], r_max[lanes], failed = _solved_turning_points(
-            _at_lanes(params, lanes), E[lanes], J[lanes], r_c[lanes])
+            _at_lanes(params, lanes), E[lanes], J[lanes], r_c[lanes], u0[lanes])
         for i, exc in failed.items():
             errors[int(lanes[i])] = exc
     if errors:
@@ -406,41 +418,58 @@ def _closed_form_radii(params: Params, E, J):
         return r_min.astype(float), r_max.astype(float)
 
 
-def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray):
+def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray,
+                           u0: np.ndarray | None = None):
     """(r_min, r_max, failed) of non-circular, bound level sets, one lane
     each, by bracketed root finding, for potentials without a closed form:
     from the circular radius r_c the root is bracketed by doubling (outward)
-    or halving (inward) the radius, then solved to 1e-13 relative.
-    ``failed`` maps each failed lane to its QuadratureError."""
-    failed: dict = {}
+    or halving (inward) the radius, then solved to 1e-13 relative.  Both
+    ends of every lane are one batch: one bracketing loop and one
+    :func:`_root` call.  f = U_eff - E is evaluated once per point: the root
+    solve starts from the loop's value at each far end, and from
+    f(r_c) = U_0 - E, where ``u0`` is U_eff(r_c) as the minimum computed it
+    (evaluated here if not given).  ``failed`` maps each failed lane to its
+    QuadratureError; where both ends of a lane fail, the outward end's error
+    wins, as if that end were solved first."""
+    n = E.size
+    failed: dict = {}  # by end: end k < n is lane k outward, end n + k lane k inward
+    lane = np.tile(np.arange(n), 2)
+    outward = np.arange(2 * n) < n
 
-    def f(r, lanes):
+    def f(r, ends):
         # r is r_c times a power of 2 or inside a positive bracket: no check needed
-        u, raised = _effective_potential_lanes(params, J[lanes], r, lanes)
+        k = lane[ends]
+        u, raised = _effective_potential_lanes(params, J[k], r, k)
         _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
-                r, lanes=lanes)
-        return u - E[lanes]
+                r, lanes=ends)
+        return u - E[k]
 
-    def far_end(factor: float, lanes: np.ndarray) -> np.ndarray:
-        # terminates both ways: J != 0 makes U_eff blow up at the tip, and E
-        # is below the escape energy; a lane whose U_eff fails stops on NaN
-        r = r_c * factor
-        while lanes.size:
-            lanes = lanes[f(r[lanes], lanes) <= 0.0]
-            r[lanes] *= factor
-        return r
-
-    r_max, r_min = np.full(E.size, math.nan), np.full(E.size, math.nan)
-    lanes = np.arange(E.size)
-    for factor, out in ((2.0, r_max), (0.5, r_min)):
-        far = far_end(factor, lanes)
-        lanes = lanes[_alive(failed, E.size)[lanes]]
-        ends = (r_c[lanes], far[lanes]) if factor > 1.0 else (far[lanes], r_c[lanes])
-        out[lanes], bad = _root(lambda x, i, lanes=lanes: f(x, lanes[i]), *ends, rtol=1e-13)
-        for i, exc in bad.items():
-            failed.setdefault(int(lanes[i]), exc)
-        lanes = lanes[_alive(failed, E.size)[lanes]]
-    return r_min, r_max, failed
+    # terminates both ways: J != 0 makes U_eff blow up at the tip, and E is
+    # below the escape energy; an end whose U_eff fails stops on NaN
+    factor = np.where(outward, 2.0, 0.5)
+    far, f_far = r_c[lane] * factor, np.empty(2 * n)
+    ends = np.arange(2 * n)
+    while ends.size:
+        f_far[ends] = f_end = f(far[ends], ends)
+        ends = ends[f_end <= 0.0]
+        far[ends] *= factor[ends]
+    if u0 is None:
+        u0, _ = _effective_potential_lanes(params, J, r_c)
+    f_c = u0 - E
+    ends = np.flatnonzero(_alive(failed, 2 * n))
+    out, near, f_near, far, f_far = (outward[ends], r_c[lane[ends]], f_c[lane[ends]],
+                                     far[ends], f_far[ends])
+    roots, bad = _root(lambda x, i: f(x, ends[i]), np.where(out, near, far),
+                       np.where(out, far, near), rtol=1e-13,
+                       fa=np.where(out, f_near, f_far), fb=np.where(out, f_far, f_near))
+    for i, exc in bad.items():
+        failed.setdefault(int(ends[i]), exc)
+    radii = np.full(2 * n, math.nan)
+    radii[ends] = roots
+    by_lane: dict = {}
+    for end in sorted(failed):  # outward ends first
+        by_lane.setdefault(end % n, failed[end])
+    return radii[n:], radii[:n], by_lane
 
 
 # --- Time integration ---

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn import bertrand, dynamics
 from conedyn.dynamics import _effective_d2
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
@@ -441,6 +442,21 @@ class TestBertrandScan:
             assert [v.family_param for v in report.verdicts] == order
             for a in order:
                 assert cells(report, a) == alone[a]
+
+    def test_well_minimum_found_once(self, monkeypatch):
+        # the scan's energies and its turning points share one minimum
+        calls = []
+        find = dynamics._find_ueff_minimum
+
+        def spy(*args):
+            calls.append(args)
+            return find(*args)
+
+        monkeypatch.setattr(dynamics, "_find_ueff_minimum", spy)
+        monkeypatch.setattr(bertrand, "_find_ueff_minimum", spy)
+        report = cd.bertrand_scan(kepler_params(), [-1.0, 0.5, 2.0], [0.2, 0.6], [0.8, 1.2])
+        assert len(calls) == 1
+        assert [c.status for c in report.cells] == ["ok"] * 12
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ConeDynError marks a cell infeasible; anything else is a bug

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -283,6 +284,82 @@ class TestTurningPointArrays:
             assert g.hex() == w.hex(), (v, q)
         assert not want
         assert dynamics._float_pow(np.array(x[:3]), 2.0).tolist() == [v ** 2.0 for v in x[:3]]
+
+    def test_float_pow_is_python_power_bit_for_bit(self):
+        # 1e5 lanes of log-uniform bases (negative ones with whole exponents):
+        # per-lane exponents, Python-float, np.float64 and int scalars
+        rng = np.random.default_rng(18)
+        n = 100_000
+        x = 10.0 ** rng.uniform(-50.0, 50.0, n)
+        p = rng.uniform(-5.0, 5.0, n)
+        whole = rng.random(n) < 0.2
+        p[whole] = np.round(p[whole])
+        x[whole & (rng.random(n) < 0.5)] *= -1.0
+        cases = [(x, p, [v ** q for v, q in zip(x.tolist(), p.tolist())])]
+        base = np.abs(x)
+        for q in (1.0 / 3.0, np.float64(-0.7), 2):
+            cases.append((base, q, [v ** q for v in base.tolist()]))
+        # one overflowing lane sends the batch lane by lane: it holds inf and
+        # every other lane keeps its bits
+        x_over, p_over = x.copy(), p.copy()
+        x_over[777], p_over[777] = 1e300, 2.0
+        want = cases[0][2].copy()
+        want[777] = math.inf
+        cases.append((x_over, p_over, want))
+        for xs, q, want in cases:
+            got = dynamics._float_pow(xs, q)
+            assert got.dtype == np.float64 and got.tobytes() == np.array(want, float).tobytes()
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # U_eff is evaluated at most once per (lane, r); at r_c only by the
+        # minimum, whose value the root solve reuses
+        rng = np.random.default_rng(9)
+        alpha = np.repeat([-1.5, -1.0, 0.5, 3.0], 10)
+        power = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=0.8),
+                          potential=cd.PowerLaw(np.where(alpha > 0.0, 1.0, -1.0), alpha))
+        log = cd.Params(m=1.3, geometry=cd.ConeGeometry(s=0.7),
+                        potential=cd.LogPotential(strength=0.8, r0=1.5))
+        evaluate = dynamics._effective_potential_lanes
+        seen = Counter()
+
+        def spy(params, J, r, lanes=None):
+            seen.update(zip(J.tolist(), r.tolist()))  # J tells the lanes apart
+            return evaluate(params, J, r, lanes)
+
+        for params in (power, log):
+            J = rng.uniform(0.5, 2.0, alpha.size)
+            r_c, e_c = cd.circular_orbit(params, J)
+            E = e_c + rng.uniform(0.05, 0.9, alpha.size) * np.abs(e_c)
+            seen.clear()
+            monkeypatch.setattr(dynamics, "_effective_potential_lanes", spy)
+            cd.turning_points(params, E, J)
+            monkeypatch.undo()
+            assert max(seen.values()) == 1
+            assert [seen[point] for point in zip(J.tolist(), r_c.tolist())] == [1] * J.size
+
+    def test_both_ends_failing_report_the_outward_error(self, monkeypatch):
+        # lane 0 fails outward and inward, lane 1 inward only: each reports
+        # the first error of a solve that takes the outward end first
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                           potential=cd.PowerLaw(amplitude=-1.0, exponent=-1.0))
+        J = np.array([1.0, 1.3])
+        r_c, e_c = cd.circular_orbit(params, J)
+        E = 0.5 * e_c
+        evaluate = dynamics._effective_potential_lanes
+
+        def failing(params, J, r, lanes=None):
+            u, raised = evaluate(params, J, r, lanes)
+            k = np.arange(r.size) if lanes is None else lanes
+            raised |= ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
+            return np.where(raised, math.nan, u), raised
+
+        monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
+        for u0 in (None, e_c):
+            r_min, r_max, failed = dynamics._solved_turning_points(params, E, J, r_c, u0)
+            assert {k: str(exc) for k, exc in failed.items()} == {
+                0: f"U_eff({2.0 * r_c[0]}) is outside the float range",
+                1: f"U_eff({0.5 * r_c[1]}) is outside the float range"}
+            assert all(isinstance(exc, QuadratureError) for exc in failed.values())
 
     def test_typed_errors_name_the_first_bad_lane(self):
         kep = kepler_params()
