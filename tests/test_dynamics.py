@@ -326,14 +326,13 @@ class TestTurningPointArrays:
             seen.update(zip(J.tolist(), r.tolist()))  # J tells the lanes apart
             return evaluate(params, J, r, lanes)
 
+        monkeypatch.setattr(dynamics, "_effective_potential_lanes", spy)
         for params in (power, log):
             J = rng.uniform(0.5, 2.0, alpha.size)
             r_c, e_c = cd.circular_orbit(params, J)
             E = e_c + rng.uniform(0.05, 0.9, alpha.size) * np.abs(e_c)
             seen.clear()
-            monkeypatch.setattr(dynamics, "_effective_potential_lanes", spy)
             cd.turning_points(params, E, J)
-            monkeypatch.undo()
             assert max(seen.values()) == 1
             assert [seen[point] for point in zip(J.tolist(), r_c.tolist())] == [1] * J.size
 
@@ -355,7 +354,7 @@ class TestTurningPointArrays:
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
         for u0 in (None, e_c):
-            r_min, r_max, failed = dynamics._solved_turning_points(params, E, J, r_c, u0)
+            *_, failed = dynamics._solved_turning_points(params, E, J, r_c, u0)
             assert {k: str(exc) for k, exc in failed.items()} == {
                 0: f"U_eff({2.0 * r_c[0]}) is outside the float range",
                 1: f"U_eff({0.5 * r_c[1]}) is outside the float range"}
