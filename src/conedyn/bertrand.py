@@ -41,7 +41,6 @@ from .dynamics import (
     _raise_first,
     _record,
     _turning_points,
-    turning_points,
 )
 from .errors import (
     CircularOrbitError,
@@ -375,7 +374,7 @@ def width_law_check(params: Params, J: float) -> WidthLawResult:
     if J == 0.0:
         raise DomainError("width law requires J != 0")
     scale = abs(J) / (params.geometry.s * params.m)  # lam/m
-    _, u0 = circular_orbit(params, J)
+    r_c, u0 = circular_orbit(params, J)
 
     u_cap = u0 + 10.0 * (abs(u0) if u0 != 0.0 else 1.0)
     # x -> 0 is r -> infinity: a finite escape energy caps the left branch.
@@ -384,8 +383,12 @@ def width_law_check(params: Params, J: float) -> WidthLawResult:
         u_cap = u0 + 0.98 * (u_left_sup - u0)
 
     levels = u0 + (np.arange(1, _WIDTH_LEVELS + 1) / _WIDTH_LEVELS) * (u_cap - u0)
-    tp = turning_points(params, levels, J)
-    widths = scale * (1.0 / tp.r_min - 1.0 / tp.r_max)
+    # every level shares the well minimum found above
+    J_lanes, r_c_lanes, u0_lanes = (np.full(_WIDTH_LEVELS, float(v)) for v in (J, r_c, u0))
+    errors: dict = {}
+    r_min, r_max = _turning_points(params, levels, J_lanes, errors, (r_c_lanes, u0_lanes))
+    _raise_first(errors, name_lane=True)
+    widths = scale * (1.0 / r_min - 1.0 / r_max)
 
     sqrt_du = np.sqrt(levels - u0)
     a_fit = float(widths @ sqrt_du / (sqrt_du @ sqrt_du))

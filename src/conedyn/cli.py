@@ -42,7 +42,7 @@ from .errors import (
     IrrationalScaleError,
     TipCollisionError,
 )
-from .sampling import draw_bound_points
+from .sampling import UniformSource, draw_bound_points
 from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
 
 log = logging.getLogger("conedyn")
@@ -298,9 +298,8 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:
         return RunSummary("verify-algebra", time.perf_counter() - t0, args.seed,
                           {"error": "irrational scale factor"}, EXIT_IRRATIONAL)
     path, fmt = _resolve_output(cfg, args)
-    rng = np.random.default_rng(args.seed)
     n_points, h = cfg.algebra.n_points, cfg.algebra.h
-    coords = draw_bound_points(rng, params, n_points)
+    coords = draw_bound_points(UniformSource(args.seed), params, n_points)
     _steps(coords, h)  # a point too near the tip fails here, before any row is written
     header = ["point_index", "bracket", "value_re", "value_im",
               "expected_re", "expected_im", "abs_err", "rel_err", "h", "role", "note"]

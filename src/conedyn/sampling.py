@@ -1,12 +1,15 @@
 """Seeded sampling of phase points on bound level sets.
 
-Used by the verify-algebra command and by the test suite; everything is
-driven by an explicit numpy Generator so runs are reproducible.
+Used by the verify-algebra command and by the test suite.  Every draw comes
+from an explicit source with a numpy-style ``uniform(low, high, size)``: a
+:class:`UniformSource` in the CLI, or a numpy Generator, so runs are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -15,8 +18,35 @@ from .core import TWO_PI, Params, PhasePoint
 from .dynamics import _escape_energy, effective_potential, turning_points
 
 
+class UniformSource:
+    """Uniform draws from Python's ``random.Random(seed)``, the source of the
+    CLI's points.
+
+    ``uniform(low, high, size)`` is ``low + (high - low) * u``, numpy's
+    ``Generator.uniform`` formula, where ``u`` holds the next values of
+    ``random.Random(seed).random()`` in row-major order.  Python keeps that
+    sequence for a given seed across versions, which numpy does not promise
+    for its Generator methods (NEP 19); and this source needs no
+    ``numpy.random``.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._random = random.Random(seed)
+
+    def uniform(self, low, high, size: tuple[int, ...]) -> np.ndarray:
+        n = math.prod(size)
+        # random() is (a >> 5) * 2**26 + (b >> 6) over 2**53, for the next two
+        # 32-bit outputs a, b of the generator; getrandbits(64 n) holds 2n
+        # successive outputs, the first in the lowest 32 bits
+        words = np.frombuffer(self._random.getrandbits(64 * n).to_bytes(8 * n, "little"),
+                              dtype="<u4")
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        low = np.asarray(low, dtype=float)
+        return low + (np.asarray(high, dtype=float) - low) * u.reshape(size)
+
+
 def draw_bound_points(
-    rng: np.random.Generator,
+    rng: UniformSource | np.random.Generator,
     params: Params,
     n: int,
     j_range: tuple[float, float] = (0.5, 1.5),
@@ -24,8 +54,10 @@ def draw_bound_points(
 ) -> np.ndarray:
     """n random phase points on random bound, non-circular level sets.
 
-    Returns the coordinates (r, phi, p_r, J), shaped (4, n).  One
-    ``rng.uniform`` call draws an (n, 5) block whose columns are, per point:
+    Returns the coordinates (r, phi, p_r, J), shaped (4, n).  ``rng`` is any
+    source with a numpy-style ``uniform(low, high, size)``, such as a
+    :class:`UniformSource` or a numpy Generator.  One ``rng.uniform`` call
+    draws an (n, 5) block whose columns are, per point:
     J, uniform in ``j_range``; the fraction of the well above its bottom at
     which E sits, uniform in ``depth_range`` (the well reaches up to escape
     for potentials with one, up to twice the circular energy scale for
@@ -50,7 +82,7 @@ def draw_bound_points(
 
 
 def draw_bound_point(
-    rng: np.random.Generator,
+    rng: UniformSource | np.random.Generator,
     params: Params,
     j_range: tuple[float, float] = (0.5, 1.5),
     depth_range: tuple[float, float] = (0.1, 0.7),

@@ -326,6 +326,36 @@ class TestWidthLaw:
         )
         assert cd.width_law_check(params, 1.0).max_residual > 1e-3
 
+    @pytest.mark.parametrize("potential", [cd.LogPotential(strength=1.0, r0=1.0),
+                                           cd.PowerLaw(amplitude=1.0, exponent=1.0)],
+                             ids=["log", "power"])
+    def test_well_minimum_found_once(self, monkeypatch, potential):
+        # the circular orbit's minimum serves every level, and each level's
+        # turning points keep the bits of a turning_points call
+        finds, solves = [], []
+        find, solve = dynamics._find_ueff_minimum, bertrand._turning_points
+
+        def spy_find(params, J, errors):
+            finds.append(J.size)
+            return find(params, J, errors)
+
+        def spy_solve(*args):
+            radii = solve(*args)
+            solves.append((args[1], args[2], radii))
+            return radii
+
+        monkeypatch.setattr(dynamics, "_find_ueff_minimum", spy_find)
+        monkeypatch.setattr(bertrand, "_find_ueff_minimum", spy_find)
+        monkeypatch.setattr(bertrand, "_turning_points", spy_solve)
+        params = cd.Params(m=1.3, geometry=cd.ConeGeometry(s=0.7), potential=potential)
+        cd.width_law_check(params, 0.8)
+        assert finds == [1]
+        (E, J, (r_min, r_max)), = solves
+        monkeypatch.undo()
+        tp = cd.turning_points(params, E, J)
+        assert r_min.tobytes() == tp.r_min.tobytes()
+        assert r_max.tobytes() == tp.r_max.tobytes()
+
 
 class TestBertrandScan:
     def test_degenerate_exponents_pass(self):

@@ -8,6 +8,7 @@ import math
 from collections import Counter
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from conedyn import cli, writer
 from conedyn.cli import _write_rows, main
 from conedyn.config import load_config, parse_config
 from conedyn.errors import ConeDynError, ConfigError
-from conedyn.sampling import draw_bound_points
+from conedyn.sampling import UniformSource, draw_bound_points
 from conedyn.symmetry import W_ALGEBRA_ROWS
 from helpers import kepler_params, steps_to_collision
 
@@ -183,7 +184,7 @@ def _actions_rows(cfg, seed):
 
 
 def _algebra_rows(cfg, seed):
-    coords = _draw_with_overflow_at_4(np.random.default_rng(seed), cfg.params,
+    coords = _draw_with_overflow_at_4(UniformSource(seed), cfg.params,
                                       cfg.algebra.n_points)
     h = cfg.algebra.h
     table = cd.w_algebra_table(cfg.params, *coords, h)
@@ -293,8 +294,8 @@ print(json.dumps({
 
     def test_writer_imported_by_a_run_only(self, tmp_path):
         # import conedyn.cli and load_config leave the writer uncompiled; a
-        # verify-algebra run imports it, and with it no dataclass record and
-        # no fractions module
+        # verify-algebra run imports it, and with it no dataclass record, no
+        # fractions module and no numpy.random
         doc = {**_base_doc(algebra={"n_points": 3, "h": 1e-5}),
                "output": {"path": str(tmp_path / "a.jsonl"), "format": "jsonl"}}
         config = _write(tmp_path, "c.json", doc)
@@ -309,12 +310,51 @@ writer = sys.modules["conedyn.writer"]
 print(json.dumps({{
     "loaded": loaded,
     "fractions": "fractions" in sys.modules,
+    "numpy.random": "numpy.random" in sys.modules,
     "dataclasses": [n for n, c in vars(writer).items()
                     if inspect.isclass(c) and dataclasses.is_dataclass(c)],
 }}))
 """
         found = json.loads(_fresh_import(code).splitlines()[-1])
-        assert found == {"loaded": [False, True], "fractions": False, "dataclasses": []}
+        assert found == {"loaded": [False, True], "fractions": False, "numpy.random": False,
+                         "dataclasses": []}
+
+    def test_verify_algebra_draws_python_random_stream(self, tmp_path, capsys, monkeypatch):
+        # the CLI's (n, 5) block is low + (high - low) * u, with u the first
+        # 5n values of random.Random(seed).random(), per point J, f, u, sign, phi
+        low = np.array([0.5, 0.1, 0.05, -1.0, 0.0])
+        high = np.array([1.5, 0.7, 0.95, 1.0, 2.0 * math.pi])
+        blocks = []
+
+        def recording(rng, params, n):
+            uniform = rng.uniform
+
+            def record(*args, **kwargs):
+                blocks.append(uniform(*args, **kwargs))
+                return blocks[-1]
+
+            rng.uniform = record
+            return draw_bound_points(rng, params, n)
+
+        monkeypatch.setattr(cli, "draw_bound_points", recording)
+        sizes = (250, 7, 1)
+        for seed in (0, 1, 42, 2**32 + 5, 2**64 - 1):
+            for n in sizes:
+                doc = {**_base_doc(algebra={"n_points": n, "h": 1e-5}),
+                       "output": {"path": str(tmp_path / "a.jsonl"), "format": "jsonl"}}
+                assert main(["verify-algebra", "--config", _write(tmp_path, "c.json", doc),
+                             "--seed", str(seed)]) == 0
+            capsys.readouterr()
+            rnd = random.Random(seed).random
+            u = np.array([rnd() for _ in range(5 * sizes[0])]).reshape(-1, 5)
+            full = low + (high - low) * u
+            for n, block in zip(sizes, blocks[-len(sizes):]):
+                assert block.shape == (n, 5)
+                assert block.tobytes() == full[:n].tobytes()
+            if seed == 42:  # random() keeps its sequence across Python versions
+                assert full[0].tolist() == [1.1394267984578836, 0.11500645313360017,
+                                            0.2975263865322073, -0.5535785237023545,
+                                            4.627385111996033]
 
     def test_simulate_writes_trajectory_csv(self, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")
