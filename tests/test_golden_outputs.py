@@ -26,7 +26,7 @@ GOLDEN = {
     ("bertrand", "bertrand_scan.json", "csv"):
         "3ce5247ee656f48ac41fce4f1f699994c37f08e4305222e93dad319d174ee4be",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
-        "35f689baca6b7ad0c4f3a9e4eb6088f1ea85a85b39d568ac6850b05f759246ad",
+        "5b415c26ecf70020c61bfa408aab95a0b3cdf0ec60b0523b0a1856282c74f277",
 }
 
 
