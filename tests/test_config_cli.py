@@ -98,6 +98,45 @@ class TestParsing:
                 parse_config(_base_doc(algebra={"n_points": 3, "h": h}))
         assert parse_config(_base_doc(algebra={"h": 1e-4})).algebra.h == 1e-4
 
+    # per section: an unknown key, a missing required key (quadrature and
+    # algebra have none), a value of the wrong type, and a non-object
+    @pytest.mark.parametrize("section, value, message", [
+        ("integrator", {"dt": 1e-3, "n_steps": 10, "sample_every": 1, "bogus": 1},
+         "integrator.bogus: unknown key"),
+        ("integrator", {"dt": 1e-3, "n_steps": 10}, "integrator.sample_every: missing required key"),
+        ("integrator", {"dt": 1e-3, "n_steps": "10", "sample_every": 1},
+         "integrator.n_steps: expected an integer, got '10'"),
+        ("closure", {"enabled": True, "bogus": 1}, "closure.bogus: unknown key"),
+        ("closure", {"tol": 1e-6}, "closure.enabled: missing required key"),
+        ("closure", {"enabled": 1}, "closure.enabled: expected a boolean"),
+        ("quadrature", {"tolerance": 1e-8, "bogus": 1}, "quadrature.bogus: unknown key"),
+        ("quadrature", {"max_refinements": 2.5},
+         "quadrature.max_refinements: expected an integer, got 2.5"),
+        ("scan", {"exponents": [-1.0], "e_fractions": [0.5], "lambdas": [1.0], "bogus": 1},
+         "scan.bogus: unknown key"),
+        ("scan", {"exponents": [-1.0], "e_fractions": [0.5]}, "scan.lambdas: missing required key"),
+        ("scan", {"exponents": [-1.0, "x"], "e_fractions": [0.5], "lambdas": [1.0]},
+         "scan.exponents[1]: expected a finite number, got 'x'"),
+        ("algebra", {"h": 1e-5, "bogus": 1}, "algebra.bogus: unknown key"),
+        ("algebra", {"h": "1e-5"}, "algebra.h: expected a finite number, got '1e-5'"),
+        ("output", {"path": "o.csv", "bogus": 1}, "output.bogus: unknown key"),
+        ("output", {"format": "csv"}, "output.path: missing required key"),
+        ("output", {"path": 3}, "output.path: expected a string"),
+        ("output", {"path": "o.csv", "format": "tsv"},
+         "output.format: expected 'csv' or 'jsonl', got 'tsv'"),
+        *((name, [], f"{name}: expected an object, got list")
+          for name in ("integrator", "closure", "quadrature", "scan", "algebra", "output")),
+    ])
+    def test_section_error_messages(self, section, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_base_doc(**{section: value}))
+        assert str(info.value) == message
+
+    def test_empty_optional_sections_give_defaults(self):
+        cfg = parse_config(_base_doc(quadrature={}, algebra={}))
+        assert cfg.quadrature == parse_config(_base_doc()).quadrature == (1e-10, 6)
+        assert cfg.algebra == parse_config(_base_doc()).algebra == (100, 1e-5)
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
