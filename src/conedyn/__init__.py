@@ -60,7 +60,6 @@ from .symmetry import (
     local_invariant,
     norm_identity_residual,
     phase_invariants,
-    poisson_bracket,
     verify_w_algebra,
     w_algebra_table,
 )

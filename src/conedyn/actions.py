@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bertrand import _Well, circular_orbit
+from .bertrand import _Well, circular_orbit, small_oscillation_freq
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _effective_d2, _float_pow, _raise_first
+from .dynamics import _as_lanes, _float_pow, _raise_first
 from .errors import CircularOrbitError, DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
@@ -129,8 +129,8 @@ def frequencies(
     if isinstance(errors.get(0), CircularOrbitError):
         r_c, _ = circular_orbit(params, J)
         i2 = 0.0
-        omega2 = math.sqrt(float(_effective_d2(params, J, r_c)) / m)
         omega1 = abs(J) / (m * s * s * r_c * r_c)
+        omega2 = omega1 * s * math.sqrt(small_oscillation_freq(params, J).omega_sq)
     else:
         i2 = _radial_action(well, tolerance, max_refinements).item()
         t_r = well.period(tolerance, max_refinements).item()

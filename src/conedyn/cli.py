@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .actions import frequencies, hamiltonian_from_actions
 from .bertrand import bertrand_scan, width_law_check
-from .config import RunConfig, load_config
+from .config import OutputConfig, RunConfig, load_config
 from .core import Kepler, LogPotential, Oscillator, Params, PhasePoint
 from .dynamics import detect_closure, integrate, turning_points
 from .errors import (
@@ -134,7 +134,7 @@ def _resolve_output(cfg: RunConfig, args) -> tuple[str, str]:
     path = args.output or (cfg.output.path if cfg.output else None)
     if path is None:
         raise ConfigError("output.path", "no output path given (config or --output)")
-    fmt = args.format or (cfg.output.format if cfg.output else "csv")
+    fmt = args.format or (cfg.output or OutputConfig(path)).format
     # the writer is imported here, before the run allocates its arrays, so
     # the memory its import takes is reused by the run and not added to it
     from . import writer  # noqa: F401

@@ -64,7 +64,11 @@ class ConeGeometry:
             raise DomainError(f"rational form needs positive integers, got ({k}, {n})")
         g = math.gcd(k, n)
         k, n = k // g, n // g
-        return cls(s=k / n, rational=(k, n))
+        try:
+            s = k / n
+        except OverflowError as exc:
+            raise DomainError("scale factor k/n is beyond the float range") from exc
+        return cls(s=s, rational=(k, n))
 
 
 # --- Potentials ---

@@ -44,7 +44,8 @@ from .errors import (
     UnboundedMotionError,
 )
 
-# No compiled stepper exists; the name stays for the benchmark harness (ROADMAP item 6).
+# No compiled stepper exists; perfbench/worker.py still reads this name, and
+# it goes with that call (ROADMAP item 9).
 HAVE_COMPILED_KERNEL = False
 
 
@@ -80,11 +81,6 @@ def _effective_potential(params: Params, J: float, r):
     """U_eff without the radius check, for radii already known to be positive."""
     m, s = params.m, params.geometry.s
     return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
-
-
-def _effective_d2(params: Params, J: float, r):
-    m, s = params.m, params.geometry.s
-    return 3.0 * J * J / (m * s * s * r * r * r * r) + params.potential.d2(r, m)
 
 
 def _radial_force(params: Params, J: float, r):
@@ -669,7 +665,8 @@ def integrate(
     scheme is time-reversible up to rounding.  A tip collision propagates
     with its failing step index.
     """
-    # "python" is the only stepper; the parameter goes with ROADMAP item 6.
+    # "python" is the only stepper; perfbench/worker.py still passes the
+    # parameter, and it goes with that call (ROADMAP item 9).
     if backend != "python":
         raise DomainError(f"unknown backend {backend!r}; the only stepper is 'python'")
     out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every)

@@ -25,7 +25,7 @@ always explicit.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,20 +256,6 @@ def _brackets(re: np.ndarray, im: np.ndarray, den: np.ndarray,
     return _cdiv(x_re - b_re[:, 0], x_im - b_im[:, 0], 3.0)
 
 
-def poisson_bracket(f: Callable, g: Callable, pt: PhasePoint, h: float = 1e-5) -> complex:
-    """Canonical bracket {f, g} at pt by central differences.
-
-    f and g take the coordinate arrays ``(r, phi, p_r, J)`` of the stencil
-    points and return one real or complex value per point; phi is passed
-    unreduced.  One Richardson halving is applied, so the value is accurate
-    to O(h^4) for smooth arguments.
-    """
-    coords, den = _stencil(np.array([[pt.r], [pt.phi], [pt.p_r], [pt.J]]), h)
-    values = np.array([f(*coords), g(*coords)])
-    b_re, b_im = _brackets(values.real, values.imag, den, [(0, 1)])
-    return complex(b_re[0, 0], b_im[0, 0])
-
-
 # --- W-algebra verification ---
 
 _I_ABSORBED = "i-absorbed (commutator-normalized) convention"
@@ -430,10 +416,6 @@ class BracketReport(NamedTuple):
     k: int
     n: int
     zzbar_match: str
-
-    def worst_check_error(self) -> float:
-        """Largest check-row relative error; NaN if any of them is NaN."""
-        return float(np.max([row.rel_err for row in self.rows if row.role == "check"]))
 
 
 def verify_w_algebra(params: Params, pt: PhasePoint, h: float = 1e-5) -> BracketReport:

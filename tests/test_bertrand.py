@@ -11,7 +11,6 @@ import pytest
 
 import conedyn as cd
 from conedyn import bertrand, dynamics
-from conedyn.dynamics import _effective_d2
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.errors import CircularOrbitError, ConeDynError, DomainError, QuadratureError
@@ -111,7 +110,10 @@ class TestRadialPeriod:
     def test_near_circular_harmonic_limit(self):
         params = kepler_params()
         r_c, e_c = cd.circular_orbit(params, 1.0)
-        omega_r = math.sqrt(float(_effective_d2(params, 1.0, r_c)) / params.m)
+        # the angular frequency times s sqrt(3 + r_c V''/V')
+        s = params.geometry.s
+        omega_phi = 1.0 / (params.m * s * s * r_c * r_c)
+        omega_r = omega_phi * s * math.sqrt(cd.small_oscillation_freq(params, 1.0).omega_sq)
         T = cd.radial_period(params, e_c + 1e-5, 1.0)
         assert T == pytest.approx(2 * PI / omega_r, rel=1e-4)
 

@@ -275,7 +275,17 @@ _RECORDS = {
     "symmetry.BracketRow": ("name", "value", "expected", "abs_err", "rel_err", "role", "note"),
     "symmetry.BracketReport": ("rows", "h", "point", "kind", "k", "n", "zzbar_match"),
 }
-_RECORD_DEFAULTS = {"symmetry.BracketRow": {"note": ""}}
+_RECORD_DEFAULTS = {
+    "config.ClosureConfig": {"tol": 1e-6},
+    "config.QuadratureConfig": {"tolerance": 1e-10, "max_refinements": 6},
+    "config.ScanConfig": {"include_log_check": False},
+    "config.AlgebraConfig": {"n_points": 100, "h": 1e-5},
+    "config.OutputConfig": {"format": "csv"},
+    "config.RunConfig": {"initial_point": None, "initial_level": None, "integrator": None,
+                         "closure": None, "quadrature": [1e-10, 6], "scan": None,
+                         "levels": None, "algebra": [100, 1e-5], "output": None},
+    "symmetry.BracketRow": {"note": ""},
+}
 # the dataclasses that stay: validated values, a frozen-array trajectory,
 # and the run summary that perfbench reads with dataclasses.asdict
 _DATACLASSES = {"core.ConeGeometry", "core.Kepler", "core.Oscillator", "core.PowerLaw",
@@ -510,6 +520,36 @@ print(json.dumps({{
                      _write(tmp_path, "c.json", _base_doc(bogus=1))])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    # JSON integers beyond the float range, and one past Python's digit limit
+    # for int(str) (not every interpreter has one; then the number reaches m)
+    _BIG = "1" + "0" * 400
+    _DIGIT_LIMIT_PATH = "config" if hasattr(sys, "get_int_max_str_digits") else "params.m"
+
+    @pytest.mark.parametrize("old, new, path", [
+        ('"m": 1.0', f'"m": {_BIG}', "params.m"),
+        ('"kappa": 1.0', f'"kappa": {_BIG}', "params.potential.kappa"),
+        ('"levels"', f'"scan": {{"exponents": [-1.0, -{_BIG}], "e_fractions": [0.5], '
+                     '"lambdas": [1.0]}, "levels"', "scan.exponents[1]"),
+        ('"k": 2', f'"k": {_BIG}', "params"),
+        ('"m": 1.0', '"m": 1' + "0" * 5000, _DIGIT_LIMIT_PATH),
+    ], ids=["m", "kappa", "exponent", "geometry", "digit-limit"])
+    def test_large_json_integer_is_config_error(self, tmp_path, capsys, old, new, path):
+        text = json.dumps(_base_doc(levels=[{"E": -0.15, "J": 1.0}]))
+        config = tmp_path / "c.json"
+        config.write_text(text.replace(old, new, 1))
+        code = main(["actions", "--config", str(config), "--output", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {path}: ")
+
+    def test_nonpositive_closure_tol_exit_code(self, tmp_path, capsys):
+        # tol = 0 could never find a closure: the run reported closed: false
+        for tol in (0.0, -1e-6):
+            doc = _simulate_doc(str(tmp_path / "t.csv"), closure=True)
+            doc["closure"]["tol"] = tol
+            assert main(["simulate", "--config", _write(tmp_path, "c.json", doc)]) == 2
+            assert capsys.readouterr().err == "config error: closure.tol: must be positive\n"
 
     def test_initial_point_validation_exit_code(self, tmp_path, capsys):
         doc = _simulate_doc(str(tmp_path / "t.csv"))

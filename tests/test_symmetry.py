@@ -178,73 +178,6 @@ class TestNormIdentity:
                 assert cd.norm_identity_residual(params, pt) < 1e-12
 
 
-def _r(r, phi, p_r, J):
-    return r
-
-
-def _phi(r, phi, p_r, J):
-    return phi
-
-
-def _p(r, phi, p_r, J):
-    return p_r
-
-
-def _j(r, phi, p_r, J):
-    return J
-
-
-class TestPoissonBracket:
-    def setup_method(self):
-        self.pt = cd.PhasePoint(r=1.3, phi=2.0, p_r=0.4, J=1.1)
-        self.params = kepler_params()
-
-    def _h(self, *coords):
-        return cd.phase_invariants(self.params, *coords).h
-
-    def test_canonical_pairs(self):
-        assert cd.poisson_bracket(_r, _p, self.pt) == pytest.approx(1.0, abs=1e-10)
-        assert cd.poisson_bracket(_phi, _j, self.pt) == pytest.approx(1.0, abs=1e-10)
-        assert cd.poisson_bracket(_r, _j, self.pt) == pytest.approx(0.0, abs=1e-10)
-        # phi reaches the functions unreduced, so a stencil across phi = 0 stays smooth
-        near_zero = cd.PhasePoint(r=1.3, phi=1e-6, p_r=0.4, J=1.1)
-        assert cd.poisson_bracket(_phi, _j, near_zero) == pytest.approx(1.0, abs=1e-10)
-
-    def test_hamiltonian_conserves_j(self):
-        assert cd.poisson_bracket(self._h, _j, self.pt) == pytest.approx(0.0, abs=1e-9)
-
-    def test_antisymmetry(self):
-        def z(*coords):
-            inv = cd.phase_invariants(self.params, *coords)
-            return inv.z_re + 1j * inv.z_im
-
-        ab = cd.poisson_bracket(self._h, z, self.pt)
-        ba = cd.poisson_bracket(z, self._h, self.pt)
-        assert abs(ab + ba) < 1e-10
-
-    def test_differencing_across_tip_rejected(self):
-        tiny = cd.PhasePoint(r=1e-6, phi=0.0, p_r=0.0, J=1.0)
-        with pytest.raises(DomainError):
-            cd.poisson_bracket(_r, _p, tiny, h=1e-2)
-
-    def test_same_stencil_as_w_algebra(self):
-        # poisson_bracket and verify_w_algebra difference on one stencil
-        params = oscillator_params(2, 3)
-        pt = draw_bound_point(np.random.default_rng(15), params)
-
-        def z(*coords):
-            inv = cd.phase_invariants(params, *coords)
-            return inv.z_re + 1j * inv.z_im
-
-        def h(*coords):
-            return cd.phase_invariants(params, *coords).h
-
-        rows = {row.name: row.value for row in verify_w_algebra(params, pt).rows}
-        assert cd.poisson_bracket(_j, z, pt) == rows["{J,Z}"]
-        assert cd.poisson_bracket(h, z, pt) == rows["{H,Z}"]
-        assert cd.poisson_bracket(h, _j, pt) == rows["{H,J}"]
-
-
 class TestWAlgebra:
     def test_kepler_flat_charge_relation(self):
         params = kepler_params(1, 1)
@@ -304,7 +237,8 @@ class TestWAlgebra:
                 for _ in range(3):
                     pt = draw_bound_point(rng, params)
                     report = verify_w_algebra(params, pt)
-                    assert report.worst_check_error() < 1e-6
+                    assert np.max([row.rel_err for row in report.rows
+                                   if row.role == "check"]) < 1e-6
 
     def test_irrational_scale_rejected(self):
         params = kepler_params(s=0.7071)
@@ -491,4 +425,4 @@ class TestWAlgebraTable:
         for i, j in ((0, 0), (2, 1)):
             assert _hex_rows(_table_rows(table, i)) == _hex_rows(_table_rows(finite, j))
             assert table.zzbar_match[i] == finite.zzbar_match[j]
-        assert math.isnan(report.worst_check_error())
+        assert math.isnan(np.max([row.rel_err for row in report.rows if row.role == "check"]))
