@@ -164,19 +164,19 @@ class _Well:
         integrand * w, which sums every row pairwise on its own and calls no
         BLAS, so a lane has the bits of a one-lane call whatever the batch or
         the BLAS kernel; convergence, stagnation, breach and failure are masks
-        over the lanes still refining.  Returns the values and the relative
-        changes at the last doubling, NaN in failed lanes.  Two guards keep
-        deep refinement from degrading nearly-circular wells, where the
-        innermost nodes approach the rounding floor of E - U_eff near the
-        turning points: a lane stops once its successive change stagnates
-        (the noise floor), and an endpoint breach at a deeper order falls back
-        to its last good sum.  A genuinely inconsistent well still fails at
-        the first order, with a QuadratureError in ``errors``.
+        over the lanes still refining.  Returns each lane's last sum and its
+        relative change at the last doubling: NaN and inf in a failed lane,
+        and inf where no doubling was taken.  Two guards keep deep refinement
+        from degrading nearly-circular wells, where the innermost nodes
+        approach the rounding floor of E - U_eff near the turning points: a
+        lane stops once its successive change stagnates (the noise floor),
+        and a lane whose endpoint is breached at a deeper order keeps its
+        last good sum.  A genuinely inconsistent well still fails at the
+        first order, with a QuadratureError in ``errors``.
         """
         params, E, rho, errors = self.params, self.E, self.rho, self.errors
         n = E.size
         value, err = np.full(n, math.nan), np.full(n, math.inf)  # per lane: last sum and change
-        out_value, out_err = np.full(n, math.nan), np.full(n, math.nan)
         active = np.flatnonzero(_alive(errors, n))
         order = _START_ORDER
         for refinement in range(1 + max(max_refinements, 0)):
@@ -201,10 +201,8 @@ class _Well:
                         "transformed integrand not positive: turning points inconsistent",
                         lanes=active)
             else:
-                breached = active[~positive]
-                for e in err[breached].tolist():
+                for e in err[active[~positive]].tolist():
                     log.debug("order %d breached the endpoint floor; keeping %.1e", order, e)
-                out_value[breached], out_err[breached] = value[breached], err[breached]
             active, new = active[positive], new[positive]
             if refinement:
                 with np.errstate(all="ignore"):
@@ -215,16 +213,14 @@ class _Well:
                 stagnated = ~converged & (change >= 0.5 * err[active])
                 for c in change[stagnated].tolist():
                     log.debug("quadrature stagnated at %.1e (order %d)", c, order)
-                err[active] = change
-                done = converged | stagnated
-                out_value[active[done]], out_err[active[done]] = new[done], change[done]
-                active, new = active[~done], new[~done]
-            value[active] = new
+                value[active], err[active] = new, change
+                active = active[~(converged | stagnated)]
+            else:
+                value[active] = new
             order *= 2
         for e in err[active].tolist():
             log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
-        out_value[active], out_err[active] = value[active], err[active]
-        return out_value, out_err
+        return value, err
 
     def swept_angle(self, tolerance: float, max_refinements: int):
         """Perigee-to-apogee angle delta_phi per lane, and its error estimate."""
@@ -398,16 +394,6 @@ def width_law_check(params: Params, J: float) -> WidthLawResult:
 
 # --- Exponent scan ---
 
-class ScanCell(NamedTuple):
-    """One (exponent, E, lam) evaluation of the scanned quantity s*dphi."""
-
-    family_param: float
-    E: float
-    lam: float
-    s_delta_phi: float | None
-    status: str
-
-
 class FamilyVerdict(NamedTuple):
     """Aggregate over the (E, lam) grid for one exponent.
 
@@ -424,10 +410,19 @@ class FamilyVerdict(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """Closed-orbit candidate scan over a family of power-law exponents."""
+    """Closed-orbit candidate scan over a family of power-law exponents.
 
-    family: str
-    cells: list[ScanCell]
+    The first five fields are columns with one entry per (exponent, E, lam)
+    cell, exponent by exponent, then lam by lam: ``s_delta_phi`` is NaN
+    where the cell failed, and ``status`` is "ok" or "infeasible: <error>".
+    ``verdicts`` holds one entry per exponent.
+    """
+
+    family_param: np.ndarray
+    E: np.ndarray
+    lam: np.ndarray
+    s_delta_phi: np.ndarray
+    status: list[str]
     verdicts: list[FamilyVerdict]
 
     def passing(self) -> list[float]:
@@ -482,25 +477,25 @@ def bertrand_scan(
     laws = [PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
             for alpha in exponents]
     s = params_base.geometry.s
-    lam_cells = [lam for lam in lambdas for _ in e_fractions]
-    n = len(lam_cells)
-    J = np.tile(np.array(lam_cells, dtype=float) * s, len(laws))
+    n = len(lambdas) * len(e_fractions)
+    family_param = np.repeat(np.asarray(exponents, dtype=float), n)
+    lam = np.tile(np.repeat(np.asarray(lambdas, dtype=float), len(e_fractions)), len(laws))
     fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas) * len(laws))
     params = replace(params_base, potential=PowerLaw(
-        amplitude=np.repeat([law.amplitude for law in laws], n),
-        exponent=np.repeat(np.asarray(exponents, dtype=float), n)))
+        amplitude=np.repeat([law.amplitude for law in laws], n), exponent=family_param))
+    J = lam * s
     errors: dict = {}
     E, minimum = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
     delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors, minimum)
-    s_delta_phi, status = (delta_phi * s).tolist(), ["ok"] * J.size
-    for k, exc in errors.items():  # per-cell failures are recorded
-        s_delta_phi[k], status[k] = None, f"infeasible: {exc}"
-    cells = list(map(ScanCell, [alpha for alpha in exponents for _ in range(n)], E.tolist(),
-                     lam_cells * len(exponents), s_delta_phi, status))
+    status = ["ok"] * J.size
+    for k, exc in errors.items():  # per-cell failures are recorded; their value is NaN
+        status[k] = f"infeasible: {exc}"
+    s_delta_phi, ok = delta_phi * s, _alive(errors, J.size)
     verdicts: list[FamilyVerdict] = []
     for g, alpha in enumerate(exponents):
         expected = math.pi / math.sqrt(alpha + 2.0)
-        values = [v for v in s_delta_phi[g * n:(g + 1) * n] if v is not None]
+        cells = slice(g * n, (g + 1) * n)
+        values = s_delta_phi[cells][ok[cells]].tolist()
         if not values:
             verdicts.append(FamilyVerdict(alpha, None, None, expected, "infeasible"))
             continue
@@ -510,4 +505,4 @@ def bertrand_scan(
             alpha, flatness, constant, expected,
             _classify_flatness(flatness, constant, expected),
         ))
-    return ScanReport(family="power_law", cells=cells, verdicts=verdicts)
+    return ScanReport(family_param, E, lam, s_delta_phi, status, verdicts)

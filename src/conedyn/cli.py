@@ -202,11 +202,9 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         max_refinements=cfg.quadrature.max_refinements,
     )
     header = ["family_param", "E", "lambda", "s_delta_phi", "status"]
-    family, E, lam, value, status = zip(*report.cells)
-    numbers = np.array([family, E, lam, [math.nan if v is None else v for v in value]])
-    _write_rows(path, fmt, header, [range(5)], [[*numbers, list(status)]])
+    _write_rows(path, fmt, header, [range(5)], [report[:5]])
 
-    n_ok = status.count("ok")
+    n_ok = report.status.count("ok")
     results: dict = {
         "output": path,
         "passing": report.passing(),
@@ -214,7 +212,7 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         "flatness": {str(v.family_param): v.flatness for v in report.verdicts},
         "constants": {str(v.family_param): v.constant for v in report.verdicts},
         "cells_ok": n_ok,
-        "cells_infeasible": len(report.cells) - n_ok,
+        "cells_infeasible": len(report.status) - n_ok,
     }
     if cfg.scan.include_log_check:
         from dataclasses import replace
@@ -249,7 +247,7 @@ def cmd_actions(cfg: RunConfig, args) -> RunSummary:
                                tolerance=cfg.quadrature.tolerance,
                                max_refinements=cfg.quadrature.max_refinements)
         except ConeDynError as exc:
-            rows.append([E, J] + [math.nan] * 10 + [f"error: {exc}"])
+            rows.append([E, J, *[math.nan] * 5, "", "", *[math.nan] * 3, f"error: {exc}"])
             log.warning("level (E=%g, J=%g) failed: %s", E, J, exc)
             continue
         if closed_form:

@@ -274,7 +274,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # not JSON, past the digit or nesting limit
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be a JSON object")

@@ -44,8 +44,8 @@ from .errors import (
     UnboundedMotionError,
 )
 
-# No compiled stepper exists; perfbench/worker.py still reads this name, and
-# it goes with that call (ROADMAP item 9).
+# No compiled stepper exists; the name stays while perfbench/worker.py's
+# kernel-throughput probe reads it (ROADMAP item 8).
 HAVE_COMPILED_KERNEL = False
 
 
@@ -415,7 +415,7 @@ def _closed_form_radii(params: Params, E, J):
 
 
 def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray,
-                           u0: np.ndarray | None = None):
+                           u0: np.ndarray):
     """(r_min, r_max, failed) of non-circular, bound level sets, one lane
     each, by bracketed root finding, for potentials without a closed form:
     from the circular radius r_c the root is bracketed by doubling (outward)
@@ -423,10 +423,10 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
     ends of every lane are one batch: one bracketing loop and one
     :func:`_root` call.  f = U_eff - E is evaluated once per point: the root
     solve starts from the loop's value at each far end, and from
-    f(r_c) = U_0 - E, where ``u0`` is U_eff(r_c) as the minimum computed it
-    (evaluated here if not given).  ``failed`` maps each failed lane to its
-    QuadratureError; where both ends of a lane fail, the outward end's error
-    wins, as if that end were solved first."""
+    f(r_c) = U_0 - E, where ``u0`` is U_eff(r_c) as the minimum computed it.
+    ``failed`` maps each failed lane to its QuadratureError; where both ends
+    of a lane fail, the outward end's error wins, as if that end were solved
+    first."""
     n = E.size
     failed: dict = {}  # by end: end k < n is lane k outward, end n + k lane k inward
     lane = np.tile(np.arange(n), 2)
@@ -449,8 +449,6 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
         f_far[ends] = f_end = f(far[ends], ends)
         ends = ends[f_end <= 0.0]
         far[ends] *= factor[ends]
-    if u0 is None:
-        u0, _ = _effective_potential_lanes(params, J, r_c)
     f_c = u0 - E
     ends = np.flatnonzero(_alive(failed, 2 * n))
     out, near, f_near, far, f_far = (outward[ends], r_c[lane[ends]], f_c[lane[ends]],
@@ -602,50 +600,6 @@ def _stepper(kind: type, unit_mass: bool):
     return namespace["run"]
 
 
-def _run_kernel(params: Params, pt: PhasePoint, dt: float, n_steps: int, sample_every: int):
-    """Advance ``n_steps`` kick-drift-kick steps from ``pt``, sampling every
-    ``sample_every``; sample 0 is the initial state.
-
-    Returns the sampled (r, p_r, unwrapped phi) arrays.  A start point with
-    a non-finite H is a DomainError, and so is a force outside the float
-    range, with its step index.  A drift that leaves the r > 0 half-line
-    (or gives NaN) raises TipCollisionError with its step index.
-    """
-    if dt == 0.0 or not math.isfinite(dt):
-        raise DomainError(f"dt must be nonzero and finite, got {dt}")
-    for name, count in (("n_steps", n_steps), ("sample_every", sample_every)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {count!r}")
-    if n_steps < 1 or sample_every < 1:
-        raise DomainError("n_steps and sample_every must be >= 1")
-    if n_steps % sample_every != 0:
-        raise DomainError("n_steps must be a multiple of sample_every")
-    pot, m = params.potential, params.m
-    kind = next((k for k in type(pot).__mro__ if k in _FORCE), None)
-    if kind is None:
-        raise StructuralError(f"unsupported potential {type(pot).__name__}")
-    with np.errstate(all="ignore"):
-        h0 = hamiltonian(params, np.float64(pt.r), pt.p_r, pt.J)
-    if not np.isfinite(h0):
-        raise DomainError(f"start point has non-finite energy H={h0}")
-
-    n_samples = n_steps // sample_every + 1
-    out_r = np.empty(n_samples)
-    out_pr = np.empty(n_samples)
-    out_phi = np.empty(n_samples)
-    out_r[0] = pt.r
-    out_pr[0] = pt.p_r
-    out_phi[0] = pt.phi
-    c, p = _FORCE[kind][1](pot, m)
-    s = params.geometry.s
-    n_steps, sample_every = int(n_steps), int(sample_every)
-    # Python floats: numpy scalars past the tip would warn, not raise or go complex
-    _stepper(kind, m == 1.0)(float(pt.r), float(pt.p_r), pt.phi, float(pt.J), m, m * s * s,
-                             c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
-                             memoryview(out_r), memoryview(out_pr), out_phi)
-    return out_r, out_pr, out_phi
-
-
 def integrate(
     params: Params,
     pt0: PhasePoint,
@@ -662,15 +616,47 @@ def integrate(
     Each step is one kick-drift-kick step: half-kick p_r, drift r (advancing
     phi with the drift-midpoint radius), half-kick p_r; J is untouched.  A
     negative ``dt`` runs backward, with decreasing sample times, and the
-    scheme is time-reversible up to rounding.  A tip collision propagates
-    with its failing step index.
+    scheme is time-reversible up to rounding.  A start point with a
+    non-finite H is a DomainError, and so is a force outside the float
+    range, with its step index.  A drift that leaves the r > 0 half-line
+    (or gives NaN) raises TipCollisionError with its step index.
     """
-    # "python" is the only stepper; perfbench/worker.py still passes the
-    # parameter, and it goes with that call (ROADMAP item 9).
+    # "python" is the only stepper; the parameter stays while
+    # perfbench/worker.py's kernel-throughput probe passes it (ROADMAP item 8)
     if backend != "python":
         raise DomainError(f"unknown backend {backend!r}; the only stepper is 'python'")
-    out_r, out_pr, out_phi = _run_kernel(params, pt0, dt, n_steps, sample_every)
-    n_samples = len(out_r)
+    if dt == 0.0 or not math.isfinite(dt):
+        raise DomainError(f"dt must be nonzero and finite, got {dt}")
+    for name, count in (("n_steps", n_steps), ("sample_every", sample_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
+    if n_steps < 1 or sample_every < 1:
+        raise DomainError("n_steps and sample_every must be >= 1")
+    if n_steps % sample_every != 0:
+        raise DomainError("n_steps must be a multiple of sample_every")
+    pot, m = params.potential, params.m
+    kind = next((k for k in type(pot).__mro__ if k in _FORCE), None)
+    if kind is None:
+        raise StructuralError(f"unsupported potential {type(pot).__name__}")
+    with np.errstate(all="ignore"):
+        h0 = hamiltonian(params, np.float64(pt0.r), pt0.p_r, pt0.J)
+    if not np.isfinite(h0):
+        raise DomainError(f"start point has non-finite energy H={h0}")
+
+    n_samples = n_steps // sample_every + 1
+    out_r = np.empty(n_samples)
+    out_pr = np.empty(n_samples)
+    out_phi = np.empty(n_samples)
+    out_r[0] = pt0.r
+    out_pr[0] = pt0.p_r
+    out_phi[0] = pt0.phi
+    c, p = _FORCE[kind][1](pot, m)
+    s = params.geometry.s
+    n_steps, sample_every = int(n_steps), int(sample_every)
+    # Python floats: numpy scalars past the tip would warn, not raise or go complex
+    _stepper(kind, m == 1.0)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J), m, m * s * s,
+                             c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
+                             memoryview(out_r), memoryview(out_pr), out_phi)
     times = dt * sample_every * np.arange(n_samples)
     with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
         series_h = hamiltonian(params, out_r, out_pr, pt0.J)

@@ -199,9 +199,8 @@ def _bertrand_rows(cfg, seed):
     report = cd.bertrand_scan(cfg.params, scan.exponents, scan.e_fractions, scan.lambdas,
                               tolerance=quad.tolerance, max_refinements=quad.max_refinements)
     return (["family_param", "E", "lambda", "s_delta_phi", "status"],
-            [[c.family_param, c.E, c.lam,
-              math.nan if c.s_delta_phi is None else c.s_delta_phi, c.status]
-             for c in report.cells])
+            [[*numbers, status] for *numbers, status in
+             zip(*(c.tolist() for c in report[:4]), report.status)])
 
 
 def _actions_rows(cfg, seed):
@@ -211,7 +210,7 @@ def _actions_rows(cfg, seed):
             d = cd.frequencies(cfg.params, E, J, tolerance=cfg.quadrature.tolerance,
                                max_refinements=cfg.quadrature.max_refinements)
         except ConeDynError as exc:
-            rows.append([E, J] + [math.nan] * 10 + [f"error: {exc}"])
+            rows.append([E, J, *[math.nan] * 5, "", "", *[math.nan] * 3, f"error: {exc}"])
             continue
         h = cd.hamiltonian_from_actions(cfg.params, d.i1, d.i2)
         ra = d.rational_approx
@@ -256,10 +255,9 @@ _RECORDS = {
     "bertrand.ApsidalResult": ("delta_phi", "lam", "E", "quadrature_error_estimate"),
     "bertrand.SmallOscillation": ("omega_sq", "apsidal_limit"),
     "bertrand.WidthLawResult": ("a_fit", "max_residual"),
-    "bertrand.ScanCell": ("family_param", "E", "lam", "s_delta_phi", "status"),
     "bertrand.FamilyVerdict": ("family_param", "flatness", "constant", "expected_constant",
                                "verdict"),
-    "bertrand.ScanReport": ("family", "cells", "verdicts"),
+    "bertrand.ScanReport": ("family_param", "E", "lam", "s_delta_phi", "status", "verdicts"),
     "config.IntegratorConfig": ("dt", "n_steps", "sample_every"),
     "config.ClosureConfig": ("enabled", "tol"),
     "config.QuadratureConfig": ("tolerance", "max_refinements"),
@@ -301,6 +299,115 @@ def _fresh_import(code: str) -> str:
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     return out.stdout
+
+
+def _edited(doc, section, **values):
+    """``doc`` with the keys of one of its sections (dotted) set to ``values``."""
+    part = doc
+    for key in section.split("."):
+        part = part[key]
+    part.update(values)
+    return doc
+
+
+_LEVEL = [{"E": -0.15, "J": 1.0}]
+_POWER_LAW = {"kind": "power_law", "amplitude": -1.0, "exponent": -0.5}
+
+# paths through main that no other test takes: (command, config, CONE_LOG,
+# exit code, stderr, check of the summary's results and the output file).
+# A config is a document, raw text, or None for a file that does not exist;
+# "{path}" in stderr stands for the config's path
+_PATHS = {
+    "scan-exponents-empty": (
+        "bertrand", _base_doc(scan={"exponents": [], "e_fractions": [0.5], "lambdas": [1.0]}),
+        None, 2, "config error: scan.exponents: expected a non-empty array of numbers", None),
+    "geometry-not-object": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params", geometry=[2, 3]),
+        None, 2, "config error: params.geometry: expected an object", None),
+    "potential-without-kind": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params", potential={"kappa": 1.0}),
+        None, 2, "config error: params.potential: expected an object with a 'kind' key", None),
+    "potential-unknown-kind": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params", potential={"kind": "yukawa"}),
+        None, 2, "config error: params.potential.kind: unknown potential kind 'yukawa'", None),
+    "dt-zero": (
+        "simulate", _edited(_simulate_doc("t.csv"), "integrator", dt=0),
+        None, 2, "config error: integrator.dt: must be nonzero", None),
+    "n-steps-zero": (
+        "simulate", _edited(_simulate_doc("t.csv"), "integrator", n_steps=0),
+        None, 2, "config error: integrator.n_steps: n_steps and sample_every must be >= 1",
+        None),
+    "tolerance-zero": (
+        "actions", _base_doc(levels=_LEVEL, quadrature={"tolerance": 0}),
+        None, 2, "config error: quadrature.tolerance: must be positive", None),
+    "max-refinements-negative": (
+        "actions", _base_doc(levels=_LEVEL, quadrature={"max_refinements": -1}),
+        None, 2, "config error: quadrature.max_refinements: must be >= 0", None),
+    "levels-empty": (
+        "actions", _base_doc(levels=[]),
+        None, 2, "config error: levels: expected a non-empty array", None),
+    "n-points-zero": (
+        "verify-algebra", _base_doc(algebra={"n_points": 0}),
+        None, 2, "config error: algebra.n_points: must be >= 1", None),
+    "unreadable-path": (
+        "actions", None, None, 2,
+        "config error: config: cannot read {path}: [Errno 2] No such file or directory: "
+        "'{path}'", None),
+    "top-level-array": (
+        "actions", "[]", None, 2, "config error: config: top level must be a JSON object",
+        None),
+    "geometry-k-zero": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params.geometry", k=0, n=1),
+        None, 2, "config error: params: rational form needs positive integers, got (0, 1)",
+        None),
+    "oscillator-omega-zero": (
+        "actions",
+        _edited(_base_doc(levels=_LEVEL), "params", potential={"kind": "oscillator", "omega": 0}),
+        None, 2, "config error: params: omega must be positive, got 0.0", None),
+    "log-strength-zero": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params",
+                           potential={"kind": "log", "strength": 0, "r0": 1.0}),
+        None, 2, "config error: params: strength must be positive, got 0.0", None),
+    "log-r0-zero": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params",
+                           potential={"kind": "log", "strength": 1.0, "r0": 0}),
+        None, 2, "config error: params: r0 must be positive, got 0.0", None),
+    "simulate-without-integrator": (
+        "simulate", {k: v for k, v in _simulate_doc("t.csv").items() if k != "integrator"},
+        None, 2, "config error: integrator: simulate needs an 'integrator' section", None),
+    "simulate-without-initial": (
+        "simulate", {k: v for k, v in _simulate_doc("t.csv").items() if k != "initial"},
+        None, 2, "config error: initial: simulate needs an 'initial' section", None),
+    "no-output-path": (
+        "actions", _base_doc(levels=_LEVEL),
+        None, 2, "config error: output.path: no output path given (config or --output)", None),
+    "bertrand-without-scan": (
+        "bertrand", _base_doc(), None, 2,
+        "config error: scan: bertrand needs a 'scan' section", None),
+    "actions-without-levels": (
+        "actions", _base_doc(), None, 2,
+        "config error: levels: actions needs a 'levels' section", None),
+    "verify-algebra-power-law": (
+        "verify-algebra", _edited(_base_doc(), "params", potential=_POWER_LAW), None, 2,
+        "config error: params.potential: verify-algebra needs the Kepler or oscillator "
+        "potential", None),
+    # no closed-form H(I): the round trip is not taken
+    "actions-power-law": (
+        "actions", _edited(_base_doc(levels=[{"E": -0.3, "J": 1.0}]), "params",
+                           potential=_POWER_LAW),
+        None, 0, None,
+        lambda results, out: (results["records_ok"] == 1
+                              and out.read_text().splitlines()[1].endswith(",nan,nan,ok"))),
+    # 2,000 steps are a small part of one radial period
+    "simulate-not-closed": (
+        "simulate", _simulate_doc("t.csv", closure=True), None, 0, None,
+        lambda results, out: results["closure"] == {"closed": False}),
+    # an unknown level logs at warn: the failed level, not the ok one
+    "cone-log-unknown": (
+        "actions", _base_doc(levels=[*_LEVEL, {"E": 5.0, "J": 1.0}]), "bogus", 0,
+        "conedyn WARNING: level (E=5, J=1) failed: E=5.0 at or above the escape energy 0.0",
+        lambda results, out: results["records_failed"] == 1),
+}
 
 
 class TestCli:
@@ -996,3 +1103,48 @@ print(json.dumps({{
         assert code == 5
         err = capsys.readouterr().err
         assert "rational" in err
+
+    @pytest.mark.parametrize("case", sorted(_PATHS))
+    def test_rejection_paths(self, tmp_path, capsys, monkeypatch, case):
+        command, doc, log_level, code, err, check = _PATHS[case]
+        if log_level is not None:
+            monkeypatch.setenv("CONE_LOG", log_level)
+        config = tmp_path / "c.json"
+        if doc is not None:
+            config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(config)]
+        if case != "no-output-path":
+            argv += ["--output", str(out)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ("" if err is None else err.format(path=config) + "\n")
+        if check is not None:
+            assert check(json.loads(captured.out)["results"], out)
+
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
+        # the decoder's recursion limit, not a traceback
+        config = tmp_path / "c.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["actions", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: config: invalid JSON in {config}: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_failed_level_leaves_rational_pair_empty(self, tmp_path, capsys, monkeypatch,
+                                                       fmt):
+        # a level below the well bottom writes "" for p and q, as an ok level
+        # without an accepted ratio does, not the float NaN
+        monkeypatch.setenv("CONE_LOG", "error")
+        out = tmp_path / f"a.{fmt}"
+        doc = _base_doc(levels=[{"E": -10.0, "J": 1.0}],
+                        output={"path": str(out), "format": fmt})
+        assert main(["actions", "--config", _write(tmp_path, "c.json", doc)]) == 4
+        capsys.readouterr()
+        if fmt == "csv":
+            row = dict(zip(*csv.reader(io.StringIO(out.read_text()))))
+        else:
+            row = json.loads(out.read_text())
+        assert row["status"].startswith("error: E=-10.0 lies below")
+        assert (row["rational_p"], row["rational_q"]) == ("", "")

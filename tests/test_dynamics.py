@@ -353,12 +353,11 @@ class TestTurningPointArrays:
             return np.where(raised, math.nan, u), raised
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
-        for u0 in (None, e_c):
-            *_, failed = dynamics._solved_turning_points(params, E, J, r_c, u0)
-            assert {k: str(exc) for k, exc in failed.items()} == {
-                0: f"U_eff({2.0 * r_c[0]}) is outside the float range",
-                1: f"U_eff({0.5 * r_c[1]}) is outside the float range"}
-            assert all(isinstance(exc, QuadratureError) for exc in failed.values())
+        *_, failed = dynamics._solved_turning_points(params, E, J, r_c, e_c)
+        assert {k: str(exc) for k, exc in failed.items()} == {
+            0: f"U_eff({2.0 * r_c[0]}) is outside the float range",
+            1: f"U_eff({0.5 * r_c[1]}) is outside the float range"}
+        assert all(isinstance(exc, QuadratureError) for exc in failed.values())
 
     def test_typed_errors_name_the_first_bad_lane(self):
         kep = kepler_params()
