@@ -26,8 +26,8 @@ import numpy as np
 
 from .bertrand import _Well, circular_orbit, small_oscillation_freq
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _float_pow, _raise_first
-from .errors import CircularOrbitError, DomainError, StructuralError
+from .dynamics import _as_lanes, _float_pow, _raise_first, _record
+from .errors import CircularOrbitError, ConeDynError, DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
 # distance from p/q within which the ratio counts as rational
@@ -118,35 +118,40 @@ def frequencies(
     a circular level set both come from the harmonic limit instead.  The
     ratio is tested for rationality by continued fractions with denominator
     bound :data:`Q_MAX` and acceptance tolerance :data:`RATIONAL_TOL`; floats
-    cannot certify rationality, so this is the operational criterion.
+    cannot certify rationality, so this is the operational criterion.  One
+    lane of :func:`_frequency_lanes`.
     """
-    if J == 0.0:
-        raise DomainError("frequency analysis requires J != 0")
-    m, s = params.m, params.geometry.s
-    # one well for the three integrals: its turning points are solved once
     errors: dict = {}
-    well = _Well(params, *_as_lanes(E, J)[1], errors)
-    if isinstance(errors.get(0), CircularOrbitError):
-        r_c, _ = circular_orbit(params, J)
-        i2 = 0.0
-        omega1 = abs(J) / (m * s * s * r_c * r_c)
-        omega2 = omega1 * s * math.sqrt(small_oscillation_freq(params, J).omega_sq)
-    else:
-        i2 = _radial_action(well, tolerance, max_refinements).item()
-        t_r = well.period(tolerance, max_refinements).item()
-        dphi = well.swept_angle(tolerance, max_refinements)[0].item()
-        _raise_first(errors, name_lane=False)
-        omega2 = TWO_PI / t_r
-        omega1 = omega2 * dphi / math.pi
+    lanes = _frequency_lanes(params, *_as_lanes(E, J)[1], tolerance, max_refinements, errors)
+    _raise_first(errors, name_lane=False)
+    i2, omega1, omega2 = (lane.item() for lane in lanes)
     ratio = omega1 / omega2
-    return ActionData(
-        i1=J,
-        i2=i2,
-        omega1=omega1,
-        omega2=omega2,
-        ratio=ratio,
-        rational_approx=_rationalize(ratio),
-    )
+    return ActionData(J, i2, omega1, omega2, ratio, _rationalize(ratio))
+
+
+def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: float,
+                     max_refinements: int, errors: dict):
+    """(I2, omega1, omega2) of :func:`frequencies` per lane of the 1-D arrays
+    E and J, from one well; a failed lane holds NaN and records its error in
+    ``errors``.  A circular lane takes the harmonic limit by scalar calls."""
+    _record(errors, J == 0.0, DomainError, "frequency analysis requires J != 0")
+    well = _Well(params, E, J, errors)
+    i2 = _radial_action(well, tolerance, max_refinements)
+    omega2 = TWO_PI / well.period(tolerance, max_refinements)
+    omega1 = omega2 * well.swept_angle(tolerance, max_refinements)[0] / math.pi
+    m, s = params.m, params.geometry.s
+    for k in [k for k, exc in errors.items() if isinstance(exc, CircularOrbitError)]:
+        j = J[k].item()
+        try:
+            r_c, _ = circular_orbit(params, j)
+            w1 = abs(j) / (m * s * s * r_c * r_c)
+            w2 = w1 * s * math.sqrt(small_oscillation_freq(params, j).omega_sq)
+        except ConeDynError as exc:
+            errors[k] = exc
+            continue
+        del errors[k]
+        i2[k], omega1[k], omega2[k] = 0.0, w1, w2
+    return i2, omega1, omega2
 
 
 def _rationalize(x: float) -> RationalApprox | None:

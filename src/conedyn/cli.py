@@ -31,11 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .actions import frequencies, hamiltonian_from_actions
+from .actions import _frequency_lanes, _rationalize, hamiltonian_from_actions
 from .bertrand import bertrand_scan, width_law_check
 from .config import OutputConfig, RunConfig, load_config
 from .core import Kepler, LogPotential, Oscillator, Params, PhasePoint
-from .dynamics import detect_closure, integrate, turning_points
+from .dynamics import _alive, detect_closure, integrate, turning_points
 from .errors import (
     ConeDynError,
     ConfigError,
@@ -234,50 +234,36 @@ def cmd_actions(cfg: RunConfig, args) -> RunSummary:
     if cfg.levels is None:
         raise ConfigError("levels", "actions needs a 'levels' section")
     path, fmt = _resolve_output(cfg, args)
-    header = ["E", "J", "i1", "i2", "omega1", "omega2", "ratio",
-              "rational_p", "rational_q", "rational_error",
-              "h_of_i", "roundtrip_rel_err", "status"]
-    rows = []
-    n_ok = 0
-    ratios = []
+    header = ["E", "J", "i1", "i2", "omega1", "omega2", "ratio", "rational_p", "rational_q",
+              "rational_error", "h_of_i", "roundtrip_rel_err", "status"]
+    E, J = np.array(cfg.levels, dtype=float).T.copy()
+    errors: dict = {}
+    # the levels are the lanes of one well
+    i2, omega1, omega2 = _frequency_lanes(cfg.params, E, J, cfg.quadrature.tolerance,
+                                          cfg.quadrature.max_refinements, errors)
+    ratio, ok = omega1 / omega2, _alive(errors, E.size)
+    p, q, status = [""] * E.size, [""] * E.size, ["ok"] * E.size
+    rational_error, h_of_i = np.full(E.size, math.nan), np.full(E.size, math.nan)
     closed_form = isinstance(cfg.params.potential, (Kepler, Oscillator))
-    for E, J in cfg.levels:
-        try:
-            data = frequencies(cfg.params, E, J,
-                               tolerance=cfg.quadrature.tolerance,
-                               max_refinements=cfg.quadrature.max_refinements)
-        except ConeDynError as exc:
-            rows.append([E, J, *[math.nan] * 5, "", "", *[math.nan] * 3, f"error: {exc}"])
-            log.warning("level (E=%g, J=%g) failed: %s", E, J, exc)
+    for k, (e, j, x) in enumerate(zip(E.tolist(), J.tolist(), ratio.tolist())):
+        if k in errors:
+            status[k] = f"error: {errors[k]}"
+            log.warning("level (E=%g, J=%g) failed: %s", e, j, errors[k])
             continue
+        ra = _rationalize(x)
+        if ra:
+            p[k], q[k], rational_error[k] = ra
         if closed_form:
-            h_of_i = hamiltonian_from_actions(cfg.params, data.i1, data.i2)
-            rt_err = abs(h_of_i - E) / max(abs(E), 1e-300)
-        else:
-            h_of_i, rt_err = math.nan, math.nan
-        ra = data.rational_approx
-        rows.append([
-            E, J, data.i1, data.i2, data.omega1, data.omega2, data.ratio,
-            ra.p if ra else "", ra.q if ra else "",
-            ra.error if ra else math.nan,
-            h_of_i, rt_err, "ok",
-        ])
-        ratios.append(data.ratio)
-        n_ok += 1
-        log.info("level (E=%g, J=%g): ratio=%.12g rational=%s", E, J, data.ratio,
+            h_of_i[k] = hamiltonian_from_actions(cfg.params, j, i2[k].item())
+        log.info("level (E=%g, J=%g): ratio=%.12g rational=%s", e, j, x,
                  (ra.p, ra.q) if ra else None)
-    # all but p, q and status are floats, which render by column
-    columns = [c if name in ("rational_p", "rational_q", "status") else np.array(c, np.float64)
-               for name, c in zip(header, zip(*rows))]
+    columns = [E, J, np.where(ok, J, math.nan), i2, omega1, omega2, ratio, p, q, rational_error,
+               h_of_i, np.abs(h_of_i - E) / np.maximum(np.abs(E), 1e-300), status]
     _write_rows(path, fmt, header, [range(len(header))], [columns])
-    results = {
-        "output": path,
-        "records_ok": n_ok,
-        "records_failed": len(rows) - n_ok,
-        "ratios": ratios,
-    }
-    status = EXIT_OK if n_ok > 0 else EXIT_INFEASIBLE
-    return RunSummary("actions", time.perf_counter() - t0, args.seed, results, status)
+    results = {"output": path, "records_ok": E.size - len(errors),
+               "records_failed": len(errors), "ratios": ratio[ok].tolist()}
+    return RunSummary("actions", time.perf_counter() - t0, args.seed, results,
+                      EXIT_OK if ok.any() else EXIT_INFEASIBLE)
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> RunSummary:

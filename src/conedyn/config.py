@@ -132,6 +132,14 @@ def _level(d: Any, path: str) -> tuple[float, float]:
     return _number(d["E"], f"{path}.E"), _number(d["J"], f"{path}.J")
 
 
+def _checked(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a value type's own check as a config error at path."""
+    try:
+        return build(*args, **kwargs)
+    except ConeDynError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _section(d: Any, path: str, record, *parsers):
     """``record`` read from the object ``d``, with one parser per field in
     field order.  The fields without a default on the record are required;
@@ -147,10 +155,10 @@ def _parse_geometry(d: dict, path: str) -> ConeGeometry:
         raise ConfigError(path, "expected an object")
     if "k" in d or "n" in d:
         _check_keys(d, path, {"k", "n"})
-        return ConeGeometry.from_rational(_integer(d["k"], f"{path}.k"),
-                                          _integer(d["n"], f"{path}.n"))
+        return _checked(path, ConeGeometry.from_rational, _integer(d["k"], f"{path}.k"),
+                        _integer(d["n"], f"{path}.n"))
     _check_keys(d, path, {"s"})
-    return ConeGeometry(s=_number(d["s"], f"{path}.s"))
+    return _checked(path, ConeGeometry, s=_number(d["s"], f"{path}.s"))
 
 
 # each potential kind: its class and its parameters, in constructor order
@@ -170,7 +178,7 @@ def _parse_potential(d: dict, path: str) -> PotentialSpec:
         raise ConfigError(f"{path}.kind", f"unknown potential kind {kind!r}")
     cls, *keys = _POTENTIALS[kind]
     _check_keys(d, path, {"kind", *keys})
-    return cls(*(_number(d[key], f"{path}.{key}") for key in keys))
+    return _checked(path, cls, *(_number(d[key], f"{path}.{key}") for key in keys))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -185,16 +193,10 @@ def parse_config(doc: dict) -> RunConfig:
 
     p = doc["params"]
     _check_keys(p, "params", {"m", "geometry", "potential"})
-    try:
-        cfg = {"params": Params(
-            m=_number(p["m"], "params.m"),
-            geometry=_parse_geometry(p["geometry"], "params.geometry"),
-            potential=_parse_potential(p["potential"], "params.potential"),
-        )}
-    except ConfigError:
-        raise
-    except ConeDynError as exc:
-        raise ConfigError("params", str(exc)) from exc
+    cfg = {"params": _checked("params.m", Params,
+                              m=_number(p["m"], "params.m"),
+                              geometry=_parse_geometry(p["geometry"], "params.geometry"),
+                              potential=_parse_potential(p["potential"], "params.potential"))}
 
     if "initial" in doc:
         ini = doc["initial"]
@@ -204,11 +206,8 @@ def parse_config(doc: dict) -> RunConfig:
             _check_keys(ini, "initial", {"point"})
             pd = ini["point"]
             _check_keys(pd, "initial.point", {"r", "phi", "p_r", "J"})
-            try:
-                cfg["initial_point"] = PhasePoint(**{key: _number(pd[key], f"initial.point.{key}")
-                                                     for key in ("r", "phi", "p_r", "J")})
-            except ConeDynError as exc:
-                raise ConfigError("initial.point", str(exc)) from exc
+            cfg["initial_point"] = _checked("initial.point", PhasePoint, **{
+                key: _number(pd[key], f"initial.point.{key}") for key in ("r", "phi", "p_r", "J")})
         else:
             _check_keys(ini, "initial", {"level"})
             cfg["initial_level"] = _level(ini["level"], "initial.level")
@@ -267,14 +266,24 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(**cfg)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, which would keep a repeated key's last value."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not JSON, past the digit or nesting limit
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, a repeated key, past a limit
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be a JSON object")

@@ -1,14 +1,46 @@
 """Radial action, closed-form H(I), frequencies, and closure prediction."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import conedyn as cd
-from conedyn import bertrand
-from conedyn.errors import DomainError, StructuralError
+from conedyn import actions, bertrand
+from conedyn.cli import main
+from conedyn.dynamics import _escape_energy
+from conedyn.errors import ConeDynError, DomainError, StructuralError
 from helpers import RATIONAL_S, bound_energy, kepler_params, midwell_point, oscillator_params
+
+# one potential of each kind, with and without a top to the well
+_LANE_PARAMS = {
+    "kepler": kepler_params(2, 3),
+    "oscillator": oscillator_params(3, 4),
+    "power-law": cd.Params(m=1.0, geometry=cd.ConeGeometry(s=0.8),
+                           potential=cd.PowerLaw(amplitude=-1.0, exponent=-0.5)),
+    "log": cd.Params(m=1.0, geometry=cd.ConeGeometry.from_rational(1, 2),
+                     potential=cd.LogPotential(strength=1.0, r0=1.0)),
+}
+
+
+def _lane_levels(params):
+    """(E, J) levels that meet every way a level ends: bound levels of both
+    rotation senses from near the bottom to near the top, a circular level,
+    J = 0, E below the bottom and, where the well has a top, E at and above
+    it."""
+    top = _escape_energy(params)
+    levels = []
+    for J in (1.0, -0.7):
+        _, e_c = cd.circular_orbit(params, J)
+        depth = top - e_c if math.isfinite(top) else 10.0 * max(abs(e_c), 1.0)
+        levels += [(e_c + f * depth, J) for f in (1e-6, 0.1, 0.5, 0.9)]
+        levels += [(e_c, J), (e_c - 1.0, J)]
+        if math.isfinite(top):
+            levels += [(top, J), (top + 1.0, J)]
+    levels.append((levels[1][0], 0.0))
+    return levels
 
 
 class TestRadialAction:
@@ -100,6 +132,55 @@ class TestFrequencies:
             calls.clear()
             cd.frequencies(params, E, 1.0)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(_LANE_PARAMS))
+    def test_lanes_equal_one_lane_calls(self, name, caplog):
+        # every lane of one batch has the bits, the error and the log records
+        # of its own frequencies call
+        params = _LANE_PARAMS[name]
+        E, J = np.array(_lane_levels(params)).T.copy()
+        caplog.set_level("DEBUG", logger="conedyn")
+        errors: dict = {}
+        lanes = actions._frequency_lanes(params, E, J, 1e-10, 6, errors)
+        lanes += (lanes[1] / lanes[2],)
+        batch_records = Counter(r.getMessage() for r in caplog.records)
+        caplog.clear()
+        ends = Counter()
+        for k, (e, j) in enumerate(zip(E.tolist(), J.tolist())):
+            try:
+                data = cd.frequencies(params, e, j)
+            except ConeDynError as exc:
+                assert (type(errors[k]), str(errors[k])) == (type(exc), str(exc))
+                assert all(math.isnan(lane[k]) for lane in lanes)
+                ends[type(exc).__name__] += 1
+                continue
+            assert k not in errors
+            one_lane = np.array([data.i2, data.omega1, data.omega2, data.ratio])
+            assert np.array([lane[k] for lane in lanes]).tobytes() == one_lane.tobytes()
+            ends["circular" if data.i2 == 0.0 else "ok"] += 1
+        assert Counter(r.getMessage() for r in caplog.records) == batch_records
+        expected = {"ok": 8, "circular": 2, "ForbiddenEnergyError": 2, "DomainError": 1}
+        if math.isfinite(_escape_energy(params)):
+            expected["UnboundedMotionError"] = 4
+        assert ends == expected
+
+    def test_actions_run_solves_turning_points_once(self, tmp_path, monkeypatch, capsys):
+        # all levels of an actions run, failed ones included, share one well
+        calls = []
+        solve = bertrand._turning_points
+        monkeypatch.setattr(bertrand, "_turning_points",
+                            lambda *args: calls.append(args) or solve(*args))
+        levels = [{"E": E, "J": J} for E, J in _lane_levels(kepler_params(2, 3))]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "params": {"m": 1.0, "geometry": {"k": 2, "n": 3},
+                       "potential": {"kind": "kepler", "kappa": 1.0}},
+            "levels": levels}))
+        assert main(["actions", "--config", str(config),
+                     "--output", str(tmp_path / "a.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["records_ok"] == 10
+        assert len(calls) == 1
+        assert calls[0][1].size == len(levels)
 
     def test_period_frequency_consistency(self):
         params = kepler_params(3, 4)

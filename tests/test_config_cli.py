@@ -351,27 +351,29 @@ _PATHS = {
         None, 2, "config error: algebra.n_points: must be >= 1", None),
     "unreadable-path": (
         "actions", None, None, 2,
-        "config error: config: cannot read {path}: [Errno 2] No such file or directory: "
-        "'{path}'", None),
+        "config error: config: cannot read {path}: No such file or directory", None),
     "top-level-array": (
         "actions", "[]", None, 2, "config error: config: top level must be a JSON object",
         None),
     "geometry-k-zero": (
         "actions", _edited(_base_doc(levels=_LEVEL), "params.geometry", k=0, n=1),
-        None, 2, "config error: params: rational form needs positive integers, got (0, 1)",
-        None),
+        None, 2,
+        "config error: params.geometry: rational form needs positive integers, got (0, 1)", None),
+    "mass-zero": (
+        "actions", _edited(_base_doc(levels=_LEVEL), "params", m=0),
+        None, 2, "config error: params.m: mass must be positive, got 0.0", None),
     "oscillator-omega-zero": (
         "actions",
         _edited(_base_doc(levels=_LEVEL), "params", potential={"kind": "oscillator", "omega": 0}),
-        None, 2, "config error: params: omega must be positive, got 0.0", None),
+        None, 2, "config error: params.potential: omega must be positive, got 0.0", None),
     "log-strength-zero": (
         "actions", _edited(_base_doc(levels=_LEVEL), "params",
                            potential={"kind": "log", "strength": 0, "r0": 1.0}),
-        None, 2, "config error: params: strength must be positive, got 0.0", None),
+        None, 2, "config error: params.potential: strength must be positive, got 0.0", None),
     "log-r0-zero": (
         "actions", _edited(_base_doc(levels=_LEVEL), "params",
                            potential={"kind": "log", "strength": 1.0, "r0": 0}),
-        None, 2, "config error: params: r0 must be positive, got 0.0", None),
+        None, 2, "config error: params.potential: r0 must be positive, got 0.0", None),
     "simulate-without-integrator": (
         "simulate", {k: v for k, v in _simulate_doc("t.csv").items() if k != "integrator"},
         None, 2, "config error: integrator: simulate needs an 'integrator' section", None),
@@ -638,7 +640,7 @@ print(json.dumps({{
         ('"kappa": 1.0', f'"kappa": {_BIG}', "params.potential.kappa"),
         ('"levels"', f'"scan": {{"exponents": [-1.0, -{_BIG}], "e_fractions": [0.5], '
                      '"lambdas": [1.0]}, "levels"', "scan.exponents[1]"),
-        ('"k": 2', f'"k": {_BIG}', "params"),
+        ('"k": 2', f'"k": {_BIG}', "params.geometry"),
         ('"m": 1.0', '"m": 1' + "0" * 5000, _DIGIT_LIMIT_PATH),
     ], ids=["m", "kappa", "exponent", "geometry", "digit-limit"])
     def test_large_json_integer_is_config_error(self, tmp_path, capsys, old, new, path):
@@ -1121,6 +1123,22 @@ print(json.dumps({{
         assert captured.err == ("" if err is None else err.format(path=config) + "\n")
         if check is not None:
             assert check(json.loads(captured.out)["results"], out)
+
+    @pytest.mark.parametrize("key", ["m", "levels"])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, key):
+        # json.load keeps a repeated key's last value; the config rejects the
+        # key, in a nested object or at the top level, before any run
+        text = json.dumps(_base_doc(levels=_LEVEL))
+        if key == "m":
+            text = text.replace('"m": 1.0', '"m": 1.0, "m": 2.0', 1)
+        else:
+            text = text.replace('"levels"', '"levels": [{"E": -0.1, "J": 1.2}], "levels"', 1)
+        config, out = tmp_path / "c.json", tmp_path / "a.csv"
+        config.write_text(text)
+        assert main(["actions", "--config", str(config), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config: invalid JSON in {config}: key {key!r} is repeated\n")
+        assert not out.exists()
 
     def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
         # the decoder's recursion limit, not a traceback
