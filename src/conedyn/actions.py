@@ -26,7 +26,7 @@ import numpy as np
 
 from .bertrand import _Well, circular_orbit, small_oscillation_freq
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _float_pow, _raise_first, _record
+from .dynamics import _as_lanes, _float_pow, _raise_first
 from .errors import CircularOrbitError, ConeDynError, DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
@@ -67,7 +67,7 @@ def radial_action(
     a circular level set has I2 = 0 exactly.
     """
     errors: dict = {}
-    well = _Well(params, *_as_lanes(E, J)[1], errors)
+    well = _Well(params, *_as_lanes(E, J)[1], errors, "radial action")
     if isinstance(errors.get(0), CircularOrbitError):
         return 0.0
     i2 = _radial_action(well, tolerance, max_refinements)
@@ -134,8 +134,7 @@ def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: fl
     """(I2, omega1, omega2) of :func:`frequencies` per lane of the 1-D arrays
     E and J, from one well; a failed lane holds NaN and records its error in
     ``errors``.  A circular lane takes the harmonic limit by scalar calls."""
-    _record(errors, J == 0.0, DomainError, "frequency analysis requires J != 0")
-    well = _Well(params, E, J, errors)
+    well = _Well(params, E, J, errors, "frequency analysis")
     i2 = _radial_action(well, tolerance, max_refinements)
     omega2 = TWO_PI / well.period(tolerance, max_refinements)
     omega1 = omega2 * well.swept_angle(tolerance, max_refinements)[0] / math.pi

@@ -114,11 +114,13 @@ class _Well:
     """Geometry of bound wells, one lane per level set (E[k], J[k]) of the
     1-D arrays E and J: turning points and the transformed integrand.  A
     lane that fails records its first error in ``errors`` (lane -> error)
-    and the other lanes carry on.  ``minimum`` is the (r_c, U_0) of the
+    and the other lanes carry on; a J = 0 lane has no well, and its error
+    names ``what`` the well is for.  ``minimum`` is the (r_c, U_0) of the
     lanes' wells, if the caller has it already (see :func:`_turning_points`)."""
 
     def __init__(self, params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
-                 minimum=None):
+                 what: str, minimum=None):
+        _record(errors, J == 0.0, DomainError, f"{what} requires J != 0")
         r_min, r_max = _turning_points(params, E, J, errors, minimum)
         self.r_mid = 0.5 * (r_min + r_max)
         self.rho = 0.5 * (r_max - r_min)
@@ -279,8 +281,8 @@ def _apsidal_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: floa
     """delta_phi and its quadrature error estimate per lane of the 1-D arrays
     E and J; a failed lane holds NaN and records its error in ``errors``.
     ``minimum`` is passed on to :class:`_Well`."""
-    _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
-    return _Well(params, E, J, errors, minimum).swept_angle(tolerance, max_refinements)
+    well = _Well(params, E, J, errors, "apsidal angle", minimum)
+    return well.swept_angle(tolerance, max_refinements)
 
 
 def radial_period(
@@ -296,7 +298,8 @@ def radial_period(
     same singularity-removing substitution as :func:`apsidal_angle`.
     """
     errors: dict = {}
-    period = _Well(params, *_as_lanes(E, J)[1], errors).period(tolerance, max_refinements)
+    well = _Well(params, *_as_lanes(E, J)[1], errors, "radial period")
+    period = well.period(tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return period.item()
 

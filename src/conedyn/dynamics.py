@@ -5,15 +5,15 @@ parameter of the reduced flow and conserved exactly by construction, and phi
 is reconstructed by quadrature alongside.  The kick-drift-kick stepper is
 second order and symplectic in (r, p_r).  It is one pure-Python loop
 source, compiled once per potential class with that class's force written
-in, that keeps its whole state in locals.  It evaluates the radial force
-once per step: the closing half-kick is reused as the next opening one (the
-first-same-as-last property of Stormer-Verlet), which is bit-identical to
-evaluating it twice.  The loop only records each new radius; per block of
-steps, numpy forms the angle increments and sums them in order, which is
-bit-identical to the running sum, so memory stays at one block.  The tip is
-checked once per block too: one numpy test finds the first radius that is
-not positive, the step a per-step test would have stopped at.  For m = 1 the
-drift is compiled without its exact division by m.
+in, that keeps its whole state in locals.  It runs in Stormer-Verlet's
+two-step form, the same map in exact arithmetic: it carries the drift
+q = dt * p_r / m of the next step and adds one force to it per step, and
+forms p_r only at a sample, where q is formed again from it.  The loop only
+records each new radius; per block of steps, numpy forms the angle
+increments and sums them in order, which is bit-identical to the running
+sum, so memory stays at one block.  The tip is checked once per block too:
+one numpy test finds the first radius that is not positive, the step a
+per-step test would have stopped at.
 """
 
 from __future__ import annotations
@@ -509,14 +509,14 @@ class Trajectory:
         )
 
 
-# V'(r) for each potential class, spliced into the stepper loop as source,
-# with r2 = r * r at hand, and its constants (c, p) from the potential and m.
+# -U_eff'(r) of each potential class as stepper-loop source, and V's constants
+# (c, p) from the potential and m; cent and c come scaled by dt * dt / m.
 _FORCE = {
-    Kepler: ("c / r2", lambda pot, m: (pot.kappa, 0.0)),
-    Oscillator: ("c * r", lambda pot, m: (pot.beta(m), 0.0)),
-    PowerLaw: ("c * r ** p", lambda pot, m: (pot.amplitude * pot.exponent,
-                                             pot.exponent - 1.0)),
-    LogPotential: ("c / r", lambda pot, m: (pot.strength, 0.0)),
+    Kepler: ("(cent / r - c) / (r * r)", lambda pot, m: (pot.kappa, 0.0)),
+    Oscillator: ("cent / (r * r * r) - c * r", lambda pot, m: (pot.beta(m), 0.0)),
+    PowerLaw: ("cent / (r * r * r) - c * r ** p",
+               lambda pot, m: (pot.amplitude * pot.exponent, pot.exponent - 1.0)),
+    LogPotential: ("cent / (r * r * r) - c / r", lambda pot, m: (pot.strength, 0.0)),
 }
 
 # Steps per angle block: bounds the stepper's buffers at about 1 MB whatever
@@ -526,8 +526,8 @@ _BLOCK = 1 << 16
 _LOOP = """\
 def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         out_r, out_pr, out_phi):
-    half_dt = 0.5 * dt
-    cent = (J * J) / ms2
+    w = dt * dt / m
+    cent, c = (J * J) / ms2 * w, c * w
     radii = np.ones(block + 1)  # r before and after each step of a block (1.0: not stored)
     store = memoryview(radii)   # item stores cheaper than numpy's or array's
     dphi = np.empty(block + 1)
@@ -536,8 +536,8 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
     left = sample_every  # steps to the next sample
     j = 1                # the opening force belongs to step 0
     try:
-        r2 = r * r
-        kick = half_dt * (cent / (r2 * r) - ({force}))
+        kick = {force}
+        q = dt * (p_r / m) + 0.5 * kick  # the drift of the next step
         while i < n_steps:
             n = min(block, n_steps - i)
             store[0] = r
@@ -545,15 +545,16 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
             while done < n:
                 stop = done + (left if left < n - done else n - done)
                 for j in range(done + 1, stop + 1):
-                    p_r += kick
-                    r += {drift}
+                    r += q
                     store[j] = r
-                    r2 = r * r
-                    kick = half_dt * (cent / (r2 * r) - ({force}))
-                    p_r += kick
+                    kick = {force}
+                    q += kick
                 left -= stop - done
                 done = stop
                 if not left:
+                    # q formed again from p_r as at the start: a restart point
+                    p_r = (q - 0.5 * kick) * (m / dt)
+                    q = dt * (p_r / m) + 0.5 * kick
                     out_r[k] = r  # out_r and out_pr are memoryviews too
                     out_pr[k] = p_r
                     k += 1
@@ -588,14 +589,11 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
 
 
 @functools.cache
-def _stepper(kind: type, unit_mass: bool):
+def _stepper(kind: type):
     """The stepper loop with the force of potential class ``kind`` spliced
-    in, compiled once per class and unit-mass flag (as dataclasses builds
-    ``__init__``); x / 1.0 == x, so unit mass drops the division."""
-    namespace = {"np": np, "DomainError": DomainError,
-                 "TipCollisionError": TipCollisionError}
-    source = (_LOOP.replace("{force}", _FORCE[kind][0])
-              .replace("{drift}", "dt * p_r" if unit_mass else "dt * (p_r / m)"))
+    in, compiled once per class (as dataclasses builds ``__init__``)."""
+    namespace = {"np": np, "DomainError": DomainError, "TipCollisionError": TipCollisionError}
+    source = _LOOP.replace("{force}", _FORCE[kind][0])
     exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
     return namespace["run"]
 
@@ -614,12 +612,13 @@ def integrate(
     ``n_steps`` and ``sample_every`` are positive integers, and ``n_steps``
     a multiple of ``sample_every`` so the final state is always sampled.
     Each step is one kick-drift-kick step: half-kick p_r, drift r (advancing
-    phi with the drift-midpoint radius), half-kick p_r; J is untouched.  A
-    negative ``dt`` runs backward, with decreasing sample times, and the
-    scheme is time-reversible up to rounding.  A start point with a
-    non-finite H is a DomainError, and so is a force outside the float
-    range, with its step index.  A drift that leaves the r > 0 half-line
-    (or gives NaN) raises TipCollisionError with its step index.
+    phi with the drift-midpoint radius), half-kick p_r; J is untouched.  Each
+    sample is a restart point, bit for bit, so the last bits of a state depend
+    on ``sample_every``.  A negative ``dt`` runs backward, with decreasing
+    sample times, and the scheme is time-reversible up to rounding.  A start
+    point with a non-finite H is a DomainError, and so is a force outside the
+    float range, with its step index.  A drift that leaves the r > 0
+    half-line (or gives NaN) raises TipCollisionError with its step index.
     """
     # "python" is the only stepper; the parameter stays while
     # perfbench/worker.py's kernel-throughput probe passes it (ROADMAP item 8)
@@ -647,16 +646,14 @@ def integrate(
     out_r = np.empty(n_samples)
     out_pr = np.empty(n_samples)
     out_phi = np.empty(n_samples)
-    out_r[0] = pt0.r
-    out_pr[0] = pt0.p_r
-    out_phi[0] = pt0.phi
+    out_r[0], out_pr[0], out_phi[0] = pt0.r, pt0.p_r, pt0.phi
     c, p = _FORCE[kind][1](pot, m)
     s = params.geometry.s
     n_steps, sample_every = int(n_steps), int(sample_every)
     # Python floats: numpy scalars past the tip would warn, not raise or go complex
-    _stepper(kind, m == 1.0)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J), m, m * s * s,
-                             c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
-                             memoryview(out_r), memoryview(out_pr), out_phi)
+    _stepper(kind)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J), m, m * s * s,
+                   c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
+                   memoryview(out_r), memoryview(out_pr), out_phi)
     times = dt * sample_every * np.arange(n_samples)
     with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
         series_h = hamiltonian(params, out_r, out_pr, pt0.J)

@@ -66,6 +66,18 @@ class TestRadialAction:
         _, e_c = cd.circular_orbit(params, 1.0)
         assert cd.radial_action(params, e_c + 0.5, 1.0) > 0.0
 
+    @pytest.mark.parametrize("name", sorted(_LANE_PARAMS))
+    def test_zero_j_is_domain_error_in_every_level_function(self, name):
+        # J = 0 has no well to integrate over: each of the four level
+        # functions says so by name before building one, whatever E is
+        # (-0.15 is bound on the Kepler well and below the oscillator's)
+        for func, what in ((cd.radial_action, "radial action"),
+                           (cd.radial_period, "radial period"),
+                           (cd.apsidal_angle, "apsidal angle"),
+                           (cd.frequencies, "frequency analysis")):
+            with pytest.raises(DomainError, match=rf"^{what} requires J != 0$"):
+                func(_LANE_PARAMS[name], -0.15, 0.0)
+
 
 class TestHamiltonianFromActions:
     def test_kepler_direct(self):

@@ -184,7 +184,8 @@ class TestRefinementPaths:
         def swept(lanes):
             caplog.clear()
             errors: dict = {}
-            value, err = _Well(params, E[lanes], np.ones(len(lanes)), errors).swept_angle(1e-10, 6)
+            well = _Well(params, E[lanes], np.ones(len(lanes)), errors, "apsidal angle")
+            value, err = well.swept_angle(1e-10, 6)
             return (value.tolist(), err.tolist(), {k: repr(e) for k, e in errors.items()},
                     Counter(r.getMessage() for r in caplog.records))
 

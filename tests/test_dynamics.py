@@ -470,10 +470,11 @@ class TestStep:
             one_step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
 
 
-def _reference_kdk(params, pt, dt, n_steps, sample_every):
-    """The stepper loop as first written: two force evaluations per step and
-    a modulo test for sampling, the angle summed step by step and V' from
-    the potential's own d1.  Returns sampled (r, p_r, unwrapped phi)."""
+def _kdk_oracle(params, pt, dt, n_steps, sample_every):
+    """The stepper loop as first written, in kick-drift-kick form: p_r is
+    carried, two force evaluations per step, a modulo test for sampling, the
+    angle summed step by step and V' from the potential's own d1.  Returns
+    sampled (r, p_r, unwrapped phi)."""
     pot = params.potential
     m, s = params.m, params.geometry.s
     ms2 = m * s * s
@@ -490,6 +491,47 @@ def _reference_kdk(params, pt, dt, n_steps, sample_every):
         r = r_new
         p_r = p_r + half_dt * (cent / (r * r * r) - pot.d1(r, m))
         if (i + 1) % sample_every == 0:
+            samples.append((r, p_r, phi))
+    return np.array(samples).T
+
+
+def _reference_kdk(params, pt, dt, n_steps, sample_every):
+    """The stepper loop written plainly, in drift form: the drift q = dt *
+    p_r / m of the next step is carried, the force -U_eff' comes scaled by
+    dt * dt / m, p_r is formed only at a sample and q formed again from it,
+    and the angle is summed step by step.  Returns sampled (r, p_r,
+    unwrapped phi)."""
+    pot = params.potential
+    m, s = params.m, params.geometry.s
+    ms2 = m * s * s
+    r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
+    w = dt * dt / m
+    cent = (J * J) / ms2 * w
+
+    def force(r):
+        if isinstance(pot, cd.Kepler):
+            return (cent / r - pot.kappa * w) / (r * r)
+        if isinstance(pot, cd.Oscillator):
+            return cent / (r * r * r) - pot.beta(m) * w * r
+        if isinstance(pot, cd.PowerLaw):
+            a = pot.exponent
+            return cent / (r * r * r) - pot.amplitude * a * w * r ** (a - 1.0)
+        return cent / (r * r * r) - pot.strength * w / r
+
+    kick = force(r)
+    q = dt * (p_r / m) + 0.5 * kick
+    samples = [(r, p_r, phi)]
+    for i in range(n_steps):
+        r_new = r + q
+        assert r_new > 0.0
+        r_mid = 0.5 * (r + r_new)
+        phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
+        r = r_new
+        kick = force(r)
+        q = q + kick
+        if (i + 1) % sample_every == 0:
+            p_r = (q - 0.5 * kick) * (m / dt)
+            q = dt * (p_r / m) + 0.5 * kick
             samples.append((r, p_r, phi))
     return np.array(samples).T
 
@@ -527,10 +569,52 @@ class TestIntegrate:
         monkeypatch.setattr(dynamics, "_BLOCK", 64)
         for sample_every in (1, 7, 150):
             _assert_equals_reference(params, pt, 2e-3, 1050, sample_every)
-        # unit mass drops the division p_r / m from the drift
+        # and with unit mass
         params = cd.Params(m=1.0, geometry=params.geometry, potential=potential)
         for sample_every in (1, 7, 150):
             _assert_equals_reference(params, pt, 2e-3, 1050, sample_every)
+
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.0),
+        cd.PowerLaw(amplitude=0.8, exponent=1.5),
+        cd.LogPotential(strength=1.0, r0=1.0),
+    ], ids=["kepler", "oscillator", "power_law", "log"])
+    def test_drift_form_is_the_kick_drift_kick_scheme(self, potential):
+        """The drift form and the kick-drift-kick loop are one map in exact
+        arithmetic, so they part by rounding only: each column stays within
+        2e-13 of the oracle relative to its largest value.  Measured worst
+        case over these runs: 4.6e-14, on Kepler's p_r (r 1.1e-14, phi
+        5.1e-15); a wrong half-kick or drift would be off by ~1e-3."""
+        for dt, m, sample_every in itertools.product((2e-3, -2e-3), (1.0, 1.7), (1, 7)):
+            params = cd.Params(m=m, geometry=cd.ConeGeometry.from_rational(2, 3),
+                               potential=potential)
+            pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
+            traj = cd.integrate(params, pt, dt, 1400, sample_every)
+            oracle = _kdk_oracle(params, pt, dt, 1400, sample_every)
+            for got, want in zip((traj.r, traj.p_r, traj.phi_unwrapped), oracle):
+                assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.PowerLaw(amplitude=0.8, exponent=1.5),
+    ], ids=["kepler", "power_law"])
+    def test_chunked_run_equals_one_run(self, potential):
+        # every sample is a restart point: a run of n steps equals a chain of
+        # runs of sample_every steps, each started from the last sample of
+        # the one before (phi is left out: PhasePoint reduces it mod 2 pi)
+        for sample_every, m, dt in itertools.product((1, 7), (1.0, 1.7), (2e-3, -2e-3)):
+            params = cd.Params(m=m, geometry=cd.ConeGeometry.from_rational(2, 3),
+                               potential=potential)
+            pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
+            whole = cd.integrate(params, pt, dt, 50 * sample_every, sample_every)
+            r, p_r = [pt.r], [pt.p_r]
+            for _ in range(50):
+                pt = cd.integrate(params, pt, dt, sample_every, sample_every).point(1)
+                r.append(pt.r)
+                p_r.append(pt.p_r)
+            assert whole.r.tobytes() == np.array(r).tobytes()
+            assert whole.p_r.tobytes() == np.array(p_r).tobytes()
 
     def test_angle_past_float_range_equals_reference_loop(self):
         # r_mid * r_mid overflows to inf, so every angle increment is 0, as
