@@ -20,7 +20,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     ("simulate", "simulate_kepler_s23.json", "csv"):
-        "e06ca407585faa4b029eaf26c67996ea369a04f6afe97f67987a14d7ed7d7159",
+        "d6abbef2d1bb64ad8a567e9f222b1ad98b9d0f63642726357eb0bdf9b1909604",
     ("actions", "actions_kepler_s23.json", "jsonl"):
         "1dabbda5f064d1c438796a877a1e6180634dcee30050614fdedcc6788bb7c8ae",
     ("bertrand", "bertrand_scan.json", "csv"):
