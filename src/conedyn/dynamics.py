@@ -651,9 +651,9 @@ def integrate(
     s = params.geometry.s
     n_steps, sample_every = int(n_steps), int(sample_every)
     # Python floats: numpy scalars past the tip would warn, not raise or go complex
-    _stepper(kind)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J), m, m * s * s,
-                   c, p, dt, n_steps, sample_every, min(_BLOCK, n_steps),
-                   memoryview(out_r), memoryview(out_pr), out_phi)
+    _stepper(kind)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J),
+                   *map(float, (m, m * s * s, c, p, dt)), n_steps, sample_every,
+                   min(_BLOCK, n_steps), memoryview(out_r), memoryview(out_pr), out_phi)
     times = dt * sample_every * np.arange(n_samples)
     with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
         series_h = hamiltonian(params, out_r, out_pr, pt0.J)

@@ -465,6 +465,23 @@ class TestStep:
         with pytest.raises(DomainError, match="step 0 is outside the float range"):
             cd.integrate(params, cd.PhasePoint(r=1e-150, phi=0.0, p_r=0.0, J=0.0), 1e-3, 10)
 
+    def test_numpy_scalar_arguments_take_the_float_path(self):
+        # dt, m, s and the potential's constants as numpy scalars run the loop
+        # on Python floats: the same bits, and a force past the float range
+        # still raises at its step instead of warning
+        f = np.float64
+        pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
+        as_float = cd.integrate(kepler_params(m=1.7, s=2 / 3), pt, 2e-3, 700, 7)
+        as_numpy = cd.integrate(cd.Params(m=f(1.7), geometry=cd.ConeGeometry(s=f(2 / 3)),
+                                          potential=cd.Kepler(kappa=f(1.0))),
+                                pt, f(2e-3), 700, 7)
+        for name in ("r", "p_r", "phi_unwrapped"):
+            assert getattr(as_numpy, name).tobytes() == getattr(as_float, name).tobytes()
+        params = cd.Params(m=f(1.0), geometry=cd.ConeGeometry(s=1.0),
+                           potential=cd.PowerLaw(amplitude=f(1.0), exponent=f(-1.5)))
+        with pytest.raises(DomainError, match="step 0 is outside the float range"):
+            cd.integrate(params, cd.PhasePoint(r=1e-150, phi=0.0, p_r=0.0, J=0.0), f(1e-3), 10)
+
     def test_zero_dt_rejected(self):
         with pytest.raises(DomainError):
             one_step(kepler_params(), cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 0.0)
