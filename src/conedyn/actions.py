@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bertrand import _Well, circular_orbit, small_oscillation_freq
+from .bertrand import _Well, circular_orbit
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _float_pow, _raise_first
-from .errors import CircularOrbitError, ConeDynError, DomainError, StructuralError
+from .dynamics import _as_lanes, _float_pow, _power_law_form, _raise_first
+from .errors import CircularOrbitError, DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
 # distance from p/q within which the ratio counts as rational
@@ -133,23 +133,21 @@ def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: fl
                      max_refinements: int, errors: dict):
     """(I2, omega1, omega2) of :func:`frequencies` per lane of the 1-D arrays
     E and J, from one well; a failed lane holds NaN and records its error in
-    ``errors``.  A circular lane takes the harmonic limit by scalar calls."""
+    ``errors``.  The circular lanes take the harmonic limit omega2 = omega1
+    s sqrt(alpha + 2) in one array step; their well bottoms were found, so
+    it cannot fail."""
     well = _Well(params, E, J, errors, "frequency analysis")
     i2 = _radial_action(well, tolerance, max_refinements)
     omega2 = TWO_PI / well.period(tolerance, max_refinements)
     omega1 = omega2 * well.swept_angle(tolerance, max_refinements)[0] / math.pi
     m, s = params.m, params.geometry.s
-    for k in [k for k, exc in errors.items() if isinstance(exc, CircularOrbitError)]:
-        j = J[k].item()
-        try:
-            r_c, _ = circular_orbit(params, j)
-            w1 = abs(j) / (m * s * s * r_c * r_c)
-            w2 = w1 * s * math.sqrt(small_oscillation_freq(params, j).omega_sq)
-        except ConeDynError as exc:
-            errors[k] = exc
-            continue
+    circ = [k for k, exc in errors.items() if isinstance(exc, CircularOrbitError)]
+    for k in circ:
         del errors[k]
-        i2[k], omega1[k], omega2[k] = 0.0, w1, w2
+    r_c, _ = circular_orbit(params, J[circ])
+    i2[circ] = 0.0
+    omega1[circ] = np.abs(J[circ]) / (m * s * s * r_c * r_c)
+    omega2[circ] = omega1[circ] * s * math.sqrt(_power_law_form(params)[1] + 2.0)
     return i2, omega1, omega2
 
 

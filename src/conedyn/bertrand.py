@@ -38,6 +38,7 @@ from .dynamics import (
     _effective_potential,
     _escape_energy,
     _find_ueff_minimum,
+    _power_law_form,
     _raise_first,
     _record,
     _turning_points,
@@ -324,8 +325,9 @@ class SmallOscillation(NamedTuple):
     """Harmonic data of the near-circular limit.
 
     ``omega_sq`` is the dimensionless squared frequency of the reduced 1D
-    motion measured against the swept angle (3 + r_c V''/V' at the circular
-    radius); the near-circular apsidal angle is pi / (s * sqrt(omega_sq)).
+    motion measured against the swept angle, 3 + r_c V''/V' at the circular
+    radius, which is alpha + 2 for V = A r^alpha at every J (2 for the log
+    potential); the near-circular apsidal angle is pi / (s * sqrt(omega_sq)).
     """
 
     omega_sq: float
@@ -333,15 +335,10 @@ class SmallOscillation(NamedTuple):
 
 
 def small_oscillation_freq(params: Params, J: float) -> SmallOscillation:
-    """Near-circular frequency and apsidal angle at angular momentum J."""
-    r_c, _ = circular_orbit(params, J)
-    v1 = float(params.potential.d1(r_c, params.m))
-    v2 = float(params.potential.d2(r_c, params.m))
-    if v1 == 0.0:
-        raise DomainError("V'(r_c) vanished: harmonic analysis degenerate")
-    omega_sq = 3.0 + r_c * v2 / v1
-    if omega_sq <= 0.0:
-        raise DomainError(f"circular orbit unstable (omega^2 = {omega_sq})")
+    """Near-circular frequency and apsidal angle at angular momentum J, of
+    a well that has a bottom there (see :func:`circular_orbit`)."""
+    circular_orbit(params, J)
+    omega_sq = float(_power_law_form(params)[1]) + 2.0  # > 0: alpha > -2
     return SmallOscillation(
         omega_sq=omega_sq,
         apsidal_limit=math.pi / (params.geometry.s * math.sqrt(omega_sq)),
@@ -488,6 +485,8 @@ def bertrand_scan(
         amplitude=np.repeat([law.amplitude for law in laws], n), exponent=family_param))
     J = lam * s
     errors: dict = {}
+    # each cell carries the error of its own apsidal_angle call
+    _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
     E, minimum = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
     delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors, minimum)
     status = ["ok"] * J.size

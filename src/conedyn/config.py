@@ -246,6 +246,9 @@ def parse_config(doc: dict) -> RunConfig:
         for i, f in enumerate(sc.e_fractions):
             if not (0.0 < f < 1.0):
                 raise ConfigError(f"scan.e_fractions[{i}]", "fractions must lie in (0, 1)")
+        for i, lam in enumerate(sc.lambdas):
+            if lam == 0.0:  # J = 0: no well to scan
+                raise ConfigError(f"scan.lambdas[{i}]", "must be nonzero")
 
     if "levels" in doc:
         lv = doc["levels"]

@@ -86,12 +86,6 @@ class Kepler:
     def value(self, r, m: float = 1.0):
         return -self.kappa / r
 
-    def d1(self, r, m: float = 1.0):
-        return self.kappa / (r * r)
-
-    def d2(self, r, m: float = 1.0):
-        return -2.0 * self.kappa / (r * r * r)
-
 
 @dataclass(frozen=True)
 class Oscillator:
@@ -112,12 +106,6 @@ class Oscillator:
 
     def value(self, r, m: float = 1.0):
         return 0.5 * self.beta(m) * r * r
-
-    def d1(self, r, m: float = 1.0):
-        return self.beta(m) * r
-
-    def d2(self, r, m: float = 1.0):
-        return self.beta(m) + 0.0 * r
 
 
 @dataclass(frozen=True)
@@ -142,14 +130,6 @@ class PowerLaw:
     def value(self, r, m: float = 1.0):
         return self.amplitude * r ** self.exponent
 
-    def d1(self, r, m: float = 1.0):
-        a = self.exponent
-        return self.amplitude * a * r ** (a - 1.0)
-
-    def d2(self, r, m: float = 1.0):
-        a = self.exponent
-        return self.amplitude * a * (a - 1.0) * r ** (a - 2.0)
-
 
 @dataclass(frozen=True)
 class LogPotential:
@@ -166,12 +146,6 @@ class LogPotential:
 
     def value(self, r, m: float = 1.0):
         return self.strength * np.log(r / self.r0)
-
-    def d1(self, r, m: float = 1.0):
-        return self.strength / r
-
-    def d2(self, r, m: float = 1.0):
-        return -self.strength / (r * r)
 
 
 PotentialSpec = Union[Kepler, Oscillator, PowerLaw, LogPotential]

@@ -14,6 +14,10 @@ increments and sums them in order, which is bit-identical to the running
 sum, so memory stays at one block.  The tip is checked once per block too:
 one numpy test finds the first radius that is not positive, the step a
 per-step test would have stopped at.
+
+The force -U_eff'(r) has one source per potential class: the stepper and
+the interpolants' dp_r/dt are compiled from it, with V's constants from the
+power-law form (A alpha, alpha) that the well geometry uses.
 """
 
 from __future__ import annotations
@@ -81,12 +85,6 @@ def _effective_potential(params: Params, J: float, r):
     """U_eff without the radius check, for radii already known to be positive."""
     m, s = params.m, params.geometry.s
     return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
-
-
-def _radial_force(params: Params, J: float, r):
-    """-dU_eff/dr, the force driving the reduced radial motion."""
-    m, s = params.m, params.geometry.s
-    return J * J / (m * s * s * r * r * r) - params.potential.d1(r, m)
 
 
 def _escape_energy(params: Params):
@@ -211,22 +209,29 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
     return u, raised
 
 
+def _power_law_form(params: Params):
+    """(A alpha, alpha) of V = A r^alpha, with B ln(r/r0) as its alpha -> 0
+    limit (A alpha = B): floats, or arrays for a power law with one
+    (A, alpha) per lane."""
+    pot = params.potential
+    if isinstance(pot, LogPotential):
+        return pot.strength, 0.0
+    law = as_power_law(pot, params.m)
+    return law.amplitude * law.exponent, law.exponent
+
+
 def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     """Location r_c and value U_0 = U_eff(r_c) of the minimum of U_eff, in
     closed form, per lane of J.
 
-    For V = A r^alpha, U_eff' = 0 reduces to r^(alpha+2) = J^2/(m s^2 A alpha):
-    the critical point is unique, and a minimum exactly when A alpha > 0.
-    B ln(r/r0) enters as the alpha -> 0 limit with A alpha = B.  Both are
-    evaluated with Python-float powers, so each lane has the bits of a
-    one-lane call; failed lanes hold NaN.
+    With (A alpha, alpha) of :func:`_power_law_form`, U_eff' = 0 reduces to
+    r^(alpha+2) = J^2/(m s^2 A alpha): the critical point is unique, and a
+    minimum exactly when A alpha > 0.  Both are evaluated with Python-float
+    powers, so each lane has the bits of a one-lane call; failed lanes hold
+    NaN.
     """
     m, s = params.m, params.geometry.s
-    if isinstance(params.potential, LogPotential):
-        a_alpha, alpha = params.potential.strength, 0.0
-    else:
-        law = as_power_law(params.potential, m)
-        a_alpha, alpha = law.amplitude * law.exponent, law.exponent
+    a_alpha, alpha = _power_law_form(params)
     _record(errors, (J == 0.0) | (a_alpha <= 0.0), StructuralError,
             "effective potential has no interior minimum for these parameters")
     with np.errstate(all="ignore"):
@@ -509,14 +514,15 @@ class Trajectory:
         )
 
 
-# -U_eff'(r) of each potential class as stepper-loop source, and V's constants
-# (c, p) from the potential and m; cent and c come scaled by dt * dt / m.
+# -U_eff'(r) of each potential class as source, the one source of the force:
+# the stepper loop and ``force(r, cent, c, p)`` are compiled from it, with
+# cent = J^2/(m s^2) and V's constants c = A alpha, p = alpha - 1 from
+# _power_law_form; the loop takes cent and c scaled by dt * dt / m.
 _FORCE = {
-    Kepler: ("(cent / r - c) / (r * r)", lambda pot, m: (pot.kappa, 0.0)),
-    Oscillator: ("cent / (r * r * r) - c * r", lambda pot, m: (pot.beta(m), 0.0)),
-    PowerLaw: ("cent / (r * r * r) - c * r ** p",
-               lambda pot, m: (pot.amplitude * pot.exponent, pot.exponent - 1.0)),
-    LogPotential: ("cent / (r * r * r) - c / r", lambda pot, m: (pot.strength, 0.0)),
+    Kepler: "(cent / r - c) / (r * r)",
+    Oscillator: "cent / (r * r * r) - c * r",
+    PowerLaw: "cent / (r * r * r) - c * r ** p",
+    LogPotential: "cent / (r * r * r) - c / r",
 }
 
 # Steps per angle block: bounds the stepper's buffers at about 1 MB whatever
@@ -524,6 +530,10 @@ _FORCE = {
 _BLOCK = 1 << 16
 
 _LOOP = """\
+def force(r, cent, c, p):
+    return {force}
+
+
 def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         out_r, out_pr, out_phi):
     w = dt * dt / m
@@ -590,12 +600,16 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
 
 @functools.cache
 def _stepper(kind: type):
-    """The stepper loop with the force of potential class ``kind`` spliced
-    in, compiled once per class (as dataclasses builds ``__init__``)."""
+    """(run, force): the stepper loop and the force of potential class
+    ``kind``, with its :data:`_FORCE` source spliced in, compiled once per
+    class (as dataclasses builds ``__init__``)."""
+    base = next((k for k in kind.__mro__ if k in _FORCE), None)
+    if base is None:
+        raise StructuralError(f"unsupported potential {kind.__name__}")
     namespace = {"np": np, "DomainError": DomainError, "TipCollisionError": TipCollisionError}
-    source = _LOOP.replace("{force}", _FORCE[kind][0])
+    source = _LOOP.replace("{force}", _FORCE[base])
     exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
-    return namespace["run"]
+    return namespace["run"], namespace["force"]
 
 
 def integrate(
@@ -633,10 +647,7 @@ def integrate(
         raise DomainError("n_steps and sample_every must be >= 1")
     if n_steps % sample_every != 0:
         raise DomainError("n_steps must be a multiple of sample_every")
-    pot, m = params.potential, params.m
-    kind = next((k for k in type(pot).__mro__ if k in _FORCE), None)
-    if kind is None:
-        raise StructuralError(f"unsupported potential {type(pot).__name__}")
+    run, _ = _stepper(type(params.potential))
     with np.errstate(all="ignore"):
         h0 = hamiltonian(params, np.float64(pt0.r), pt0.p_r, pt0.J)
     if not np.isfinite(h0):
@@ -647,13 +658,13 @@ def integrate(
     out_pr = np.empty(n_samples)
     out_phi = np.empty(n_samples)
     out_r[0], out_pr[0], out_phi[0] = pt0.r, pt0.p_r, pt0.phi
-    c, p = _FORCE[kind][1](pot, m)
-    s = params.geometry.s
+    m, s = params.m, params.geometry.s
+    c, alpha = _power_law_form(params)
     n_steps, sample_every = int(n_steps), int(sample_every)
     # Python floats: numpy scalars past the tip would warn, not raise or go complex
-    _stepper(kind)(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J),
-                   *map(float, (m, m * s * s, c, p, dt)), n_steps, sample_every,
-                   min(_BLOCK, n_steps), memoryview(out_r), memoryview(out_pr), out_phi)
+    run(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J),
+        *map(float, (m, m * s * s, c, alpha - 1.0, dt)), n_steps, sample_every,
+        min(_BLOCK, n_steps), memoryview(out_r), memoryview(out_pr), out_phi)
     times = dt * sample_every * np.arange(n_samples)
     with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
         series_h = hamiltonian(params, out_r, out_pr, pt0.J)
@@ -709,8 +720,10 @@ def _interpolants(traj: Trajectory):
     params = traj.params
     J = float(traj.series_J[0])
     m, s = params.m, params.geometry.s
+    _, force = _stepper(type(params.potential))
+    c, alpha = _power_law_form(params)
     dr = traj.p_r / m
-    dp = np.asarray(_radial_force(params, J, traj.r), dtype=float)
+    dp = force(traj.r, J * J / (m * s * s), c, alpha - 1.0)
     dphi = J / (m * s * s * traj.r * traj.r)
     order = slice(None, None, -1) if traj.dt < 0.0 else slice(None)
     t = traj.times[order]

@@ -13,7 +13,13 @@ import conedyn as cd
 from conedyn import bertrand, dynamics
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
-from conedyn.errors import CircularOrbitError, ConeDynError, DomainError, QuadratureError
+from conedyn.errors import (
+    CircularOrbitError,
+    ConeDynError,
+    DomainError,
+    QuadratureError,
+    StructuralError,
+)
 from helpers import bound_energy, kepler_params, midwell_point, oscillator_params
 
 PI = math.pi
@@ -268,37 +274,48 @@ class TestCircularOrbit:
 
 class TestSmallOscillation:
     def test_power_law_family(self):
-        # omega^2 = alpha + 2 for any amplitude and J
+        # omega^2 = alpha + 2 exactly, for any amplitude, m, s and J: the
+        # curvature comes from the power-law form, not from r_c V''/V'
         rng = np.random.default_rng(5)
-        for _ in range(10):
+        for _ in range(200):
             alpha = float(rng.uniform(-1.8, 3.0))
-            if abs(alpha) < 0.05:
-                continue
             amp = float(rng.uniform(0.5, 2.0)) * (1.0 if alpha > 0 else -1.0)
             params = cd.Params(
-                m=1.0,
-                geometry=cd.ConeGeometry(s=1.0),
+                m=float(rng.uniform(0.2, 5.0)),
+                geometry=cd.ConeGeometry(s=float(rng.uniform(0.1, 3.0))),
                 potential=cd.PowerLaw(amplitude=amp, exponent=alpha),
             )
-            J = float(rng.uniform(0.5, 1.5))
-            assert cd.small_oscillation_freq(params, J).omega_sq == pytest.approx(
-                alpha + 2.0, rel=1e-9
-            )
+            J = float(rng.uniform(0.1, 5.0))
+            assert cd.small_oscillation_freq(params, J).omega_sq == alpha + 2.0
 
     def test_kepler(self):
-        so = cd.small_oscillation_freq(kepler_params(1, 2), 1.0)
-        assert so.omega_sq == pytest.approx(1.0, rel=1e-10)
-        assert so.apsidal_limit == pytest.approx(PI / 0.5, rel=1e-10)
+        so = cd.small_oscillation_freq(kepler_params(1, 2, m=1.7), 2.9)
+        assert so.omega_sq == 1.0
+        assert so.apsidal_limit == pytest.approx(PI / 0.5, rel=1e-15)
+
+    def test_oscillator(self):
+        so = cd.small_oscillation_freq(oscillator_params(omega=0.7, m=1.7, s=0.6), 2.9)
+        assert so.omega_sq == 4.0
+        assert so.apsidal_limit == pytest.approx(PI / 1.2, rel=1e-15)
 
     def test_log_potential(self):
         params = cd.Params(
-            m=1.0,
-            geometry=cd.ConeGeometry(s=1.0),
-            potential=cd.LogPotential(strength=1.0, r0=1.0),
+            m=1.7,
+            geometry=cd.ConeGeometry(s=0.6),
+            potential=cd.LogPotential(strength=1.2, r0=0.7),
         )
-        so = cd.small_oscillation_freq(params, 1.0)
-        assert so.omega_sq == pytest.approx(2.0, rel=1e-10)
-        assert so.apsidal_limit == pytest.approx(PI / math.sqrt(2.0), rel=1e-10)
+        so = cd.small_oscillation_freq(params, 2.9)
+        assert so.omega_sq == 2.0
+        assert so.apsidal_limit == pytest.approx(PI / (0.6 * math.sqrt(2.0)), rel=1e-15)
+
+    def test_needs_a_well_bottom(self):
+        # the only errors are circular_orbit's: J = 0, and no minimum
+        with pytest.raises(DomainError, match="circular orbit requires J != 0"):
+            cd.small_oscillation_freq(kepler_params(), 0.0)
+        repulsive = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                              potential=cd.PowerLaw(amplitude=1.0, exponent=-1.0))
+        with pytest.raises(StructuralError, match="no interior minimum"):
+            cd.small_oscillation_freq(repulsive, 1.0)
 
 
 class TestWidthLaw:
@@ -385,6 +402,18 @@ class TestBertrandScan:
         assert report.verdicts[0].verdict == "infeasible"
         assert all(status != "ok" for status in report.status)
         assert np.isnan(report.s_delta_phi).all()
+
+    def test_zero_lambda_cells_carry_their_own_error(self):
+        # a J = 0 cell fails as its own apsidal_angle call does, not with the
+        # missing-minimum error of the energy grid; the other cells go on
+        report = cd.bertrand_scan(kepler_params(), [-1.0, 0.5], [0.3], [0.0, 1.0])
+        with pytest.raises(DomainError) as one_lane:
+            cd.apsidal_angle(kepler_params(), -0.1, 0.0)
+        assert str(one_lane.value) == "apsidal angle requires J != 0"
+        assert report.status == [f"infeasible: {one_lane.value}", "ok"] * 2
+        assert np.isnan(report.s_delta_phi[::2]).all()
+        assert np.isfinite(report.s_delta_phi[1::2]).all()
+        assert report.verdicts[0].verdict == "pass"
 
     def test_scanned_quantity_independent_of_geometry(self):
         # s*dphi depends only on (E, lam): the same lam grid gives the same

@@ -91,6 +91,17 @@ class TestParsing:
             with pytest.raises(ConfigError, match=rf"scan.exponents\[{bad}\]"):
                 parse_config(doc)
 
+    def test_scan_lambdas_nonzero(self):
+        # lam = 0 is J = 0, which has no well: neither a scan cell nor the
+        # log-potential width law (taken at lambdas[0]) can use it
+        for lambdas, bad in (([0.0, 1.0], 0), ([1.0, -0.0], 1)):
+            doc = _base_doc(scan={"exponents": [-1.0], "e_fractions": [0.5],
+                                  "lambdas": lambdas})
+            with pytest.raises(ConfigError, match=rf"scan.lambdas\[{bad}\]: must be nonzero"):
+                parse_config(doc)
+        doc = _base_doc(scan={"exponents": [-1.0], "e_fractions": [0.5], "lambdas": [-1.0]})
+        assert parse_config(doc).scan.lambdas == (-1.0,)
+
     def test_algebra_step_positive(self):
         # h = 0 made every bracket NaN; h < 0 swaps the difference signs
         for h in (0.0, -1e-5):
@@ -948,6 +959,18 @@ print(json.dumps({{
         code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
         assert code == 2
         assert "scan.exponents[1]" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_bertrand_zero_lambda_exit_code(self, tmp_path, capsys):
+        doc = _base_doc(
+            scan={"exponents": [-1.0], "e_fractions": [0.5], "lambdas": [0.0, 1.0],
+                  "include_log_check": True},
+            output={"path": str(tmp_path / "scan.csv"), "format": "csv"},
+        )
+        code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 2
+        assert ("config error: scan.lambdas[0]: must be nonzero"
+                in capsys.readouterr().err)
         assert not (tmp_path / "scan.csv").exists()
 
     def test_actions_cli(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn import dynamics
 from conedyn.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -57,17 +58,18 @@ class TestPotentials:
             cd.PowerLaw(amplitude=1.0, exponent=-2.0)
 
     def test_kepler_matches_power_law_form(self):
-        # same V, V', V'' to 1e-14 relative at random radii
+        # same V to 1e-14 relative at random radii
         kep = cd.Kepler(kappa=1.3)
         pl = cd.as_power_law(kep)
         assert pl == cd.PowerLaw(amplitude=-1.3, exponent=-1.0)
         rng = np.random.default_rng(1)
         r = rng.uniform(0.1, 10.0, size=100)
-        for f, g in ((kep.value, pl.value), (kep.d1, pl.d1), (kep.d2, pl.d2)):
-            a, b = np.asarray(f(r)), np.asarray(g(r))
-            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a))
+        a, b = np.asarray(kep.value(r)), np.asarray(pl.value(r))
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a))
 
     def test_derivatives_match_finite_differences(self):
+        # the one force -U_eff'(r), compiled from the stepper's source with
+        # the constants the stepper gets, against a central difference of U_eff
         pots = [
             cd.Kepler(kappa=1.0),
             cd.Oscillator(omega=1.3),
@@ -75,14 +77,20 @@ class TestPotentials:
             cd.PowerLaw(amplitude=0.8, exponent=1.7),
             cd.LogPotential(strength=1.2, r0=0.7),
         ]
+        cases = [(cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=pot), 1.0)
+                 for pot in pots]
+        cases.append((cd.Params(m=1.7, geometry=cd.ConeGeometry(s=0.6), potential=pots[3]), 2.9))
         rng = np.random.default_rng(2)
-        for pot in pots:
+        for params, J in cases:
+            _, force = dynamics._stepper(type(params.potential))
+            c, alpha = dynamics._power_law_form(params)
+            m, s = params.m, params.geometry.s
             for r in rng.uniform(0.3, 5.0, size=20):
                 h = 1e-6 * r
-                fd1 = (pot.value(r + h) - pot.value(r - h)) / (2 * h)
-                fd2 = (pot.d1(r + h) - pot.d1(r - h)) / (2 * h)
-                assert fd1 == pytest.approx(pot.d1(r), rel=1e-8, abs=1e-12)
-                assert fd2 == pytest.approx(pot.d2(r), rel=1e-8, abs=1e-12)
+                fd = -(cd.effective_potential(params, J, r + h)
+                       - cd.effective_potential(params, J, r - h)) / (2 * h)
+                assert fd == pytest.approx(force(r, J * J / (m * s * s), c, alpha - 1.0),
+                                           rel=1e-8)
 
     def test_free_particle_amplitude_allowed(self):
         pot = cd.PowerLaw(amplitude=0.0, exponent=1.0)

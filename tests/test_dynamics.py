@@ -490,23 +490,35 @@ class TestStep:
 def _kdk_oracle(params, pt, dt, n_steps, sample_every):
     """The stepper loop as first written, in kick-drift-kick form: p_r is
     carried, two force evaluations per step, a modulo test for sampling, the
-    angle summed step by step and V' from the potential's own d1.  Returns
-    sampled (r, p_r, unwrapped phi)."""
+    angle summed step by step and V' written out per potential class, apart
+    from the stepper's force source.  Returns sampled (r, p_r, unwrapped
+    phi)."""
     pot = params.potential
     m, s = params.m, params.geometry.s
+
+    def v_prime(r):
+        if isinstance(pot, cd.Kepler):
+            return pot.kappa / (r * r)
+        if isinstance(pot, cd.Oscillator):
+            return pot.beta(m) * r
+        if isinstance(pot, cd.PowerLaw):
+            a = pot.exponent
+            return pot.amplitude * a * r ** (a - 1.0)
+        return pot.strength / r
+
     ms2 = m * s * s
     r, p_r, phi, J = pt.r, pt.p_r, pt.phi, pt.J
     cent = (J * J) / ms2
     half_dt = 0.5 * dt
     samples = [(r, p_r, phi)]
     for i in range(n_steps):
-        p_r = p_r + half_dt * (cent / (r * r * r) - pot.d1(r, m))
+        p_r = p_r + half_dt * (cent / (r * r * r) - v_prime(r))
         r_new = r + dt * (p_r / m)
         assert r_new > 0.0
         r_mid = 0.5 * (r + r_new)
         phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
         r = r_new
-        p_r = p_r + half_dt * (cent / (r * r * r) - pot.d1(r, m))
+        p_r = p_r + half_dt * (cent / (r * r * r) - v_prime(r))
         if (i + 1) % sample_every == 0:
             samples.append((r, p_r, phi))
     return np.array(samples).T
