@@ -332,6 +332,11 @@ _PATHS = {
     "scan-exponents-empty": (
         "bertrand", _base_doc(scan={"exponents": [], "e_fractions": [0.5], "lambdas": [1.0]}),
         None, 2, "config error: scan.exponents: expected a non-empty array of numbers", None),
+    # J = 0 has no well: rejected before the scan and the width law run
+    "scan-lambda-zero": (
+        "bertrand", _base_doc(scan={"exponents": [-1.0], "e_fractions": [0.5],
+                                    "lambdas": [0.0, 1.0], "include_log_check": True}),
+        None, 2, "config error: scan.lambdas[0]: must be nonzero", None),
     "geometry-not-object": (
         "actions", _edited(_base_doc(levels=_LEVEL), "params", geometry=[2, 3]),
         None, 2, "config error: params.geometry: expected an object", None),
@@ -959,18 +964,6 @@ print(json.dumps({{
         code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
         assert code == 2
         assert "scan.exponents[1]" in capsys.readouterr().err
-        assert not (tmp_path / "scan.csv").exists()
-
-    def test_bertrand_zero_lambda_exit_code(self, tmp_path, capsys):
-        doc = _base_doc(
-            scan={"exponents": [-1.0], "e_fractions": [0.5], "lambdas": [0.0, 1.0],
-                  "include_log_check": True},
-            output={"path": str(tmp_path / "scan.csv"), "format": "csv"},
-        )
-        code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
-        assert code == 2
-        assert ("config error: scan.lambdas[0]: must be nonzero"
-                in capsys.readouterr().err)
         assert not (tmp_path / "scan.csv").exists()
 
     def test_actions_cli(self, tmp_path, capsys):
