@@ -514,7 +514,7 @@ class Trajectory:
         )
 
 
-# -U_eff'(r) of each potential class as source, the one source of the force:
+# -U_eff'(r) of each potential class as source, the force's only definition:
 # the stepper loop and ``force(r, cent, c, p)`` are compiled from it, with
 # cent = J^2/(m s^2) and V's constants c = A alpha, p = alpha - 1 from
 # _power_law_form; the loop takes cent and c scaled by dt * dt / m.
