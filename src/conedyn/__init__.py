@@ -34,13 +34,11 @@ from .dynamics import (
 from .bertrand import (
     ApsidalResult,
     ScanReport,
-    SmallOscillation,
     WidthLawResult,
     apsidal_angle,
     bertrand_scan,
     circular_orbit,
     radial_period,
-    small_oscillation_freq,
     width_law_check,
 )
 from .actions import (

@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bertrand import _Well, circular_orbit
+from .bertrand import _Well
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _float_pow, _power_law_form, _raise_first
-from .errors import CircularOrbitError, DomainError, StructuralError
+from .dynamics import _as_lanes, _float_pow, _raise_first
+from .errors import DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
 # distance from p/q within which the ratio counts as rational
@@ -64,12 +64,10 @@ def radial_action(
     """Radial action I2 of the bound level set (E, J).
 
     Works for any potential variant, not just the two with closed-form H(I);
-    a circular level set has I2 = 0 exactly.
+    a circular level set has I2 = 0 exactly, as its integrand vanishes.
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "radial action")
-    if isinstance(errors.get(0), CircularOrbitError):
-        return 0.0
     i2 = _radial_action(well, tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return i2.item()
@@ -115,9 +113,10 @@ def frequencies(
 
     omega2 = 2*pi / T_r from the radial period; omega1 = omega2 * dphi / pi
     from the apsidal angle (the angle advances 2*dphi per radial period).  On
-    a circular level set both come from the harmonic limit instead.  The
-    ratio is tested for rationality by continued fractions with denominator
-    bound :data:`Q_MAX` and acceptance tolerance :data:`RATIONAL_TOL`; floats
+    a circular level set the three integrals take their small-oscillation
+    limits, so I2 = 0 and omega2 = omega1 s sqrt(alpha + 2).  The ratio is
+    tested for rationality by continued fractions with denominator bound
+    :data:`Q_MAX` and acceptance tolerance :data:`RATIONAL_TOL`; floats
     cannot certify rationality, so this is the operational criterion.  One
     lane of :func:`_frequency_lanes`.
     """
@@ -133,21 +132,11 @@ def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: fl
                      max_refinements: int, errors: dict):
     """(I2, omega1, omega2) of :func:`frequencies` per lane of the 1-D arrays
     E and J, from one well; a failed lane holds NaN and records its error in
-    ``errors``.  The circular lanes take the harmonic limit omega2 = omega1
-    s sqrt(alpha + 2) in one array step; their well bottoms were found, so
-    it cannot fail."""
+    ``errors``."""
     well = _Well(params, E, J, errors, "frequency analysis")
     i2 = _radial_action(well, tolerance, max_refinements)
     omega2 = TWO_PI / well.period(tolerance, max_refinements)
     omega1 = omega2 * well.swept_angle(tolerance, max_refinements)[0] / math.pi
-    m, s = params.m, params.geometry.s
-    circ = [k for k, exc in errors.items() if isinstance(exc, CircularOrbitError)]
-    for k in circ:
-        del errors[k]
-    r_c, _ = circular_orbit(params, J[circ])
-    i2[circ] = 0.0
-    omega1[circ] = np.abs(J[circ]) / (m * s * s * r_c * r_c)
-    omega2[circ] = omega1[circ] * s * math.sqrt(_power_law_form(params)[1] + 2.0)
     return i2, omega1, omega2
 
 

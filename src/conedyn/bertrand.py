@@ -11,7 +11,10 @@ and half-width of [r_min, r_max]) absorbs both: the factor
 (r - r_min)(r_max - r) under the root equals rho^2 sin^2(theta) exactly and
 cancels the Jacobian, leaving a smooth integrand on [0, pi] that fixed-order
 Gauss-Legendre resolves spectrally.  The same transform serves the radial
-period and (in the actions module) the radial action.
+period and (in the actions module) the radial action.  On a circular level
+(r_min = r_max, so rho = 0) the integrand takes its rho -> 0 limit, which is
+constant in theta: the apsidal angle is pi / (s sqrt(alpha + 2)), the
+radial period 2 pi m s r_c^2 / (|J| sqrt(alpha + 2)) and the radial action 0.
 
 Everything here is s-free once expressed in lam: the geometry enters only
 through lam = J/s and the final division of the integral by s.
@@ -43,11 +46,7 @@ from .dynamics import (
     _record,
     _turning_points,
 )
-from .errors import (
-    CircularOrbitError,
-    DomainError,
-    QuadratureError,
-)
+from .errors import DomainError, QuadratureError
 
 log = logging.getLogger("conedyn")
 
@@ -125,10 +124,12 @@ class _Well:
         r_min, r_max = _turning_points(params, E, J, errors, minimum)
         self.r_mid = 0.5 * (r_min + r_max)
         self.rho = 0.5 * (r_max - r_min)
-        _record(errors, self.rho <= 1e-8 * self.r_mid, CircularOrbitError,
-                "level set is circular (r_min = r_max within tolerance); "
-                "use small_oscillation_freq for the degenerate limit")
         self.params, self.E, self.J, self.errors = params, E, J, errors
+        # g's rho -> 0 limit U_eff''(r_c)/m, for the lanes _turning_points
+        # found circular (rho = 0); r_mid ** 2 may leave the float range
+        with np.errstate(all="ignore"):
+            self.g_c = (_power_law_form(params)[1] + 2.0) * (
+                J / (params.m * params.geometry.s * self.r_mid ** 2)) ** 2
         # the batch's potentials, and the one of each lane: a power law with
         # one (A, alpha) per lane is split into its distinct pairs, so that
         # each is evaluated with Python-float constants as in a one-lane call
@@ -163,7 +164,9 @@ class _Well:
         The integrand gets the rows k (an index array) of the lanes still
         refining, with r = r_mid - rho*cos(theta) and g = (2/m)(E - U_eff(r))
         / (rho*sin(theta))^2, which is smooth and positive across the well,
-        as (len(k), order) matrices.  Each lane's sum is the numpy row sum of
+        as (len(k), order) matrices.  A circular lane (rho = 0) takes g's
+        limit U_eff''(r_c)/m on every node, so its sums agree at the first
+        doubling.  Each lane's sum is the numpy row sum of
         integrand * w, which sums every row pairwise on its own and calls no
         BLAS, so a lane has the bits of a one-lane call whatever the batch or
         the BLAS kernel; convergence, stagnation, breach and failure are masks
@@ -197,6 +200,8 @@ class _Well:
                     u = self._effective_potential(r, k)
                     d = (2.0 / params.m) * (E[k, None] - u)
                     g = d / (rho[k, None] * sin) ** 2
+                    circular = rho[k] == 0.0
+                    g[circular] = self.g_c[k[circular], None]
                     new[block] = (integrand(theta, r, g, k) * w).sum(axis=1)
                 positive[block] = (g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)
             if refinement == 0:
@@ -266,8 +271,8 @@ def apsidal_angle(
     """Angle swept between adjacent perigee and apogee, by quadrature.
 
     Evaluates the transformed integral described in the module docstring and
-    divides by s, as one lane of :func:`_apsidal_lanes`.  Circular input
-    raises :class:`CircularOrbitError`.
+    divides by s, as one lane of :func:`_apsidal_lanes`.  A circular level
+    gives the near-circular limit pi / (s sqrt(alpha + 2)).
     """
     errors: dict = {}
     delta_phi, err = _apsidal_lanes(params, *_as_lanes(E, J)[1], tolerance,
@@ -296,7 +301,9 @@ def radial_period(
     """Full period of the radial oscillation at (E, J).
 
     Twice the half-period integral of dr / sqrt((2/m)(E - U_eff)), with the
-    same singularity-removing substitution as :func:`apsidal_angle`.
+    same singularity-removing substitution as :func:`apsidal_angle`.  A
+    circular level gives the harmonic limit 2 pi m s r_c^2 / (|J| sqrt(alpha
+    + 2)).
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "radial period")
@@ -319,30 +326,6 @@ def circular_orbit(params: Params, J: float) -> tuple[float, float]:
     r_c, u0 = _find_ueff_minimum(params, J, errors)
     _raise_first(errors, name_lane=not scalar)
     return (r_c.item(), u0.item()) if scalar else (r_c, u0)
-
-
-class SmallOscillation(NamedTuple):
-    """Harmonic data of the near-circular limit.
-
-    ``omega_sq`` is the dimensionless squared frequency of the reduced 1D
-    motion measured against the swept angle, 3 + r_c V''/V' at the circular
-    radius, which is alpha + 2 for V = A r^alpha at every J (2 for the log
-    potential); the near-circular apsidal angle is pi / (s * sqrt(omega_sq)).
-    """
-
-    omega_sq: float
-    apsidal_limit: float
-
-
-def small_oscillation_freq(params: Params, J: float) -> SmallOscillation:
-    """Near-circular frequency and apsidal angle at angular momentum J, of
-    a well that has a bottom there (see :func:`circular_orbit`)."""
-    circular_orbit(params, J)
-    omega_sq = float(_power_law_form(params)[1]) + 2.0  # > 0: alpha > -2
-    return SmallOscillation(
-        omega_sq=omega_sq,
-        apsidal_limit=math.pi / (params.geometry.s * math.sqrt(omega_sq)),
-    )
 
 
 # --- Width law ---

@@ -21,10 +21,6 @@ class UnboundedMotionError(ConeDynError):
     """The (E, J) level set has no outer turning point."""
 
 
-class CircularOrbitError(ConeDynError):
-    """Degenerate level set r_min = r_max; use the small-oscillation limit."""
-
-
 class TipCollisionError(ConeDynError):
     """A time step drove the radius through the cone tip r = 0."""
 

@@ -14,7 +14,6 @@ from conedyn import bertrand, dynamics
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.errors import (
-    CircularOrbitError,
     ConeDynError,
     DomainError,
     QuadratureError,
@@ -39,8 +38,9 @@ class TestApsidalAngle:
         assert res.delta_phi == pytest.approx(2 * PI, abs=1e-9)
 
     def test_circular_input_degenerate(self):
-        with pytest.raises(CircularOrbitError):
-            cd.apsidal_angle(kepler_params(), -0.5, 1.0)
+        # a circular level is one more lane: it sweeps the near-circular limit
+        res = cd.apsidal_angle(kepler_params(), -0.5, 1.0)
+        assert res.delta_phi == pytest.approx(PI, rel=2e-15)
 
     def test_sign_of_j_irrelevant(self):
         a = cd.apsidal_angle(kepler_params(), -0.375, 1.0).delta_phi
@@ -78,8 +78,8 @@ class TestApsidalAngle:
             geometry=cd.ConeGeometry(s=0.9),
             potential=cd.PowerLaw(amplitude=1.0, exponent=1.0),
         )
-        limit = cd.small_oscillation_freq(params, 1.0).apsidal_limit
         _, e_c = cd.circular_orbit(params, 1.0)
+        limit = cd.apsidal_angle(params, e_c, 1.0).delta_phi
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
             res = cd.apsidal_angle(params, e_c + eps, 1.0)
@@ -115,13 +115,10 @@ class TestRadialPeriod:
 
     def test_near_circular_harmonic_limit(self):
         params = kepler_params()
-        r_c, e_c = cd.circular_orbit(params, 1.0)
-        # the angular frequency times s sqrt(3 + r_c V''/V')
-        s = params.geometry.s
-        omega_phi = 1.0 / (params.m * s * s * r_c * r_c)
-        omega_r = omega_phi * s * math.sqrt(cd.small_oscillation_freq(params, 1.0).omega_sq)
+        _, e_c = cd.circular_orbit(params, 1.0)
+        # the period of the circular level, the harmonic limit, is approached
         T = cd.radial_period(params, e_c + 1e-5, 1.0)
-        assert T == pytest.approx(2 * PI / omega_r, rel=1e-4)
+        assert T == pytest.approx(cd.radial_period(params, e_c, 1.0), rel=1e-4)
 
     def test_cross_checked_against_trajectory(self):
         params = kepler_params()
@@ -178,13 +175,13 @@ class TestRefinementPaths:
                 f(params, E, 1.0)
 
     def test_mixed_batch_equals_one_lane_calls(self, caplog):
-        # one well holds a converged, a stagnated, an endpoint-breach and a
-        # first-order-failure lane (Kepler at these fractions of its depth):
-        # each lane's value, error estimate, error and log records are those
-        # of its own one-lane call, in either lane order
+        # one well holds a converged, a stagnated, an endpoint-breach, a
+        # first-order-failure and a circular lane (Kepler at these fractions
+        # of its depth): each lane's value, error estimate, error and log
+        # records are those of its own one-lane call, in either lane order
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
-        E = u0 + np.array([1e-2, 1e-4, 3e-8, 1e-10]) * abs(u0)
+        E = u0 + np.array([1e-2, 1e-4, 3e-8, 1e-10, 0.0]) * abs(u0)
         caplog.set_level("DEBUG", logger="conedyn")
 
         def swept(lanes):
@@ -198,10 +195,14 @@ class TestRefinementPaths:
         alone = [swept([lane]) for lane in range(E.size)]
         assert [a[3] for a in alone] == [
             Counter(), Counter({"quadrature stagnated at 7.1e-09 (order 256)": 1}),
-            Counter({"order 256 breached the endpoint floor; keeping 9.2e-06": 1}), Counter()]
+            Counter({"order 256 breached the endpoint floor; keeping 9.2e-06": 1}), Counter(),
+            Counter()]
         assert alone[3][2] == {0: "QuadratureError('transformed integrand not positive: "
                                   "turning points inconsistent')"}
-        for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+        # the circular lane holds the limit, and converges at the first doubling
+        assert alone[4][0][0] == pytest.approx(PI, rel=2e-15)
+        assert alone[4][1:3] == ([0.0], {})
+        for order in ([0, 1, 2, 3, 4], [3, 4, 1, 0, 2]):
             value, err, errors, records = swept(order)
             for i, lane in enumerate(order):
                 assert value[i].hex() == alone[lane][0][0].hex()
@@ -272,10 +273,26 @@ class TestCircularOrbit:
                     for j in J[:20].tolist()] == want[:20]
 
 
+def _assert_circular_limits(params, J):
+    """The apsidal angle, radial period and radial action at the circular
+    level of J against their small-oscillation closed forms."""
+    r_c, e_c = cd.circular_orbit(params, J)
+    m, s = params.m, params.geometry.s
+    root = math.sqrt(float(dynamics._power_law_form(params)[1]) + 2.0)
+    assert cd.apsidal_angle(params, e_c, J).delta_phi == pytest.approx(
+        PI / (s * root), rel=2e-15)
+    assert cd.radial_period(params, e_c, J) == pytest.approx(
+        2 * PI * m * s * r_c * r_c / (abs(J) * root), rel=2e-15)
+    assert radial_action(params, e_c, J) == 0.0
+
+
 class TestSmallOscillation:
+    """The level functions on a circular level give the small-oscillation
+    limit: the apsidal angle pi / (s sqrt(alpha + 2)), the radial period
+    2 pi m s r_c^2 / (|J| sqrt(alpha + 2)) and a zero radial action."""
+
     def test_power_law_family(self):
-        # omega^2 = alpha + 2 exactly, for any amplitude, m, s and J: the
-        # curvature comes from the power-law form, not from r_c V''/V'
+        # any amplitude, m, s and J: alpha + 2 comes from the power-law form
         rng = np.random.default_rng(5)
         for _ in range(200):
             alpha = float(rng.uniform(-1.8, 3.0))
@@ -285,18 +302,13 @@ class TestSmallOscillation:
                 geometry=cd.ConeGeometry(s=float(rng.uniform(0.1, 3.0))),
                 potential=cd.PowerLaw(amplitude=amp, exponent=alpha),
             )
-            J = float(rng.uniform(0.1, 5.0))
-            assert cd.small_oscillation_freq(params, J).omega_sq == alpha + 2.0
+            _assert_circular_limits(params, float(rng.uniform(0.1, 5.0)))
 
     def test_kepler(self):
-        so = cd.small_oscillation_freq(kepler_params(1, 2, m=1.7), 2.9)
-        assert so.omega_sq == 1.0
-        assert so.apsidal_limit == pytest.approx(PI / 0.5, rel=1e-15)
+        _assert_circular_limits(kepler_params(m=1.7, s=0.6), 2.9)
 
     def test_oscillator(self):
-        so = cd.small_oscillation_freq(oscillator_params(omega=0.7, m=1.7, s=0.6), 2.9)
-        assert so.omega_sq == 4.0
-        assert so.apsidal_limit == pytest.approx(PI / 1.2, rel=1e-15)
+        _assert_circular_limits(oscillator_params(omega=0.7, m=1.7, s=0.6), 2.9)
 
     def test_log_potential(self):
         params = cd.Params(
@@ -304,18 +316,15 @@ class TestSmallOscillation:
             geometry=cd.ConeGeometry(s=0.6),
             potential=cd.LogPotential(strength=1.2, r0=0.7),
         )
-        so = cd.small_oscillation_freq(params, 2.9)
-        assert so.omega_sq == 2.0
-        assert so.apsidal_limit == pytest.approx(PI / (0.6 * math.sqrt(2.0)), rel=1e-15)
+        _assert_circular_limits(params, 2.9)
 
     def test_needs_a_well_bottom(self):
-        # the only errors are circular_orbit's: J = 0, and no minimum
-        with pytest.raises(DomainError, match="circular orbit requires J != 0"):
-            cd.small_oscillation_freq(kepler_params(), 0.0)
+        # without a well bottom there is no circular level to take the limit at
         repulsive = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
                               potential=cd.PowerLaw(amplitude=1.0, exponent=-1.0))
-        with pytest.raises(StructuralError, match="no interior minimum"):
-            cd.small_oscillation_freq(repulsive, 1.0)
+        for func in (cd.apsidal_angle, cd.radial_period, radial_action, cd.frequencies):
+            with pytest.raises(StructuralError, match="no interior minimum"):
+                func(repulsive, 0.5, 1.0)
 
 
 class TestWidthLaw:

@@ -264,7 +264,6 @@ _RECORDS = {
     "actions.RationalApprox": ("p", "q", "error"),
     "actions.ActionData": ("i1", "i2", "omega1", "omega2", "ratio", "rational_approx"),
     "bertrand.ApsidalResult": ("delta_phi", "lam", "E", "quadrature_error_estimate"),
-    "bertrand.SmallOscillation": ("omega_sq", "apsidal_limit"),
     "bertrand.WidthLawResult": ("a_fit", "max_residual"),
     "bertrand.FamilyVerdict": ("family_param", "flatness", "constant", "expected_constant",
                                "verdict"),
