@@ -445,9 +445,11 @@ class TestBertrandScan:
         # the bits, status and log records of its own apsidal_angle call.
         # The grid meets every way a cell ends: no well (alpha = 0), a well
         # bottom out of float range (alpha = -1.9999, lam = 2), a circular
-        # level (1e-16), a root solve that does not converge (Kepler at
-        # lam = 1e150), U_eff out of float range (alpha = 100, lam = 1e150),
-        # and the stagnation and endpoint-breach guards (1e-8, 1e-4)
+        # level (1e-16: the small-oscillation limit, or a transformed
+        # integrand out of float range for Kepler at lam = 1e150), a root
+        # solve that does not converge (Kepler at lam = 1e150), U_eff out of
+        # float range (alpha = 100, lam = 1e150), and the stagnation and
+        # endpoint-breach guards (1e-8, 1e-4)
         params = kepler_params(2, 3)
         caplog.set_level("DEBUG", logger="conedyn")
         report = cd.bertrand_scan(params, [0.0, -1.9999, -1.0, 0.5, 100.0],
@@ -475,19 +477,18 @@ class TestBertrandScan:
         status = {"o": "ok",
                   "m": "effective potential has no interior minimum for these parameters",
                   "f": "minimum of U_eff lies outside the float range",
-                  "c": "level set is circular (r_min = r_max within tolerance); "
-                       "use small_oscillation_freq for the degenerate limit",
+                  "q": "transformed integrand not positive: turning points inconsistent",
                   "r": "root solve in [1.0010415475915504e+154, 1.244603055572228e+240] "
                        "did not converge",
                   "u": "U_eff(1669.5468984228312) is outside the float range"}
-        codes = "mmmm mmmm mmmm ffff ffff ffff cooo cooo crrr cooo cooo cooo cooo cooo cuuu"
+        codes = "mmmm mmmm mmmm ffff ffff ffff oooo oooo qrrr oooo oooo oooo oooo oooo ouuu"
         assert report.status == [
             status[k] if k == "o" else f"infeasible: {status[k]}" for k in codes.replace(" ", "")]
         # a failed cell's NaN is hashed as None, which keeps the pinned digest
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])
         assert hashlib.sha256(bits.encode()).hexdigest() == (
-            "df29a3377a84cacfc23c23139161e8979c9366c3c861260cb1f0d77d15cc7534")
+            "b609b6ed2a5ce0def2e7de6341a29db8f7a24b0bd357d439dd58018dc78aa181")
 
     def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
         # a DomainError before any cell is evaluated, not a math error
