@@ -25,7 +25,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +36,7 @@ from .bertrand import bertrand_scan, width_law_check
 from .config import OutputConfig, RunConfig, load_config
 from .core import Kepler, LogPotential, Oscillator, Params, PhasePoint
 from .dynamics import _alive, detect_closure, integrate, turning_points
-from .errors import (
-    ConeDynError,
-    ConfigError,
-    IrrationalScaleError,
-    TipCollisionError,
-)
+from .errors import ConeDynError, ConfigError, TipCollisionError
 from .sampling import UniformSource, draw_bound_points
 from .symmetry import CHECK_ROWS, W_ALGEBRA_ROWS, _steps, phase_invariants, w_algebra_table
 
@@ -158,6 +153,9 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
                           {"error": str(exc), "step_index": exc.step_index},
                           EXIT_DYNAMICS)
 
+    closure = cfg.closure is not None and cfg.closure.enabled
+    # a failed closure detection ends the run before any row is written
+    info = detect_closure(traj, tol=cfg.closure.tol) if closure else None
     with_z = _supports_global_invariant(params)
     header = ["t", "r", "phi", "p_r", "J", "H"] + (["Z_re", "Z_im"] if with_z else [])
     columns = [traj.times, traj.r, traj.phi, traj.p_r, traj.series_J, traj.series_H]
@@ -178,8 +176,7 @@ def cmd_simulate(cfg: RunConfig, args) -> RunSummary:
     if with_z:
         zs = inv.z_re + 1j * inv.z_im
         results["z_drift_rel"] = float(np.abs(zs - zs[0]).max()) / max(abs(zs[0]), 1e-12)
-    if cfg.closure is not None and cfg.closure.enabled:
-        info = detect_closure(traj, tol=cfg.closure.tol)
+    if closure:
         if info is None:
             results["closure"] = {"closed": False}
             log.info("no closure detected within the trajectory")
@@ -201,6 +198,11 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         tolerance=cfg.quadrature.tolerance,
         max_refinements=cfg.quadrature.max_refinements,
     )
+    wl = None
+    if cfg.scan.include_log_check:
+        # a failed width-law check ends the run before any row is written
+        log_params = replace(cfg.params, potential=LogPotential(strength=1.0, r0=1.0))
+        wl = width_law_check(log_params, cfg.scan.lambdas[0] * cfg.params.geometry.s)
     header = ["family_param", "E", "lambda", "s_delta_phi", "status"]
     _write_rows(path, fmt, header, [range(5)], [report[:5]])
 
@@ -214,12 +216,7 @@ def cmd_bertrand(cfg: RunConfig, args) -> RunSummary:
         "cells_ok": n_ok,
         "cells_infeasible": len(report.status) - n_ok,
     }
-    if cfg.scan.include_log_check:
-        from dataclasses import replace
-
-        log_params = replace(cfg.params, potential=LogPotential(strength=1.0, r0=1.0))
-        J = cfg.scan.lambdas[0] * cfg.params.geometry.s
-        wl = width_law_check(log_params, J)
+    if wl is not None:
         results["width_law_log_residual"] = wl.max_residual
         log.info("log-potential width-law residual: %.3e", wl.max_residual)
     if n_ok == 0:
@@ -362,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IrrationalScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IRRATIONAL
     except ConeDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DYNAMICS

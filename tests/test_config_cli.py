@@ -714,6 +714,33 @@ print(json.dumps({{
         assert "non-finite energy H=inf" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_failed_closure_detection_writes_nothing(self, tmp_path, capsys):
+        # the circular level of Kepler on s = 2/3 at J = 1 has no radial
+        # oscillation to detect closure on; the run ends before any row
+        out = tmp_path / "t.csv"
+        doc = _simulate_doc(str(out), closure=True)
+        doc["initial"] = {"level": {"E": -0.2222222222222222, "J": 1.0}}
+        code = main(["simulate", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no measurable radial oscillation in this trajectory"]
+        assert not out.exists()
+
+    def test_failed_width_law_check_writes_nothing(self, tmp_path, capsys):
+        # the width-law check takes the first lambda, whose well bottom lies
+        # outside the float range; the run ends before any row
+        out = tmp_path / "scan.csv"
+        doc = _base_doc(
+            scan={"exponents": [-1.0, 2.0], "e_fractions": [0.3], "lambdas": [1e200, 1.0],
+                  "include_log_check": True},
+            output={"path": str(out), "format": "csv"},
+        )
+        code = main(["bertrand", "--config", _write(tmp_path, "c.json", doc)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: minimum of U_eff lies outside the float range"]
+        assert not out.exists()
+
     def test_csv_rows_render_like_per_cell_format(self, tmp_path):
         # actions-style rows: an error row, a rational row with int p/q, a
         # non-rational row with "", plus edge floats and numpy scalars; string
