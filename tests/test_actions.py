@@ -104,6 +104,10 @@ class TestHamiltonianFromActions:
         with pytest.raises(StructuralError):
             cd.hamiltonian_from_actions(params, 1.0, 0.5)
 
+    def test_kepler_needs_positive_total_action(self):
+        with pytest.raises(DomainError, match=r"^Kepler closed form needs \|I1\|/s \+ I2 > 0$"):
+            cd.hamiltonian_from_actions(kepler_params(), 0.0, 0.0)
+
     def test_negative_radial_action_rejected(self):
         with pytest.raises(DomainError):
             cd.hamiltonian_from_actions(kepler_params(), 1.0, -0.1)

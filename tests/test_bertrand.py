@@ -339,6 +339,10 @@ class TestWidthLaw:
         assert res.max_residual < 1e-8
         assert res.a_fit == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
+    def test_zero_j_rejected(self):
+        with pytest.raises(DomainError, match=r"^width law requires J != 0$"):
+            cd.width_law_check(kepler_params(), 0.0)
+
     def test_log_potential_violates(self):
         params = cd.Params(
             m=1.0,

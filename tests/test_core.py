@@ -7,7 +7,7 @@ import pytest
 
 import conedyn as cd
 from conedyn import dynamics
-from conedyn.errors import DomainError
+from conedyn.errors import DomainError, StructuralError
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +28,11 @@ class TestConeGeometry:
     def test_mismatched_pair_rejected(self):
         with pytest.raises(DomainError):
             cd.ConeGeometry(s=0.5, rational=(2, 3))
+
+    def test_nonpositive_pair_rejected(self):
+        with pytest.raises(DomainError,
+                           match=r"^rational form needs positive integers, got \(0, 1\)$"):
+            cd.ConeGeometry(s=1.0, rational=(0, 1))
 
     def test_nonpositive_s_rejected(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
@@ -95,6 +100,15 @@ class TestPotentials:
     def test_free_particle_amplitude_allowed(self):
         pot = cd.PowerLaw(amplitude=0.0, exponent=1.0)
         assert pot.value(3.0) == 0.0
+
+    def test_power_law_amplitude_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=rf"^amplitude must be finite, got {bad}$"):
+                cd.PowerLaw(amplitude=bad, exponent=1.0)
+
+    def test_log_potential_has_no_power_law_form(self):
+        with pytest.raises(StructuralError, match="^LogPotential has no power-law form$"):
+            cd.as_power_law(cd.LogPotential(strength=1.0, r0=1.0))
 
 
 class TestPhasePoint:

@@ -574,6 +574,21 @@ def _assert_equals_reference(params, pt, dt, n_steps, sample_every):
 
 
 class TestIntegrate:
+    def test_counts_must_be_positive(self):
+        pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
+        for n_steps, sample_every in ((0, 1), (10, 0), (-10, -1)):
+            with pytest.raises(DomainError, match=r"^n_steps and sample_every must be >= 1$"):
+                cd.integrate(kepler_params(), pt, 1e-3, n_steps, sample_every)
+
+    def test_unsupported_potential(self):
+        class Cubic:  # a potential class the stepper has no force source for
+            def value(self, r, m=1.0):
+                return r ** 3
+
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=Cubic())
+        with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
+            cd.integrate(params, cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 1e-3, 10)
+
     @pytest.mark.parametrize("potential", [
         cd.Kepler(kappa=1.0),
         cd.Oscillator(omega=1.0),
@@ -904,6 +919,16 @@ class TestDetectClosure:
 
 
 class TestApsidalMeasurement:
+    def test_too_short_trajectory_rejected(self):
+        # half a radial period from mid-well passes one apsis
+        params = kepler_params()
+        E, J = -0.375, 1.0
+        T = cd.radial_period(params, E, J)
+        traj = cd.integrate(params, midwell_point(params, E, J), T / 8000, 4000, 40)
+        with pytest.raises(DomainError, match=r"^trajectory too short: fewer than three "
+                                              r"apsis passages$"):
+            cd.measure_apsidal_advance(traj)
+
     def test_measured_advance_matches_quadrature(self):
         params = kepler_params()
         E, J = -0.375, 1.0
