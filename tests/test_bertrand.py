@@ -273,26 +273,30 @@ class TestCircularOrbit:
                     for j in J[:20].tolist()] == want[:20]
 
 
-def _assert_circular_limits(params, J):
-    """The apsidal angle, radial period and radial action at the circular
-    level of J against their small-oscillation closed forms."""
+def _assert_circular_limits(params, J, alpha):
+    """The apsidal angle, radial period, radial action and frequencies at
+    the circular level of J against their small-oscillation closed forms."""
     r_c, e_c = cd.circular_orbit(params, J)
     m, s = params.m, params.geometry.s
-    root = math.sqrt(float(dynamics._power_law_form(params)[1]) + 2.0)
+    root = math.sqrt(alpha + 2.0)
     assert cd.apsidal_angle(params, e_c, J).delta_phi == pytest.approx(
         PI / (s * root), rel=2e-15)
     assert cd.radial_period(params, e_c, J) == pytest.approx(
         2 * PI * m * s * r_c * r_c / (abs(J) * root), rel=2e-15)
     assert radial_action(params, e_c, J) == 0.0
+    data = cd.frequencies(params, e_c, J)
+    assert data.i2 == 0.0
+    assert data.omega2 / data.omega1 == pytest.approx(s * root, rel=2e-15)
 
 
 class TestSmallOscillation:
     """The level functions on a circular level give the small-oscillation
     limit: the apsidal angle pi / (s sqrt(alpha + 2)), the radial period
-    2 pi m s r_c^2 / (|J| sqrt(alpha + 2)) and a zero radial action."""
+    2 pi m s r_c^2 / (|J| sqrt(alpha + 2)), a zero radial action and
+    omega2 / omega1 = s sqrt(alpha + 2)."""
 
     def test_power_law_family(self):
-        # any amplitude, m, s and J: alpha + 2 comes from the power-law form
+        # any amplitude, m, s and J
         rng = np.random.default_rng(5)
         for _ in range(200):
             alpha = float(rng.uniform(-1.8, 3.0))
@@ -302,13 +306,13 @@ class TestSmallOscillation:
                 geometry=cd.ConeGeometry(s=float(rng.uniform(0.1, 3.0))),
                 potential=cd.PowerLaw(amplitude=amp, exponent=alpha),
             )
-            _assert_circular_limits(params, float(rng.uniform(0.1, 5.0)))
+            _assert_circular_limits(params, float(rng.uniform(0.1, 5.0)), alpha)
 
     def test_kepler(self):
-        _assert_circular_limits(kepler_params(m=1.7, s=0.6), 2.9)
+        _assert_circular_limits(kepler_params(m=1.7, s=0.6), 2.9, -1.0)
 
     def test_oscillator(self):
-        _assert_circular_limits(oscillator_params(omega=0.7, m=1.7, s=0.6), 2.9)
+        _assert_circular_limits(oscillator_params(omega=0.7, m=1.7, s=0.6), 2.9, 2.0)
 
     def test_log_potential(self):
         params = cd.Params(
@@ -316,7 +320,7 @@ class TestSmallOscillation:
             geometry=cd.ConeGeometry(s=0.6),
             potential=cd.LogPotential(strength=1.2, r0=0.7),
         )
-        _assert_circular_limits(params, 2.9)
+        _assert_circular_limits(params, 2.9, 0.0)
 
     def test_needs_a_well_bottom(self):
         # without a well bottom there is no circular level to take the limit at
