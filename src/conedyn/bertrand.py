@@ -130,6 +130,9 @@ class _Well:
         with np.errstate(all="ignore"):
             self.g_c = (_power_law_form(params)[1] + 2.0) * (
                 J / (params.m * params.geometry.s * self.r_mid ** 2)) ** 2
+        _record(errors, (self.rho == 0.0) & ~((self.g_c > 0.0) & (self.g_c < math.inf)),
+                QuadratureError, "circular limit U_eff''(r_c)/m = {} is outside the float range",
+                self.g_c)
         # the batch's potentials, and the one of each lane: a power law with
         # one (A, alpha) per lane is split into its distinct pairs, so that
         # each is evaluated with Python-float constants as in a one-lane call

@@ -2,14 +2,14 @@
 
 The time integration works in the reduced polar coordinates (r, p_r): J is a
 parameter of the reduced flow and conserved exactly by construction, and phi
-is reconstructed by quadrature alongside.  The kick-drift-kick stepper is
+is reconstructed by quadrature alongside.  The stepper is Stormer-Verlet,
 second order and symplectic in (r, p_r).  It is one pure-Python loop
 source, compiled once per potential class with that class's force written
-in, that keeps its whole state in locals.  It runs in Stormer-Verlet's
-two-step form, the same map in exact arithmetic: it carries the drift
-q = dt * p_r / m of the next step and adds one force to it per step, and
-forms p_r only at a sample, where q is formed again from it.  The loop only
-records each new radius; per block of steps, numpy forms the angle
+in, that keeps its whole state in locals.  It runs in the two-step (drift)
+form, in exact arithmetic the same map as kick-drift-kick: it carries the
+drift q = dt * p_r / m of the next step and adds one force to it per step,
+and forms p_r only at a sample, where q is formed again from it.  The loop
+only records each new radius; per block of steps, numpy forms the angle
 increments and sums them in order, which is bit-identical to the running
 sum, so memory stays at one block.  The tip is checked once per block too:
 one numpy test finds the first radius that is not positive, the step a
@@ -184,10 +184,12 @@ def _at_lanes(params: Params, lanes: np.ndarray) -> Params:
 
 
 def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
-    """U_eff(r) with the bits of one call per lane on Python floats: the
-    power law's r ** alpha goes through :func:`_float_pow`.  ``lanes`` (an
-    index array) picks the (A, alpha) of r's lanes from a power law with one
-    pair per lane.  Also returns the mask of lanes where such a call raises
+    """U_eff(r) and U_eff'(r) with the bits of one call per lane on Python
+    floats.  The power law's r ** alpha goes through :func:`_float_pow`,
+    once for both: U_eff' = (A alpha r^alpha - J^2/(m s^2 r^2)) / r, with
+    the constants of :func:`_power_law_form`.  ``lanes`` (an index array)
+    picks the (A, alpha) of r's lanes from a power law with one pair per
+    lane.  Also returns the mask of lanes where such a call raises
     ArithmeticError (a zero divisor, or r ** alpha out of range); they hold
     NaN."""
     m, s = params.m, params.geometry.s
@@ -195,18 +197,23 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
     with np.errstate(all="ignore"):
         den = 2.0 * m * s * s * r * r
         raised = den == 0.0
+        k = J * J / den
         if isinstance(pot, PowerLaw):
             a, alpha = pot.amplitude, pot.exponent
             if lanes is not None and np.ndim(alpha):
                 a, alpha = a[lanes], alpha[lanes]
             power = _float_pow(r, alpha)
             raised |= np.isinf(power) & np.isfinite(r)
-            v = a * power
-        else:
+            v, r_dv = a * power, a * alpha * power
+        else:  # r V' is alpha V for Kepler and the oscillator, B for the log
             v = pot.value(r, m)
-        u = J * J / den + v
-    np.copyto(u, math.nan, where=raised)
-    return u, raised
+            a_alpha, alpha = _power_law_form(params)
+            r_dv = a_alpha if isinstance(pot, LogPotential) else alpha * v
+        u, du = k + v, (r_dv - 2.0 * k) / r
+    if np.count_nonzero(raised):
+        np.copyto(u, math.nan, where=raised)
+        np.copyto(du, math.nan, where=raised)
+    return u, du, raised
 
 
 def _power_law_form(params: Params):
@@ -238,7 +245,7 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
         # NaN where A alpha <= 0: a negative base has no real power
         base = np.where(a_alpha > 0.0, J * J / (m * s * s * a_alpha), math.nan)
         r_c = _float_pow(base, 1.0 / (alpha + 2.0))
-    u0, _ = _effective_potential_lanes(params, J, r_c)
+    u0, *_ = _effective_potential_lanes(params, J, r_c)
     bad = ~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0))
     _record(errors, bad, StructuralError, "minimum of U_eff lies outside the float range")
     np.copyto(r_c, math.nan, where=bad)
@@ -246,62 +253,65 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     return r_c, u0
 
 
-def _root(f, a: np.ndarray, b: np.ndarray, rtol: float, fa=None, fb=None):
-    """Roots of f in finite brackets [a, b] where f(a) and f(b) have opposite
-    signs, one lane per element of the 1-D arrays a and b; f(x, i) gives f
-    at the points x of the lanes i (an index array).  ``fa`` and ``fb``, if
-    given, are the values of f at a and b, which are then not evaluated.
+def _root(f, x: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+          rtol: float):
+    """Roots of f by Newton's method safeguarded by a bracket ("rtsafe",
+    Numerical Recipes, 3rd ed., sec. 9.4), one lane per element of the 1-D
+    arrays: start points x, and brackets [a, b] where the given values fa
+    and fb of f have opposite signs; b may be +inf, an open end (a is then
+    positive).  f(x, i) gives f and f' at the points x of the lanes i (an
+    index array).
 
-    Regula falsi with the Illinois modification (the weight of an end kept
-    twice in a row is halved), bisecting when the secant point leaves the
-    bracket.  The sign change is always kept; once the bracket is within
-    rtol (relative), a last secant step on the unweighted ends gives the root.
-    A lane stops once it is solved or fails, and does exactly the float
-    operations of a solve on its own.  Returns the roots (NaN where a lane
-    failed) and the QuadratureError of each failed lane, by lane.
+    Each evaluated point replaces the end of its sign.  A Newton step (or
+    start point) that does not land strictly inside the bracket is replaced
+    by its midpoint, or by 2a while b is infinite.  A lane stops once its
+    Newton step, with a finite f', is within rtol of its point (relative):
+    the point minus that step is its root, within about rtol^2 of the true
+    one by quadratic convergence.  Where rounding keeps the steps larger, a
+    lane stops once its bracket is two ulps wide.  A lane does exactly the
+    float operations of a solve on its own.  Returns the roots (NaN where a
+    lane failed) and the QuadratureError of each failed lane, by lane.
     """
-    roots = np.full(np.shape(a), math.nan)
+    roots = np.full(np.shape(x), math.nan)
     failed: dict = {}
     i = np.arange(roots.size)
     with np.errstate(all="ignore"):
-        fa = f(a, i) if fa is None else fa
-        fb = f(b, i) if fb is None else fb
         # signs are compared, not multiplied: a product of tiny values underflows
-        ok = (np.isfinite(a) & np.isfinite(b)
-              & (((fa < 0.0) & (0.0 < fb)) | ((fb < 0.0) & (0.0 < fa))))
+        ok = ~np.isnan(a + b) & (((fa < 0.0) & (0.0 < fb)) | ((fb < 0.0) & (0.0 < fa)))
         _record(failed, ~ok, QuadratureError, "root not bracketed in [{}, {}]", a, b)
-        i, a, b, fa, fb = i[ok], a[ok], b[ok], fa[ok], fb[ok]
-        ga = fa  # the Illinois-weighted value at a
+        # the bracket as lo < hi, and whether f rises from lo to hi
+        i, x, lo, hi, rising = (i[ok], x[ok], np.minimum(a, b)[ok], np.maximum(a, b)[ok],
+                                ((fa < 0.0) == (a < b))[ok])
+
+        def next_point(x):
+            mid = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+            return np.where((lo < x) & (x < hi), x, mid)
+
+        x = next_point(x)
         for _ in range(200):
             if not i.size:
                 break
-            x = (a * fb - b * ga) / (fb - ga)
-            inside = (np.minimum(a, b) < x) & (x < np.maximum(a, b))
-            np.copyto(x, 0.5 * (a + b), where=~inside)
-            fx = f(x, i)
-            # in place on the lanes' own copies: a sign change moves a to b
-            flip = (fx < 0.0) != (fb < 0.0)
-            ga = 0.5 * ga
-            np.copyto(ga, fb, where=flip)
-            np.copyto(a, b, where=flip)
-            np.copyto(fa, fb, where=flip)
-            b, fb = x, fx
-            bad, hit = np.isnan(fx), fx == 0.0
-            done = np.abs(b - a) <= rtol * np.abs(b)
-            stop = bad | hit | done
-            if not np.count_nonzero(stop):
-                continue
-            _record(failed, bad, QuadratureError,
-                    "root solve met the non-finite value {} at {}", fx, x, lanes=i)
-            roots[i[hit]] = x[hit]
-            done &= ~(bad | hit)
-            last = (a * fb - b * fa) / (fb - fa)
-            # f(a) or f(b) infinite gives no secant point
-            roots[i[done]] = np.where(np.isfinite(last), last, 0.5 * (a + b))[done]
-            keep = ~stop
-            i, a, b, fa, fb, ga = i[keep], a[keep], b[keep], fa[keep], fb[keep], ga[keep]
+            fx, dfx = f(x, i)
+            above = (fx > 0.0) == rising  # x lies above the root
+            np.copyto(hi, x, where=above)
+            np.copyto(lo, x, where=~above)
+            step = fx / dfx  # 0 at an exact zero
+            nxt = next_point(x - step)
+            ax = np.abs(x)
+            newton = (np.abs(step) <= rtol * ax) & np.isfinite(dfx)
+            # a bracket two ulps wide holds at most one float between its ends
+            bad, done = np.isnan(fx), newton | (hi - lo <= 2.0 * math.ulp(1.0) * ax)
+            stop = bad | done
+            if np.count_nonzero(stop):
+                _record(failed, bad, QuadratureError,
+                        "root solve met the non-finite value {} at {}", fx, x, lanes=i)
+                done &= ~bad
+                roots[i[done]] = np.where(newton, x - step, nxt)[done]
+                keep = ~stop
+                i, lo, hi, rising, nxt = i[keep], lo[keep], hi[keep], rising[keep], nxt[keep]
+            x = nxt
         _record(failed, np.ones(i.size, dtype=bool), QuadratureError,
-                "root solve in [{}, {}] did not converge", a, b, lanes=i)
+                "root solve in [{}, {}] did not converge", lo, hi, lanes=i)
     return roots, failed
 
 
@@ -422,49 +432,44 @@ def _closed_form_radii(params: Params, E, J):
 def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray,
                            u0: np.ndarray):
     """(r_min, r_max, failed) of non-circular, bound level sets, one lane
-    each, by bracketed root finding, for potentials without a closed form:
-    from the circular radius r_c the root is bracketed by doubling (outward)
-    or halving (inward) the radius, then solved to 1e-13 relative.  Both
-    ends of every lane are one batch: one bracketing loop and one
-    :func:`_root` call.  f = U_eff - E is evaluated once per point: the root
-    solve starts from the loop's value at each far end, and from
-    f(r_c) = U_0 - E, where ``u0`` is U_eff(r_c) as the minimum computed it.
+    each, for potentials without a closed form: both ends of every lane in
+    one :func:`_root` on f = U_eff - E, stopped at a Newton step of 1e-9
+    relative (an error of order 1e-18, below the rounding of f).
+
+    Each end starts at the harmonic estimate r_c (1 + q) outward and
+    r_c / (1 + q) inward (the same to first order, positive for every q,
+    and exact for Kepler), with q = sqrt(2 delta/(alpha + 2)), delta =
+    (E - U_0)/K and K = A alpha r_c^alpha, which at the minimum equals
+    J^2/(m s^2 r_c^2) and is taken so, without a power.  The bracket runs
+    from r_c, where f = U_0 - E < 0 is known (``u0`` as the minimum computed
+    it), to the far side, where f > 0 as r -> 0, and as r -> inf below the
+    escape energy: until a point there is found, a step that leaves the
+    bracket doubles the radius outward and halves it inward.  f and f' come
+    from one :func:`_effective_potential_lanes` evaluation per point.
     ``failed`` maps each failed lane to its QuadratureError; where both ends
     of a lane fail, the outward end's error wins, as if that end were solved
     first."""
     n = E.size
     failed: dict = {}  # by end: end k < n is lane k outward, end n + k lane k inward
     lane = np.tile(np.arange(n), 2)
-    outward = np.arange(2 * n) < n
+    m, s = params.m, params.geometry.s
+    _, alpha = _power_law_form(params)
+    with np.errstate(all="ignore"):
+        # out of the float range the start is inf or NaN, and _root bisects
+        q = np.sqrt(2.0 * (E - u0) / ((alpha + 2.0) * (J * J / (m * s * s * r_c * r_c))))
+        start = np.concatenate([r_c * (1.0 + q), r_c / (1.0 + q)])
+    params, J, E = _at_lanes(params, lane), J[lane], E[lane]  # one lane per end
 
     def f(r, ends):
-        # r is r_c times a power of 2 or inside a positive bracket: no check needed
-        k = lane[ends]
-        u, raised = _effective_potential_lanes(params, J[k], r, k)
+        u, du, raised = _effective_potential_lanes(params, J[ends], r, ends)
         _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
                 r, lanes=ends)
-        return u - E[k]
+        return u - E[ends], du
 
-    # terminates both ways: J != 0 makes U_eff blow up at the tip, and E is
-    # below the escape energy; an end whose U_eff fails stops on NaN
-    factor = np.where(outward, 2.0, 0.5)
-    far, f_far = r_c[lane] * factor, np.empty(2 * n)
-    ends = np.arange(2 * n)
-    while ends.size:
-        f_far[ends] = f_end = f(far[ends], ends)
-        ends = ends[f_end <= 0.0]
-        far[ends] *= factor[ends]
-    f_c = u0 - E
-    ends = np.flatnonzero(_alive(failed, 2 * n))
-    out, near, f_near, far, f_far = (outward[ends], r_c[lane[ends]], f_c[lane[ends]],
-                                     far[ends], f_far[ends])
-    roots, bad = _root(lambda x, i: f(x, ends[i]), np.where(out, near, far),
-                       np.where(out, far, near), rtol=1e-13,
-                       fa=np.where(out, f_near, f_far), fb=np.where(out, f_far, f_near))
-    for i, exc in bad.items():
-        failed.setdefault(int(ends[i]), exc)
-    radii = np.full(2 * n, math.nan)
-    radii[ends] = roots
+    radii, bad = _root(f, start, r_c[lane], np.repeat([math.inf, 0.0], n), u0[lane] - E,
+                       np.full(2 * n, math.inf), rtol=1e-9)
+    for end, exc in bad.items():
+        failed.setdefault(end, exc)
     by_lane: dict = {}
     for end in sorted(failed):  # outward ends first
         by_lane.setdefault(end % n, failed[end])
@@ -620,15 +625,17 @@ def integrate(
     sample_every: int = 1,
     backend: str = "python",
 ) -> Trajectory:
-    """Advance ``n_steps`` kick-drift-kick steps of ``dt`` from ``pt0`` and
+    """Advance ``n_steps`` Stormer-Verlet steps of ``dt`` from ``pt0`` and
     record every ``sample_every``-th state; sample 0 is ``pt0``.
 
     ``n_steps`` and ``sample_every`` are positive integers, and ``n_steps``
     a multiple of ``sample_every`` so the final state is always sampled.
-    Each step is one kick-drift-kick step: half-kick p_r, drift r (advancing
-    phi with the drift-midpoint radius), half-kick p_r; J is untouched.  Each
-    sample is a restart point, bit for bit, so the last bits of a state depend
-    on ``sample_every``.  A negative ``dt`` runs backward, with decreasing
+    Each step drifts r by the carried q = dt * p_r / m, then adds dt^2/m
+    times the force at the new r to q (see the module docstring); in exact
+    arithmetic that is one kick-drift-kick step.  phi advances with the
+    midpoint radius of each drift; J is untouched.  Each sample is a restart
+    point, bit for bit, so the last bits of a state depend on
+    ``sample_every``.  A negative ``dt`` runs backward, with decreasing
     sample times, and the scheme is time-reversible up to rounding.  A start
     point with a non-finite H is a DomainError, and so is a force outside the
     float range, with its step index.  A drift that leaves the r > 0
@@ -696,12 +703,16 @@ class _Hermite:
         self.y = y
         self.dy = dy
 
-    def __call__(self, x: float) -> float:
+    def _cell(self, x: float):
+        """(i, h, u): the interval [t_i, t_i + h] of x, and x's place u in it."""
         i = int(np.searchsorted(self.t, x, side="right")) - 1
         i = min(max(i, 0), len(self.t) - 2)
         t0, t1 = self.t[i], self.t[i + 1]
         h = t1 - t0
-        u = (x - t0) / h
+        return i, h, (x - t0) / h
+
+    def __call__(self, x: float) -> float:
+        i, h, u = self._cell(x)
         u2, u3 = u * u, u * u * u
         return (
             (2.0 * u3 - 3.0 * u2 + 1.0) * self.y[i]
@@ -709,6 +720,13 @@ class _Hermite:
             + (-2.0 * u3 + 3.0 * u2) * self.y[i + 1]
             + (u3 - u2) * h * self.dy[i + 1]
         )
+
+    def slope(self, x: float) -> float:
+        """The interpolant's derivative at x, exact for its cubic."""
+        i, h, u = self._cell(x)
+        return (6.0 * (u * u - u) * (self.y[i] - self.y[i + 1]) / h
+                + (3.0 * u * u - 4.0 * u + 1.0) * self.dy[i]
+                + (3.0 * u * u - 2.0 * u) * self.dy[i + 1])
 
 
 def _interpolants(traj: Trajectory):
@@ -752,10 +770,14 @@ def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
     r_h, p_h, phi_h = _interpolants(traj)
     p, t = traj.p_r, traj.times
     forward = traj.dt > 0.0
-    # one root-solve lane per sign change of p_r between samples
+    # one root-solve lane per sign change of p_r between samples, started
+    # at the secant point of the two samples
     i = np.flatnonzero((p[:-1] != 0.0) & ~(p[:-1] * p[1:] >= 0.0))
-    times, failed = _root(lambda x, _: np.array([p_h(v) for v in x.tolist()]),
-                          t[i], t[i + 1], rtol=1e-15)
+    a, b, fa, fb = t[i], t[i + 1], p[i], p[i + 1]
+    times, failed = _root(
+        lambda x, _: (np.array([p_h(v) for v in x.tolist()]),
+                      np.array([p_h.slope(v) for v in x.tolist()])),
+        (a * fb - b * fa) / (fb - fa), a, b, fa, fb, rtol=1e-15)
     _raise_first(failed, name_lane=False)
     # r falls before a perigee in sample order: p_r < 0 forward, > 0 backward
     return [ApsisEvent(time=t_star, kind="perigee" if (p[k] < 0.0) == forward else "apogee",

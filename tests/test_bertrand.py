@@ -442,9 +442,11 @@ class TestBertrandScan:
 
     def test_float_range_cells_infeasible(self):
         # r_c overflows (alpha near -2), or U_eff overflows on the way to the
-        # outer turning point (alpha = 100, huge lam): infeasible, not fatal
-        for alpha, lam in ((-1.9999, 2.0), (-1.99, 50.0), (100.0, 1e150)):
-            report = cd.bertrand_scan(kepler_params(2, 3), [alpha], [0.05, 0.5], [lam])
+        # outer turning point (alpha = 100, huge lam: the solve's second
+        # point has r^100 above 1.8e308): infeasible, not fatal
+        for alpha, lam, fractions in ((-1.9999, 2.0, [0.05, 0.5]), (-1.99, 50.0, [0.05, 0.5]),
+                                      (100.0, 2e154, [0.5])):
+            report = cd.bertrand_scan(kepler_params(2, 3), [alpha], fractions, [lam])
             assert report.verdicts[0].verdict == "infeasible"
             assert all("float range" in status for status in report.status)
 
@@ -453,11 +455,11 @@ class TestBertrandScan:
         # the bits, status and log records of its own apsidal_angle call.
         # The grid meets every way a cell ends: no well (alpha = 0), a well
         # bottom out of float range (alpha = -1.9999, lam = 2), a circular
-        # level (1e-16: the small-oscillation limit, or a transformed
-        # integrand out of float range for Kepler at lam = 1e150), a root
-        # solve that does not converge (Kepler at lam = 1e150), U_eff out of
-        # float range (alpha = 100, lam = 1e150), and the stagnation and
-        # endpoint-breach guards (1e-8, 1e-4)
+        # level (1e-16: the small-oscillation limit, or a limit out of float
+        # range for Kepler at lam = 1e150), a root solve that does not
+        # converge (Kepler at lam = 1e150), wells next to the float range
+        # (alpha = 100, lam = 1e150), and the stagnation and endpoint-breach
+        # guards (1e-8, 1e-4)
         params = kepler_params(2, 3)
         caplog.set_level("DEBUG", logger="conedyn")
         report = cd.bertrand_scan(params, [0.0, -1.9999, -1.0, 0.5, 100.0],
@@ -479,19 +481,22 @@ class TestBertrandScan:
             assert status == "ok"
             assert value.hex() == (res.delta_phi * s).hex()
         assert Counter(r.getMessage() for r in caplog.records) == scan_records
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 7
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 10
         assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 3
         # the statuses and bits of the cells before batching
         status = {"o": "ok",
                   "m": "effective potential has no interior minimum for these parameters",
                   "f": "minimum of U_eff lies outside the float range",
-                  "q": "transformed integrand not positive: turning points inconsistent",
-                  "r": "root solve in [1.0010415475915504e+154, 1.244603055572228e+240] "
-                       "did not converge",
-                  "u": "U_eff(1669.5468984228312) is outside the float range"}
-        codes = "mmmm mmmm mmmm ffff ffff ffff oooo oooo qrrr oooo oooo oooo oooo oooo ouuu"
+                  "c": "circular limit U_eff''(r_c)/m = 0.0 is outside the float range",
+                  "r": "root solve in [0.0, 6.223015277861141e+239] did not converge"}
+        codes = "mmmm mmmm mmmm ffff ffff ffff oooo oooo crrr oooo oooo oooo oooo oooo oooo"
         assert report.status == [
             status[k] if k == "o" else f"infeasible: {status[k]}" for k in codes.replace(" ", "")]
+        # alpha = 100 scales: at lam = 2 and 1e150, |U_0| > 1 and every E is
+        # U_0 (1 + 10 fraction), so the cells agree but at 1e-8, where both
+        # stagnate at the rounding floor of E - U_eff
+        values = report.s_delta_phi[-12:].reshape(3, 4)
+        assert values[2, [0, 2, 3]] == pytest.approx(values[0, [0, 2, 3]], rel=1e-8)
         # a failed cell's NaN is hashed as None, which keeps the pinned digest
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])

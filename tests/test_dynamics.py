@@ -7,12 +7,14 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conedyn as cd
 from conedyn import dynamics
+from conedyn.cli import main
 from conedyn.errors import (
     DomainError,
     ForbiddenEnergyError,
@@ -73,11 +75,15 @@ class TestEffectivePotential:
                 cd.effective_potential(kepler_params(), 1.0, r)
 
 
-def _root_one_lane(f, a, b, rtol):
-    """dynamics._root on one lane of the scalar function f: its root, or its
-    error raised."""
-    roots, failed = dynamics._root(lambda x, _: np.array([f(v) for v in x.tolist()]),
-                                   np.array([a]), np.array([b]), rtol)
+def _root_one_lane(f, df, a, b, rtol, start=None):
+    """dynamics._root on one lane of the scalar function f with derivative
+    df, in the bracket [a, b], from ``start`` (the midpoint by default): its
+    root, or its error raised."""
+    def fdf(x, _):
+        return np.array([f(v) for v in x.tolist()]), np.array([df(v) for v in x.tolist()])
+
+    x = 0.5 * (a + b) if start is None else start
+    roots, failed = dynamics._root(fdf, *(np.array([v]) for v in (x, a, b, f(a), f(b))), rtol)
     if failed:
         raise failed[0]
     return roots[0]
@@ -145,22 +151,39 @@ class TestTurningPoints:
 
     def test_root_failures_are_typed(self):
         with pytest.raises(QuadratureError, match="not bracketed"):
-            _root_one_lane(lambda x: x, 1.0, 2.0, 1e-13)
+            _root_one_lane(lambda x: x, lambda x: 1.0, 1.0, 2.0, 1e-13)
+        with pytest.raises(QuadratureError, match="not bracketed"):
+            _root_one_lane(lambda x: x - 1.5, lambda x: 1.0, 1.0, math.nan, 1e-13, start=1.2)
         with pytest.raises(QuadratureError, match="non-finite"):
-            _root_one_lane(lambda x: x - 1.5 if x in (1.0, 2.0) else math.nan, 1.0, 2.0, 1e-13)
-        # a tolerance below the float spacing cannot be met
+            _root_one_lane(lambda x: x - 1.5 if x in (1.0, 2.0) else math.nan,
+                           lambda x: 1.0, 1.0, 2.0, 1e-13)
+        # a step with f' = 0 leaves bisection alone, which needs about a
+        # thousand halvings to come down from 1e300
         with pytest.raises(QuadratureError, match="did not converge"):
-            _root_one_lane(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
+            _root_one_lane(lambda x: 1.0 if x > 1.5 else -1.0, lambda x: 0.0,
+                           1e-300, 1e300, 1e-13)
 
     def test_root_edge_values(self):
         # f(a) * f(b) underflows to 0 here; the sign change is still found
-        x = _root_one_lane(lambda x: (x - 1.5) * 1e-200, 1.0, 2.0, 1e-13)
+        x = _root_one_lane(lambda x: (x - 1.5) * 1e-200, lambda x: 1e-200, 1.0, 2.0, 1e-13)
         assert x == pytest.approx(1.5, rel=1e-13)
-        # an infinite value at the end kept to the last step gives no NaN
-        x = _root_one_lane(lambda x: math.inf if x <= 1.0 else -1.0, 1.0, 2.0, 1e-13)
-        assert x == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(QuadratureError, match="not bracketed"):
-            _root_one_lane(lambda x: x - 1.5, 1.0, math.inf, 1e-13)
+        # an infinite value at an end, and f' = 0 everywhere: bisection
+        # narrows the bracket to two floats and gives no NaN
+        x = _root_one_lane(lambda x: math.inf if x <= 1.0 else -1.0, lambda x: 0.0,
+                           1.0, 2.0, 1e-13)
+        assert x == pytest.approx(1.0, rel=1e-15)
+        # an infinite end is open: twice the finite end until f changes sign
+        x = _root_one_lane(lambda x: x - 37.5, lambda x: 1.0, 1.0, math.inf, 1e-13, start=0.5)
+        assert x == 37.5
+
+    def test_root_keeps_the_bracket(self):
+        # Newton's method on atan diverges from |x| > 1.39; the bracket turns
+        # each step that leaves it into a bisection, and the root is exact
+        atan, slope = math.atan, lambda x: 1.0 / (1.0 + x * x)
+        assert _root_one_lane(atan, slope, -1.0, 20.0, 1e-9, start=10.0) == 0.0
+        # a start outside the bracket is replaced by the bisection point
+        x = _root_one_lane(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, 1e-9, start=5.0)
+        assert x == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_float_range_is_structural(self):
         # r_c = 2^10000 overflows; r_c = 1e-200^2 leaves J^2/r_c^2 infinite
@@ -229,6 +252,88 @@ class TestTurningPointArrays:
                 for got, want in ((tp.r_min, want_min), (tp.r_max, want_max)):
                     err = float(abs(decimal.Decimal(got) - want) / want)
                     assert err <= bound, (k, n, m, J, f, err)
+
+    @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
+                             ids=["kepler", "oscillator"])
+    def test_solved_radii_against_closed_forms(self, build):
+        # no reference values: the root solve on Kepler and the oscillator as
+        # power laws (alpha = -1 and 2), against their closed forms, from
+        # 1e-12 to 0.99 of the well depth and J from 2^-20 to 2^20: within
+        # eps/e, the conditioning of the level set (e = sqrt(fraction)), and
+        # 2 eps where that is smaller (worst measured: 6.4 eps at 1e-2, 2.0
+        # eps from 0.1 up, and 0.58 eps/e below 1e-2)
+        eps = np.finfo(float).eps
+        fraction, J = (v.ravel() for v in np.meshgrid(
+            [f for f in TP_FRACTIONS if f <= 0.99], 2.0 ** np.arange(-20, 21, 5)))
+        bound = eps * np.maximum(2.0, 1.0 / np.sqrt(fraction))
+        for (k, n), m in itertools.product(RATIONAL_S, (1.0, 1.7)):
+            closed = build(k, n, m=m)
+            power = dataclasses.replace(closed, potential=cd.as_power_law(closed.potential, m))
+            errors: dict = {}
+            r_c, u0 = dynamics._find_ueff_minimum(power, J, errors)
+            E = u0 + fraction * np.abs(u0)
+            r_min, r_max, failed = dynamics._solved_turning_points(power, E, J, r_c, u0)
+            assert not errors and not failed
+            for got, want in zip((r_min, r_max), dynamics._closed_form_radii(closed, E, J)):
+                err = np.abs(got - want) / want
+                assert (err <= bound).all(), (k, n, m, (err / bound).max())
+
+    # (kind, A or B, alpha or r0, E, r_min, r_max) at m = 1.3, s = 0.7, J =
+    # 1.1, with E at 1e-3, 0.3 and 0.9 of the well depth above U_0
+    SOLVED_REFERENCES = [
+        ('power', -0.8, -1.5, -0.05037341660129291, '2.442763611642853215695712247195400628511', '2.57226242154117845512838724888677729356'),
+        ('power', -0.8, -1.5, -0.03529668830921425, '1.747542842888524434475410952637571521795', '4.732872813020658017397886906369722485709'),
+        ('power', -0.8, -1.5, -0.0050423840441734605, '1.440691439861043550391972535768739867386', '24.39945607964706315727260194109057647728'),
+        ('power', -0.8, -0.5, -0.35660554320795435, '2.703888705002561711699916820536353010195', '2.956991162567894058831615759016212206316'),
+        ('power', -0.8, -0.5, -0.2498737539995676, '1.558756667472433688526437447915151067375', '9.426672462820194045622209595324460823973'),
+        ('power', -0.8, -0.5, -0.03569625057136677, '1.158603147886948650574363819320510469971', '502.1611707383194357472045476026434731885'),
+        ('power', 0.6, 1.3, 1.40717163034035, '1.273888590331733680448635470594337901473', '1.346542347954128792562065413926085603882'),
+        ('power', 0.6, 1.3, 1.8274956238186364, '0.8387289482218630990755536579714641093719', '2.148759292641013302692930251563530901424'),
+        ('power', 0.6, 1.3, 2.6709551425041607, '0.637530693138554824618240099627929661463', '3.061520840541948555948012623845075761697'),
+        ('power', 0.6, 3.0, 1.5507771607557763, '0.9924806705786485484118283267228899411005', '1.029387938071577065614493675392035159532'),
+        ('power', 0.6, 3.0, 2.0139963126698395, '0.7304262607317789867817599964178953584195', '1.356576325475111244348932767799037168704'),
+        ('power', 0.6, 3.0, 2.9435330723636115, '0.5796556724078585326611714424679184869259', '1.627142295807140083784079260687559560959'),
+        ('log', 0.9, 1.7, 0.3088780679468976, '1.426295449825066335261799662753977960905', '1.480107303175918177268193867357652198382'),
+        ('log', 0.9, 1.7, 0.4011403479829839, '1.08729216637610939963116638008087678899', '2.080212064477339329336723078298570876712'),
+        ('log', 0.9, 1.7, 0.5862820470520534, '0.9088235282532954361718483356593931907685', '2.868544859749948968410859810535849900776'),
+    ]
+
+    def test_solved_radii_against_references(self):
+        """Power laws and the log potential, where no closed form exists,
+        against 40-digit references from mpmath (not a dependency), within
+        1e-14 relative.  The references were made with::
+
+            import conedyn as cd, mpmath as mp
+            mp.mp.dps = 50
+            m, s, J = 1.3, 0.7, 1.1
+            for kind, x, y in [("power", -0.8, -1.5), ("power", -0.8, -0.5),
+                               ("power", 0.6, 1.3), ("power", 0.6, 3.0),
+                               ("log", 0.9, 1.7)]:
+                pot = cd.PowerLaw(x, y) if kind == "power" else cd.LogPotential(x, y)
+                params = cd.Params(m=m, geometry=cd.ConeGeometry(s=s), potential=pot)
+                r_c, u0 = cd.circular_orbit(params, J)
+                for f in (1e-3, 0.3, 0.9):
+                    E = u0 + f * abs(u0)
+                    def U(r):  # U_eff(r) - E, every float taken exactly
+                        v = (mp.mpf(x) * r ** mp.mpf(y) if kind == "power"
+                             else mp.mpf(x) * mp.log(r / mp.mpf(y)))
+                        return (mp.mpf(J) ** 2 / (2 * mp.mpf(m) * mp.mpf(s) ** 2 * r ** 2)
+                                + v - mp.mpf(E))
+                    ends = []
+                    for factor in (mp.mpf(1) / 2, mp.mpf(2)):  # inward, outward
+                        a = b = mp.mpf(r_c)
+                        while U(b) < 0:
+                            a, b = b, b * factor
+                        ends.append(mp.findroot(U, (a, b), solver="anderson"))
+                    print((kind, x, y, E, *(mp.nstr(r, 40) for r in ends)))
+        """
+        geometry = cd.ConeGeometry(s=0.7)
+        for kind, x, y, E, r_min, r_max in self.SOLVED_REFERENCES:
+            pot = cd.PowerLaw(x, y) if kind == "power" else cd.LogPotential(x, y)
+            tp = cd.turning_points(cd.Params(m=1.3, geometry=geometry, potential=pot), E, 1.1)
+            for got, want in ((tp.r_min, r_min), (tp.r_max, r_max)):
+                err = float(abs(decimal.Decimal(got) - decimal.Decimal(want)) / decimal.Decimal(want))
+                assert err <= 1e-14, (kind, x, y, E, err)
 
     def test_array_equals_scalar_calls(self):
         # closed forms elementwise, root finding per lane: each lane's bits
@@ -336,6 +441,32 @@ class TestTurningPointArrays:
             assert max(seen.values()) == 1
             assert [seen[point] for point in zip(J.tolist(), r_c.tolist())] == [1] * J.size
 
+    def test_evaluation_budget(self, tmp_path, monkeypatch):
+        # U_eff evaluations per turning point, the start and any doubling
+        # included, over the shipped bertrand config: its 126 scan cells and
+        # the 50 levels of its log width-law check; a solve that falls back
+        # to bisection would take dozens
+        solve, evaluate = dynamics._solved_turning_points, dynamics._effective_potential_lanes
+        calls, counts = [], Counter()
+
+        def counted_solve(*args):
+            calls.append(args[1].size)
+            return solve(*args)
+
+        def counted(params, J, r, ends=None):
+            if ends is not None:  # not the minimum's U_0
+                counts.update((len(calls), end) for end in ends.tolist())
+            return evaluate(params, J, r, ends)
+
+        monkeypatch.setattr(dynamics, "_solved_turning_points", counted_solve)
+        monkeypatch.setattr(dynamics, "_effective_potential_lanes", counted)
+        config = Path(__file__).resolve().parent.parent / "configs" / "bertrand_scan.json"
+        assert main(["bertrand", "--config", str(config),
+                     "--output", str(tmp_path / "scan.csv")]) == 0
+        assert calls == [126, 50] and len(counts) == 2 * (126 + 50)
+        per_end = sorted(counts.values())
+        assert per_end[len(per_end) // 2] <= 7 and per_end[-1] <= 14
+
     def test_both_ends_failing_report_the_outward_error(self, monkeypatch):
         # lane 0 fails outward and inward, lane 1 inward only: each reports
         # the first error of a solve that takes the outward end first
@@ -345,18 +476,22 @@ class TestTurningPointArrays:
         r_c, e_c = cd.circular_orbit(params, J)
         E = 0.5 * e_c
         evaluate = dynamics._effective_potential_lanes
+        first = {}  # (lane, outward) -> the first radius that failed
 
-        def failing(params, J, r, lanes=None):
-            u, raised = evaluate(params, J, r, lanes)
-            k = np.arange(r.size) if lanes is None else lanes
+        def failing(params, J, r, ends):
+            u, du, raised = evaluate(params, J, r, ends)
+            k = ends % 2  # the solve's ends: lane k outward, then lane k inward
             raised |= ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
-            return np.where(raised, math.nan, u), raised
+            for end, x in zip(ends[raised].tolist(), r[raised].tolist()):
+                first.setdefault((end % 2, end < 2), x)
+            return np.where(raised, math.nan, u), du, raised
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
         *_, failed = dynamics._solved_turning_points(params, E, J, r_c, e_c)
+        assert set(first) == {(0, True), (0, False), (1, False)}
         assert {k: str(exc) for k, exc in failed.items()} == {
-            0: f"U_eff({2.0 * r_c[0]}) is outside the float range",
-            1: f"U_eff({0.5 * r_c[1]}) is outside the float range"}
+            0: f"U_eff({first[0, True]}) is outside the float range",
+            1: f"U_eff({first[1, False]}) is outside the float range"}
         assert all(isinstance(exc, QuadratureError) for exc in failed.values())
 
     def test_typed_errors_name_the_first_bad_lane(self):
@@ -919,6 +1054,19 @@ class TestDetectClosure:
 
 
 class TestApsidalMeasurement:
+    def test_hermite_slope_is_the_cubic_derivative(self):
+        # samples of a cubic with exact derivatives: the interpolant is that
+        # cubic, and its slope (the apsis solve's f') is the cubic's
+        rng = np.random.default_rng(12)
+        t = np.sort(rng.uniform(-3.0, 5.0, 9))
+        c = rng.uniform(-2.0, 2.0, 4)
+        y, dy = np.polyval(c, t), np.polyval(np.polyder(c), t)
+        interp = dynamics._Hermite(t, y, dy)
+        for x in np.linspace(t[0], t[-1], 101).tolist():
+            assert interp(x) == pytest.approx(np.polyval(c, x), rel=1e-12, abs=1e-12)
+            assert interp.slope(x) == pytest.approx(np.polyval(np.polyder(c), x),
+                                                    rel=1e-12, abs=1e-12)
+
     def test_too_short_trajectory_rejected(self):
         # half a radial period from mid-well passes one apsis
         params = kepler_params()
