@@ -24,7 +24,7 @@ GOLDEN = {
     ("actions", "actions_kepler_s23.json", "jsonl"):
         "1dabbda5f064d1c438796a877a1e6180634dcee30050614fdedcc6788bb7c8ae",
     ("bertrand", "bertrand_scan.json", "csv"):
-        "3ce5247ee656f48ac41fce4f1f699994c37f08e4305222e93dad319d174ee4be",
+        "fdb829fd50ccd7b9ac538a9e33c9a2da0f715d270b3d745ffb20d27c4ce7bd72",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
         "5b415c26ecf70020c61bfa408aab95a0b3cdf0ec60b0523b0a1856282c74f277",
 }
