@@ -205,10 +205,10 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
             power = _float_pow(r, alpha)
             raised |= np.isinf(power) & np.isfinite(r)
             v, r_dv = a * power, a * alpha * power
-        else:  # r V' is alpha V for Kepler and the oscillator, B for the log
+        else:  # r V' is -V for Kepler, 2 V for the oscillator and B for the log
             v = pot.value(r, m)
-            a_alpha, alpha = _power_law_form(params)
-            r_dv = a_alpha if isinstance(pot, LogPotential) else alpha * v
+            r_dv = (pot.strength if isinstance(pot, LogPotential)
+                    else (-1.0 if isinstance(pot, Kepler) else 2.0) * v)
         u, du = k + v, (r_dv - 2.0 * k) / r
     if np.count_nonzero(raised):
         np.copyto(u, math.nan, where=raised)
