@@ -281,21 +281,36 @@ class TestTurningPointArrays:
     # (kind, A or B, alpha or r0, E, r_min, r_max) at m = 1.3, s = 0.7, J =
     # 1.1, with E at 1e-3, 0.3 and 0.9 of the well depth above U_0
     SOLVED_REFERENCES = [
-        ('power', -0.8, -1.5, -0.05037341660129291, '2.442763611642853215695712247195400628511', '2.57226242154117845512838724888677729356'),
-        ('power', -0.8, -1.5, -0.03529668830921425, '1.747542842888524434475410952637571521795', '4.732872813020658017397886906369722485709'),
-        ('power', -0.8, -1.5, -0.0050423840441734605, '1.440691439861043550391972535768739867386', '24.39945607964706315727260194109057647728'),
-        ('power', -0.8, -0.5, -0.35660554320795435, '2.703888705002561711699916820536353010195', '2.956991162567894058831615759016212206316'),
-        ('power', -0.8, -0.5, -0.2498737539995676, '1.558756667472433688526437447915151067375', '9.426672462820194045622209595324460823973'),
-        ('power', -0.8, -0.5, -0.03569625057136677, '1.158603147886948650574363819320510469971', '502.1611707383194357472045476026434731885'),
-        ('power', 0.6, 1.3, 1.40717163034035, '1.273888590331733680448635470594337901473', '1.346542347954128792562065413926085603882'),
-        ('power', 0.6, 1.3, 1.8274956238186364, '0.8387289482218630990755536579714641093719', '2.148759292641013302692930251563530901424'),
-        ('power', 0.6, 1.3, 2.6709551425041607, '0.637530693138554824618240099627929661463', '3.061520840541948555948012623845075761697'),
-        ('power', 0.6, 3.0, 1.5507771607557763, '0.9924806705786485484118283267228899411005', '1.029387938071577065614493675392035159532'),
-        ('power', 0.6, 3.0, 2.0139963126698395, '0.7304262607317789867817599964178953584195', '1.356576325475111244348932767799037168704'),
-        ('power', 0.6, 3.0, 2.9435330723636115, '0.5796556724078585326611714424679184869259', '1.627142295807140083784079260687559560959'),
-        ('log', 0.9, 1.7, 0.3088780679468976, '1.426295449825066335261799662753977960905', '1.480107303175918177268193867357652198382'),
-        ('log', 0.9, 1.7, 0.4011403479829839, '1.08729216637610939963116638008087678899', '2.080212064477339329336723078298570876712'),
-        ('log', 0.9, 1.7, 0.5862820470520534, '0.9088235282532954361718483356593931907685', '2.868544859749948968410859810535849900776'),
+        ("power", -0.8, -1.5, -0.05037341660129291,
+         "2.442763611642853215695712247195400628511", "2.57226242154117845512838724888677729356"),
+        ("power", -0.8, -1.5, -0.03529668830921425,
+         "1.747542842888524434475410952637571521795", "4.732872813020658017397886906369722485709"),
+        ("power", -0.8, -1.5, -0.0050423840441734605,
+         "1.440691439861043550391972535768739867386", "24.39945607964706315727260194109057647728"),
+        ("power", -0.8, -0.5, -0.35660554320795435,
+         "2.703888705002561711699916820536353010195", "2.956991162567894058831615759016212206316"),
+        ("power", -0.8, -0.5, -0.2498737539995676,
+         "1.558756667472433688526437447915151067375", "9.426672462820194045622209595324460823973"),
+        ("power", -0.8, -0.5, -0.03569625057136677,
+         "1.158603147886948650574363819320510469971", "502.1611707383194357472045476026434731885"),
+        ("power", 0.6, 1.3, 1.40717163034035,
+         "1.273888590331733680448635470594337901473", "1.346542347954128792562065413926085603882"),
+        ("power", 0.6, 1.3, 1.8274956238186364,
+         "0.8387289482218630990755536579714641093719", "2.148759292641013302692930251563530901424"),
+        ("power", 0.6, 1.3, 2.6709551425041607,
+         "0.637530693138554824618240099627929661463", "3.061520840541948555948012623845075761697"),
+        ("power", 0.6, 3.0, 1.5507771607557763,
+         "0.9924806705786485484118283267228899411005", "1.029387938071577065614493675392035159532"),
+        ("power", 0.6, 3.0, 2.0139963126698395,
+         "0.7304262607317789867817599964178953584195", "1.356576325475111244348932767799037168704"),
+        ("power", 0.6, 3.0, 2.9435330723636115,
+         "0.5796556724078585326611714424679184869259", "1.627142295807140083784079260687559560959"),
+        ("log", 0.9, 1.7, 0.3088780679468976,
+         "1.426295449825066335261799662753977960905", "1.480107303175918177268193867357652198382"),
+        ("log", 0.9, 1.7, 0.4011403479829839,
+         "1.08729216637610939963116638008087678899", "2.080212064477339329336723078298570876712"),
+        ("log", 0.9, 1.7, 0.5862820470520534,
+         "0.9088235282532954361718483356593931907685", "2.868544859749948968410859810535849900776"),
     ]
 
     def test_solved_radii_against_references(self):
@@ -331,8 +346,9 @@ class TestTurningPointArrays:
         for kind, x, y, E, r_min, r_max in self.SOLVED_REFERENCES:
             pot = cd.PowerLaw(x, y) if kind == "power" else cd.LogPotential(x, y)
             tp = cd.turning_points(cd.Params(m=1.3, geometry=geometry, potential=pot), E, 1.1)
-            for got, want in ((tp.r_min, r_min), (tp.r_max, r_max)):
-                err = float(abs(decimal.Decimal(got) - decimal.Decimal(want)) / decimal.Decimal(want))
+            for got, want in ((tp.r_min, decimal.Decimal(r_min)),
+                              (tp.r_max, decimal.Decimal(r_max))):
+                err = float(abs(decimal.Decimal(got) - want) / want)
                 assert err <= 1e-14, (kind, x, y, E, err)
 
     def test_array_equals_scalar_calls(self):
@@ -480,7 +496,7 @@ class TestTurningPointArrays:
 
         def failing(params, J, r, ends):
             u, du, raised = evaluate(params, J, r, ends)
-            k = ends % 2  # the solve's ends: lane k outward, then lane k inward
+            k = ends % 2  # two lanes: end e is lane e % 2, outward for e < 2
             raised |= ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
             for end, x in zip(ends[raised].tolist(), r[raised].tolist()):
                 first.setdefault((end % 2, end < 2), x)
