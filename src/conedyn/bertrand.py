@@ -52,7 +52,8 @@ log = logging.getLogger("conedyn")
 
 PASS_FLATNESS = 1e-6
 FAIL_FLATNESS = 1e-3
-_START_ORDER = 64
+_START_ORDER = 32  # the first convergence test compares orders 32 and 64
+_RESOLVED = 1e-3  # a change below this may be rounding noise; above it, not
 _NODE_BLOCK = 1 << 13  # lanes x nodes evaluated at once: bounds a batch's memory
 _WIDTH_LEVELS = 50  # energy levels of the width-law fit
 
@@ -164,31 +165,41 @@ class _Well:
         """Gauss-Legendre sums over theta in [0, pi] of integrand(theta, r, g,
         k), doubling the order of each lane until its successive sums agree.
 
+        The orders run from 32 to 64 * 2**max_refinements: the first test of
+        a lane compares its 32- and 64-node sums, and each refinement past
+        order 64 doubles it once more.  For an analytic integrand two Gauss
+        sums that agree at orders n and 2n bound the error of the 2n sum far
+        below their gap (Trefethen, SIAM Review 50, 2008), and a lane keeps
+        the sum of the higher order.
+
         The integrand gets the rows k (an index array) of the lanes still
         refining, with r = r_mid - rho*cos(theta) and g = (2/m)(E - U_eff(r))
         / (rho*sin(theta))^2, which is smooth and positive across the well,
         as (len(k), order) matrices.  A circular lane (rho = 0) takes g's
         limit U_eff''(r_c)/m on every node, so its sums agree at the first
-        doubling.  Each lane's sum is the numpy row sum of
-        integrand * w, which sums every row pairwise on its own and calls no
-        BLAS, so a lane has the bits of a one-lane call whatever the batch or
-        the BLAS kernel; convergence, stagnation, breach and failure are masks
-        over the lanes still refining.  Returns each lane's last sum and its
-        relative change at the last doubling: NaN and inf in a failed lane,
-        and inf where no doubling was taken.  Two guards keep deep refinement
-        from degrading nearly-circular wells, where the innermost nodes
-        approach the rounding floor of E - U_eff near the turning points: a
-        lane stops once its successive change stagnates (the noise floor),
-        and a lane whose endpoint is breached at a deeper order keeps its
-        last good sum.  A genuinely inconsistent well still fails at the
-        first order, with a QuadratureError in ``errors``.
+        test.  Each lane's sum is the numpy row sum of integrand * w, which
+        sums every row pairwise on its own and calls no BLAS, so a lane has
+        the bits of a one-lane call whatever the batch or the BLAS kernel;
+        convergence, stagnation, breach and failure are masks over the lanes
+        still refining.  Returns each lane's last sum and its relative change
+        at the last test: NaN and inf in a failed lane.
+
+        Two guards keep deep refinement from degrading nearly-circular wells,
+        where the innermost nodes approach the rounding floor of E - U_eff
+        near the turning points: a lane stops once its successive change
+        stagnates (the noise floor), and a lane whose endpoint is breached
+        after its first test keeps its last sum, logs a debug line that names
+        the order, and warns as an unconverged lane does (its change is still
+        above the tolerance).  No sum is kept without an estimate: a lane
+        whose integrand is not positive at order 32 or 64, before its first
+        test, fails with a QuadratureError in ``errors``.
         """
         params, E, rho, errors = self.params, self.E, self.rho, self.errors
         n = E.size
         value, err = np.full(n, math.nan), np.full(n, math.inf)  # per lane: last sum and change
         active = np.flatnonzero(_alive(errors, n))
         order = _START_ORDER
-        for refinement in range(1 + max(max_refinements, 0)):
+        for refinement in range(2 + max(max_refinements, 0)):
             if not active.size:
                 break
             theta, w = _gauss_theta(order)
@@ -207,21 +218,23 @@ class _Well:
                     g[circular] = self.g_c[k[circular], None]
                     new[block] = (integrand(theta, r, g, k) * w).sum(axis=1)
                 positive[block] = (g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)
-            if refinement == 0:
+            if refinement < 2:
                 _record(errors, ~positive, QuadratureError,
-                        "transformed integrand not positive: turning points inconsistent",
-                        lanes=active)
+                        "transformed integrand not positive at order {}, before any error "
+                        "estimate", order, lanes=active)
             else:
                 for e in err[active[~positive]].tolist():
                     log.debug("order %d breached the endpoint floor; keeping %.1e", order, e)
+                    log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
             active, new = active[positive], new[positive]
             if refinement:
                 with np.errstate(all="ignore"):
                     change = np.abs(new - value[active]) / np.maximum(np.abs(new), 1e-300)
                 # spectral convergence would cut the change by orders of magnitude
-                # per doubling; stalling means rounding noise
+                # per doubling; stalling means rounding noise, unless the last
+                # change was still large: a sum not yet resolved (an eccentric well)
                 converged = change <= tolerance
-                stagnated = ~converged & (change >= 0.5 * err[active])
+                stagnated = ~converged & (change >= 0.5 * err[active]) & (err[active] < _RESOLVED)
                 for c in change[stagnated].tolist():
                     log.debug("quadrature stagnated at %.1e (order %d)", c, order)
                 value[active], err[active] = new, change

@@ -382,8 +382,6 @@ def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
         r_min, r_max = _closed_form_radii(params, E, J)
         r_min = np.where(circular, r_c, r_min)
         r_max = np.where(circular, r_c, r_max)
-        _record(errors, ~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
-                "turning points of E={} lie outside the float range", E)
     else:  # one batched root solve for the non-circular lanes
         r_min, r_max = r_c.copy(), r_c.copy()
         lanes = np.flatnonzero(~circular & _alive(errors, E.size))
@@ -391,6 +389,8 @@ def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
             _at_lanes(params, lanes), E[lanes], J[lanes], r_c[lanes], u0[lanes])
         for i, exc in failed.items():
             errors[int(lanes[i])] = exc
+    _record(errors, ~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
+            "turning points of E={} lie outside the float range", E)
     if errors:
         alive = _alive(errors, E.size)
         r_min, r_max = np.where(alive, r_min, math.nan), np.where(alive, r_max, math.nan)
@@ -462,8 +462,10 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
 
     def f(r, ends):
         u, du, raised = _effective_potential_lanes(params, J[ends], r, ends)
-        _record(failed, raised, QuadratureError, "U_eff({}) is outside the float range",
-                r, lanes=ends)
+        # with J != 0 and alpha > -2, U_eff -> +inf at both ends of the
+        # radius, and a point where a term of it overflows lies beyond a
+        # turning point: it is the bracket's far end, and _root bisects
+        np.copyto(u, math.inf, where=raised)
         return u - E[ends], du
 
     radii, bad = _root(f, start, r_c[lane], np.repeat([math.inf, 0.0], n), u0[lane] - E,

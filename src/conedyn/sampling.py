@@ -15,7 +15,7 @@ import numpy as np
 
 from .bertrand import circular_orbit
 from .core import TWO_PI, Params, PhasePoint
-from .dynamics import _escape_energy, effective_potential, turning_points
+from .dynamics import _escape_energy, _raise_first, _turning_points, effective_potential
 
 
 class UniformSource:
@@ -68,14 +68,16 @@ def draw_bound_points(
     lo = (j_range[0], depth_range[0], 0.05, -1.0, 0.0)
     hi = (j_range[1], depth_range[1], 0.95, 1.0, TWO_PI)
     J, f, u, sign, phi = rng.uniform(lo, hi, size=(n, 5)).T
-    _, e_c = circular_orbit(params, J)
+    r_c, e_c = circular_orbit(params, J)
     top = _escape_energy(params)
     if math.isfinite(top):
         E = e_c + f * (top - e_c)
     else:
         E = e_c + f * 2.0 * np.maximum(np.abs(e_c), 1.0)
-    tp = turning_points(params, E, J)
-    r = tp.r_min + u * (tp.r_max - tp.r_min)
+    errors: dict = {}
+    r_min, r_max = _turning_points(params, E, J, errors, (r_c, e_c))  # the well minimum above
+    _raise_first(errors, name_lane=True)
+    r = r_min + u * (r_max - r_min)
     kinetic = E - effective_potential(params, J, r)
     p_r = np.copysign(np.sqrt(np.maximum(2.0 * params.m * kinetic, 0.0)), sign)
     return np.array([r, phi, p_r, J])

@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import conedyn as cd
 from conedyn import bertrand, dynamics
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
+from conedyn.cli import main
 from conedyn.errors import (
     ConeDynError,
     DomainError,
@@ -174,6 +176,33 @@ class TestRefinementPaths:
             with pytest.raises(QuadratureError, match="not positive"):
                 f(params, E, 1.0)
 
+    @pytest.mark.parametrize("frac, order", [(1e-12, 32), (1e-10, 64)])
+    def test_breach_before_a_test_fails(self, caplog, frac, order):
+        # no sum is kept without an estimate: at 1e-10 of the depth the
+        # 32-node integrand is positive, but the 64-node one meets the
+        # rounding floor of E - U_eff before the two sums were compared
+        params = kepler_params()
+        _, u0 = cd.circular_orbit(params, 1.0)
+        caplog.set_level("DEBUG", logger="conedyn")
+        with pytest.raises(QuadratureError) as failure:
+            cd.apsidal_angle(params, u0 + frac * abs(u0), 1.0)
+        assert str(failure.value) == (f"transformed integrand not positive at order {order}, "
+                                      "before any error estimate")
+        assert not caplog.records
+
+    def test_breach_after_a_test_warns(self, caplog):
+        # at 1e-9 of the depth the 128-node integrand meets that floor after
+        # the 32- and 64-node sums were compared: the lane keeps its 64-node
+        # sum and warns with their change, as a lane out of orders does
+        params = kepler_params()
+        _, u0 = cd.circular_orbit(params, 1.0)
+        caplog.set_level("WARNING", logger="conedyn")
+        res = cd.apsidal_angle(params, u0 + 1e-9 * abs(u0), 1.0)
+        est = res.quadrature_error_estimate
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"quadrature did not reach 1.0e-10 (last change {est:.1e})")]
+        assert 1e-10 < est < 1e-3 and abs(res.delta_phi / PI - 1.0) <= est
+
     def test_mixed_batch_equals_one_lane_calls(self, caplog):
         # one well holds a converged, a stagnated, an endpoint-breach, a
         # first-order-failure and a circular lane (Kepler at these fractions
@@ -209,6 +238,127 @@ class TestRefinementPaths:
                 assert err[i].hex() == alone[lane][1][0].hex()
                 assert errors.get(i) == alone[lane][2].get(0)
             assert records == sum((a[3] for a in alone), Counter())
+
+
+def _count_nodes(monkeypatch) -> list:
+    """[n]: n counts the quadrature nodes evaluated from here on."""
+    nodes = [0]
+    evaluate = _Well._effective_potential
+
+    def counted(self, r, k):
+        nodes[0] += r.size
+        return evaluate(self, r, k)
+
+    monkeypatch.setattr(_Well, "_effective_potential", counted)
+    return nodes
+
+
+# The apsidal angle at J = 1 as commit 9b39e75 computed it, whose doubling
+# started at order 64: (potential, k, n, level) -> (relative error against
+# pi n/k, or pi n/(2k) for the oscillator, and node evaluations).  A level
+# is ("depth", f), E = U_0 + f |U_0|, or ("ratio", q), E = q U_0.
+_AT_ORDER_64 = {
+    ("kepler", 1, 1, ("depth", 1e-2)): (1.317e-11, 192),
+    ("kepler", 1, 1, ("depth", 1e-4)): (8.504e-09, 448),
+    ("kepler", 1, 1, ("depth", 1e-06)): (7.297e-07, 448),
+    ("kepler", 1, 1, ("ratio", 1e-2)): (1.369e-11, 192),
+    ("kepler", 1, 1, ("ratio", 1e-4)): (1.456e-08, 4032),
+    ("kepler", 1, 1, ("ratio", 1e-06)): (3.279e-06, 448),
+    ("kepler", 1, 1, ("ratio", 1e-07)): (1.789e-06, 8128),
+    ("kepler", 2, 3, ("depth", 1e-2)): (2.316e-11, 192),
+    ("kepler", 2, 3, ("depth", 1e-4)): (1.465e-08, 448),
+    ("kepler", 2, 3, ("depth", 1e-06)): (2.109e-06, 448),
+    ("kepler", 2, 3, ("ratio", 1e-2)): (8.822e-12, 192),
+    ("kepler", 2, 3, ("ratio", 1e-4)): (2.320e-09, 1984),
+    ("kepler", 2, 3, ("ratio", 1e-06)): (3.279e-06, 448),
+    ("kepler", 2, 3, ("ratio", 1e-07)): (8.728e-07, 8128),
+    ("oscillator", 1, 1, ("depth", 1e-2)): (1.017e-11, 192),
+    ("oscillator", 1, 1, ("depth", 1e-4)): (1.391e-08, 448),
+    ("oscillator", 1, 1, ("depth", 1e-06)): (1.320e-06, 448),
+    ("oscillator", 1, 1, ("ratio", 1e2)): (8.326e-12, 192),
+    ("oscillator", 1, 1, ("ratio", 1e4)): (1.077e-09, 960),
+    ("oscillator", 1, 1, ("ratio", 1e6)): (9.545e-08, 4032),
+    ("oscillator", 1, 1, ("ratio", 1e7)): (7.925e-07, 4032),
+    ("oscillator", 2, 3, ("depth", 1e-2)): (1.334e-11, 192),
+    ("oscillator", 2, 3, ("depth", 1e-4)): (4.997e-09, 448),
+    ("oscillator", 2, 3, ("depth", 1e-06)): (1.457e-06, 448),
+    ("oscillator", 2, 3, ("ratio", 1e2)): (5.167e-12, 192),
+    ("oscillator", 2, 3, ("ratio", 1e4)): (2.885e-10, 960),
+    ("oscillator", 2, 3, ("ratio", 1e6)): (8.982e-08, 4032),
+    ("oscillator", 2, 3, ("ratio", 1e7)): (5.000e-07, 4032),
+}
+
+
+class TestQuadratureBudget:
+    """The quadrature's cost in node evaluations, and its accuracy against
+    the orders it started from before (``_AT_ORDER_64``).
+
+    The pinned values were printed at commit 9b39e75, from the repository
+    root, with ``_AT_ORDER_64``'s keys copied in as ``keys``, by::
+
+        import math, sys
+        sys.path[:0] = ["src", "tests"]
+        import conedyn as cd
+        from conedyn.bertrand import _Well
+        from helpers import kepler_params, oscillator_params
+        nodes, evaluate = [0], _Well._effective_potential
+        def counted(self, r, k):
+            nodes[0] += r.size
+            return evaluate(self, r, k)
+        _Well._effective_potential = counted
+        for name, k, n, (kind, x) in keys:
+            params = (kepler_params if name == "kepler" else oscillator_params)(k, n)
+            _, u0 = cd.circular_orbit(params, 1.0)
+            E = u0 + x * abs(u0) if kind == "depth" else x * u0
+            nodes[0] = 0
+            phi = cd.apsidal_angle(params, E, 1.0).delta_phi
+            exact = math.pi * n / k / (1.0 if name == "kepler" else 2.0)
+            print((name, k, n, (kind, x)), (f"{abs(phi / exact - 1.0):.3e}", nodes[0]))
+    """
+
+    def test_shipped_scan_budget(self, monkeypatch, tmp_path):
+        # the 126 lanes of the shipped scan took 24,192 node evaluations
+        # when the doubling started at order 64
+        nodes = _count_nodes(monkeypatch)
+        config = Path(__file__).resolve().parent.parent / "configs" / "bertrand_scan.json"
+        assert main(["bertrand", "--config", str(config),
+                     "--output", str(tmp_path / "scan.csv")]) == 0
+        assert 0 < nodes[0] <= 0.6 * 24_192
+
+    @pytest.mark.parametrize("key", list(_AT_ORDER_64),
+                             ids=lambda key: "{}-{}/{}-{}-{:g}".format(*key[:3], *key[3]))
+    def test_no_less_accurate_for_at_most_32_more_nodes(self, monkeypatch, key):
+        # the bottom (1e-2 to 1e-6 of the depth), the top of the Kepler well
+        # and eccentric oscillator levels; at 1e-8 of the depth and below
+        # the nodes near the turning points sit on the rounding floor of
+        # E - U_eff at every order, and the error there is that noise
+        name, k, n, (kind, x) = key
+        params = (kepler_params if name == "kepler" else oscillator_params)(k, n)
+        _, u0 = cd.circular_orbit(params, 1.0)
+        E = u0 + x * abs(u0) if kind == "depth" else x * u0
+        nodes = _count_nodes(monkeypatch)
+        phi = cd.apsidal_angle(params, E, 1.0).delta_phi
+        exact = PI * n / k / (1.0 if name == "kepler" else 2.0)
+        err, nodes_before = _AT_ORDER_64[key]
+        assert abs(phi / exact - 1.0) <= 1.1 * err + 1e-13
+        assert nodes[0] <= nodes_before + 32
+
+    @pytest.mark.parametrize("max_refinements", [0, 1, 6])
+    def test_deepest_order(self, monkeypatch, max_refinements):
+        # Kepler at 1e-7 U_0 refines to the last order it is given: from 32
+        # up to 64 * 2**max_refinements, 4096 at the default 6
+        orders = []
+        evaluate = _Well._effective_potential
+
+        def spy(self, r, k):
+            orders.append(r.shape[1])
+            return evaluate(self, r, k)
+
+        monkeypatch.setattr(_Well, "_effective_potential", spy)
+        params = kepler_params()
+        _, u0 = cd.circular_orbit(params, 1.0)
+        cd.apsidal_angle(params, 1e-7 * u0, 1.0, max_refinements=max_refinements)
+        assert orders == [32 << i for i in range(max_refinements + 2)]
 
 
 class TestGaussLegendre:
@@ -441,14 +591,36 @@ class TestBertrandScan:
         assert b.verdicts[0].constant == pytest.approx(PI, abs=1e-6)
 
     def test_float_range_cells_infeasible(self):
-        # r_c overflows (alpha near -2), or U_eff overflows on the way to the
-        # outer turning point (alpha = 100, huge lam: the solve's second
-        # point has r^100 above 1.8e308): infeasible, not fatal
+        # r_c overflows (alpha near -2), or the outer turning point does
+        # (alpha = 0.001 at six times U_0: r_max near 6^1000 r_c):
+        # infeasible, not fatal
         for alpha, lam, fractions in ((-1.9999, 2.0, [0.05, 0.5]), (-1.99, 50.0, [0.05, 0.5]),
-                                      (100.0, 2e154, [0.5])):
+                                      (0.001, 1.0, [0.5])):
             report = cd.bertrand_scan(kepler_params(2, 3), [alpha], fractions, [lam])
             assert report.verdicts[0].verdict == "infeasible"
             assert all("float range" in status for status in report.status)
+        with pytest.raises(StructuralError, match="turning points of E=.* float range"):
+            cd.turning_points(replace(kepler_params(2, 3), potential=cd.PowerLaw(1.0, 0.001)),
+                              report.E[0], 2.0 / 3.0)
+
+    def test_overflow_beyond_the_turning_point_is_a_bracket_end(self, monkeypatch):
+        # alpha = 100 at lam = 2e154: E = 1.19e303 puts r_max near 1074, but
+        # the solve meets a point where r^100 overflows; that point lies
+        # beyond r_max and closes the bracket, so the cell equals its lam = 2
+        # twin, whose E is U_0 (1 + 10 fraction) on another scale
+        overflowed = []
+        evaluate = dynamics._effective_potential_lanes
+
+        def spy(*args):
+            u, du, raised = evaluate(*args)
+            overflowed.extend(args[2][raised].tolist())
+            return u, du, raised
+
+        monkeypatch.setattr(dynamics, "_effective_potential_lanes", spy)
+        report = cd.bertrand_scan(kepler_params(2, 3), [100.0], [0.5], [2.0, 2e154])
+        assert overflowed and min(overflowed) > 1074.0
+        assert report.status == ["ok", "ok"]
+        assert report.s_delta_phi[1] == pytest.approx(report.s_delta_phi[0], rel=1e-8)
 
     def test_cells_equal_one_lane_calls(self, caplog):
         # each exponent's cells are the lanes of one batch: every cell has

@@ -497,17 +497,17 @@ class TestTurningPointArrays:
         def failing(params, J, r, ends):
             u, du, raised = evaluate(params, J, r, ends)
             k = ends % 2  # two lanes: end e is lane e % 2, outward for e < 2
-            raised |= ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
-            for end, x in zip(ends[raised].tolist(), r[raised].tolist()):
+            bad = ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
+            for end, x in zip(ends[bad].tolist(), r[bad].tolist()):
                 first.setdefault((end % 2, end < 2), x)
-            return np.where(raised, math.nan, u), du, raised
+            return np.where(bad, math.nan, u), du, raised
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
         *_, failed = dynamics._solved_turning_points(params, E, J, r_c, e_c)
         assert set(first) == {(0, True), (0, False), (1, False)}
         assert {k: str(exc) for k, exc in failed.items()} == {
-            0: f"U_eff({first[0, True]}) is outside the float range",
-            1: f"U_eff({first[1, False]}) is outside the float range"}
+            0: f"root solve met the non-finite value nan at {first[0, True]}",
+            1: f"root solve met the non-finite value nan at {first[1, False]}"}
         assert all(isinstance(exc, QuadratureError) for exc in failed.values())
 
     def test_typed_errors_name_the_first_bad_lane(self):

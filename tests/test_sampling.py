@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import conedyn as cd
+from conedyn import bertrand, dynamics
 from conedyn.dynamics import _escape_energy, _solved_turning_points
 from conedyn.sampling import draw_bound_point, draw_bound_points
 from helpers import RATIONAL_S, kepler_params, oscillator_params
@@ -48,6 +49,23 @@ def test_batch_equals_successive_points(build):
             for row, field in zip(coords, ("r", "phi", "p_r", "J")):
                 assert row.tobytes() == np.array([getattr(p, field) for p in pts]).tobytes()
             assert batch_rng.random() == point_rng.random()
+
+
+def test_well_minimum_found_once(monkeypatch):
+    # the energies and the turning points of a draw share one minimum
+    calls = []
+    find = dynamics._find_ueff_minimum
+
+    def spy(*args):
+        calls.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(dynamics, "_find_ueff_minimum", spy)
+    monkeypatch.setattr(bertrand, "_find_ueff_minimum", spy)
+    for build in (kepler_params, oscillator_params):
+        calls.clear()
+        assert draw_bound_points(np.random.default_rng(3), build(2, 3), 50).shape == (4, 50)
+        assert len(calls) == 1
 
 
 def test_points_lie_inside_their_wells():
