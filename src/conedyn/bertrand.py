@@ -222,6 +222,7 @@ class _Well:
                 _record(errors, ~positive, QuadratureError,
                         "transformed integrand not positive at order {}, before any error "
                         "estimate", order, lanes=active)
+                value[active[~positive]] = math.nan  # drops an order-32 sum
             else:
                 for e in err[active[~positive]].tolist():
                     log.debug("order %d breached the endpoint floor; keeping %.1e", order, e)

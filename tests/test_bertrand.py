@@ -184,11 +184,13 @@ class TestRefinementPaths:
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
         caplog.set_level("DEBUG", logger="conedyn")
-        with pytest.raises(QuadratureError) as failure:
-            cd.apsidal_angle(params, u0 + frac * abs(u0), 1.0)
-        assert str(failure.value) == (f"transformed integrand not positive at order {order}, "
-                                      "before any error estimate")
-        assert not caplog.records
+        errors: dict = {}
+        well = _Well(params, np.array([u0 + frac * abs(u0)]), np.ones(1), errors, "apsidal angle")
+        value, err = well.swept_angle(1e-10, 6)
+        assert math.isnan(value[0]) and err[0] == math.inf
+        assert {k: str(e) for k, e in errors.items()} == {
+            0: f"transformed integrand not positive at order {order}, before any error estimate"}
+        assert isinstance(errors[0], QuadratureError) and not caplog.records
 
     def test_breach_after_a_test_warns(self, caplog):
         # at 1e-9 of the depth the 128-node integrand meets that floor after
