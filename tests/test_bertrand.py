@@ -141,18 +141,20 @@ _POWER_HALF = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
 class TestRefinementPaths:
     """Each way the order doubling can end, pinned bit for bit: float.hex of
     (radial_period, apsidal_angle, radial_action) at E - U_0 = frac |U_0|,
-    J = 1, and the log records that name the path (the radial action at
-    1e-4 converges before it stagnates)."""
+    J = 1, and the prefixes of the log records that name the path, in order
+    (the radial action at 1e-4 converges before it stagnates; with no
+    refinement past order 64, the first test is the last)."""
 
     @pytest.mark.parametrize("params, frac, kwargs, record, pinned", [
-        (kepler_params(), 1e-2, {}, ("", 0),
-         ("0x1.983b64b52931ap+2", "0x1.921fb5442c130p+1", "0x1.4a2883c8174e3p-8")),
-        (kepler_params(), 1e-4, {}, ("quadrature stagnated at", 2),
-         ("0x1.922f27046959dp+2", "0x1.921fb57da1ac8p+1", "0x1.a3763c7354c77p-15")),
-        (_POWER_HALF, 1e-8, {}, ("order 256 breached the endpoint floor", 3),
-         ("0x1.bac94f439c044p+2", "0x1.fca0c224ce3b6p+0", "0x1.0fa338a9d8dc3p-26")),
-        (kepler_params(), 1e-2, {"max_refinements": 0}, ("quadrature did not reach", 3),
+        (kepler_params(), 1e-2, {}, (),
          ("0x1.983b64b53ad6ap+2", "0x1.921fb5444561cp+1", "0x1.4a2883c8174e9p-8")),
+        (kepler_params(), 1e-4, {}, ("quadrature stagnated at",) * 2,
+         ("0x1.922f26d519194p+2", "0x1.921fb54d7fc5ap+1", "0x1.a3763c7354e13p-15")),
+        (_POWER_HALF, 1e-9, {},
+         ("order 128 breached the endpoint floor", "quadrature did not reach") * 3,
+         ("0x1.bac50005b9e9ep+2", "0x1.fc9bcf783dd7ap+0", "0x1.b29ebe5da52cdp-30")),
+        (_POWER_HALF, 10.0, {"max_refinements": 0}, ("quadrature did not reach",) * 3,
+         ("0x1.d97506afb5cc5p+7", "0x1.97159149e169fp+0", "0x1.db0e63867bc4bp+7")),
     ], ids=["converged", "stagnated", "endpoint-breach", "no-refinement"])
     def test_pinned(self, caplog, params, frac, kwargs, record, pinned):
         _, u0 = cd.circular_orbit(params, 1.0)
@@ -162,9 +164,9 @@ class TestRefinementPaths:
                cd.apsidal_angle(params, E, 1.0, **kwargs).delta_phi,
                radial_action(params, E, 1.0, **kwargs))
         assert tuple(v.hex() for v in got) == pinned
-        prefix, count = record
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == count and all(m.startswith(prefix) for m in messages)
+        assert len(messages) == len(record)
+        assert all(m.startswith(prefix) for m, prefix in zip(messages, record))
 
     def test_first_order_failure_raises(self):
         # at 1e-10 of the well depth the first order already meets the
@@ -207,12 +209,13 @@ class TestRefinementPaths:
 
     def test_mixed_batch_equals_one_lane_calls(self, caplog):
         # one well holds a converged, a stagnated, an endpoint-breach, a
-        # first-order-failure and a circular lane (Kepler at these fractions
-        # of its depth): each lane's value, error estimate, error and log
-        # records are those of its own one-lane call, in either lane order
+        # breach-before-the-first-test and a circular lane (Kepler at these
+        # fractions of its depth): each lane's value, error estimate, error
+        # and log records are those of its own one-lane call, in either lane
+        # order
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
-        E = u0 + np.array([1e-2, 1e-4, 3e-8, 1e-10, 0.0]) * abs(u0)
+        E = u0 + np.array([1e-2, 1e-4, 1e-9, 1e-10, 0.0]) * abs(u0)
         caplog.set_level("DEBUG", logger="conedyn")
 
         def swept(lanes):
@@ -225,14 +228,16 @@ class TestRefinementPaths:
 
         alone = [swept([lane]) for lane in range(E.size)]
         assert [a[3] for a in alone] == [
-            Counter(), Counter({"quadrature stagnated at 7.1e-09 (order 256)": 1}),
-            Counter({"order 256 breached the endpoint floor; keeping 9.2e-06": 1}), Counter(),
-            Counter()]
-        assert alone[3][2] == {0: "QuadratureError('transformed integrand not positive: "
-                                  "turning points inconsistent')"}
-        # the circular lane holds the limit, and converges at the first doubling
+            Counter(), Counter({"quadrature stagnated at 1.6e-09 (order 128)": 1}),
+            Counter({"order 128 breached the endpoint floor; keeping 5.0e-05": 1,
+                     "quadrature did not reach 1.0e-10 (last change 5.0e-05)": 1}),
+            Counter(), Counter()]
+        assert alone[3][2] == {0: "QuadratureError('transformed integrand not positive at "
+                                  "order 64, before any error estimate')"}
+        # the circular lane holds the limit, and converges at the first test:
+        # its 32- and 64-node sums differ by the rounding of their weights
         assert alone[4][0][0] == pytest.approx(PI, rel=2e-15)
-        assert alone[4][1:3] == ([0.0], {})
+        assert alone[4][1][0] < 1e-15 and alone[4][2] == {}
         for order in ([0, 1, 2, 3, 4], [3, 4, 1, 0, 2]):
             value, err, errors, records = swept(order)
             for i, lane in enumerate(order):
@@ -632,12 +637,13 @@ class TestBertrandScan:
         # level (1e-16: the small-oscillation limit, or a limit out of float
         # range for Kepler at lam = 1e150), a root solve that does not
         # converge (Kepler at lam = 1e150), wells next to the float range
-        # (alpha = 100, lam = 1e150), and the stagnation and endpoint-breach
-        # guards (1e-8, 1e-4)
+        # (alpha = 100, lam = 1e150), the stagnation guard (1e-8, 1e-4), the
+        # endpoint-breach guard (1e-9, and 1e-10 on the wider alpha = 0.5
+        # well) and a breach before the first test (Kepler at 1e-10)
         params = kepler_params(2, 3)
         caplog.set_level("DEBUG", logger="conedyn")
         report = cd.bertrand_scan(params, [0.0, -1.9999, -1.0, 0.5, 100.0],
-                                  [1e-16, 1e-8, 1e-4, 0.3], [2.0, 1.0, 1e150])
+                                  [1e-16, 1e-10, 1e-9, 1e-8, 1e-4, 0.3], [2.0, 1.0, 1e150])
         scan_records = Counter(r.getMessage() for r in caplog.records)
         caplog.clear()
         s = params.geometry.s
@@ -655,27 +661,30 @@ class TestBertrandScan:
             assert status == "ok"
             assert value.hex() == (res.delta_phi * s).hex()
         assert Counter(r.getMessage() for r in caplog.records) == scan_records
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 10
-        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 3
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 17
+        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 7
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature did not")) == 7
         # the statuses and bits of the cells before batching
         status = {"o": "ok",
                   "m": "effective potential has no interior minimum for these parameters",
                   "f": "minimum of U_eff lies outside the float range",
                   "c": "circular limit U_eff''(r_c)/m = 0.0 is outside the float range",
-                  "r": "root solve in [0.0, 6.223015277861141e+239] did not converge"}
-        codes = "mmmm mmmm mmmm ffff ffff ffff oooo oooo crrr oooo oooo oooo oooo oooo oooo"
+                  "r": "root solve in [0.0, 6.223015277861141e+239] did not converge",
+                  "p": "transformed integrand not positive at order 64, before any error estimate"}
+        codes = ("mmmmmm mmmmmm mmmmmm ffffff ffffff ffffff opoooo opoooo crrrrr oooooo oooooo "
+                 "oooooo oooooo oooooo oooooo")
         assert report.status == [
             status[k] if k == "o" else f"infeasible: {status[k]}" for k in codes.replace(" ", "")]
         # alpha = 100 scales: at lam = 2 and 1e150, |U_0| > 1 and every E is
-        # U_0 (1 + 10 fraction), so the cells agree but at 1e-8, where both
-        # stagnate at the rounding floor of E - U_eff
-        values = report.s_delta_phi[-12:].reshape(3, 4)
-        assert values[2, [0, 2, 3]] == pytest.approx(values[0, [0, 2, 3]], rel=1e-8)
+        # U_0 (1 + 10 fraction), so the cells agree but at 1e-10 to 1e-8,
+        # where both meet the rounding floor of E - U_eff
+        values = report.s_delta_phi[-18:].reshape(3, 6)
+        assert values[2, [0, 4, 5]] == pytest.approx(values[0, [0, 4, 5]], rel=1e-8)
         # a failed cell's NaN is hashed as None, which keeps the pinned digest
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])
         assert hashlib.sha256(bits.encode()).hexdigest() == (
-            "3a2a55ae19b13a53d670703b615eeccb8fdb273413e420e205aed74ad307cbe1")
+            "662bfbdf65148ad3c1bc91e0abba63136b2d9a56d5fdcaabebd897894d9154a8")
 
     def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
         # a DomainError before any cell is evaluated, not a math error

@@ -22,9 +22,9 @@ GOLDEN = {
     ("simulate", "simulate_kepler_s23.json", "csv"):
         "d6abbef2d1bb64ad8a567e9f222b1ad98b9d0f63642726357eb0bdf9b1909604",
     ("actions", "actions_kepler_s23.json", "jsonl"):
-        "1dabbda5f064d1c438796a877a1e6180634dcee30050614fdedcc6788bb7c8ae",
+        "ebd4bad6a34d86beef88ba35ade05af0ccc818f34e4a615bac5fd2c8c2785016",
     ("bertrand", "bertrand_scan.json", "csv"):
-        "fdb829fd50ccd7b9ac538a9e33c9a2da0f715d270b3d745ffb20d27c4ce7bd72",
+        "cdd84eb200fc5d172399205dd7fc0934deac302af7f2e902fc100327fe38e723",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
         "5b415c26ecf70020c61bfa408aab95a0b3cdf0ec60b0523b0a1856282c74f277",
 }
