@@ -187,7 +187,8 @@ class _Well:
         Two guards keep deep refinement from degrading nearly-circular wells,
         where the innermost nodes approach the rounding floor of E - U_eff
         near the turning points: a lane stops once its successive change
-        stagnates (the noise floor), and a lane whose endpoint is breached
+        stagnates below 1e-3 (the noise floor; a larger change that does not
+        fall is a sum not yet resolved), and a lane whose endpoint is breached
         after its first test keeps its last sum, logs a debug line that names
         the order, and warns as an unconverged lane does (its change is still
         above the tolerance).  No sum is kept without an estimate: a lane

@@ -180,9 +180,10 @@ class TestRefinementPaths:
 
     @pytest.mark.parametrize("frac, order", [(1e-12, 32), (1e-10, 64)])
     def test_breach_before_a_test_fails(self, caplog, frac, order):
-        # no sum is kept without an estimate: at 1e-10 of the depth the
-        # 32-node integrand is positive, but the 64-node one meets the
-        # rounding floor of E - U_eff before the two sums were compared
+        # no sum is kept without an estimate: at 1e-12 of the depth the
+        # 32-node integrand meets the rounding floor of E - U_eff; at 1e-10
+        # it is positive, but the 64-node one meets that floor before the
+        # two sums were compared
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
         caplog.set_level("DEBUG", logger="conedyn")
@@ -247,17 +248,18 @@ class TestRefinementPaths:
             assert records == sum((a[3] for a in alone), Counter())
 
 
-def _count_nodes(monkeypatch) -> list:
-    """[n]: n counts the quadrature nodes evaluated from here on."""
-    nodes = [0]
+def _node_blocks(monkeypatch) -> list:
+    """The (lanes, order) shape of each block of quadrature nodes evaluated
+    from here on."""
+    shapes = []
     evaluate = _Well._effective_potential
 
-    def counted(self, r, k):
-        nodes[0] += r.size
+    def spy(self, r, k):
+        shapes.append(r.shape)
         return evaluate(self, r, k)
 
-    monkeypatch.setattr(_Well, "_effective_potential", counted)
-    return nodes
+    monkeypatch.setattr(_Well, "_effective_potential", spy)
+    return shapes
 
 
 # The apsidal angle at J = 1 as commit 9b39e75 computed it, whose doubling
@@ -326,11 +328,11 @@ class TestQuadratureBudget:
     def test_shipped_scan_budget(self, monkeypatch, tmp_path):
         # the 126 lanes of the shipped scan took 24,192 node evaluations
         # when the doubling started at order 64
-        nodes = _count_nodes(monkeypatch)
+        blocks = _node_blocks(monkeypatch)
         config = Path(__file__).resolve().parent.parent / "configs" / "bertrand_scan.json"
         assert main(["bertrand", "--config", str(config),
                      "--output", str(tmp_path / "scan.csv")]) == 0
-        assert 0 < nodes[0] <= 0.6 * 24_192
+        assert 0 < sum(lanes * order for lanes, order in blocks) <= 0.6 * 24_192
 
     @pytest.mark.parametrize("key", list(_AT_ORDER_64),
                              ids=lambda key: "{}-{}/{}-{}-{:g}".format(*key[:3], *key[3]))
@@ -343,29 +345,22 @@ class TestQuadratureBudget:
         params = (kepler_params if name == "kepler" else oscillator_params)(k, n)
         _, u0 = cd.circular_orbit(params, 1.0)
         E = u0 + x * abs(u0) if kind == "depth" else x * u0
-        nodes = _count_nodes(monkeypatch)
+        blocks = _node_blocks(monkeypatch)
         phi = cd.apsidal_angle(params, E, 1.0).delta_phi
         exact = PI * n / k / (1.0 if name == "kepler" else 2.0)
         err, nodes_before = _AT_ORDER_64[key]
         assert abs(phi / exact - 1.0) <= 1.1 * err + 1e-13
-        assert nodes[0] <= nodes_before + 32
+        assert sum(lanes * order for lanes, order in blocks) <= nodes_before + 32
 
     @pytest.mark.parametrize("max_refinements", [0, 1, 6])
     def test_deepest_order(self, monkeypatch, max_refinements):
         # Kepler at 1e-7 U_0 refines to the last order it is given: from 32
         # up to 64 * 2**max_refinements, 4096 at the default 6
-        orders = []
-        evaluate = _Well._effective_potential
-
-        def spy(self, r, k):
-            orders.append(r.shape[1])
-            return evaluate(self, r, k)
-
-        monkeypatch.setattr(_Well, "_effective_potential", spy)
+        blocks = _node_blocks(monkeypatch)
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
         cd.apsidal_angle(params, 1e-7 * u0, 1.0, max_refinements=max_refinements)
-        assert orders == [32 << i for i in range(max_refinements + 2)]
+        assert blocks == [(1, 32 << i) for i in range(max_refinements + 2)]
 
 
 class TestGaussLegendre:
