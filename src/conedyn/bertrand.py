@@ -38,7 +38,6 @@ from .core import Params, PowerLaw
 from .dynamics import (
     _alive,
     _as_lanes,
-    _effective_potential,
     _escape_energy,
     _find_ueff_minimum,
     _power_law_form,
@@ -116,7 +115,9 @@ class _Well:
     1-D arrays E and J: turning points and the transformed integrand.  A
     lane that fails records its first error in ``errors`` (lane -> error)
     and the other lanes carry on; a J = 0 lane has no well, and its error
-    names ``what`` the well is for.  ``minimum`` is the (r_c, U_0) of the
+    names ``what`` the well is for.  A power law may hold one (A, alpha) per
+    lane (the scan's batch): lane k reads the pair at index k, in the same
+    numpy calls as every other lane.  ``minimum`` is the (r_c, U_0) of the
     lanes' wells, if the caller has it already (see :func:`_turning_points`)."""
 
     def __init__(self, params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
@@ -134,27 +135,22 @@ class _Well:
         _record(errors, (self.rho == 0.0) & ~((self.g_c > 0.0) & (self.g_c < math.inf)),
                 QuadratureError, "circular limit U_eff''(r_c)/m = {} is outside the float range",
                 self.g_c)
-        # the batch's potentials, and the one of each lane: a power law with
-        # one (A, alpha) per lane is split into its distinct pairs, so that
-        # each is evaluated with Python-float constants as in a one-lane call
-        pot = params.potential
-        if isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
-            # each pair's bits as one complex A + i alpha, which np.unique sorts fast
-            pairs = np.column_stack([pot.amplitude, pot.exponent]).view(complex)[:, 0]
-            pairs, self.group = np.unique(pairs, return_inverse=True)
-            self.parts = [replace(params, potential=PowerLaw(pair.real, pair.imag))
-                          for pair in pairs.tolist()]
-        else:
-            self.group, self.parts = np.zeros(E.size, dtype=int), [params]
 
     def _effective_potential(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """U_eff at the nodes r of the lanes k, one evaluation per potential."""
-        group = self.group[k]
-        u = np.empty_like(r)
-        for g in set(group.tolist()):
-            rows = group == g
-            u[rows] = _effective_potential(self.parts[g], self.J[k[rows], None], r[rows])
-        return u
+        """U_eff at the nodes r of the lanes k (an index array).  alpha
+        enters numpy's power as a contiguous matrix of r's shape, so one
+        lane and many take the same loop (see README, Numerical choices)."""
+        m, s = self.params.m, self.params.geometry.s
+        pot = self.params.potential
+        if isinstance(pot, PowerLaw):
+            a, alpha = pot.amplitude, pot.exponent
+            if np.ndim(alpha):
+                a, alpha = a[k, None], alpha[k, None]
+            v = a * np.power(r, np.full(r.shape, alpha))
+        else:
+            v = pot.value(r, m)
+        J = self.J[k, None]
+        return J * J / (2.0 * m * s * s * r * r) + v
 
     def integral(
         self,

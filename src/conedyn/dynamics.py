@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +78,6 @@ def effective_potential(params: Params, J: float, r):
     """
     if np.count_nonzero(np.asarray(r) <= 0.0):
         raise DomainError("effective potential evaluated at non-positive radius")
-    return _effective_potential(params, J, r)
-
-
-def _effective_potential(params: Params, J: float, r):
-    """U_eff without the radius check, for radii already known to be positive."""
     m, s = params.m, params.geometry.s
     return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
 
@@ -110,8 +105,9 @@ def _escape_energy(params: Params):
 # ``errors`` dict (lane -> ConeDynError) while the other lanes carry on, and
 # each lane does exactly the float operations of a one-lane call, so its
 # bits do not depend on the batch around it.  A power law may hold one
-# (A, alpha) per lane (see :func:`_at_lanes`): a batch of potentials takes
-# the same path as one potential.
+# (A, alpha) per lane, which reaches a lane only through an index array into
+# the batch (the ``lanes`` of :func:`_effective_potential_lanes`): a batch
+# of potentials takes the same path as one potential.
 
 def _float_pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p lane by lane as Python floats compute it (numpy's power rounds
@@ -172,15 +168,6 @@ def _raise_first(errors: dict, name_lane: bool) -> None:
         lane = min(errors)
         exc = errors[lane]
         raise type(exc)(f"{exc} (lane {lane})") if name_lane else exc
-
-
-def _at_lanes(params: Params, lanes: np.ndarray) -> Params:
-    """``params`` for the lanes ``lanes`` (an index array) of a batch: a
-    power law with one (A, alpha) per lane keeps those lanes' pairs."""
-    pot = params.potential
-    if isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
-        return replace(params, potential=PowerLaw(pot.amplitude[lanes], pot.exponent[lanes]))
-    return params
 
 
 def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
@@ -385,10 +372,8 @@ def _turning_points(params: Params, E: np.ndarray, J: np.ndarray, errors: dict,
     else:  # one batched root solve for the non-circular lanes
         r_min, r_max = r_c.copy(), r_c.copy()
         lanes = np.flatnonzero(~circular & _alive(errors, E.size))
-        r_min[lanes], r_max[lanes], failed = _solved_turning_points(
-            _at_lanes(params, lanes), E[lanes], J[lanes], r_c[lanes], u0[lanes])
-        for i, exc in failed.items():
-            errors[int(lanes[i])] = exc
+        r_min[lanes], r_max[lanes], failed = _solved_turning_points(params, E, J, r_c, u0, lanes)
+        errors.update(failed)
     _record(errors, ~((r_min > 0.0) & (r_max < math.inf)), StructuralError,
             "turning points of E={} lie outside the float range", E)
     if errors:
@@ -430,11 +415,13 @@ def _closed_form_radii(params: Params, E, J):
 
 
 def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray,
-                           u0: np.ndarray):
-    """(r_min, r_max, failed) of non-circular, bound level sets, one lane
-    each, for potentials without a closed form: both ends of every lane in
-    one :func:`_root` on f = U_eff - E, stopped at a Newton step of 1e-9
-    relative (an error of order 1e-18, below the rounding of f).
+                           u0: np.ndarray, lanes=None):
+    """(r_min, r_max, failed) of non-circular, bound level sets, for
+    potentials without a closed form, at the lanes ``lanes`` (an index
+    array into the 1-D arrays E, J, r_c and u0; all lanes by default): both
+    ends of every lane in one :func:`_root` on f = U_eff - E, stopped at a
+    Newton step of 1e-9 relative (an error of order 1e-18, below the
+    rounding of f).
 
     Each end starts at the harmonic estimate r_c (1 + q) outward and
     r_c / (1 + q) inward (the same to first order, positive for every q,
@@ -446,35 +433,33 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
     escape energy: until a point there is found, a step that leaves the
     bracket doubles the radius outward and halves it inward.  f and f' come
     from one :func:`_effective_potential_lanes` evaluation per point.
-    ``failed`` maps each failed lane to its QuadratureError; where both ends
-    of a lane fail, the outward end's error wins, as if that end were solved
-    first."""
-    n = E.size
-    failed: dict = {}  # by end: end k < n is lane k outward, end n + k lane k inward
-    lane = np.tile(np.arange(n), 2)
+    ``failed`` maps each failed lane (of the batch) to its QuadratureError;
+    where both ends of a lane fail, the outward end's error wins, as if that
+    end were solved first."""
+    lanes = np.arange(E.size) if lanes is None else lanes
+    n = lanes.size
+    lane = np.tile(lanes, 2)  # by end: end k < n is lanes[k] outward, end n + k inward
     m, s = params.m, params.geometry.s
-    _, alpha = _power_law_form(params)
+    alpha = np.broadcast_to(_power_law_form(params)[1], E.shape)[lane]
+    E, J, r_c, u0 = E[lane], J[lane], r_c[lane], u0[lane]  # one per end
     with np.errstate(all="ignore"):
         # out of the float range the start is inf or NaN, and _root bisects
         q = np.sqrt(2.0 * (E - u0) / ((alpha + 2.0) * (J * J / (m * s * s * r_c * r_c))))
-        start = np.concatenate([r_c * (1.0 + q), r_c / (1.0 + q)])
-    params, J, E = _at_lanes(params, lane), J[lane], E[lane]  # one lane per end
+        start = np.where(np.arange(2 * n) < n, r_c * (1.0 + q), r_c / (1.0 + q))
 
     def f(r, ends):
-        u, du, raised = _effective_potential_lanes(params, J[ends], r, ends)
+        u, du, raised = _effective_potential_lanes(params, J[ends], r, lane[ends])
         # with J != 0 and alpha > -2, U_eff -> +inf at both ends of the
         # radius, and a point where a term of it overflows lies beyond a
         # turning point: it is the bracket's far end, and _root bisects
         np.copyto(u, math.inf, where=raised)
         return u - E[ends], du
 
-    radii, bad = _root(f, start, r_c[lane], np.repeat([math.inf, 0.0], n), u0[lane] - E,
-                       np.full(2 * n, math.inf), rtol=1e-9)
-    for end, exc in bad.items():
-        failed.setdefault(end, exc)
+    radii, failed = _root(f, start, r_c, np.repeat([math.inf, 0.0], n), u0 - E,
+                          np.full(2 * n, math.inf), rtol=1e-9)
     by_lane: dict = {}
     for end in sorted(failed):  # outward ends first
-        by_lane.setdefault(end % n, failed[end])
+        by_lane.setdefault(int(lane[end]), failed[end])
     return radii[n:], radii[:n], by_lane
 
 

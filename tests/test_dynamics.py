@@ -465,21 +465,23 @@ class TestTurningPointArrays:
         solve, evaluate = dynamics._solved_turning_points, dynamics._effective_potential_lanes
         calls, counts = [], Counter()
 
-        def counted_solve(*args):
-            calls.append(args[1].size)
-            return solve(*args)
+        def counted_solve(params, E, J, r_c, u0, lanes):
+            calls.append((lanes.size, r_c))
+            return solve(params, E, J, r_c, u0, lanes)
 
-        def counted(params, J, r, ends=None):
-            if ends is not None:  # not the minimum's U_0
-                counts.update((len(calls), end) for end in ends.tolist())
-            return evaluate(params, J, r, ends)
+        def counted(params, J, r, lanes=None):
+            if lanes is not None:  # not the minimum's U_0
+                # an end is its lane and its side of r_c, which no point reaches
+                r_c = calls[-1][1][lanes]
+                counts.update(zip([len(calls)] * r.size, lanes.tolist(), (r > r_c).tolist()))
+            return evaluate(params, J, r, lanes)
 
         monkeypatch.setattr(dynamics, "_solved_turning_points", counted_solve)
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", counted)
         config = Path(__file__).resolve().parent.parent / "configs" / "bertrand_scan.json"
         assert main(["bertrand", "--config", str(config),
                      "--output", str(tmp_path / "scan.csv")]) == 0
-        assert calls == [126, 50] and len(counts) == 2 * (126 + 50)
+        assert [size for size, _ in calls] == [126, 50] and len(counts) == 2 * (126 + 50)
         per_end = sorted(counts.values())
         assert per_end[len(per_end) // 2] <= 7 and per_end[-1] <= 14
 
@@ -494,12 +496,11 @@ class TestTurningPointArrays:
         evaluate = dynamics._effective_potential_lanes
         first = {}  # (lane, outward) -> the first radius that failed
 
-        def failing(params, J, r, ends):
-            u, du, raised = evaluate(params, J, r, ends)
-            k = ends % 2  # two lanes: end e is lane e % 2, outward for e < 2
-            bad = ((k == 0) & (r > 1.5 * r_c[k])) | (r < r_c[k] / 1.5)
-            for end, x in zip(ends[bad].tolist(), r[bad].tolist()):
-                first.setdefault((end % 2, end < 2), x)
+        def failing(params, J, r, lanes):
+            u, du, raised = evaluate(params, J, r, lanes)
+            bad = ((lanes == 0) & (r > 1.5 * r_c[lanes])) | (r < r_c[lanes] / 1.5)
+            for k, x in zip(lanes[bad].tolist(), r[bad].tolist()):
+                first.setdefault((k, x > r_c[k]), x)  # the outward end's points lie above r_c
             return np.where(bad, math.nan, u), du, raised
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
