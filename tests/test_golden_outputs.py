@@ -24,7 +24,7 @@ GOLDEN = {
     ("actions", "actions_kepler_s23.json", "jsonl"):
         "ebd4bad6a34d86beef88ba35ade05af0ccc818f34e4a615bac5fd2c8c2785016",
     ("bertrand", "bertrand_scan.json", "csv"):
-        "cdd84eb200fc5d172399205dd7fc0934deac302af7f2e902fc100327fe38e723",
+        "685283d9f72183decc584222a1d0991ba4abd0e3e0c384288db69cf6a5263fa5",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
         "5b415c26ecf70020c61bfa408aab95a0b3cdf0ec60b0523b0a1856282c74f277",
 }
