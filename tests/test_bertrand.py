@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import conedyn as cd
 from conedyn import bertrand, dynamics
@@ -136,6 +137,10 @@ class TestRadialPeriod:
 
 _POWER_HALF = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
                         potential=cd.PowerLaw(amplitude=1.0, exponent=0.5))
+# numpy's power loop with an array exponent is dispatched on the CPU: its
+# AVX-512 (SKX) loop rounds the no-refinement level's period one ulp below
+# the baseline loop, which NPY_ENABLE_CPU_FEATURES=X86_V3 selects
+_AVX512_POWER = __cpu_features__["AVX512_SKX"]
 
 
 class TestRefinementPaths:
@@ -154,7 +159,8 @@ class TestRefinementPaths:
          ("order 128 breached the endpoint floor", "quadrature did not reach") * 3,
          ("0x1.bac50005b9e9ep+2", "0x1.fc9bcf783dd7ap+0", "0x1.b29ebe5da52cdp-30")),
         (_POWER_HALF, 10.0, {"max_refinements": 0}, ("quadrature did not reach",) * 3,
-         ("0x1.d97506afb5cc5p+7", "0x1.97159149e169fp+0", "0x1.db0e63867bc4bp+7")),
+         ("0x1.d97506afb5cc4p+7" if _AVX512_POWER else "0x1.d97506afb5cc5p+7",
+          "0x1.97159149e169fp+0", "0x1.db0e63867bc4bp+7")),
     ], ids=["converged", "stagnated", "endpoint-breach", "no-refinement"])
     def test_pinned(self, caplog, params, frac, kwargs, record, pinned):
         _, u0 = cd.circular_orbit(params, 1.0)
@@ -656,9 +662,9 @@ class TestBertrandScan:
             assert status == "ok"
             assert value.hex() == (res.delta_phi * s).hex()
         assert Counter(r.getMessage() for r in caplog.records) == scan_records
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 17
-        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 7
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature did not")) == 7
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 15
+        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 9
+        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature did not")) == 9
         # the statuses and bits of the cells before batching
         status = {"o": "ok",
                   "m": "effective potential has no interior minimum for these parameters",
@@ -679,7 +685,7 @@ class TestBertrandScan:
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])
         assert hashlib.sha256(bits.encode()).hexdigest() == (
-            "662bfbdf65148ad3c1bc91e0abba63136b2d9a56d5fdcaabebd897894d9154a8")
+            "20b5f1b623cec82699abda8ac2dc86c9a85336e15a3859714f21e13b3f811b42")
 
     def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
         # a DomainError before any cell is evaluated, not a math error
