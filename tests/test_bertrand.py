@@ -611,6 +611,16 @@ class TestBertrandScan:
             cd.turning_points(replace(kepler_params(2, 3), potential=cd.PowerLaw(1.0, 0.001)),
                               report.E[0], 2.0 / 3.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_eccentric_cell_is_not_a_wrong_ok(self):
+        # alpha = 0.003 at 0.05 of ten depths: r_max is near 1.5e60 against
+        # r_min near 1, no theta node comes near r_min, where the integrand
+        # lives, and the sums agree on the tail.  The cell must fail, or
+        # read between the oscillator's pi/2 and its own bottom limit
+        report = cd.bertrand_scan(kepler_params(2, 3), [0.003], [0.05], [1.0])
+        value = report.s_delta_phi[0]
+        assert report.status[0] != "ok" or PI / 2 <= value <= PI / math.sqrt(2.003)
+
     def test_overflow_beyond_the_turning_point_is_a_bracket_end(self, monkeypatch):
         # alpha = 100 at lam = 2e154: E = 1.19e303 puts r_max near 1074, but
         # the solve meets a point where r^100 overflows; that point lies
@@ -696,6 +706,20 @@ class TestBertrandScan:
         for exponents in ([-2.5], [-2.0], [-1.0, 2.0, -2.0]):
             with pytest.raises(DomainError, match="exponent must be > -2"):
                 cd.bertrand_scan(kepler_params(), exponents, [0.3], [1.0])
+
+    def test_every_cell_is_its_one_lane_call(self):
+        # without a digest, so it holds under any CPU dispatch: every cell,
+        # from the bottom of the well to three quarters up, has the bits of
+        # its own apsidal_angle call
+        params = kepler_params(2, 3)
+        report = cd.bertrand_scan(params, [-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0],
+                                  [1e-6, 0.1, 0.45, 0.75], [0.7, 1.0, 1.4])
+        s = params.geometry.s
+        assert report.status == ["ok"] * 84
+        for alpha, E, lam, value in zip(*(c.tolist() for c in report[:4])):
+            pot = cd.PowerLaw(amplitude=1.0 if alpha > 0 else -1.0, exponent=alpha)
+            res = cd.apsidal_angle(replace(params, potential=pot), E, lam * s)
+            assert value.hex() == (res.delta_phi * s).hex(), (alpha, E, lam)
 
     def test_cells_independent_of_the_batch(self):
         # an exponent's cells have the same bits and statuses scanned alone
