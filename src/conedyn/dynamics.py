@@ -415,13 +415,12 @@ def _closed_form_radii(params: Params, E, J):
 
 
 def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np.ndarray,
-                           u0: np.ndarray, lanes=None):
+                           u0: np.ndarray, lanes: np.ndarray):
     """(r_min, r_max, failed) of non-circular, bound level sets, for
     potentials without a closed form, at the lanes ``lanes`` (an index
-    array into the 1-D arrays E, J, r_c and u0; all lanes by default): both
-    ends of every lane in one :func:`_root` on f = U_eff - E, stopped at a
-    Newton step of 1e-9 relative (an error of order 1e-18, below the
-    rounding of f).
+    array into the 1-D arrays E, J, r_c and u0): both ends of every lane in
+    one :func:`_root` on f = U_eff - E, stopped at a Newton step of 1e-9
+    relative (an error of order 1e-18, below the rounding of f).
 
     Each end starts at the harmonic estimate r_c (1 + q) outward and
     r_c / (1 + q) inward (the same to first order, positive for every q,
@@ -436,7 +435,6 @@ def _solved_turning_points(params: Params, E: np.ndarray, J: np.ndarray, r_c: np
     ``failed`` maps each failed lane (of the batch) to its QuadratureError;
     where both ends of a lane fail, the outward end's error wins, as if that
     end were solved first."""
-    lanes = np.arange(E.size) if lanes is None else lanes
     n = lanes.size
     lane = np.tile(lanes, 2)  # by end: end k < n is lanes[k] outward, end n + k inward
     m, s = params.m, params.geometry.s

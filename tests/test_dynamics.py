@@ -272,7 +272,8 @@ class TestTurningPointArrays:
             errors: dict = {}
             r_c, u0 = dynamics._find_ueff_minimum(power, J, errors)
             E = u0 + fraction * np.abs(u0)
-            r_min, r_max, failed = dynamics._solved_turning_points(power, E, J, r_c, u0)
+            r_min, r_max, failed = dynamics._solved_turning_points(power, E, J, r_c, u0,
+                                                                   np.arange(J.size))
             assert not errors and not failed
             for got, want in zip((r_min, r_max), dynamics._closed_form_radii(closed, E, J)):
                 err = np.abs(got - want) / want
@@ -504,7 +505,7 @@ class TestTurningPointArrays:
             return np.where(bad, math.nan, u), du, raised
 
         monkeypatch.setattr(dynamics, "_effective_potential_lanes", failing)
-        *_, failed = dynamics._solved_turning_points(params, E, J, r_c, e_c)
+        *_, failed = dynamics._solved_turning_points(params, E, J, r_c, e_c, np.arange(2))
         assert set(first) == {(0, True), (0, False), (1, False)}
         assert {k: str(exc) for k, exc in failed.items()} == {
             0: f"root solve met the non-finite value nan at {first[0, True]}",
