@@ -17,7 +17,6 @@ from .core import (
     PhasePoint,
     PotentialSpec,
     PowerLaw,
-    as_power_law,
 )
 from .dynamics import (
     ClosureInfo,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bertrand import _Well
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _float_pow, _raise_first
+from .dynamics import _as_lanes, _raise_first
 from .errors import DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
@@ -76,7 +76,7 @@ def radial_action(
 def _radial_action(well: _Well, tolerance: float, max_refinements: int) -> np.ndarray:
     """Radial action I2 per lane of the well."""
     m = well.params.m
-    rho_sq = _float_pow(well.rho, 2)  # the bits of rho**2 on one float
+    rho_sq = well.rho * well.rho  # correctly rounded, unlike a libm pow(rho, 2)
     value, _ = well.integral(
         lambda theta, r, g, k: m * rho_sq[k, None] * np.sin(theta) ** 2 * np.sqrt(g),
         tolerance, max_refinements,

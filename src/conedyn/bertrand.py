@@ -44,6 +44,7 @@ from .dynamics import (
     _raise_first,
     _record,
     _turning_points,
+    _well_levels,
 )
 from .errors import DomainError, QuadratureError
 
@@ -285,24 +286,15 @@ def apsidal_angle(
     """Angle swept between adjacent perigee and apogee, by quadrature.
 
     Evaluates the transformed integral described in the module docstring and
-    divides by s, as one lane of :func:`_apsidal_lanes`.  A circular level
-    gives the near-circular limit pi / (s sqrt(alpha + 2)).
+    divides by s, as one lane of :meth:`_Well.swept_angle`.  A circular
+    level gives the near-circular limit pi / (s sqrt(alpha + 2)).
     """
     errors: dict = {}
-    delta_phi, err = _apsidal_lanes(params, *_as_lanes(E, J)[1], tolerance,
-                                    max_refinements, errors)
+    well = _Well(params, *_as_lanes(E, J)[1], errors, "apsidal angle")
+    delta_phi, err = well.swept_angle(tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return ApsidalResult(delta_phi=delta_phi.item(), lam=J / params.geometry.s, E=E,
                          quadrature_error_estimate=err.item())
-
-
-def _apsidal_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: float,
-                   max_refinements: int, errors: dict, minimum=None):
-    """delta_phi and its quadrature error estimate per lane of the 1-D arrays
-    E and J; a failed lane holds NaN and records its error in ``errors``.
-    ``minimum`` is passed on to :class:`_Well`."""
-    well = _Well(params, E, J, errors, "apsidal angle", minimum)
-    return well.swept_angle(tolerance, max_refinements)
 
 
 def radial_period(
@@ -437,18 +429,6 @@ def _classify_flatness(flatness: float, constant: float, expected: float) -> str
     return "inconclusive"
 
 
-def _scan_energy(params: Params, J: np.ndarray, fractions: np.ndarray, errors: dict):
-    """Energies at the given fractions of the bound wells above their
-    bottoms, per lane, NaN where the well itself fails; and the wells'
-    minimum (r_c, U_0) of :func:`_find_ueff_minimum`."""
-    minimum = _find_ueff_minimum(params, J, errors)
-    u0 = minimum[1]
-    top = _escape_energy(params)
-    with np.errstate(invalid="ignore"):  # inf - inf in the lanes not taken
-        return np.where(np.isfinite(top), u0 + fractions * (top - u0),
-                        u0 + fractions * 10.0 * np.maximum(np.abs(u0), 1.0)), minimum
-
-
 def bertrand_scan(
     params_base: Params,
     exponents: Sequence[float],
@@ -471,21 +451,21 @@ def bertrand_scan(
     a ConeDynError (alpha = 0 has no well at all) is flagged infeasible; any
     other error propagates.
     """
-    laws = [PowerLaw(amplitude=(1.0 if alpha > 0 else -1.0), exponent=alpha)
-            for alpha in exponents]
     s = params_base.geometry.s
     n = len(lambdas) * len(e_fractions)
     family_param = np.repeat(np.asarray(exponents, dtype=float), n)
-    lam = np.tile(np.repeat(np.asarray(lambdas, dtype=float), len(e_fractions)), len(laws))
-    fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas) * len(laws))
+    lam = np.tile(np.repeat(np.asarray(lambdas, dtype=float), len(e_fractions)),
+                  len(exponents))
+    fractions = np.tile(np.asarray(e_fractions, dtype=float), len(lambdas) * len(exponents))
     params = replace(params_base, potential=PowerLaw(
-        amplitude=np.repeat([law.amplitude for law in laws], n), exponent=family_param))
+        amplitude=np.where(family_param > 0.0, 1.0, -1.0), exponent=family_param))
     J = lam * s
     errors: dict = {}
     # each cell carries the error of its own apsidal_angle call
     _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
-    E, minimum = _scan_energy(params, J, fractions, errors)  # NaN where the well fails
-    delta_phi, _ = _apsidal_lanes(params, E, J, tolerance, max_refinements, errors, minimum)
+    E, minimum = _well_levels(params, J, fractions, 10.0, errors)  # NaN where the well fails
+    well = _Well(params, E, J, errors, "apsidal angle", minimum)
+    delta_phi, _ = well.swept_angle(tolerance, max_refinements)
     status = ["ok"] * J.size
     for k, exc in errors.items():  # per-cell failures are recorded; their value is NaN
         status[k] = f"infeasible: {exc}"

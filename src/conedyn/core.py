@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,8 +124,9 @@ class PowerLaw:
     def __post_init__(self):
         if not np.isfinite(self.amplitude).all():
             raise DomainError(f"amplitude must be finite, got {self.amplitude}")
-        if not (np.isfinite(self.exponent) & (np.asarray(self.exponent) > -2.0)).all():
-            raise DomainError(f"exponent must be > -2, got {self.exponent}")
+        bad = ~(np.isfinite(self.exponent) & (np.asarray(self.exponent) > -2.0))
+        if bad.any():  # name the first bad lane's exponent, not the whole batch
+            raise DomainError(f"exponent must be > -2, got {np.extract(bad, self.exponent)[0]}")
 
     def value(self, r, m: float = 1.0):
         return self.amplitude * r ** self.exponent
@@ -149,18 +150,6 @@ class LogPotential:
 
 
 PotentialSpec = Union[Kepler, Oscillator, PowerLaw, LogPotential]
-
-
-def as_power_law(pot: PotentialSpec, m: float = 1.0) -> PowerLaw:
-    """Equivalent PowerLaw form: Kepler(kappa) -> (-kappa, -1), Oscillator ->
-    (m*omega^2/2, 2).  PowerLaw passes through; the log potential has none."""
-    if isinstance(pot, Kepler):
-        return PowerLaw(amplitude=-pot.kappa, exponent=-1.0)
-    if isinstance(pot, Oscillator):
-        return PowerLaw(amplitude=0.5 * pot.beta(m), exponent=2.0)
-    if isinstance(pot, PowerLaw):
-        return pot
-    raise StructuralError(f"{type(pot).__name__} has no power-law form")
 
 
 # --- Phase space ---

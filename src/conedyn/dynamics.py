@@ -37,7 +37,6 @@ from .core import (
     Params,
     PhasePoint,
     PowerLaw,
-    as_power_law,
 )
 from .errors import (
     DomainError,
@@ -84,18 +83,12 @@ def effective_potential(params: Params, J: float, r):
 
 def _escape_energy(params: Params):
     """lim U_eff(r) as r -> infinity; energies at or above it are unbounded.
-    A float, or an array for a power law with one (A, alpha) per lane."""
-    pot = params.potential
-    if isinstance(pot, Kepler):
-        return 0.0
-    if isinstance(pot, (Oscillator, LogPotential)):
-        return math.inf
-    if isinstance(pot, PowerLaw):
-        a, alpha = pot.amplitude, pot.exponent
-        top = np.select([(alpha < 0.0) | (a == 0.0), alpha == 0.0], [0.0, a],
-                        np.copysign(math.inf, a))
-        return top if top.ndim else top.item()
-    raise StructuralError(f"unsupported potential {type(pot).__name__}")
+    From the power-law form (A alpha, alpha): 0 where alpha < 0, else
+    infinite with the sign of A alpha (every well with a minimum has A alpha
+    > 0).  A float, or an array for a power law with one (A, alpha) per lane."""
+    a_alpha, alpha = _power_law_form(params)
+    top = np.where(alpha < 0.0, 0.0, np.copysign(math.inf, a_alpha))
+    return top if top.ndim else top.item()
 
 
 # --- Turning points ---
@@ -192,10 +185,10 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
             power = _float_pow(r, alpha)
             raised |= np.isinf(power) & np.isfinite(r)
             v, r_dv = a * power, a * alpha * power
-        else:  # r V' is -V for Kepler, 2 V for the oscillator and B for the log
+        else:  # r V' is alpha V, and B for the log potential (alpha = 0)
             v = pot.value(r, m)
-            r_dv = (pot.strength if isinstance(pot, LogPotential)
-                    else (-1.0 if isinstance(pot, Kepler) else 2.0) * v)
+            b, alpha = _power_law_form(params)
+            r_dv = alpha * v if alpha else b
         u, du = k + v, (r_dv - 2.0 * k) / r
     if np.count_nonzero(raised):
         np.copyto(u, math.nan, where=raised)
@@ -206,12 +199,17 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
 def _power_law_form(params: Params):
     """(A alpha, alpha) of V = A r^alpha, with B ln(r/r0) as its alpha -> 0
     limit (A alpha = B): floats, or arrays for a power law with one
-    (A, alpha) per lane."""
+    (A, alpha) per lane.  The one table of the potential classes' forms."""
     pot = params.potential
+    if isinstance(pot, Kepler):
+        return pot.kappa, -1.0
+    if isinstance(pot, Oscillator):
+        return 0.5 * pot.beta(params.m) * 2.0, 2.0  # the bits of A alpha
     if isinstance(pot, LogPotential):
         return pot.strength, 0.0
-    law = as_power_law(pot, params.m)
-    return law.amplitude * law.exponent, law.exponent
+    if isinstance(pot, PowerLaw):
+        return pot.amplitude * pot.exponent, pot.exponent
+    raise StructuralError(f"unsupported potential {type(pot).__name__}")
 
 
 def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
@@ -238,6 +236,21 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     np.copyto(r_c, math.nan, where=bad)
     np.copyto(u0, math.nan, where=bad)
     return r_c, u0
+
+
+def _well_levels(params: Params, J: np.ndarray, fractions: np.ndarray, depths: float,
+                 errors: dict):
+    """Energies at the given fractions of the bound wells above their
+    bottoms U_0, per lane of J: of the way up to a finite escape energy, or
+    of ``depths`` times max(|U_0|, 1) in a confining well.  NaN where the
+    well itself fails.  Also returns the wells' minimum (r_c, U_0) of
+    :func:`_find_ueff_minimum`, to pass on to :func:`_turning_points`."""
+    minimum = _find_ueff_minimum(params, J, errors)
+    u0 = minimum[1]
+    top = _escape_energy(params)
+    with np.errstate(invalid="ignore"):  # inf - inf in the lanes not taken
+        return np.where(np.isfinite(top), u0 + fractions * (top - u0),
+                        u0 + fractions * depths * np.maximum(np.abs(u0), 1.0)), minimum
 
 
 def _root(f, x: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,

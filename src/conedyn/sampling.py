@@ -13,9 +13,13 @@ import random
 
 import numpy as np
 
-from .bertrand import circular_orbit
 from .core import TWO_PI, Params, PhasePoint
-from .dynamics import _escape_energy, _raise_first, _turning_points, effective_potential
+from .dynamics import _raise_first, _turning_points, _well_levels, effective_potential
+
+# the bounds of a point's uniform draws: J, the fraction of the well, the
+# fraction of [r_min, r_max], the sign of p_r, and phi
+_LOW = (0.5, 0.1, 0.05, -1.0, 0.0)
+_HIGH = (1.5, 0.7, 0.95, 1.0, TWO_PI)
 
 
 class UniformSource:
@@ -45,37 +49,25 @@ class UniformSource:
         return low + (np.asarray(high, dtype=float) - low) * u.reshape(size)
 
 
-def draw_bound_points(
-    rng: UniformSource | np.random.Generator,
-    params: Params,
-    n: int,
-    j_range: tuple[float, float] = (0.5, 1.5),
-    depth_range: tuple[float, float] = (0.1, 0.7),
-) -> np.ndarray:
+def draw_bound_points(rng: UniformSource | np.random.Generator, params: Params,
+                      n: int) -> np.ndarray:
     """n random phase points on random bound, non-circular level sets.
 
     Returns the coordinates (r, phi, p_r, J), shaped (4, n).  ``rng`` is any
     source with a numpy-style ``uniform(low, high, size)``, such as a
     :class:`UniformSource` or a numpy Generator.  One ``rng.uniform`` call
     draws an (n, 5) block whose columns are, per point:
-    J, uniform in ``j_range``; the fraction of the well above its bottom at
-    which E sits, uniform in ``depth_range`` (the well reaches up to escape
-    for potentials with one, up to twice the circular energy scale for
-    confining ones); the fraction u in [0.05, 0.95] of [r_min, r_max] at
-    which r sits; the sign of p_r; and phi in [0, 2*pi).  The draws are those
-    of n successive points, so the first k of n points do not depend on n.
+    J, uniform in [0.5, 1.5); the fraction of the well above its bottom at
+    which E sits, uniform in [0.1, 0.7) (the well reaches up to escape for
+    potentials with one, up to twice the circular energy scale for confining
+    ones); the fraction u in [0.05, 0.95] of [r_min, r_max] at which r sits;
+    the sign of p_r; and phi in [0, 2*pi).  The draws are those of n
+    successive points, so the first k of n points do not depend on n.
     """
-    lo = (j_range[0], depth_range[0], 0.05, -1.0, 0.0)
-    hi = (j_range[1], depth_range[1], 0.95, 1.0, TWO_PI)
-    J, f, u, sign, phi = rng.uniform(lo, hi, size=(n, 5)).T
-    r_c, e_c = circular_orbit(params, J)
-    top = _escape_energy(params)
-    if math.isfinite(top):
-        E = e_c + f * (top - e_c)
-    else:
-        E = e_c + f * 2.0 * np.maximum(np.abs(e_c), 1.0)
+    J, f, u, sign, phi = rng.uniform(_LOW, _HIGH, size=(n, 5)).T
     errors: dict = {}
-    r_min, r_max = _turning_points(params, E, J, errors, (r_c, e_c))  # the well minimum above
+    E, minimum = _well_levels(params, J, f, 2.0, errors)
+    r_min, r_max = _turning_points(params, E, J, errors, minimum)
     _raise_first(errors, name_lane=True)
     r = r_min + u * (r_max - r_min)
     kinetic = E - effective_potential(params, J, r)
@@ -83,12 +75,7 @@ def draw_bound_points(
     return np.array([r, phi, p_r, J])
 
 
-def draw_bound_point(
-    rng: UniformSource | np.random.Generator,
-    params: Params,
-    j_range: tuple[float, float] = (0.5, 1.5),
-    depth_range: tuple[float, float] = (0.1, 0.7),
-) -> PhasePoint:
+def draw_bound_point(rng: UniformSource | np.random.Generator, params: Params) -> PhasePoint:
     """:func:`draw_bound_points` for one point, as a PhasePoint."""
-    r, phi, p_r, J = draw_bound_points(rng, params, 1, j_range, depth_range)[:, 0].tolist()
+    r, phi, p_r, J = draw_bound_points(rng, params, 1)[:, 0].tolist()
     return PhasePoint(r=r, phi=phi, p_r=p_r, J=J)

@@ -16,6 +16,7 @@ from conedyn import bertrand, dynamics
 from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.cli import main
+from conedyn.sampling import draw_bound_points
 from conedyn.errors import (
     ConeDynError,
     DomainError,
@@ -702,9 +703,9 @@ class TestBertrandScan:
         def evaluated(*args, **kwargs):
             raise AssertionError("a cell was evaluated")
 
-        monkeypatch.setattr("conedyn.bertrand._scan_energy", evaluated)
-        for exponents in ([-2.5], [-2.0], [-1.0, 2.0, -2.0]):
-            with pytest.raises(DomainError, match="exponent must be > -2"):
+        monkeypatch.setattr("conedyn.bertrand._well_levels", evaluated)
+        for exponents, bad in (([-2.5], -2.5), ([-2.0], -2.0), ([-1.0, 2.0, -2.0], -2.0)):
+            with pytest.raises(DomainError, match=rf"^exponent must be > -2, got {bad}$"):
                 cd.bertrand_scan(kepler_params(), exponents, [0.3], [1.0])
 
     def test_every_cell_is_its_one_lane_call(self):
@@ -756,12 +757,30 @@ class TestBertrandScan:
         assert len(calls) == 1
         assert report.status == ["ok"] * 12
 
+    def test_one_power_law_built(self, monkeypatch):
+        # the scan builds its one batch law, and the well geometry reads each
+        # potential's power-law form from its own fields: no PowerLaw per call
+        built = []
+        check = cd.PowerLaw.__post_init__
+
+        def spy(law):
+            built.append(law)
+            check(law)
+
+        monkeypatch.setattr(cd.PowerLaw, "__post_init__", spy)
+        report = cd.bertrand_scan(kepler_params(), [-1.0, 0.5, 2.0], [0.2, 0.6], [0.8, 1.2])
+        assert len(built) == 1 and report.status == ["ok"] * 12
+        built.clear()
+        for build in (kepler_params, oscillator_params):
+            assert draw_bound_points(np.random.default_rng(3), build(2, 3), 50).shape == (4, 50)
+        assert not built
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only a ConeDynError marks a cell infeasible; anything else is a bug
         def broken(*args, **kwargs):
             raise TypeError("bug in the quadrature")
 
-        monkeypatch.setattr("conedyn.bertrand._apsidal_lanes", broken)
+        monkeypatch.setattr(_Well, "swept_angle", broken)
         with pytest.raises(TypeError, match="bug in the quadrature"):
             cd.bertrand_scan(kepler_params(), [-1.0], [0.3], [1.0])
 

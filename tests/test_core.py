@@ -7,7 +7,7 @@ import pytest
 
 import conedyn as cd
 from conedyn import dynamics
-from conedyn.errors import DomainError, StructuralError
+from conedyn.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,16 +62,6 @@ class TestPotentials:
         with pytest.raises(DomainError):
             cd.PowerLaw(amplitude=1.0, exponent=-2.0)
 
-    def test_kepler_matches_power_law_form(self):
-        # same V to 1e-14 relative at random radii
-        kep = cd.Kepler(kappa=1.3)
-        pl = cd.as_power_law(kep)
-        assert pl == cd.PowerLaw(amplitude=-1.3, exponent=-1.0)
-        rng = np.random.default_rng(1)
-        r = rng.uniform(0.1, 10.0, size=100)
-        a, b = np.asarray(kep.value(r)), np.asarray(pl.value(r))
-        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a))
-
     def test_derivatives_match_finite_differences(self):
         # the one force -U_eff'(r), compiled from the stepper's source with
         # the constants the stepper gets, against a central difference of U_eff
@@ -105,10 +95,6 @@ class TestPotentials:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match=rf"^amplitude must be finite, got {bad}$"):
                 cd.PowerLaw(amplitude=bad, exponent=1.0)
-
-    def test_log_potential_has_no_power_law_form(self):
-        with pytest.raises(StructuralError, match="^LogPotential has no power-law form$"):
-            cd.as_power_law(cd.LogPotential(strength=1.0, r0=1.0))
 
 
 class TestPhasePoint:

@@ -75,6 +75,56 @@ class TestEffectivePotential:
                 cd.effective_potential(kepler_params(), 1.0, r)
 
 
+def _per_class_escape_energy(pot):
+    """The escape energy as each potential class gave it before the
+    power-law form did."""
+    if isinstance(pot, cd.Kepler):
+        return 0.0
+    if isinstance(pot, (cd.Oscillator, cd.LogPotential)):
+        return math.inf
+    a, alpha = pot.amplitude, pot.exponent
+    return np.select([(alpha < 0.0) | (a == 0.0), alpha == 0.0], [0.0, a],
+                     np.copysign(math.inf, a))
+
+
+class TestEscapeEnergy:
+    def test_every_class(self):
+        for pot in (cd.Kepler(kappa=1.3), cd.Oscillator(omega=0.7),
+                    cd.LogPotential(strength=1.2, r0=0.5)):
+            params = cd.Params(m=1.7, geometry=cd.ConeGeometry(s=0.6), potential=pot)
+            top = dynamics._escape_energy(params)
+            assert type(top) is float and top == _per_class_escape_energy(pot)
+
+    def test_power_law_lanes(self):
+        # every sign of A and alpha, and both zeros of A, as the lanes of one
+        # batch: the per-class value on every lane that has a well minimum;
+        # the others (A = 0 or alpha = 0 among them) fail before any caller
+        # reads the escape energy.  A one-law call gives its lane as a float
+        a, alpha = (v.ravel() for v in np.meshgrid([-1.5, -0.0, 0.0, 2.0],
+                                                   [-1.5, -0.5, 0.0, 0.5, 3.0]))
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=0.6),
+                           potential=cd.PowerLaw(amplitude=a, exponent=alpha))
+        errors: dict = {}
+        dynamics._find_ueff_minimum(params, np.ones(a.size), errors)
+        well = ~np.isin(np.arange(a.size), list(errors))
+        assert well.tolist() == ((a * alpha > 0.0)).tolist() and well.sum() == 4
+        top, old = dynamics._escape_energy(params), _per_class_escape_energy(params.potential)
+        assert top[well].tolist() == old[well].tolist()
+        assert ((top == old) | (a == 0.0) | (alpha == 0.0)).all()
+        for k in range(a.size):
+            one = dataclasses.replace(params, potential=cd.PowerLaw(a[k].item(), alpha[k].item()))
+            assert dynamics._escape_energy(one) == top[k]
+
+    def test_unsupported_potential(self):
+        class Cubic:  # a potential class with no power-law form
+            def value(self, r, m=1.0):
+                return r ** 3
+
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=Cubic())
+        with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
+            dynamics._escape_energy(params)
+
+
 def _root_one_lane(f, df, a, b, rtol, start=None):
     """dynamics._root on one lane of the scalar function f with derivative
     df, in the bracket [a, b], from ``start`` (the midpoint by default): its
@@ -268,7 +318,10 @@ class TestTurningPointArrays:
         bound = eps * np.maximum(2.0, 1.0 / np.sqrt(fraction))
         for (k, n), m in itertools.product(RATIONAL_S, (1.0, 1.7)):
             closed = build(k, n, m=m)
-            power = dataclasses.replace(closed, potential=cd.as_power_law(closed.potential, m))
+            pot = closed.potential
+            twin = (cd.PowerLaw(-pot.kappa, -1.0) if isinstance(pot, cd.Kepler)
+                    else cd.PowerLaw(0.5 * pot.beta(m), 2.0))
+            power = dataclasses.replace(closed, potential=twin)
             errors: dict = {}
             r_c, u0 = dynamics._find_ueff_minimum(power, J, errors)
             E = u0 + fraction * np.abs(u0)
