@@ -139,8 +139,10 @@ class TestRadialPeriod:
 _POWER_HALF = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
                         potential=cd.PowerLaw(amplitude=1.0, exponent=0.5))
 # numpy's power loop with an array exponent is dispatched on the CPU: its
-# AVX-512 (SKX) loop rounds the no-refinement level's period one ulp below
-# the baseline loop, which NPY_ENABLE_CPU_FEATURES=X86_V3 selects
+# AVX-512 (SKX) loop rounds some r ** alpha differently from the baseline
+# loop, which NPY_ENABLE_CPU_FEATURES=X86_V3 selects.  The pins that see it
+# (the no-refinement level's period, the scan cells' digest and records)
+# hold one value per loop
 _AVX512_POWER = __cpu_features__["AVX512_SKX"]
 
 
@@ -673,9 +675,13 @@ class TestBertrandScan:
             assert status == "ok"
             assert value.hex() == (res.delta_phi * s).hex()
         assert Counter(r.getMessage() for r in caplog.records) == scan_records
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature stagnated")) == 15
-        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == 9
-        assert sum(n for m, n in scan_records.items() if m.startswith("quadrature did not")) == 9
+        # without AVX-512 two of the records move from the breach guard to stagnation
+        stagnated, breached = (15, 9) if _AVX512_POWER else (17, 7)
+        assert sum(n for m, n in scan_records.items()
+                   if m.startswith("quadrature stagnated")) == stagnated
+        assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == breached
+        assert sum(n for m, n in scan_records.items()
+                   if m.startswith("quadrature did not")) == breached
         # the statuses and bits of the cells before batching
         status = {"o": "ok",
                   "m": "effective potential has no interior minimum for these parameters",
@@ -696,7 +702,8 @@ class TestBertrandScan:
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])
         assert hashlib.sha256(bits.encode()).hexdigest() == (
-            "20b5f1b623cec82699abda8ac2dc86c9a85336e15a3859714f21e13b3f811b42")
+            "20b5f1b623cec82699abda8ac2dc86c9a85336e15a3859714f21e13b3f811b42" if _AVX512_POWER
+            else "daaa6638aaed6d19d336ad0eebb0e3b9adda6252f56d428549e23fba03d653ff")
 
     def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
         # a DomainError before any cell is evaluated, not a math error
