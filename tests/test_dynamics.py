@@ -107,22 +107,13 @@ class TestEscapeEnergy:
         errors: dict = {}
         dynamics._find_ueff_minimum(params, np.ones(a.size), errors)
         well = ~np.isin(np.arange(a.size), list(errors))
-        assert well.tolist() == ((a * alpha > 0.0)).tolist() and well.sum() == 4
+        assert well.tolist() == (a * alpha > 0.0).tolist() and well.sum() == 4
         top, old = dynamics._escape_energy(params), _per_class_escape_energy(params.potential)
         assert top[well].tolist() == old[well].tolist()
         assert ((top == old) | (a == 0.0) | (alpha == 0.0)).all()
         for k in range(a.size):
             one = dataclasses.replace(params, potential=cd.PowerLaw(a[k].item(), alpha[k].item()))
             assert dynamics._escape_energy(one) == top[k]
-
-    def test_unsupported_potential(self):
-        class Cubic:  # a potential class with no power-law form
-            def value(self, r, m=1.0):
-                return r ** 3
-
-        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=Cubic())
-        with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
-            dynamics._escape_energy(params)
 
 
 def _root_one_lane(f, df, a, b, rtol, start=None):
@@ -787,13 +778,15 @@ class TestIntegrate:
                 cd.integrate(kepler_params(), pt, 1e-3, n_steps, sample_every)
 
     def test_unsupported_potential(self):
-        class Cubic:  # a potential class the stepper has no force source for
+        class Cubic:  # a potential class with no force source and no power-law form
             def value(self, r, m=1.0):
                 return r ** 3
 
         params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=Cubic())
         with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
             cd.integrate(params, cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 1e-3, 10)
+        with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
+            dynamics._escape_energy(params)
 
     @pytest.mark.parametrize("potential", [
         cd.Kepler(kappa=1.0),
