@@ -7,13 +7,15 @@ second order and symplectic in (r, p_r).  It is one pure-Python loop
 source, compiled once per potential class with that class's force written
 in, that keeps its whole state in locals.  It runs in the two-step (drift)
 form, in exact arithmetic the same map as kick-drift-kick: it carries the
-drift q = dt * p_r / m of the next step and adds one force to it per step,
-and forms p_r only at a sample, where q is formed again from it.  The loop
-only records each new radius; per block of steps, numpy forms the angle
-increments and sums them in order, which is bit-identical to the running
-sum, so memory stays at one block.  The tip is checked once per block too:
-one numpy test finds the first radius that is not positive, the step a
-per-step test would have stopped at.
+drift q = dt * p_r / m of the next step and adds one force to it per step.
+The loop only stores each step's drift and does nothing at a sample:
+sampling is a read-out of the run.  Per block of steps, numpy forms the
+rest from the drifts, so memory stays at one block: the radii, by a running
+sum with the bits of the loop's own r += q; the tip check, one test that
+finds the first radius that is not positive, the step a per-step test would
+have stopped at; the angle increments, summed in order, bit-identical to
+the running sum; and at each sample p_r = (q_in + q_out) m / (2 dt), from
+the drifts into and out of it.
 
 The force -U_eff'(r) has one source per potential class: the stepper and
 the interpolants' dp_r/dt are compiled from it, with V's constants from the
@@ -22,6 +24,7 @@ power-law form (A alpha, alpha) that the well geometry uses.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -509,6 +512,9 @@ class Trajectory:
         return len(self.times)
 
     def point(self, i: int) -> PhasePoint:
+        """Sample i as a phase point.  A run restarted from it agrees with
+        the run it came from only to rounding: its p_r is read off the
+        drifts around the sample (see :func:`integrate`)."""
         return PhasePoint(
             r=float(self.r[i]),
             phi=float(self.phi[i]),
@@ -541,64 +547,70 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         out_r, out_pr, out_phi):
     w = dt * dt / m
     cent, c = (J * J) / ms2 * w, c * w
-    radii = np.ones(block + 1)  # r before and after each step of a block (1.0: not stored)
-    store = memoryview(radii)   # item stores cheaper than numpy's or array's
-    dphi = np.empty(block + 1)
-    i = 0                # steps before the current block
-    k = 1                # next sample
-    left = sample_every  # steps to the next sample
-    j = 1                # the opening force belongs to step 0
+    # r before a block, the drift of each of its steps and the drift after
+    # it; once spent, the block's angle increments
+    drifts = np.empty(block + 2)
+    store = memoryview(drifts)  # item stores cheaper than numpy's or array's
+    radii = np.empty(block + 1)  # r before and after each step of a block
+    i = 0  # steps before the current block
+    j = 0  # drifts stored in it; the opening force belongs to step 0
     try:
         kick = {force}
         q = dt * (p_r / m) + 0.5 * kick  # the drift of the next step
         while i < n_steps:
             n = min(block, n_steps - i)
             store[0] = r
-            done = 0
-            while done < n:
-                stop = done + (left if left < n - done else n - done)
-                for j in range(done + 1, stop + 1):
-                    r += q
-                    store[j] = r
-                    kick = {force}
-                    q += kick
-                left -= stop - done
-                done = stop
-                if not left:
-                    # q formed again from p_r as at the start: a restart point
-                    p_r = (q - 0.5 * kick) * (m / dt)
-                    q = dt * (p_r / m) + 0.5 * kick
-                    out_r[k] = r  # out_r and out_pr are memoryviews too
-                    out_pr[k] = p_r
-                    k += 1
-                    left = sample_every
-            if not radii[1:n + 1].min() > 0.0:  # the tip, once per block (NaN too)
-                raise TipCollisionError(step_index=i + int(np.argmin(radii[1:n + 1] > 0.0)))
-            # phi += dt * (J / (ms2 * (r_mid * r_mid))) per step, summed in order
+            for j in range(1, n + 1):
+                store[j] = q
+                r += q
+                kick = {force}
+                q += kick
+            rb = _block_radii(drifts[:n + 1], radii, i)
+            store[n + 1] = q  # real: every radius of the block is positive
+            # samples lo..hi-1 fall in the block, at its steps ``at``
+            lo, hi = i // sample_every + 1, (i + n) // sample_every + 1
+            at = slice(lo * sample_every - i, n + 1, sample_every)
+            out_r[lo:hi] = rb[at]
             with np.errstate(all="ignore"):
-                d = dphi[1:n + 1]
-                np.add(radii[:n], radii[1:n + 1], out=d)
+                # p_r from the mean of the drifts into and out of a sample
+                pr = out_pr[lo:hi]
+                np.add(drifts[at], drifts[at.start + 1:n + 2:sample_every], out=pr)
+                pr *= 0.5 * (m / dt)
+                # phi += dt * (J / (ms2 * (r_mid * r_mid))) per step, summed in order
+                d = drifts[1:n + 1]
+                np.add(rb[:n], rb[1:], out=d)
                 d *= 0.5
                 d *= d
                 d *= ms2
                 np.divide(J, d, out=d)
                 d *= dt
-            dphi[0] = phi
-            np.add.accumulate(dphi[:n + 1], out=dphi[:n + 1])
-            phi = float(dphi[n])
-            lo = i // sample_every + 1
-            hi = (i + n) // sample_every + 1
-            out_phi[lo:hi] = dphi[lo * sample_every - i:n + 1:sample_every]
+            drifts[0] = phi
+            np.add.accumulate(drifts[:n + 1], out=drifts[:n + 1])
+            phi = float(drifts[n])
+            out_phi[lo:hi] = drifts[at]
             i += n
     except (ArithmeticError, TypeError) as exc:
-        # past the tip the block runs on into 1/0, overflow, or a complex r (TypeError)
-        if not radii[1:j + 1].min() > 0.0:
-            raise TipCollisionError(step_index=i + int(np.argmin(radii[1:j + 1] > 0.0))) from None
+        # past the tip the block runs on into 1/0, overflow, or a complex q,
+        # which its store rejects (TypeError): drifts 1..j, or 1..j-1, are stored
+        _block_radii(drifts[:j + 1 - isinstance(exc, TypeError)], radii, i)
         if isinstance(exc, TypeError):
             raise
-        raise DomainError(f"radial force at step {i + j - 1} is outside the float "
+        raise DomainError(f"radial force at step {i + max(j - 1, 0)} is outside the float "
                           f"range (r={r!r})") from exc
 """
+
+
+def _block_radii(drifts: np.ndarray, radii: np.ndarray, i: int) -> np.ndarray:
+    """The radii of a block of steps, in ``radii``, from r before it and the
+    drifts of its steps: a running sum with the bits of the stepper's r += q.
+    The first radius after a step that is not positive (or is NaN) raises
+    TipCollisionError at that step; i is the steps before the block."""
+    out = radii[:drifts.size]
+    with np.errstate(all="ignore"):
+        np.add.accumulate(drifts, out=out)
+    if not out[1:].min(initial=math.inf) > 0.0:
+        raise TipCollisionError(step_index=i + int(np.argmin(out[1:] > 0.0)))
+    return out
 
 
 @functools.cache
@@ -609,7 +621,7 @@ def _stepper(kind: type):
     base = next((k for k in kind.__mro__ if k in _FORCE), None)
     if base is None:
         raise StructuralError(f"unsupported potential {kind.__name__}")
-    namespace = {"np": np, "DomainError": DomainError, "TipCollisionError": TipCollisionError}
+    namespace = {"np": np, "DomainError": DomainError, "_block_radii": _block_radii}
     source = _LOOP.replace("{force}", _FORCE[base])
     exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
     return namespace["run"], namespace["force"]
@@ -631,13 +643,17 @@ def integrate(
     Each step drifts r by the carried q = dt * p_r / m, then adds dt^2/m
     times the force at the new r to q (see the module docstring); in exact
     arithmetic that is one kick-drift-kick step.  phi advances with the
-    midpoint radius of each drift; J is untouched.  Each sample is a restart
-    point, bit for bit, so the last bits of a state depend on
-    ``sample_every``.  A negative ``dt`` runs backward, with decreasing
-    sample times, and the scheme is time-reversible up to rounding.  A start
-    point with a non-finite H is a DomainError, and so is a force outside the
-    float range, with its step index.  A drift that leaves the r > 0
-    half-line (or gives NaN) raises TipCollisionError with its step index.
+    midpoint radius of each drift; J is untouched.  Sampling is a read-out:
+    the samples are exactly every ``sample_every``-th state of the run that
+    samples every step, whatever the blocks, with p_r = (q_in + q_out) m /
+    (2 dt) from the drifts into and out of the sample (in exact arithmetic
+    (q - F/2) m / dt, F the scaled force there).  A run restarted from a
+    sample agrees with the whole run only to rounding.  A negative ``dt``
+    runs backward, with decreasing sample times, and the scheme is
+    time-reversible up to rounding.  A start point with a non-finite H is a
+    DomainError, and so is a force outside the float range, with its step
+    index.  A drift that leaves the r > 0 half-line (or gives NaN) raises
+    TipCollisionError with its step index.
     """
     # "python" is the only stepper; the parameter stays while
     # perfbench/worker.py's kernel-throughput probe passes it (ROADMAP item 8)
@@ -659,9 +675,7 @@ def integrate(
         raise DomainError(f"start point has non-finite energy H={h0}")
 
     n_samples = n_steps // sample_every + 1
-    out_r = np.empty(n_samples)
-    out_pr = np.empty(n_samples)
-    out_phi = np.empty(n_samples)
+    out_r, out_pr, out_phi = np.empty((3, n_samples))
     out_r[0], out_pr[0], out_phi[0] = pt0.r, pt0.p_r, pt0.phi
     m, s = params.m, params.geometry.s
     c, alpha = _power_law_form(params)
@@ -669,7 +683,7 @@ def integrate(
     # Python floats: numpy scalars past the tip would warn, not raise or go complex
     run(float(pt0.r), float(pt0.p_r), pt0.phi, float(pt0.J),
         *map(float, (m, m * s * s, c, alpha - 1.0, dt)), n_steps, sample_every,
-        min(_BLOCK, n_steps), memoryview(out_r), memoryview(out_pr), out_phi)
+        min(_BLOCK, n_steps), out_r, out_pr, out_phi)
     times = dt * sample_every * np.arange(n_samples)
     with np.errstate(over="ignore"):  # r * r past the float range: the term is 0
         series_h = hamiltonian(params, out_r, out_pr, pt0.J)
@@ -693,18 +707,18 @@ class _Hermite:
     """Piecewise-cubic interpolant through samples with known derivatives.
 
     Derivative data comes straight from the equations of motion, so the
-    interpolation error is O(h^4) in the sample spacing.
+    interpolation error is O(h^4) in the sample spacing.  The samples are
+    kept as memoryviews, so an evaluation runs on Python floats: the bits of
+    numpy's float64 scalars at a fraction of their cost.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, dy: np.ndarray):
-        self.t = t
-        self.y = y
-        self.dy = dy
+        self.t, self.y, self.dy = (memoryview(np.ascontiguousarray(a, dtype=float))
+                                   for a in (t, y, dy))
 
     def _cell(self, x: float):
         """(i, h, u): the interval [t_i, t_i + h] of x, and x's place u in it."""
-        i = int(np.searchsorted(self.t, x, side="right")) - 1
-        i = min(max(i, 0), len(self.t) - 2)
+        i = min(max(bisect.bisect_right(self.t, x) - 1, 0), len(self.t) - 2)
         t0, t1 = self.t[i], self.t[i + 1]
         h = t1 - t0
         return i, h, (x - t0) / h
@@ -762,25 +776,35 @@ class ApsisEvent(NamedTuple):
 def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
     """Locate apsis passages by root-finding p_r on the Hermite interpolant.
 
-    Events are listed in sample order, which is decreasing time for a
-    backward run (dt < 0).
+    A sample whose p_r is exactly 0 between samples of opposite signs is
+    the apsis itself; a zero at either end of the trajectory, or between
+    samples of one sign, is none.  Events are listed in sample order, which
+    is decreasing time for a backward run (dt < 0).
     """
     r_h, p_h, phi_h = _interpolants(traj)
     p, t = traj.p_r, traj.times
-    forward = traj.dt > 0.0
-    # one root-solve lane per sign change of p_r between samples, started
-    # at the secant point of the two samples
-    i = np.flatnonzero((p[:-1] != 0.0) & ~(p[:-1] * p[1:] >= 0.0))
+    sign = np.sign(p)  # signs are multiplied, not the values: those may underflow
+    # an event per sign change of p_r in sample order: one root-solve lane
+    # between two nonzero samples of opposite signs (or a NaN, which the
+    # solve rejects), started at their secant point, and the sample itself
+    # where p_r is exactly 0 between samples of opposite signs
+    i = np.flatnonzero((sign[:-1] != 0.0) & ~(sign[:-1] * sign[1:] >= 0.0))
+    zeros = np.flatnonzero((sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0)) + 1
     a, b, fa, fb = t[i], t[i + 1], p[i], p[i + 1]
-    times, failed = _root(
+    roots, failed = _root(
         lambda x, _: (np.array([p_h(v) for v in x.tolist()]),
                       np.array([p_h.slope(v) for v in x.tolist()])),
         (a * fb - b * fa) / (fb - fa), a, b, fa, fb, rtol=1e-15)
     _raise_first(failed, name_lane=False)
-    # r falls before a perigee in sample order: p_r < 0 forward, > 0 backward
+    # by the sample before each event; r falls before a perigee in sample
+    # order: p_r < 0 forward, > 0 backward
+    before = np.concatenate((i, zeros - 1))
+    times = np.concatenate((roots, t[zeros]))
+    order = np.argsort(before)
+    forward = traj.dt > 0.0
     return [ApsisEvent(time=t_star, kind="perigee" if (p[k] < 0.0) == forward else "apogee",
                        r=float(r_h(t_star)), phi_unwrapped=float(phi_h(t_star)))
-            for k, t_star in zip(i.tolist(), times.tolist())]
+            for k, t_star in zip(before[order].tolist(), times[order].tolist())]
 
 
 def measure_apsidal_advance(traj: Trajectory) -> tuple[float, float]:

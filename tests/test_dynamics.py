@@ -724,9 +724,9 @@ def _kdk_oracle(params, pt, dt, n_steps, sample_every):
 def _reference_kdk(params, pt, dt, n_steps, sample_every):
     """The stepper loop written plainly, in drift form: the drift q = dt *
     p_r / m of the next step is carried, the force -U_eff' comes scaled by
-    dt * dt / m, p_r is formed only at a sample and q formed again from it,
-    and the angle is summed step by step.  Returns sampled (r, p_r,
-    unwrapped phi)."""
+    dt * dt / m, a sample reads p_r off the mean of the drifts into and out
+    of it and changes nothing, and the angle is summed step by step.
+    Returns sampled (r, p_r, unwrapped phi)."""
     pot = params.potential
     m, s = params.m, params.geometry.s
     ms2 = m * s * s
@@ -753,12 +753,9 @@ def _reference_kdk(params, pt, dt, n_steps, sample_every):
         r_mid = 0.5 * (r + r_new)
         phi = phi + dt * (J / (ms2 * (r_mid * r_mid)))
         r = r_new
-        kick = force(r)
-        q = q + kick
+        q_in, q = q, q + force(r)
         if (i + 1) % sample_every == 0:
-            p_r = (q - 0.5 * kick) * (m / dt)
-            q = dt * (p_r / m) + 0.5 * kick
-            samples.append((r, p_r, phi))
+            samples.append((r, (q_in + q) * (0.5 * (m / dt)), phi))
     return np.array(samples).T
 
 
@@ -840,24 +837,27 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("potential", [
         cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.0),
         cd.PowerLaw(amplitude=0.8, exponent=1.5),
-    ], ids=["kepler", "power_law"])
-    def test_chunked_run_equals_one_run(self, potential):
-        # every sample is a restart point: a run of n steps equals a chain of
-        # runs of sample_every steps, each started from the last sample of
-        # the one before (phi is left out: PhasePoint reduces it mod 2 pi)
-        for sample_every, m, dt in itertools.product((1, 7), (1.0, 1.7), (2e-3, -2e-3)):
+        cd.LogPotential(strength=1.0, r0=1.0),
+    ], ids=["kepler", "oscillator", "power_law", "log"])
+    @pytest.mark.parametrize("block", [None, 64], ids=["default_block", "block_64"])
+    def test_samples_are_read_outs_of_one_run(self, potential, block, monkeypatch):
+        # sampling changes no state: a run sampled every k-th step holds
+        # exactly every k-th state of the run sampled at every step, however
+        # the steps fall into blocks
+        if block is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK", block)
+        pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
+        for dt, m in itertools.product((2e-3, -2e-3), (1.0, 1.7)):
             params = cd.Params(m=m, geometry=cd.ConeGeometry.from_rational(2, 3),
                                potential=potential)
-            pt = cd.PhasePoint(r=1.0, phi=0.3, p_r=0.2, J=1.0)
-            whole = cd.integrate(params, pt, dt, 50 * sample_every, sample_every)
-            r, p_r = [pt.r], [pt.p_r]
-            for _ in range(50):
-                pt = cd.integrate(params, pt, dt, sample_every, sample_every).point(1)
-                r.append(pt.r)
-                p_r.append(pt.p_r)
-            assert whole.r.tobytes() == np.array(r).tobytes()
-            assert whole.p_r.tobytes() == np.array(p_r).tobytes()
+            every = cd.integrate(params, pt, dt, 1050, 1)
+            for sample_every in (1, 7, 150):
+                traj = cd.integrate(params, pt, dt, 1050, sample_every)
+                for name in ("r", "p_r", "phi_unwrapped"):
+                    want = getattr(every, name)[::sample_every]
+                    assert getattr(traj, name).tobytes() == want.tobytes()
 
     def test_angle_past_float_range_equals_reference_loop(self):
         # r_mid * r_mid overflows to inf, so every angle increment is 0, as
@@ -971,16 +971,6 @@ class TestIntegrate:
             with pytest.raises(DomainError, match="integer"):
                 cd.integrate(params, pt, 1e-3, n_steps, sample_every)
         assert len(cd.integrate(params, pt, 1e-3, np.int64(100), np.int64(10))) == 11
-
-    def test_integrate_is_iterated_step(self):
-        params = oscillator_params(2, 3, omega=0.7)
-        pt = cd.PhasePoint(r=1.4, phi=0.5, p_r=0.2, J=1.0)
-        traj = cd.integrate(params, pt, 1e-3, 50, 1)
-        walked = pt
-        for i in range(1, 51):
-            walked = one_step(params, walked, 1e-3)
-            assert walked.r == traj.r[i]
-            assert walked.p_r == traj.p_r[i]
 
 
 def _reference_detect_closure(traj, tol):
@@ -1140,6 +1130,30 @@ class TestApsidalMeasurement:
         with pytest.raises(DomainError, match=r"^trajectory too short: fewer than three "
                                               r"apsis passages$"):
             cd.measure_apsidal_advance(traj)
+
+    def test_zero_sample_between_opposite_signs_is_the_apsis(self):
+        params = kepler_params(2, 3)
+        traj = cd.integrate(params, perigee_point(params, -0.15, 1.0), 2e-3, 50_000, 50)
+        events = cd.trajectory_apsides(traj)
+        assert len(events) == 5 and traj.p_r[0] == 0.0  # from perigee: no event at 0
+        k = int(np.argmin(np.abs(traj.times - events[1].time)))
+        assert traj.p_r[k - 1] * traj.p_r[k + 1] < 0.0
+        p_r = traj.p_r.copy()
+        p_r[k] = 0.0
+        zeroed = dataclasses.replace(traj, p_r=p_r)
+        got = cd.trajectory_apsides(zeroed)
+        assert got[1] == (traj.times[k], events[1].kind, traj.r[k], traj.phi_unwrapped[k])
+        assert got[:1] + got[2:] == events[:1] + events[2:]
+        # the sample lies within half a sample spacing of the apsis
+        (angle, period), (want_angle, want_period) = (cd.measure_apsidal_advance(zeroed),
+                                                      cd.measure_apsidal_advance(traj))
+        assert period == want_period and angle == pytest.approx(want_angle, abs=0.05)
+        # a zero at the last sample, or between samples of one sign, is no event
+        for k in (len(traj) - 1, k + 20):
+            p_r = traj.p_r.copy()
+            assert k == len(traj) - 1 or traj.p_r[k - 1] * traj.p_r[k + 1] > 0.0
+            p_r[k] = 0.0
+            assert cd.trajectory_apsides(dataclasses.replace(traj, p_r=p_r)) == events
 
     def test_measured_advance_matches_quadrature(self):
         params = kepler_params()
