@@ -23,7 +23,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     ("simulate", "simulate_kepler_s23.json", "csv"):
-        "d6abbef2d1bb64ad8a567e9f222b1ad98b9d0f63642726357eb0bdf9b1909604",
+        "0fec22f12ce311ca0eb7a6504d56f6a2bde887bd6bb89b1aff95808319beacbf",
     ("actions", "actions_kepler_s23.json", "jsonl"):
         "ebd4bad6a34d86beef88ba35ade05af0ccc818f34e4a615bac5fd2c8c2785016",
     ("bertrand", "bertrand_scan.json", "csv"):
