@@ -1148,6 +1148,12 @@ class TestApsidalMeasurement:
         (angle, period), (want_angle, want_period) = (cd.measure_apsidal_advance(zeroed),
                                                       cd.measure_apsidal_advance(traj))
         assert period == want_period and angle == pytest.approx(want_angle, abs=0.05)
+        # samples of opposite signs whose product underflows still bracket it
+        p_r = traj.p_r.copy()
+        p_r[k], p_r[k + 1] = np.copysign(1e-200, p_r[k - 1]), np.copysign(1e-200, p_r[k + 1])
+        got = cd.trajectory_apsides(dataclasses.replace(traj, p_r=p_r))
+        assert [e.kind for e in got] == [e.kind for e in events]
+        assert traj.times[k] <= got[1].time < traj.times[k + 1]
         # a zero at the last sample, or between samples of one sign, is no event
         for k in (len(traj) - 1, k + 20):
             p_r = traj.p_r.copy()
