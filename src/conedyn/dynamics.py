@@ -555,16 +555,14 @@ def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
     i = 0  # steps before the current block
     j = 0  # drifts stored in it; the opening force belongs to step 0
     try:
-        kick = {force}
-        q = dt * (p_r / m) + 0.5 * kick  # the drift of the next step
+        q = dt * (p_r / m) + 0.5 * ({force})  # the drift of the next step
         while i < n_steps:
             n = min(block, n_steps - i)
             store[0] = r
             for j in range(1, n + 1):
                 store[j] = q
                 r += q
-                kick = {force}
-                q += kick
+                q += {force}
             rb = _block_radii(drifts[:n + 1], radii, i)
             store[n + 1] = q  # real: every radius of the block is positive
             # samples lo..hi-1 fall in the block, at its steps ``at``
