@@ -68,26 +68,22 @@ def radial_action(
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "radial action")
-    i2 = _radial_action(well, tolerance, max_refinements)
+    (integral,), _ = well.integral([_radial_action(well)], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
-    return i2.item()
+    return (integral / math.pi).item()
 
 
-def _radial_action(well: _Well, tolerance: float, max_refinements: int) -> np.ndarray:
-    """Radial action I2 per lane of the well."""
+def _radial_action(well: _Well):
+    """Integrand of pi I2 for :meth:`_Well.integral` on the lanes of the well."""
     m = well.params.m
     rho_sq = well.rho * well.rho  # correctly rounded, unlike a libm pow(rho, 2)
-    value, _ = well.integral(
-        lambda theta, r, g, k: m * rho_sq[k, None] * np.sin(theta) ** 2 * np.sqrt(g),
-        tolerance, max_refinements,
-    )
-    return value / math.pi
+    return lambda theta, r, g, k: m * rho_sq[k, None] * np.sin(theta) ** 2 * np.sqrt(g)
 
 
 def hamiltonian_from_actions(params: Params, I1: float, I2: float) -> float:
     """Closed-form H(I1, I2); only the Kepler and oscillator potentials have one."""
-    if I2 < 0.0:
-        raise DomainError(f"radial action must be nonnegative, got {I2}")
+    if not (math.isfinite(I1) and 0.0 <= I2 < math.inf):
+        raise DomainError(f"actions must be finite and I2 nonnegative, got I1={I1}, I2={I2}")
     s = params.geometry.s
     pot = params.potential
     if isinstance(pot, Kepler):
@@ -132,12 +128,12 @@ def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: fl
                      max_refinements: int, errors: dict):
     """(I2, omega1, omega2) of :func:`frequencies` per lane of the 1-D arrays
     E and J, from one well; a failed lane holds NaN and records its error in
-    ``errors``."""
+    ``errors``.  The three integrals share one pass over the well's nodes."""
     well = _Well(params, E, J, errors, "frequency analysis")
-    i2 = _radial_action(well, tolerance, max_refinements)
-    omega2 = TWO_PI / well.period(tolerance, max_refinements)
-    omega1 = omega2 * well.swept_angle(tolerance, max_refinements)[0] / math.pi
-    return i2, omega1, omega2
+    (action, period, angle), _ = well.integral(
+        [_radial_action(well), well.period, well.swept_angle], tolerance, max_refinements)
+    omega2 = TWO_PI / period
+    return action / math.pi, omega2 * (angle / params.geometry.s) / math.pi, omega2
 
 
 def _rationalize(x: float) -> RationalApprox | None:

@@ -155,12 +155,14 @@ class _Well:
 
     def integral(
         self,
-        integrand: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+        integrands: Sequence[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                                      np.ndarray]],
         tolerance: float,
         max_refinements: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre sums over theta in [0, pi] of integrand(theta, r, g,
-        k), doubling the order of each lane until its successive sums agree.
+        """Gauss-Legendre sums over theta in [0, pi] of each integrand(theta,
+        r, g, k), doubling the order of each lane until its successive sums
+        agree.
 
         The orders run from 32 to 64 * 2**max_refinements: the first test of
         a lane compares its 32- and 64-node sums, and each refinement past
@@ -169,40 +171,44 @@ class _Well:
         below their gap (Trefethen, SIAM Review 50, 2008), and a lane keeps
         the sum of the higher order.
 
-        The integrand gets the rows k (an index array) of the lanes still
+        Every integrand gets the rows k (an index array) of the lanes still
         refining, with r = r_mid - rho*cos(theta) and g = (2/m)(E - U_eff(r))
         / (rho*sin(theta))^2, which is smooth and positive across the well,
-        as (len(k), order) matrices.  A circular lane (rho = 0) takes g's
-        limit U_eff''(r_c)/m on every node, so its sums agree at the first
-        test.  Each lane's sum is the numpy row sum of integrand * w, which
-        sums every row pairwise on its own and calls no BLAS, so a lane has
-        the bits of a one-lane call whatever the batch or the BLAS kernel;
-        convergence, stagnation, breach and failure are masks over the lanes
-        still refining.  Returns each lane's last sum and its relative change
-        at the last test: NaN and inf in a failed lane.
+        as (len(k), order) matrices formed once per order for all the
+        integrands.  A circular lane (rho = 0) takes g's limit U_eff''(r_c)/m
+        on every node, so its sums agree at the first test.  Each lane's sum
+        is the numpy row sum of integrand * w, which sums every row pairwise
+        on its own and calls no BLAS, so a lane has the bits of a one-lane
+        call whatever the batch or the BLAS kernel.  Each (integrand, lane)
+        pair converges and stagnates on its own, so a sum stops at the order
+        it would stop at alone, and a lane refines until all its sums have
+        stopped.  Returns each pair's last sum and its relative change at the
+        last test, both (len(integrands), lanes): NaN and inf in a failed
+        lane.
 
         Two guards keep deep refinement from degrading nearly-circular wells,
         where the innermost nodes approach the rounding floor of E - U_eff
-        near the turning points: a lane stops once its successive change
+        near the turning points: a sum stops once its successive change
         stagnates below 1e-3 (the noise floor; a larger change that does not
         fall is a sum not yet resolved), and a lane whose endpoint is breached
-        after its first test keeps its last sum, logs a debug line that names
-        the order, and warns as an unconverged lane does (its change is still
-        above the tolerance).  No sum is kept without an estimate: a lane
-        whose integrand is not positive at order 32 or 64, before its first
-        test, fails with a QuadratureError in ``errors``.
+        after its first test keeps the last sums, logs a debug line that names
+        the order, and warns for each sum still refining as for an unconverged
+        one (its change is still above the tolerance).  No sum is kept without
+        an estimate: a lane whose g is not positive at order 32 or 64, before
+        its first test, fails with a QuadratureError in ``errors``.
         """
         params, E, rho, errors = self.params, self.E, self.rho, self.errors
-        n = E.size
-        value, err = np.full(n, math.nan), np.full(n, math.inf)  # per lane: last sum and change
-        active = np.flatnonzero(_alive(errors, n))
+        shape = (len(integrands), E.size)
+        value, err = np.full(shape, math.nan), np.full(shape, math.inf)  # last sum and change
+        refining = np.repeat(_alive(errors, E.size)[None], len(integrands), axis=0)
         order = _START_ORDER
         for refinement in range(2 + max(max_refinements, 0)):
+            active = np.flatnonzero(refining.any(axis=0))
             if not active.size:
                 break
             theta, w = _gauss_theta(order)
             cos, sin = np.cos(theta), np.sin(theta)
-            new, positive = np.empty(active.size), np.empty(active.size, dtype=bool)
+            new, positive = np.empty((len(integrands), active.size)), np.empty(active.size, bool)
             rows = max(1, _NODE_BLOCK // order)
             for start in range(0, active.size, rows):
                 k, block = active[start:start + rows], slice(start, start + rows)
@@ -214,52 +220,54 @@ class _Well:
                     g = d / (rho[k, None] * sin) ** 2
                     circular = rho[k] == 0.0
                     g[circular] = self.g_c[k[circular], None]
-                    new[block] = (integrand(theta, r, g, k) * w).sum(axis=1)
+                    for i, integrand in enumerate(integrands):
+                        new[i, block] = (integrand(theta, r, g, k) * w).sum(axis=1)
                 positive[block] = (g.min(axis=1) > 0.0) & (g.max(axis=1) < math.inf)
+            stopped = active[~positive]
             if refinement < 2:
                 _record(errors, ~positive, QuadratureError,
                         "transformed integrand not positive at order {}, before any error "
                         "estimate", order, lanes=active)
-                value[active[~positive]] = math.nan  # drops an order-32 sum
+                value[:, stopped] = math.nan  # drops an order-32 sum
             else:
-                for e in err[active[~positive]].tolist():
+                for e in err[:, stopped][refining[:, stopped]].tolist():
                     log.debug("order %d breached the endpoint floor; keeping %.1e", order, e)
                     log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
-            active, new = active[positive], new[positive]
+            refining[:, stopped] = False
+            active, new = active[positive], new[:, positive]
             if refinement:
                 with np.errstate(all="ignore"):
-                    change = np.abs(new - value[active]) / np.maximum(np.abs(new), 1e-300)
+                    change = np.abs(new - value[:, active]) / np.maximum(np.abs(new), 1e-300)
                 # spectral convergence would cut the change by orders of magnitude
                 # per doubling; stalling means rounding noise, unless the last
                 # change was still large: a sum not yet resolved (an eccentric well)
+                live, last = refining[:, active], err[:, active]
                 converged = change <= tolerance
-                stagnated = ~converged & (change >= 0.5 * err[active]) & (err[active] < _RESOLVED)
-                for c in change[stagnated].tolist():
+                stagnated = ~converged & (change >= 0.5 * last) & (last < _RESOLVED)
+                for c in change[stagnated & live].tolist():
                     log.debug("quadrature stagnated at %.1e (order %d)", c, order)
-                value[active], err[active] = new, change
-                active = active[~(converged | stagnated)]
+                value[:, active] = np.where(live, new, value[:, active])
+                err[:, active] = np.where(live, change, last)
+                refining[:, active] = live & ~(converged | stagnated)
             else:
-                value[active] = new
+                value[:, active] = new
             order *= 2
-        for e in err[active].tolist():
+        for e in err[refining].tolist():
             log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
         return value, err
 
-    def swept_angle(self, tolerance: float, max_refinements: int):
-        """Perigee-to-apogee angle delta_phi per lane, and its error estimate."""
-        s, m = self.params.geometry.s, self.params.m
-        lam_mag = np.abs(self.J) / s  # magnitude: the swept angle is reported positive
-        integral, err = self.integral(
-            lambda theta, r, g, k: lam_mag[k, None] / (m * r * r) / np.sqrt(g),
-            tolerance, max_refinements,
-        )
-        return integral / s, err
+    # the integrands of the angle and the period (actions._radial_action
+    # gives the action's)
 
-    def period(self, tolerance: float, max_refinements: int) -> np.ndarray:
-        """Full radial period per lane."""
-        period, _ = self.integral(lambda theta, r, g, k: 2.0 / np.sqrt(g),
-                                  tolerance, max_refinements)
-        return period
+    def swept_angle(self, theta, r, g, k):
+        """Integrand of s times the perigee-to-apogee angle delta_phi."""
+        s = self.params.geometry.s
+        # magnitude: the swept angle is reported positive
+        return np.abs(self.J[k, None]) / s / (self.params.m * r * r) / np.sqrt(g)
+
+    def period(self, theta, r, g, k):
+        """Integrand of the full radial period."""
+        return 2.0 / np.sqrt(g)
 
 
 class ApsidalResult(NamedTuple):
@@ -285,16 +293,17 @@ def apsidal_angle(
 ) -> ApsidalResult:
     """Angle swept between adjacent perigee and apogee, by quadrature.
 
-    Evaluates the transformed integral described in the module docstring and
-    divides by s, as one lane of :meth:`_Well.swept_angle`.  A circular
-    level gives the near-circular limit pi / (s sqrt(alpha + 2)).
+    Evaluates the transformed integral described in the module docstring,
+    one lane of :meth:`_Well.integral` over :meth:`_Well.swept_angle`, and
+    divides it by s.  A circular level gives the near-circular limit
+    pi / (s sqrt(alpha + 2)).
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "apsidal angle")
-    delta_phi, err = well.swept_angle(tolerance, max_refinements)
+    (integral,), (err,) = well.integral([well.swept_angle], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
-    return ApsidalResult(delta_phi=delta_phi.item(), lam=J / params.geometry.s, E=E,
-                         quadrature_error_estimate=err.item())
+    return ApsidalResult(delta_phi=(integral / params.geometry.s).item(),
+                         lam=J / params.geometry.s, E=E, quadrature_error_estimate=err.item())
 
 
 def radial_period(
@@ -313,7 +322,7 @@ def radial_period(
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "radial period")
-    period = well.period(tolerance, max_refinements)
+    (period,), _ = well.integral([well.period], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return period.item()
 
@@ -465,11 +474,12 @@ def bertrand_scan(
     _record(errors, J == 0.0, DomainError, "apsidal angle requires J != 0")
     E, minimum = _well_levels(params, J, fractions, 10.0, errors)  # NaN where the well fails
     well = _Well(params, E, J, errors, "apsidal angle", minimum)
-    delta_phi, _ = well.swept_angle(tolerance, max_refinements)
+    (integral,), _ = well.integral([well.swept_angle], tolerance, max_refinements)
     status = ["ok"] * J.size
     for k, exc in errors.items():  # per-cell failures are recorded; their value is NaN
         status[k] = f"infeasible: {exc}"
-    s_delta_phi, ok = delta_phi * s, _alive(errors, J.size)
+    # s times apsidal_angle's delta_phi, with its bits
+    s_delta_phi, ok = integral / s * s, _alive(errors, J.size)
     verdicts: list[FamilyVerdict] = []
     for g, alpha in enumerate(exponents):
         expected = math.pi / math.sqrt(alpha + 2.0)

@@ -227,6 +227,7 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     """
     m, s = params.m, params.geometry.s
     a_alpha, alpha = _power_law_form(params)
+    _record(errors, ~np.isfinite(J), DomainError, "angular momentum J={} is not finite", J)
     _record(errors, (J == 0.0) | (a_alpha <= 0.0), StructuralError,
             "effective potential has no interior minimum for these parameters")
     with np.errstate(all="ignore"):
@@ -743,8 +744,11 @@ def _interpolants(traj: Trajectory):
     """Hermite interpolants for r, p_r and the unwrapped angle.
 
     A backward run (dt < 0) has decreasing times; its samples are taken in
-    reverse so that the interpolants always see increasing times.
+    reverse so that the interpolants always see increasing times.  A
+    non-finite r or p_r is a DomainError.
     """
+    if not (np.isfinite(traj.r).all() and np.isfinite(traj.p_r).all()):
+        raise DomainError("trajectory analysis requires finite r and p_r")
     params = traj.params
     J = float(traj.series_J[0])
     m, s = params.m, params.geometry.s
@@ -777,16 +781,17 @@ def trajectory_apsides(traj: Trajectory) -> list[ApsisEvent]:
     A sample whose p_r is exactly 0 between samples of opposite signs is
     the apsis itself; a zero at either end of the trajectory, or between
     samples of one sign, is none.  Events are listed in sample order, which
-    is decreasing time for a backward run (dt < 0).
+    is decreasing time for a backward run (dt < 0).  A non-finite r or p_r
+    is a DomainError.
     """
     r_h, p_h, phi_h = _interpolants(traj)
     p, t = traj.p_r, traj.times
     sign = np.sign(p)  # signs are multiplied, not the values: those may underflow
     # an event per sign change of p_r in sample order: one root-solve lane
-    # between two nonzero samples of opposite signs (or a NaN, which the
-    # solve rejects), started at their secant point, and the sample itself
-    # where p_r is exactly 0 between samples of opposite signs
-    i = np.flatnonzero((sign[:-1] != 0.0) & ~(sign[:-1] * sign[1:] >= 0.0))
+    # between two nonzero samples of opposite signs, started at their secant
+    # point, and the sample itself where p_r is exactly 0 between samples of
+    # opposite signs
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     zeros = np.flatnonzero((sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0)) + 1
     a, b, fa, fb = t[i], t[i + 1], p[i], p[i + 1]
     roots, failed = _root(
@@ -863,8 +868,7 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
     if float(traj.series_J[0]) == 0.0:
         raise DomainError("closure detection requires J != 0")
     r, p, t = traj.r, traj.p_r, traj.times
-    if not (np.isfinite(r).all() and np.isfinite(p).all()):
-        raise DomainError("closure detection requires finite r and p_r")
+    r_h, p_h, phi_h = _interpolants(traj)
     amp_r = float(r.max() - r.min())
     amp_p = max(float(p.max() - p.min()), 1e-300)
     if amp_r <= 1e-9 * max(float(r.mean()), 1e-300):
@@ -875,8 +879,6 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
 
     # the sample farthest from r0 in r has d >= 0.5: some sample departs
     start = int(np.argmax(d > 0.35))
-
-    r_h, p_h, phi_h = _interpolants(traj)
 
     def dist_sq(x: float) -> float:
         dr = (r_h(x) - r0) / amp_r

@@ -112,6 +112,13 @@ class TestHamiltonianFromActions:
         with pytest.raises(DomainError):
             cd.hamiltonian_from_actions(kepler_params(), 1.0, -0.1)
 
+    @pytest.mark.parametrize("I1, I2", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0),
+                                        (-math.inf, 1.0)])
+    def test_non_finite_action_rejected(self, I1, I2):
+        with pytest.raises(DomainError, match=rf"^actions must be finite and I2 nonnegative, "
+                                              rf"got I1={I1}, I2={I2}$"):
+            cd.hamiltonian_from_actions(kepler_params(), I1, I2)
+
 
 class TestFrequencies:
     def test_flat_kepler_degenerate(self):

@@ -13,7 +13,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 import conedyn as cd
 from conedyn import bertrand, dynamics
-from conedyn.actions import radial_action
+from conedyn.actions import _radial_action, radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.cli import main
 from conedyn.sampling import draw_bound_points
@@ -198,7 +198,7 @@ class TestRefinementPaths:
         caplog.set_level("DEBUG", logger="conedyn")
         errors: dict = {}
         well = _Well(params, np.array([u0 + frac * abs(u0)]), np.ones(1), errors, "apsidal angle")
-        value, err = well.swept_angle(1e-10, 6)
+        (value,), (err,) = well.integral([well.swept_angle], 1e-10, 6)
         assert math.isnan(value[0]) and err[0] == math.inf
         assert {k: str(e) for k, e in errors.items()} == {
             0: f"transformed integrand not positive at order {order}, before any error estimate"}
@@ -219,42 +219,59 @@ class TestRefinementPaths:
 
     def test_mixed_batch_equals_one_lane_calls(self, caplog):
         # one well holds a converged, a stagnated, an endpoint-breach, a
-        # breach-before-the-first-test and a circular lane (Kepler at these
-        # fractions of its depth): each lane's value, error estimate, error
-        # and log records are those of its own one-lane call, in either lane
-        # order
+        # breach-before-the-first-test, a circular and another stagnated lane
+        # (Kepler at these fractions of its depth): each lane's value, error
+        # estimate, error and log records are those of its own one-lane
+        # call, in either lane order; so are those of the three integrands
+        # of one pass, each against its own one-integrand calls
         params = kepler_params()
         _, u0 = cd.circular_orbit(params, 1.0)
-        E = u0 + np.array([1e-2, 1e-4, 1e-9, 1e-10, 0.0]) * abs(u0)
+        E = u0 + np.array([1e-2, 1e-4, 1e-9, 1e-10, 0.0, 4e-9]) * abs(u0)
         caplog.set_level("DEBUG", logger="conedyn")
 
-        def swept(lanes):
+        def integral(lanes, names=("angle",)):
             caplog.clear()
             errors: dict = {}
             well = _Well(params, E[lanes], np.ones(len(lanes)), errors, "apsidal angle")
-            value, err = well.swept_angle(1e-10, 6)
+            integrands = {"angle": well.swept_angle, "period": well.period,
+                          "action": _radial_action(well)}
+            value, err = well.integral([integrands[name] for name in names], 1e-10, 6)
             return (value.tolist(), err.tolist(), {k: repr(e) for k, e in errors.items()},
                     Counter(r.getMessage() for r in caplog.records))
 
-        alone = [swept([lane]) for lane in range(E.size)]
+        names = ("action", "period", "angle")
+        single = {name: [integral([lane], (name,)) for lane in range(E.size)]
+                  for name in names}
+        alone = single["angle"]
         assert [a[3] for a in alone] == [
             Counter(), Counter({"quadrature stagnated at 1.6e-09 (order 128)": 1}),
             Counter({"order 128 breached the endpoint floor; keeping 5.0e-05": 1,
                      "quadrature did not reach 1.0e-10 (last change 5.0e-05)": 1}),
-            Counter(), Counter()]
+            Counter(), Counter(), Counter({"quadrature stagnated at 1.4e-04 (order 128)": 1})]
+        # at 1e-4 of the depth the action converges at order 64 and the
+        # other two refine to 128; at 4e-9 they stop at 128, and the action
+        # goes on to breach the endpoint at 256, where only it warns
+        assert single["action"][1][1][0][0] <= 1e-10 < single["period"][1][1][0][0]
+        assert single["action"][5][3] == Counter({
+            "order 256 breached the endpoint floor; keeping 2.0e-09": 1,
+            "quadrature did not reach 1.0e-10 (last change 2.0e-09)": 1})
         assert alone[3][2] == {0: "QuadratureError('transformed integrand not positive at "
                                   "order 64, before any error estimate')"}
         # the circular lane holds the limit, and converges at the first test:
         # its 32- and 64-node sums differ by the rounding of their weights
-        assert alone[4][0][0] == pytest.approx(PI, rel=2e-15)
-        assert alone[4][1][0] < 1e-15 and alone[4][2] == {}
-        for order in ([0, 1, 2, 3, 4], [3, 4, 1, 0, 2]):
-            value, err, errors, records = swept(order)
-            for i, lane in enumerate(order):
-                assert value[i].hex() == alone[lane][0][0].hex()
-                assert err[i].hex() == alone[lane][1][0].hex()
-                assert errors.get(i) == alone[lane][2].get(0)
-            assert records == sum((a[3] for a in alone), Counter())
+        assert alone[4][0][0][0] == pytest.approx(PI, rel=2e-15)
+        assert alone[4][1][0][0] < 1e-15 and alone[4][2] == {}
+        for order, case in (([0, 1, 2, 3, 4, 5], ("angle",)), ([3, 4, 1, 5, 0, 2], ("angle",)),
+                            ([0, 1, 2, 3, 4, 5], names), ([3, 4, 1, 5, 0, 2], names)):
+            value, err, errors, records = integral(order, case)
+            for j, name in enumerate(case):
+                for i, lane in enumerate(order):
+                    one = single[name][lane]
+                    assert value[j][i].hex() == one[0][0][0].hex()
+                    assert err[j][i].hex() == one[1][0][0].hex()
+                    assert errors.get(i) == one[2].get(0)
+            assert records == sum((single[name][lane][3] for name in case
+                                   for lane in order), Counter())
 
 
 def _node_blocks(monkeypatch) -> list:
@@ -343,6 +360,16 @@ class TestQuadratureBudget:
                      "--output", str(tmp_path / "scan.csv")]) == 0
         assert 0 < sum(lanes * order for lanes, order in blocks) <= 0.6 * 24_192
 
+    def test_shipped_actions_budget(self, monkeypatch, tmp_path):
+        # the 4 levels of the shipped actions config stop at order 64, and
+        # the radial action, period and angle share their nodes: 1,152 node
+        # evaluations when each integral made its own pass
+        blocks = _node_blocks(monkeypatch)
+        config = Path(__file__).resolve().parent.parent / "configs" / "actions_kepler_s23.json"
+        assert main(["actions", "--config", str(config),
+                     "--output", str(tmp_path / "actions.jsonl")]) == 0
+        assert 0 < sum(lanes * order for lanes, order in blocks) <= 384
+
     @pytest.mark.parametrize("key", list(_AT_ORDER_64),
                              ids=lambda key: "{}-{}/{}-{}-{:g}".format(*key[:3], *key[3]))
     def test_no_less_accurate_for_at_most_32_more_nodes(self, monkeypatch, key):
@@ -412,6 +439,24 @@ class TestCircularOrbit:
     def test_zero_j_rejected(self):
         with pytest.raises(DomainError):
             cd.circular_orbit(kepler_params(), 0.0)
+
+    @pytest.mark.parametrize("J", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["turning_points", "circular_orbit", "apsidal_angle",
+                                      "radial_action", "width_law_check"])
+    def test_non_finite_j_rejected(self, name, J):
+        # every well path finds the minimum of U_eff, which names the bad J
+        call = {"turning_points": lambda: cd.turning_points(kepler_params(), -0.4, J),
+                "circular_orbit": lambda: cd.circular_orbit(kepler_params(), J),
+                "apsidal_angle": lambda: cd.apsidal_angle(kepler_params(), -0.4, J),
+                "radial_action": lambda: radial_action(kepler_params(), -0.4, J),
+                "width_law_check": lambda: cd.width_law_check(kepler_params(), J)}[name]
+        with pytest.raises(DomainError, match=rf"^angular momentum J={J} is not finite$"):
+            call()
+
+    def test_non_finite_j_lane_named(self):
+        with pytest.raises(DomainError, match=r"^angular momentum J=nan is not finite "
+                                              r"\(lane 1\)$"):
+            cd.turning_points(kepler_params(), np.full(3, -0.4), np.array([1.0, np.nan, 1.0]))
 
     def test_power_law_lanes_equal_float_evaluation(self):
         # every lane of an array call has the bits of r_c and U_eff(r_c)

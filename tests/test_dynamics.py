@@ -1079,12 +1079,6 @@ class TestDetectClosure:
         assert infos[0].radial_periods == infos[1].radial_periods == 2
         assert infos[2] is None
         assert infos[4].radial_periods == 1
-        # a NaN r or p_r would make every distance NaN: a typed error
-        for column in ("r", "p_r"):
-            bad = getattr(fwd, column).copy()
-            bad[7] = np.nan
-            with pytest.raises(DomainError, match="finite r and p_r"):
-                cd.detect_closure(dataclasses.replace(fwd, **{column: bad}))
 
     def test_golden_section_terminates_below_float_spacing(self):
         # at t ~ 1e7 the requested xatol is below one ulp of t
@@ -1120,6 +1114,20 @@ class TestApsidalMeasurement:
             assert interp(x) == pytest.approx(np.polyval(c, x), rel=1e-12, abs=1e-12)
             assert interp.slope(x) == pytest.approx(np.polyval(np.polyder(c), x),
                                                     rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("column", ["r", "p_r"])
+    def test_non_finite_sample_rejected(self, column):
+        # a NaN r or p_r makes the interpolants NaN around it, and every
+        # closure distance NaN: a typed error in each analysis
+        params = kepler_params(2, 3)
+        traj = cd.integrate(params, perigee_point(params, -0.15, 1.0), 2e-3, 20_000, 50)
+        bad = getattr(traj, column).copy()
+        bad[7] = np.nan
+        traj = dataclasses.replace(traj, **{column: bad})
+        for analyse in (cd.trajectory_apsides, cd.measure_apsidal_advance, cd.detect_closure):
+            with pytest.raises(DomainError, match="^trajectory analysis requires finite r and "
+                                                  "p_r$"):
+                analyse(traj)
 
     def test_too_short_trajectory_rejected(self):
         # half a radial period from mid-well passes one apsis

@@ -78,11 +78,11 @@ def _levels(params, E, J) -> dict:
     r_min, r_max = cd.turning_points(params, E, J)
     well = _Well(params, E, J, errors, "similarity")
     tolerance, refinements = 1e-10, 6
-    delta_phi, err = well.swept_angle(tolerance, refinements)
+    (angle, period, action), (err, _, _) = well.integral(
+        [well.swept_angle, well.period, _radial_action(well)], tolerance, refinements)
     return {"r_c": r_c, "u0": u0, "r_min": r_min, "r_max": r_max,
-            "delta_phi": delta_phi, "err": err,
-            "period": well.period(tolerance, refinements),
-            "action": _radial_action(well, tolerance, refinements),
+            "delta_phi": angle / params.geometry.s, "err": err, "period": period,
+            "action": action / math.pi,
             "errors": {lane: repr(exc) for lane, exc in errors.items()}}
 
 
