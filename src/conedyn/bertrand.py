@@ -138,16 +138,14 @@ class _Well:
                 self.g_c)
 
     def _effective_potential(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """U_eff at the nodes r of the lanes k (an index array).  alpha
-        enters numpy's power as a contiguous matrix of r's shape, so one
-        lane and many take the same loop (see README, Numerical choices)."""
+        """U_eff at the nodes r of the lanes k (an index array)."""
         m, s = self.params.m, self.params.geometry.s
         pot = self.params.potential
         if isinstance(pot, PowerLaw):
             a, alpha = pot.amplitude, pot.exponent
             if np.ndim(alpha):
                 a, alpha = a[k, None], alpha[k, None]
-            v = a * np.power(r, np.full(r.shape, alpha))
+            v = a * np.float_power(r, alpha)
         else:
             v = pot.value(r, m)
         J = self.J[k, None]

@@ -129,7 +129,7 @@ class PowerLaw:
             raise DomainError(f"exponent must be > -2, got {np.extract(bad, self.exponent)[0]}")
 
     def value(self, r, m: float = 1.0):
-        return self.amplitude * r ** self.exponent
+        return self.amplitude * np.float_power(r, self.exponent)
 
 
 @dataclass(frozen=True)

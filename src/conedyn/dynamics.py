@@ -105,29 +105,6 @@ def _escape_energy(params: Params):
 # the batch (the ``lanes`` of :func:`_effective_potential_lanes`): a batch
 # of potentials takes the same path as one potential.
 
-def _float_pow(x: np.ndarray, p) -> np.ndarray:
-    """x ** p lane by lane as Python floats compute it (numpy's power rounds
-    differently in a few percent of lanes); p is a scalar or one exponent
-    per lane.  The lanes go through one C-level ``map(pow, ...)``, the same
-    call as ``v ** q``.  If a lane raises (overflow, or zero to a negative
-    power), the batch is redone lane by lane, and each raising lane takes
-    numpy's power, a signed inf."""
-    base = x.tolist()
-    exps = [p] * len(base) if np.ndim(p) == 0 else p.tolist()
-    try:
-        return np.fromiter(map(pow, base, exps), float, len(base))
-    except ArithmeticError:
-        pass
-    out = []
-    for v, q in zip(base, exps):
-        try:
-            out.append(v ** q)
-        except ArithmeticError:
-            with np.errstate(all="ignore"):
-                out.append(float(np.power(v, q)))
-    return np.array(out)
-
-
 def _as_lanes(*values):
     """(scalar, lanes): whether every value is a scalar, and the values as
     1-D float arrays broadcast together."""
@@ -168,13 +145,13 @@ def _raise_first(errors: dict, name_lane: bool) -> None:
 
 def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
     """U_eff(r) and U_eff'(r) with the bits of one call per lane on Python
-    floats.  The power law's r ** alpha goes through :func:`_float_pow`,
-    once for both: U_eff' = (A alpha r^alpha - J^2/(m s^2 r^2)) / r, with
-    the constants of :func:`_power_law_form`.  ``lanes`` (an index array)
-    picks the (A, alpha) of r's lanes from a power law with one pair per
-    lane.  Also returns the mask of lanes where such a call raises
-    ArithmeticError (a zero divisor, or r ** alpha out of range); they hold
-    NaN."""
+    floats.  The power law's r ** alpha is one ``np.float_power`` (the C
+    library's pow, as Python's ** calls it), once for both:
+    U_eff' = (A alpha r^alpha - J^2/(m s^2 r^2)) / r, with the constants of
+    :func:`_power_law_form`.  ``lanes`` (an index array) picks the
+    (A, alpha) of r's lanes from a power law with one pair per lane.  Also
+    returns the mask of lanes where such a call raises ArithmeticError (a
+    zero divisor, or r ** alpha out of range); they hold NaN."""
     m, s = params.m, params.geometry.s
     pot = params.potential
     with np.errstate(all="ignore"):
@@ -185,7 +162,7 @@ def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lan
             a, alpha = pot.amplitude, pot.exponent
             if lanes is not None and np.ndim(alpha):
                 a, alpha = a[lanes], alpha[lanes]
-            power = _float_pow(r, alpha)
+            power = np.float_power(r, alpha)
             raised |= np.isinf(power) & np.isfinite(r)
             v, r_dv = a * power, a * alpha * power
         else:  # r V' is alpha V, and B for the log potential (alpha = 0)
@@ -221,9 +198,9 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
 
     With (A alpha, alpha) of :func:`_power_law_form`, U_eff' = 0 reduces to
     r^(alpha+2) = J^2/(m s^2 A alpha): the critical point is unique, and a
-    minimum exactly when A alpha > 0.  Both are evaluated with Python-float
-    powers, so each lane has the bits of a one-lane call; failed lanes hold
-    NaN.
+    minimum exactly when A alpha > 0.  Both are evaluated with
+    ``np.float_power``, so each lane has the bits of a one-lane call;
+    failed lanes hold NaN.
     """
     m, s = params.m, params.geometry.s
     a_alpha, alpha = _power_law_form(params)
@@ -233,7 +210,7 @@ def _find_ueff_minimum(params: Params, J: np.ndarray, errors: dict):
     with np.errstate(all="ignore"):
         # NaN where A alpha <= 0: a negative base has no real power
         base = np.where(a_alpha > 0.0, J * J / (m * s * s * a_alpha), math.nan)
-        r_c = _float_pow(base, 1.0 / (alpha + 2.0))
+        r_c = np.float_power(base, 1.0 / (alpha + 2.0))
     u0, *_ = _effective_potential_lanes(params, J, r_c)
     bad = ~((r_c > 0.0) & np.isfinite(r_c) & np.isfinite(u0))
     _record(errors, bad, StructuralError, "minimum of U_eff lies outside the float range")

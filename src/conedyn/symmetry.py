@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import TWO_PI, Kepler, Oscillator, Params, PhasePoint
-from .dynamics import _float_pow, hamiltonian
+from .dynamics import hamiltonian
 from .errors import DomainError, IrrationalScaleError, StructuralError
 
 _ZERO_FLOOR = 1e-12  # relative comparisons switch to absolute below this
@@ -305,9 +305,10 @@ def _pick(a, b):
 def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebraTable:
     """Evaluate the W-algebra brackets at N points and compare with the closed forms.
 
-    The coordinates are floats or 1-D arrays of one length N; phi is reduced
-    mod 2*pi first, as PhasePoint stores it.  Checked relations (canonical
-    bracket, charge c = 1 Kepler / 2 oscillator):
+    The coordinates are floats or 1-D arrays of one length N, all finite
+    (a DomainError names the first point and coordinate that is not); phi
+    is reduced mod 2*pi first, as PhasePoint stores it.  Checked relations
+    (canonical bracket, charge c = 1 Kepler / 2 oscillator):
 
         {J, Z} = -i c k Z        {J, Zbar} = +i c k Zbar
         {H, Z} = 0               {H, J} = 0
@@ -341,6 +342,11 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
     c, m = _charge(params), params.m
     charge = c * k
     x = np.array([r, phi, p_r, J], dtype=float).reshape(4, -1)
+    bad = np.argwhere(~np.isfinite(x.T))
+    if bad.size:
+        point, coord = bad[0].tolist()
+        raise DomainError(f"{('r', 'phi', 'p_r', 'J')[coord]} = {x[coord, point]} "
+                          f"at point {point} is not finite")
     x[1] %= TWO_PI
     r, phi, p_r, J = x
     inv = phase_invariants(params, r, phi, p_r, J)
@@ -366,8 +372,9 @@ def w_algebra_table(params: Params, r, phi, p_r, J, h: float = 1e-5) -> WAlgebra
         omega = params.potential.omega
         pref = _ctimes(-4j * n**3 / k * omega * omega, J, 0.0)
         free = inv.h * inv.h - omega * omega * n * n * J * J / (k * k)
-    cand_energy = _cmul(*pref, _float_pow(norm_sq, n - 1), 0.0)
-    cand_free = _cmul(*pref, _float_pow(free, n - 1), 0.0)
+    with np.errstate(over="ignore"):  # an overflowing base: the point's rows are NaN
+        cand_energy = _cmul(*pref, np.float_power(norm_sq, n - 1), 0.0)
+        cand_free = _cmul(*pref, np.float_power(free, n - 1), 0.0)
     zero = np.zeros_like(z_re)
     expected = [
         _ctimes(-1j * charge, z_re, z_im),

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
 import conedyn as cd
 from conedyn import bertrand, dynamics
@@ -136,14 +135,11 @@ class TestRadialPeriod:
         assert t_meas == pytest.approx(T, rel=1e-6)
 
 
+# r ** alpha is np.float_power, the C library's pow with no CPU-dispatched
+# loop, so the power-law pins (the no-refinement level's period, the scan
+# cells' digest and records) hold one value on every numpy dispatch
 _POWER_HALF = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
                         potential=cd.PowerLaw(amplitude=1.0, exponent=0.5))
-# numpy's power loop with an array exponent is dispatched on the CPU: its
-# AVX-512 (SKX) loop rounds some r ** alpha differently from the baseline
-# loop, which NPY_ENABLE_CPU_FEATURES=X86_V3 selects.  The pins that see it
-# (the no-refinement level's period, the scan cells' digest and records)
-# hold one value per loop
-_AVX512_POWER = __cpu_features__["AVX512_SKX"]
 
 
 class TestRefinementPaths:
@@ -162,8 +158,7 @@ class TestRefinementPaths:
          ("order 128 breached the endpoint floor", "quadrature did not reach") * 3,
          ("0x1.bac50005b9e9ep+2", "0x1.fc9bcf783dd7ap+0", "0x1.b29ebe5da52cdp-30")),
         (_POWER_HALF, 10.0, {"max_refinements": 0}, ("quadrature did not reach",) * 3,
-         ("0x1.d97506afb5cc4p+7" if _AVX512_POWER else "0x1.d97506afb5cc5p+7",
-          "0x1.97159149e169fp+0", "0x1.db0e63867bc4bp+7")),
+         ("0x1.d97506afb5cc5p+7", "0x1.97159149e169fp+0", "0x1.db0e63867bc4bp+7")),
     ], ids=["converged", "stagnated", "endpoint-breach", "no-refinement"])
     def test_pinned(self, caplog, params, frac, kwargs, record, pinned):
         _, u0 = cd.circular_orbit(params, 1.0)
@@ -460,8 +455,8 @@ class TestCircularOrbit:
 
     def test_power_law_lanes_equal_float_evaluation(self):
         # every lane of an array call has the bits of r_c and U_eff(r_c)
-        # evaluated on Python floats, which numpy's power misses in a few
-        # percent of lanes; the scalar call agrees
+        # evaluated on Python floats (np.float_power gives them, np.power
+        # misses a few percent of lanes); the scalar call agrees
         m, s = 1.3, 0.7
         J = np.random.default_rng(8).uniform(0.2, 5.0, 2000)
         for alpha in (-1.5, -0.5, 0.3, 1.0, 2.7):
@@ -720,8 +715,7 @@ class TestBertrandScan:
             assert status == "ok"
             assert value.hex() == (res.delta_phi * s).hex()
         assert Counter(r.getMessage() for r in caplog.records) == scan_records
-        # without AVX-512 two of the records move from the breach guard to stagnation
-        stagnated, breached = (15, 9) if _AVX512_POWER else (17, 7)
+        stagnated, breached = 17, 7
         assert sum(n for m, n in scan_records.items()
                    if m.startswith("quadrature stagnated")) == stagnated
         assert sum(n for m, n in scan_records.items() if "breached the endpoint" in m) == breached
@@ -747,8 +741,7 @@ class TestBertrandScan:
         bits = repr([(E.hex(), None if math.isnan(v) else v.hex())
                      for E, v in zip(report.E.tolist(), report.s_delta_phi.tolist())])
         assert hashlib.sha256(bits.encode()).hexdigest() == (
-            "20b5f1b623cec82699abda8ac2dc86c9a85336e15a3859714f21e13b3f811b42" if _AVX512_POWER
-            else "daaa6638aaed6d19d336ad0eebb0e3b9adda6252f56d428549e23fba03d653ff")
+            "daaa6638aaed6d19d336ad0eebb0e3b9adda6252f56d428549e23fba03d653ff")
 
     def test_exponents_at_or_below_minus_two_rejected(self, monkeypatch):
         # a DomainError before any cell is evaluated, not a math error
@@ -761,9 +754,8 @@ class TestBertrandScan:
                 cd.bertrand_scan(kepler_params(), exponents, [0.3], [1.0])
 
     def test_every_cell_is_its_one_lane_call(self):
-        # without a digest, so it holds under any CPU dispatch: every cell,
-        # from the bottom of the well to three quarters up, has the bits of
-        # its own apsidal_angle call
+        # every cell, from the bottom of the well to three quarters up, has
+        # the bits of its own apsidal_angle call
         params = kepler_params(2, 3)
         report = cd.bertrand_scan(params, [-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0],
                                   [1e-6, 0.1, 0.45, 0.75], [0.7, 1.0, 1.4])

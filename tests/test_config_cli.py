@@ -2,12 +2,14 @@
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
 from collections import Counter
 import os
 import pathlib
+import platform
 import random
 import subprocess
 import sys
@@ -301,13 +303,15 @@ _DATACLASSES = {"core.ConeGeometry", "core.Kepler", "core.Oscillator", "core.Pow
                 "dynamics.Trajectory", "cli.RunSummary"}
 
 
-def _fresh_import(code: str) -> str:
-    """stdout of ``code`` run in a new interpreter after ``import conedyn.cli``."""
+def _fresh_import(code: str, **env) -> str:
+    """stdout of ``code`` run in a new interpreter after ``import conedyn.cli``,
+    with the environment variables ``env`` set (a None value unsets one)."""
     src = str(CONFIG_DIR.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env}
     out = subprocess.run([sys.executable, "-c", "import conedyn.cli\n" + code],
                          capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
+                         env={k: v for k, v in env.items() if v is not None}, check=True)
     return out.stdout
 
 
@@ -491,6 +495,36 @@ print(json.dumps({{
         found = json.loads(_fresh_import(code).splitlines()[-1])
         assert found == {"loaded": [False, True], "fractions": False, "numpy.random": False,
                          "dataclasses": []}
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="X86_V2 names numpy's x86-64 baseline")
+    def test_result_files_do_not_depend_on_cpu_dispatch(self, tmp_path):
+        # numpy's CPU-dispatched loops (its AVX-512 power, say) may round
+        # other than the X86_V2 baseline, which dispatches none; no result
+        # file shows it: bertrand on the shipped config, simulate and
+        # actions on a power law
+        power = {"m": 1.0, "geometry": {"s": 0.8},
+                 "potential": {"kind": "power_law", "amplitude": 0.8, "exponent": 1.37}}
+        configs = {
+            "bertrand": str(CONFIG_DIR / "bertrand_scan.json"),
+            "simulate": _write(tmp_path, "simulate.json", {
+                "params": power, "initial": {"level": {"E": 2.5, "J": 1.0}},
+                "integrator": {"dt": 2e-3, "n_steps": 20000, "sample_every": 10}}),
+            "actions": _write(tmp_path, "actions.json", {
+                "params": power, "levels": [{"E": 2.5, "J": 1.0}, {"E": 4.0, "J": 0.7}]}),
+        }
+        digests = []
+        for features in (None, "X86_V2"):
+            out = tmp_path / (features or "default")
+            out.mkdir()
+            _fresh_import(f"""
+from conedyn import cli
+for command, config in {configs!r}.items():
+    assert cli.main([command, "--config", config, "--output", {str(out)!r} + "/" + command]) == 0
+""", NPY_ENABLE_CPU_FEATURES=features)
+            digests.append({c: hashlib.sha256((out / c).read_bytes()).hexdigest()
+                            for c in configs})
+        assert digests[0] == digests[1]
 
     def test_verify_algebra_draws_python_random_stream(self, tmp_path, capsys, monkeypatch):
         # the CLI's (n, 5) block is low + (high - low) * u, with u the first

@@ -436,12 +436,14 @@ class TestTurningPointArrays:
             assert (tp.r_min[k].item(), tp.r_max[k].item()) == (one.r_min, one.r_max)
 
     def test_float_pow_per_lane_exponents(self):
-        # Python's ** lane by lane; where it raises (overflow, zero to a
-        # negative power) the lane holds numpy's signed inf
+        # np.float_power, the power of every r ** alpha, is Python's ** lane
+        # by lane; where ** raises (overflow, zero to a negative power) the
+        # lane holds a signed inf
         x = [2.5, 0.3, 7.0, 1e200, -1e200, 0.0, -0.0, -0.0, 1e-300, 2.0]
         p = [2.0, -1.0, 0.5, 2.0, 3.0, -1.5, -1.0, -1.5, -2.0, 1.0 / 3.0]
         want = [math.inf, -math.inf, math.inf, -math.inf, math.inf, math.inf]
-        got = dynamics._float_pow(np.array(x), np.array(p)).tolist()
+        with np.errstate(all="ignore"):
+            got = np.float_power(np.array(x), np.array(p)).tolist()
         for v, q, g in zip(x, p, got):
             try:
                 w = v ** q
@@ -449,7 +451,7 @@ class TestTurningPointArrays:
                 w = want.pop(0)
             assert g.hex() == w.hex(), (v, q)
         assert not want
-        assert dynamics._float_pow(np.array(x[:3]), 2.0).tolist() == [v ** 2.0 for v in x[:3]]
+        assert np.float_power(np.array(x[:3]), 2.0).tolist() == [v ** 2.0 for v in x[:3]]
 
     def test_float_pow_is_python_power_bit_for_bit(self):
         # 1e5 lanes of log-uniform bases (negative ones with whole exponents):
@@ -465,15 +467,15 @@ class TestTurningPointArrays:
         base = np.abs(x)
         for q in (1.0 / 3.0, np.float64(-0.7), 2):
             cases.append((base, q, [v ** q for v in base.tolist()]))
-        # one overflowing lane sends the batch lane by lane: it holds inf and
-        # every other lane keeps its bits
+        # one overflowing lane holds inf and every other lane keeps its bits
         x_over, p_over = x.copy(), p.copy()
         x_over[777], p_over[777] = 1e300, 2.0
         want = cases[0][2].copy()
         want[777] = math.inf
         cases.append((x_over, p_over, want))
         for xs, q, want in cases:
-            got = dynamics._float_pow(xs, q)
+            with np.errstate(all="ignore"):
+                got = np.float_power(xs, q)
             assert got.dtype == np.float64 and got.tobytes() == np.array(want, float).tobytes()
 
     def test_each_point_evaluated_once(self, monkeypatch):
@@ -784,6 +786,12 @@ class TestIntegrate:
             cd.integrate(params, cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 1e-3, 10)
         with pytest.raises(StructuralError, match=r"^unsupported potential Cubic$"):
             dynamics._escape_energy(params)
+
+    def test_misaligned_arrays_rejected(self):
+        params = kepler_params(2, 3)
+        traj = cd.integrate(params, perigee_point(params, -0.15, 1.0), 2e-3, 200, 10)
+        with pytest.raises(DomainError, match=r"^trajectory array 'p_r' misaligned$"):
+            dataclasses.replace(traj, p_r=traj.p_r[:-1])
 
     @pytest.mark.parametrize("potential", [
         cd.Kepler(kappa=1.0),

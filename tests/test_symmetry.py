@@ -400,6 +400,16 @@ class TestWAlgebraTable:
         with pytest.raises(DomainError, match=r"cross r = 0 at point 3\b"):
             w_algebra_table(params, r, np.zeros(5), np.zeros(5), np.ones(5), h=1e-2)
 
+    @pytest.mark.parametrize("coord", range(4), ids=["r", "phi", "p_r", "J"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, coord, value):
+        # named before phi is reduced, not blamed on h nor left as NaN rows
+        x = np.array([[1.3, 2.0, 0.4, 1.1], [0.9, 0.5, -0.2, 0.8], [1.1, 4.0, 0.1, 1.2]]).T
+        x[coord, 1] = value
+        name = ("r", "phi", "p_r", "J")[coord]
+        with pytest.raises(DomainError, match=rf"^{name} = {value} at point 1 is not finite$"):
+            w_algebra_table(kepler_params(2, 3), *x)
+
     def test_nonpositive_step_rejected(self):
         pt = cd.PhasePoint(r=1.3, phi=2.0, p_r=0.4, J=1.1)
         for h in (0.0, -1e-5, math.nan):
