@@ -4,18 +4,15 @@ The hashes cover the result files only.  The stdout summary carries
 ``wall_time_s`` and so is never hashed.  They were taken on x86-64 Linux
 (glibc libm, numpy 2.x); a different libm may round cos, sin or pow
 differently in the last bit and so give other bytes.  They do not depend on
-the OpenBLAS kernel (CI checks them under ``OPENBLAS_CORETYPE=Prescott``),
-but the bertrand hash does depend on numpy's CPU dispatch: without AVX-512,
-numpy's ``power`` rounds some ``r ** alpha`` differently, so it is pinned
-once per dispatch (AVX-512, and the baseline that
-``NPY_ENABLE_CPU_FEATURES=X86_V3`` selects).
+the OpenBLAS kernel (CI checks them under ``OPENBLAS_CORETYPE=Prescott``)
+nor on numpy's CPU dispatch: every ``r ** alpha`` is ``np.float_power``,
+the C library's pow, which has no dispatched loop.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
 from conedyn.cli import main
 
@@ -27,8 +24,6 @@ GOLDEN = {
     ("actions", "actions_kepler_s23.json", "jsonl"):
         "ebd4bad6a34d86beef88ba35ade05af0ccc818f34e4a615bac5fd2c8c2785016",
     ("bertrand", "bertrand_scan.json", "csv"):
-        "685283d9f72183decc584222a1d0991ba4abd0e3e0c384288db69cf6a5263fa5"
-        if __cpu_features__["AVX512_SKX"] else
         "65ec087379e8b40e20b2733dd03e3bbd44dd48a4fa344e5167b69b2f307e3a33",
     ("verify-algebra", "verify_algebra_s12.json", "jsonl"):
         "5b415c26ecf70020c61bfa408aab95a0b3cdf0ec60b0523b0a1856282c74f277",
