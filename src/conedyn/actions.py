@@ -68,16 +68,9 @@ def radial_action(
     """
     errors: dict = {}
     well = _Well(params, *_as_lanes(E, J)[1], errors, "radial action")
-    (integral,), _ = well.integral([_radial_action(well)], tolerance, max_refinements)
+    (integral,), _ = well.integral([well.action], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return (integral / math.pi).item()
-
-
-def _radial_action(well: _Well):
-    """Integrand of pi I2 for :meth:`_Well.integral` on the lanes of the well."""
-    m = well.params.m
-    rho_sq = well.rho * well.rho  # correctly rounded, unlike a libm pow(rho, 2)
-    return lambda theta, r, g, k: m * rho_sq[k, None] * np.sin(theta) ** 2 * np.sqrt(g)
 
 
 def hamiltonian_from_actions(params: Params, I1: float, I2: float) -> float:
@@ -131,7 +124,7 @@ def _frequency_lanes(params: Params, E: np.ndarray, J: np.ndarray, tolerance: fl
     ``errors``.  The three integrals share one pass over the well's nodes."""
     well = _Well(params, E, J, errors, "frequency analysis")
     (action, period, angle), _ = well.integral(
-        [_radial_action(well), well.period, well.swept_angle], tolerance, max_refinements)
+        [well.action, well.period, well.swept_angle], tolerance, max_refinements)
     omega2 = TWO_PI / period
     return action / math.pi, omega2 * (angle / params.geometry.s) / math.pi, omega2
 

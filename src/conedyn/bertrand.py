@@ -254,9 +254,6 @@ class _Well:
             log.warning("quadrature did not reach %.1e (last change %.1e)", tolerance, e)
         return value, err
 
-    # the integrands of the angle and the period (actions._radial_action
-    # gives the action's)
-
     def swept_angle(self, theta, r, g, k):
         """Integrand of s times the perigee-to-apogee angle delta_phi."""
         s = self.params.geometry.s
@@ -266,6 +263,12 @@ class _Well:
     def period(self, theta, r, g, k):
         """Integrand of the full radial period."""
         return 2.0 / np.sqrt(g)
+
+    def action(self, theta, r, g, k):
+        """Integrand of pi times the radial action I2."""
+        rho = self.rho[k, None]
+        # rho * rho is correctly rounded, unlike a libm pow(rho, 2)
+        return self.params.m * (rho * rho) * np.sin(theta) ** 2 * np.sqrt(g)
 
 
 class ApsidalResult(NamedTuple):

@@ -146,7 +146,20 @@ class LogPotential:
             raise DomainError(f"r0 must be positive, got {self.r0}")
 
     def value(self, r, m: float = 1.0):
-        return self.strength * np.log(r / self.r0)
+        return self.strength * _log(r / self.r0)
+
+
+def _log(x):
+    """ln x element by element with the C library's log (math.log, which
+    numpy's baseline loop also calls), so that its bits do not depend on
+    numpy's CPU dispatch: numpy's AVX-512 log rounds some arguments
+    otherwise.  -inf at 0 and NaN at negatives and NaN, as np.log gives them,
+    with no exception; a scalar gives a float."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x == 0.0, -math.inf, math.nan)
+    positive = x > 0.0
+    out[positive] = np.fromiter(map(math.log, x[positive].tolist()), float)
+    return out if out.ndim else out.item()
 
 
 PotentialSpec = Union[Kepler, Oscillator, PowerLaw, LogPotential]

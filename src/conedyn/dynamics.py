@@ -17,9 +17,9 @@ have stopped at; the angle increments, summed in order, bit-identical to
 the running sum; and at each sample p_r = (q_in + q_out) m / (2 dt), from
 the drifts into and out of it.
 
-The force -U_eff'(r) has one source per potential class: the stepper and
-the interpolants' dp_r/dt are compiled from it, with V's constants from the
-power-law form (A alpha, alpha) that the well geometry uses.
+The stepper's force -U_eff'(r) has one source per potential class,
+compiled into the loop alone; outside it, U_eff and U_eff' come from the
+one lane evaluator :func:`_effective_potential_lanes`.
 """
 
 from __future__ import annotations
@@ -69,19 +69,27 @@ def hamiltonian(params: Params, r, p_r, J):
 
 
 def energy(params: Params, pt: PhasePoint) -> float:
-    """Hamiltonian H at one phase point."""
-    return float(hamiltonian(params, pt.r, pt.p_r, pt.J))
+    """Hamiltonian H at one phase point; a DomainError where H is not finite
+    (a term of it outside the float range)."""
+    with np.errstate(all="ignore"):
+        h = float(hamiltonian(params, np.float64(pt.r), pt.p_r, pt.J))
+    if not math.isfinite(h):
+        raise DomainError(f"energy at r={pt.r} is not finite (H={h})")
+    return h
 
 
-def effective_potential(params: Params, J: float, r):
-    """Reduced radial potential U_eff(r) = J^2/(2 m s^2 r^2) + V(r).
-
-    Accepts scalar or array r; raises on any non-positive radius.
-    """
+def effective_potential(params: Params, J, r):
+    """Reduced radial potential U_eff(r) = J^2/(2 m s^2 r^2) + V(r), by
+    :func:`_effective_potential_lanes`: a float for scalar J and r, else an
+    array.  A non-positive radius, or one where a term of U_eff leaves the
+    float range (r ** alpha overflowing, say), is a DomainError."""
     if np.count_nonzero(np.asarray(r) <= 0.0):
         raise DomainError("effective potential evaluated at non-positive radius")
-    m, s = params.m, params.geometry.s
-    return J * J / (2.0 * m * s * s * r * r) + params.potential.value(r, m)
+    scalar, (J, r) = _as_lanes(J, r)
+    u, _, raised = _effective_potential_lanes(params, J, r)
+    if np.count_nonzero(raised):
+        raise DomainError(f"effective potential at r={r[raised][0]} is outside the float range")
+    return u.item() if scalar else u
 
 
 def _escape_energy(params: Params):
@@ -501,10 +509,10 @@ class Trajectory:
         )
 
 
-# -U_eff'(r) of each potential class as source, the force's only definition:
-# the stepper loop and ``force(r, cent, c, p)`` are compiled from it, with
+# -U_eff'(r) of each potential class as source, compiled into the stepper
+# loop only (outside it the slope is _effective_potential_lanes'), with
 # cent = J^2/(m s^2) and V's constants c = A alpha, p = alpha - 1 from
-# _power_law_form; the loop takes cent and c scaled by dt * dt / m.
+# _power_law_form, both scaled by dt * dt / m.
 _FORCE = {
     Kepler: "(cent / r - c) / (r * r)",
     Oscillator: "cent / (r * r * r) - c * r",
@@ -517,10 +525,6 @@ _FORCE = {
 _BLOCK = 1 << 16
 
 _LOOP = """\
-def force(r, cent, c, p):
-    return {force}
-
-
 def run(r, p_r, phi, J, m, ms2, c, p, dt, n_steps, sample_every, block,
         out_r, out_pr, out_phi):
     w = dt * dt / m
@@ -591,16 +595,16 @@ def _block_radii(drifts: np.ndarray, radii: np.ndarray, i: int) -> np.ndarray:
 
 @functools.cache
 def _stepper(kind: type):
-    """(run, force): the stepper loop and the force of potential class
-    ``kind``, with its :data:`_FORCE` source spliced in, compiled once per
-    class (as dataclasses builds ``__init__``)."""
+    """The stepper loop of potential class ``kind``, with its :data:`_FORCE`
+    source spliced in, compiled once per class (as dataclasses builds
+    ``__init__``)."""
     base = next((k for k in kind.__mro__ if k in _FORCE), None)
     if base is None:
         raise StructuralError(f"unsupported potential {kind.__name__}")
     namespace = {"np": np, "DomainError": DomainError, "_block_radii": _block_radii}
     source = _LOOP.replace("{force}", _FORCE[base])
     exec(compile(source, f"<conedyn stepper: {kind.__name__}>", "exec"), namespace)
-    return namespace["run"], namespace["force"]
+    return namespace["run"]
 
 
 def integrate(
@@ -644,7 +648,7 @@ def integrate(
         raise DomainError("n_steps and sample_every must be >= 1")
     if n_steps % sample_every != 0:
         raise DomainError("n_steps must be a multiple of sample_every")
-    run, _ = _stepper(type(params.potential))
+    run = _stepper(type(params.potential))
     with np.errstate(all="ignore"):
         h0 = hamiltonian(params, np.float64(pt0.r), pt0.p_r, pt0.J)
     if not np.isfinite(h0):
@@ -718,27 +722,27 @@ class _Hermite:
 
 
 def _interpolants(traj: Trajectory):
-    """Hermite interpolants for r, p_r and the unwrapped angle.
+    """Hermite interpolants for r, p_r (dp_r/dt = -U_eff') and the unwrapped angle.
 
     A backward run (dt < 0) has decreasing times; its samples are taken in
     reverse so that the interpolants always see increasing times.  A
-    non-finite r or p_r is a DomainError.
+    non-finite r, p_r or U_eff' is a DomainError.
     """
     if not (np.isfinite(traj.r).all() and np.isfinite(traj.p_r).all()):
         raise DomainError("trajectory analysis requires finite r and p_r")
     params = traj.params
     J = float(traj.series_J[0])
     m, s = params.m, params.geometry.s
-    _, force = _stepper(type(params.potential))
-    c, alpha = _power_law_form(params)
+    _, du, _ = _effective_potential_lanes(params, J, traj.r)
+    if not np.isfinite(du).all():
+        raise DomainError("U_eff' along the trajectory is outside the float range")
     dr = traj.p_r / m
-    dp = force(traj.r, J * J / (m * s * s), c, alpha - 1.0)
     dphi = J / (m * s * s * traj.r * traj.r)
     order = slice(None, None, -1) if traj.dt < 0.0 else slice(None)
     t = traj.times[order]
     return (
         _Hermite(t, traj.r[order], dr[order]),
-        _Hermite(t, traj.p_r[order], dp[order]),
+        _Hermite(t, traj.p_r[order], -du[order]),
         _Hermite(t, traj.phi_unwrapped[order], dphi[order]),
     )
 

@@ -12,7 +12,7 @@ import pytest
 
 import conedyn as cd
 from conedyn import bertrand, dynamics
-from conedyn.actions import _radial_action, radial_action
+from conedyn.actions import radial_action
 from conedyn.bertrand import _Well, _gauss_legendre
 from conedyn.cli import main
 from conedyn.sampling import draw_bound_points
@@ -229,7 +229,7 @@ class TestRefinementPaths:
             errors: dict = {}
             well = _Well(params, E[lanes], np.ones(len(lanes)), errors, "apsidal angle")
             integrands = {"angle": well.swept_angle, "period": well.period,
-                          "action": _radial_action(well)}
+                          "action": well.action}
             value, err = well.integral([integrands[name] for name in names], 1e-10, 6)
             return (value.tolist(), err.tolist(), {k: repr(e) for k, e in errors.items()},
                     Counter(r.getMessage() for r in caplog.records))

@@ -499,19 +499,28 @@ print(json.dumps({{
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="X86_V2 names numpy's x86-64 baseline")
     def test_result_files_do_not_depend_on_cpu_dispatch(self, tmp_path):
-        # numpy's CPU-dispatched loops (its AVX-512 power, say) may round
-        # other than the X86_V2 baseline, which dispatches none; no result
-        # file shows it: bertrand on the shipped config, simulate and
-        # actions on a power law
+        # numpy's CPU-dispatched loops (its AVX-512 power and log, say) may
+        # round other than the X86_V2 baseline, which dispatches none; no
+        # result file shows it: bertrand on the shipped config, simulate and
+        # actions on a power law and on the log potential
         power = {"m": 1.0, "geometry": {"s": 0.8},
                  "potential": {"kind": "power_law", "amplitude": 0.8, "exponent": 1.37}}
+        log = {"m": 1.0, "geometry": {"k": 2, "n": 3},
+               "potential": {"kind": "log", "strength": 1.3, "r0": 0.7}}
+        integrator = {"dt": 2e-3, "n_steps": 20000, "sample_every": 10}
         configs = {
             "bertrand": str(CONFIG_DIR / "bertrand_scan.json"),
             "simulate": _write(tmp_path, "simulate.json", {
                 "params": power, "initial": {"level": {"E": 2.5, "J": 1.0}},
-                "integrator": {"dt": 2e-3, "n_steps": 20000, "sample_every": 10}}),
+                "integrator": integrator}),
             "actions": _write(tmp_path, "actions.json", {
                 "params": power, "levels": [{"E": 2.5, "J": 1.0}, {"E": 4.0, "J": 0.7}]}),
+            "simulate_log": _write(tmp_path, "simulate_log.json", {
+                "params": log, "initial": {"level": {"E": 2.5, "J": 1.0}},
+                "integrator": integrator}),
+            "actions_log": _write(tmp_path, "actions_log.json", {
+                "params": log, "levels": [{"E": 1.6 + 0.37 * i, "J": 0.5 + 0.11 * (i % 9)}
+                                          for i in range(60)]}),
         }
         digests = []
         for features in (None, "X86_V2"):
@@ -519,8 +528,9 @@ print(json.dumps({{
             out.mkdir()
             _fresh_import(f"""
 from conedyn import cli
-for command, config in {configs!r}.items():
-    assert cli.main([command, "--config", config, "--output", {str(out)!r} + "/" + command]) == 0
+for name, config in {configs!r}.items():
+    command = name.removesuffix("_log")
+    assert cli.main([command, "--config", config, "--output", {str(out)!r} + "/" + name]) == 0
 """, NPY_ENABLE_CPU_FEATURES=features)
             digests.append({c: hashlib.sha256((out / c).read_bytes()).hexdigest()
                             for c in configs})

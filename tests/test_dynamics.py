@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -50,6 +51,16 @@ class TestEnergy:
         pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=0.0)
         assert cd.energy(params, pt) == pytest.approx(-1.0)
 
+    def test_non_finite_energy_is_domain_error(self):
+        # r ** 3 overflows, and r * r underflows under J^2/(2 m s^2 r^2)
+        power = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                          potential=cd.PowerLaw(amplitude=0.8, exponent=3.0))
+        for params, r in ((power, 1e200), (kepler_params(), 1e-200)):
+            pt = cd.PhasePoint(r=r, phi=0.0, p_r=0.0, J=1.0)
+            with pytest.raises(DomainError,
+                               match=f"^{re.escape(f'energy at r={r} is not finite (H=inf)')}$"):
+                cd.energy(params, pt)
+
     def test_circular_oscillator(self):
         params = oscillator_params()
         pt = cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0)
@@ -73,6 +84,28 @@ class TestEffectivePotential:
         for r in (0.0, -1.0, np.array([1.0, 0.0]), np.array([2.0, -1.0, 3.0])):
             with pytest.raises(DomainError):
                 cd.effective_potential(kepler_params(), 1.0, r)
+
+    def test_term_outside_the_float_range_is_domain_error(self):
+        # r ** 3 overflows: a typed error naming r, not inf with a warning
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                           potential=cd.PowerLaw(amplitude=0.8, exponent=3.0))
+        for r in (1e200, np.array([2.0, 1e200, 3e200])):
+            with pytest.raises(DomainError,
+                               match=r"^effective potential at r=1e\+200 is outside the float range$"):
+                cd.effective_potential(params, 1.0, r)
+
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.3),
+        cd.PowerLaw(amplitude=0.8, exponent=1.37),
+        cd.LogPotential(strength=1.3, r0=0.7),
+    ], ids=["kepler", "oscillator", "power_law", "log"])
+    def test_scalar_call_returns_float(self, potential):
+        params = cd.Params(m=1.7, geometry=cd.ConeGeometry(s=0.8), potential=potential)
+        for J, r in ((1.0, 1.3), (np.float64(1.0), np.float64(1.3))):
+            assert type(cd.effective_potential(params, J, r)) is float
+        u = cd.effective_potential(params, 1.0, np.array([1.3]))
+        assert isinstance(u, np.ndarray) and u.shape == (1,)
 
 
 def _per_class_escape_energy(pot):
@@ -1135,6 +1168,19 @@ class TestApsidalMeasurement:
         for analyse in (cd.trajectory_apsides, cd.measure_apsidal_advance, cd.detect_closure):
             with pytest.raises(DomainError, match="^trajectory analysis requires finite r and "
                                                   "p_r$"):
+                analyse(traj)
+
+    def test_slope_outside_the_float_range_rejected(self):
+        # r ** 3 overflows at a finite sample: U_eff' has no float value there
+        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
+                           potential=cd.PowerLaw(amplitude=0.8, exponent=3.0))
+        traj = cd.integrate(params, cd.PhasePoint(r=1.0, phi=0.0, p_r=0.0, J=1.0), 1e-3, 2000, 10)
+        r = traj.r.copy()
+        r[7] = 1e200
+        traj = dataclasses.replace(traj, r=r)
+        for analyse in (cd.trajectory_apsides, cd.measure_apsidal_advance, cd.detect_closure):
+            with pytest.raises(DomainError, match="^U_eff' along the trajectory is outside the "
+                                                  "float range$"):
                 analyse(traj)
 
     def test_too_short_trajectory_rejected(self):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 import conedyn as cd
-from conedyn.actions import _radial_action
 from conedyn.bertrand import _Well
 from conedyn.dynamics import _escape_energy
 from helpers import kepler_params
@@ -79,7 +78,7 @@ def _levels(params, E, J) -> dict:
     well = _Well(params, E, J, errors, "similarity")
     tolerance, refinements = 1e-10, 6
     (angle, period, action), (err, _, _) = well.integral(
-        [well.swept_angle, well.period, _radial_action(well)], tolerance, refinements)
+        [well.swept_angle, well.period, well.action], tolerance, refinements)
     return {"r_c": r_c, "u0": u0, "r_min": r_min, "r_max": r_max,
             "delta_phi": angle / params.geometry.s, "err": err, "period": period,
             "action": action / math.pi,
