@@ -38,6 +38,7 @@ from .core import Params, PowerLaw
 from .dynamics import (
     _alive,
     _as_lanes,
+    _effective_potential_terms,
     _escape_energy,
     _find_ueff_minimum,
     _power_law_form,
@@ -137,20 +138,6 @@ class _Well:
                 QuadratureError, "circular limit U_eff''(r_c)/m = {} is outside the float range",
                 self.g_c)
 
-    def _effective_potential(self, r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """U_eff at the nodes r of the lanes k (an index array)."""
-        m, s = self.params.m, self.params.geometry.s
-        pot = self.params.potential
-        if isinstance(pot, PowerLaw):
-            a, alpha = pot.amplitude, pot.exponent
-            if np.ndim(alpha):
-                a, alpha = a[k, None], alpha[k, None]
-            v = a * np.float_power(r, alpha)
-        else:
-            v = pot.value(r, m)
-        J = self.J[k, None]
-        return J * J / (2.0 * m * s * s * r * r) + v
-
     def integral(
         self,
         integrands: Sequence[Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -213,7 +200,8 @@ class _Well:
                 with np.errstate(all="ignore"):
                     # the nodes lie strictly inside (r_min, r_max): no radius check
                     r = self.r_mid[k, None] - rho[k, None] * cos
-                    u = self._effective_potential(r, k)
+                    cent, v = _effective_potential_terms(params, self.J[k, None], r, k[:, None])
+                    u = cent + v
                     d = (2.0 / params.m) * (E[k, None] - u)
                     g = d / (rho[k, None] * sin) ** 2
                     circular = rho[k] == 0.0

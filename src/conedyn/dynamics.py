@@ -17,9 +17,12 @@ have stopped at; the angle increments, summed in order, bit-identical to
 the running sum; and at each sample p_r = (q_in + q_out) m / (2 dt), from
 the drifts into and out of it.
 
-The stepper's force -U_eff'(r) has one source per potential class,
-compiled into the loop alone; outside it, U_eff and U_eff' come from the
-one lane evaluator :func:`_effective_potential_lanes`.
+U_eff's two terms, J^2/(2 m s^2 r^2) and V(r), are formed in one function,
+:func:`_effective_potential_terms`, for the lane evaluator
+:func:`_effective_potential_lanes` (U_eff, U_eff', and the lanes where U_eff
+is not finite, for every class), the quadrature nodes and
+:func:`hamiltonian`.  Only the stepper's force -U_eff'(r) is apart, compiled
+into its Python-float loop, where an evaluator call would cost 70 steps.
 """
 
 from __future__ import annotations
@@ -59,13 +62,10 @@ HAVE_COMPILED_KERNEL = False
 
 def hamiltonian(params: Params, r, p_r, J):
     """H = p_r^2/(2m) + J^2/(2 m s^2 r^2) + V(r) on raw coordinates, given
-    as floats or as numpy arrays (elementwise)."""
-    m, s = params.m, params.geometry.s
-    return (
-        p_r * p_r / (2.0 * m)
-        + J * J / (2.0 * m * s * s * r * r)
-        + params.potential.value(r, m)
-    )
+    as floats or as numpy arrays (elementwise), summed as (T + K) + V with
+    K and V from :func:`_effective_potential_terms`."""
+    k, v = _effective_potential_terms(params, J, r)
+    return (p_r * p_r / (2.0 * params.m) + k) + v
 
 
 def energy(params: Params, pt: PhasePoint) -> float:
@@ -81,10 +81,12 @@ def energy(params: Params, pt: PhasePoint) -> float:
 def effective_potential(params: Params, J, r):
     """Reduced radial potential U_eff(r) = J^2/(2 m s^2 r^2) + V(r), by
     :func:`_effective_potential_lanes`: a float for scalar J and r, else an
-    array.  A non-positive radius, or one where a term of U_eff leaves the
-    float range (r ** alpha overflowing, say), is a DomainError."""
-    if np.count_nonzero(np.asarray(r) <= 0.0):
-        raise DomainError("effective potential evaluated at non-positive radius")
+    array.  A radius that is not positive and finite (NaN included), or one
+    where U_eff is not finite, is a DomainError naming r."""
+    bad = ~((np.asarray(r) > 0.0) & (np.asarray(r) < math.inf))
+    if np.count_nonzero(bad):
+        raise DomainError(f"effective potential evaluated at r={np.extract(bad, r)[0]}, "
+                          "not a positive finite radius")
     scalar, (J, r) = _as_lanes(J, r)
     u, _, raised = _effective_potential_lanes(params, J, r)
     if np.count_nonzero(raised):
@@ -151,33 +153,36 @@ def _raise_first(errors: dict, name_lane: bool) -> None:
         raise type(exc)(f"{exc} (lane {lane})") if name_lane else exc
 
 
-def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
-    """U_eff(r) and U_eff'(r) with the bits of one call per lane on Python
-    floats.  The power law's r ** alpha is one ``np.float_power`` (the C
-    library's pow, as Python's ** calls it), once for both:
-    U_eff' = (A alpha r^alpha - J^2/(m s^2 r^2)) / r, with the constants of
-    :func:`_power_law_form`.  ``lanes`` (an index array) picks the
-    (A, alpha) of r's lanes from a power law with one pair per lane.  Also
-    returns the mask of lanes where such a call raises ArithmeticError (a
-    zero divisor, or r ** alpha out of range); they hold NaN."""
+def _effective_potential_terms(params: Params, J, r, lanes=None):
+    """(K, V): U_eff(r) = K + V(r)'s centrifugal term K = J^2/(2 m s^2 r^2)
+    and potential, on floats or arrays, under the caller's np.errstate.  A
+    power law's r ** alpha is ``np.float_power`` (the C library's pow, as
+    Python's ** calls it); ``lanes``, an index array broadcast against r,
+    picks r's (A, alpha) from a power law with one pair per lane."""
     m, s = params.m, params.geometry.s
     pot = params.potential
+    if lanes is not None and isinstance(pot, PowerLaw) and np.ndim(pot.exponent):
+        v = pot.amplitude[lanes] * np.float_power(r, pot.exponent[lanes])
+    else:
+        v = pot.value(r, m)
+    return J * J / (2.0 * m * s * s * r * r), v
+
+
+def _effective_potential_lanes(params: Params, J: np.ndarray, r: np.ndarray, lanes=None):
+    """U_eff(r) = K + V and U_eff'(r) = (r V' - 2K)/r from the terms of
+    :func:`_effective_potential_terms` (``lanes`` as there), with the bits
+    of one call per lane on Python floats: r V' is alpha V, with the alpha
+    of :func:`_power_law_form`, and B for the log potential.  Also returns
+    the mask of lanes where U_eff is not finite (a zero divisor, a term out
+    of the float range); they hold NaN."""
     with np.errstate(all="ignore"):
-        den = 2.0 * m * s * s * r * r
-        raised = den == 0.0
-        k = J * J / den
-        if isinstance(pot, PowerLaw):
-            a, alpha = pot.amplitude, pot.exponent
-            if lanes is not None and np.ndim(alpha):
-                a, alpha = a[lanes], alpha[lanes]
-            power = np.float_power(r, alpha)
-            raised |= np.isinf(power) & np.isfinite(r)
-            v, r_dv = a * power, a * alpha * power
-        else:  # r V' is alpha V, and B for the log potential (alpha = 0)
-            v = pot.value(r, m)
-            b, alpha = _power_law_form(params)
-            r_dv = alpha * v if alpha else b
+        k, v = _effective_potential_terms(params, J, r, lanes)
+        b, alpha = _power_law_form(params)
+        if lanes is not None and np.ndim(alpha):
+            alpha = alpha[lanes]
+        r_dv = b if isinstance(params.potential, LogPotential) else alpha * v
         u, du = k + v, (r_dv - 2.0 * k) / r
+        raised = ~np.isfinite(u)
     if np.count_nonzero(raised):
         np.copyto(u, math.nan, where=raised)
         np.copyto(du, math.nan, where=raised)
@@ -843,9 +848,11 @@ def detect_closure(traj: Trajectory, tol: float = 1e-6) -> ClosureInfo | None:
     between samples.  Radial periods are counted as successive (r, p_r)
     returns, which the reduced dynamics produces exactly once per period.
     A backward run (dt < 0) reports a negative closure time.  Returns None
-    when no closure occurs within the trajectory; a non-finite r or p_r is
-    a DomainError.
+    when no closure occurs within the trajectory; a non-finite r or p_r, or
+    a ``tol`` that is not positive (NaN included), is a DomainError.
     """
+    if not tol > 0.0:
+        raise DomainError(f"closure tolerance must be positive, got {tol}")
     if float(traj.series_J[0]) == 0.0:
         raise DomainError("closure detection requires J != 0")
     r, p, t = traj.r, traj.p_r, traj.times

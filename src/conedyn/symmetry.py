@@ -243,8 +243,8 @@ def _brackets(re: np.ndarray, im: np.ndarray, den: np.ndarray,
     is spelled out on real and imaginary parts in CPython's order, so the
     values equal complex-number evaluation bit for bit.
     """
-    re = re.reshape(-1, 2, 4, 2, re.shape[-1])
-    im = im.reshape(-1, 2, 4, 2, im.shape[-1])
+    shape = (re.shape[0], 2, 4, 2, re.shape[-1])  # explicit: N may be 0
+    re, im = re.reshape(shape), im.reshape(shape)
     p_re, p_im = _cdiv(re[:, :, :, 0] - re[:, :, :, 1], im[:, :, :, 0] - im[:, :, :, 1], den)
     f, g = (np.array(side) for side in zip(*pairs))
     fr, fphi, fp, fj = ((p_re[f, :, i], p_im[f, :, i]) for i in range(4))

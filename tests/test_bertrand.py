@@ -273,14 +273,50 @@ def _node_blocks(monkeypatch) -> list:
     """The (lanes, order) shape of each block of quadrature nodes evaluated
     from here on."""
     shapes = []
-    evaluate = _Well._effective_potential
+    evaluate = bertrand._effective_potential_terms  # the nodes' only caller of it
 
-    def spy(self, r, k):
+    def spy(params, J, r, lanes=None):
         shapes.append(r.shape)
-        return evaluate(self, r, k)
+        return evaluate(params, J, r, lanes)
 
-    monkeypatch.setattr(_Well, "_effective_potential", spy)
+    monkeypatch.setattr(bertrand, "_effective_potential_terms", spy)
     return shapes
+
+
+class TestNodeEffectivePotential:
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.3),
+        cd.LogPotential(strength=1.3, r0=0.7),
+        cd.PowerLaw(amplitude=0.8, exponent=1.37),
+        None,  # the scan's batch, one (A, alpha) per lane
+    ], ids=["kepler", "oscillator", "log", "power_law", "power_law_lanes"])
+    def test_nodes_take_the_lane_evaluators_u_eff(self, monkeypatch, potential):
+        # the node matrices' U_eff, with their per-lane (A, alpha) picked by
+        # a (lanes, 1) index, has the bits of the lane evaluator at each node
+        blocks = []
+        evaluate = bertrand._effective_potential_terms
+
+        def spy(params, J, r, lanes=None):
+            cent, v = evaluate(params, J, r, lanes)
+            blocks.append((params, J, r, lanes, cent + v))
+            return cent, v
+
+        monkeypatch.setattr(bertrand, "_effective_potential_terms", spy)
+        if potential is None:
+            report = cd.bertrand_scan(kepler_params(2, 3), [-0.5, 1.37, 3.3], [0.2, 0.6],
+                                      [1.0, 1.4])
+            assert report.status == ["ok"] * 12
+        else:
+            params = cd.Params(m=1.7, geometry=cd.ConeGeometry(s=0.8), potential=potential)
+            _, u0 = cd.circular_orbit(params, 1.1)
+            cd.apsidal_angle(params, u0 + 0.3 * max(abs(u0), 1.0), 1.1)
+        assert blocks
+        for params, J, r, lanes, u in blocks:
+            want, _, _ = dynamics._effective_potential_lanes(
+                params, np.broadcast_to(J, r.shape).ravel(), r.ravel(),
+                np.broadcast_to(lanes, r.shape).ravel())
+            assert u.tobytes() == want.tobytes()
 
 
 # The apsidal angle at J = 1 as commit 9b39e75 computed it, whose doubling
@@ -324,18 +360,20 @@ class TestQuadratureBudget:
     the orders it started from before (``_AT_ORDER_64``).
 
     The pinned values were printed at commit 9b39e75, from the repository
-    root, with ``_AT_ORDER_64``'s keys copied in as ``keys``, by::
+    root, with ``_AT_ORDER_64``'s keys copied in as ``keys``, by the script
+    below, which then counted the nodes at ``_Well._effective_potential``;
+    the nodes now take U_eff's terms from ``_effective_potential_terms``::
 
         import math, sys
         sys.path[:0] = ["src", "tests"]
         import conedyn as cd
-        from conedyn.bertrand import _Well
+        from conedyn import bertrand
         from helpers import kepler_params, oscillator_params
-        nodes, evaluate = [0], _Well._effective_potential
-        def counted(self, r, k):
+        nodes, evaluate = [0], bertrand._effective_potential_terms
+        def counted(params, J, r, lanes=None):
             nodes[0] += r.size
-            return evaluate(self, r, k)
-        _Well._effective_potential = counted
+            return evaluate(params, J, r, lanes)
+        bertrand._effective_potential_terms = counted
         for name, k, n, (kind, x) in keys:
             params = (kepler_params if name == "kepler" else oscillator_params)(k, n)
             _, u0 = cd.circular_orbit(params, 1.0)

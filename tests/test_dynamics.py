@@ -81,18 +81,44 @@ class TestEffectivePotential:
         )
 
     def test_domain_error(self):
-        for r in (0.0, -1.0, np.array([1.0, 0.0]), np.array([2.0, -1.0, 3.0])):
-            with pytest.raises(DomainError):
-                cd.effective_potential(kepler_params(), 1.0, r)
+        # a radius that is not positive and finite is named, for every class
+        # (at r = inf Kepler's U_eff is 0.0, the oscillator's inf)
+        for params in (kepler_params(), oscillator_params()):
+            for r, bad in ((0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+                           (np.array([1.0, 0.0]), "0.0"), (np.array([2.0, -1.0, 3.0]), "-1.0"),
+                           (np.array([2.0, math.nan, -1.0]), "nan")):
+                with pytest.raises(DomainError, match=rf"^effective potential evaluated at "
+                                                      rf"r={bad}, not a positive finite radius$"):
+                    cd.effective_potential(params, 1.0, r)
 
     def test_term_outside_the_float_range_is_domain_error(self):
-        # r ** 3 overflows: a typed error naming r, not inf with a warning
-        params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0),
-                           potential=cd.PowerLaw(amplitude=0.8, exponent=3.0))
-        for r in (1e200, np.array([2.0, 1e200, 3e200])):
-            with pytest.raises(DomainError,
-                               match=r"^effective potential at r=1e\+200 is outside the float range$"):
-                cd.effective_potential(params, 1.0, r)
+        # V overflows: a typed error naming r, not inf with a warning, and
+        # the same for the oscillator as for the power law that equals it
+        for potential in (cd.PowerLaw(amplitude=0.8, exponent=3.0),
+                          cd.PowerLaw(amplitude=0.5, exponent=2.0), cd.Oscillator(omega=1.0)):
+            params = cd.Params(m=1.0, geometry=cd.ConeGeometry(s=1.0), potential=potential)
+            for r in (1e200, np.array([2.0, 1e200, 3e200])):
+                with pytest.raises(DomainError, match=r"^effective potential at r=1e\+200 is "
+                                                      r"outside the float range$"):
+                    cd.effective_potential(params, 1.0, r)
+
+    @pytest.mark.parametrize("potential", [
+        cd.Kepler(kappa=1.0),
+        cd.Oscillator(omega=1.3),
+        cd.LogPotential(strength=1.3, r0=0.7),
+        cd.PowerLaw(amplitude=0.8, exponent=1.37),
+        cd.PowerLaw(amplitude=np.array([0.8, -1.0, 2.0]), exponent=np.array([1.37, -0.5, 3.3])),
+    ], ids=["kepler", "oscillator", "log", "power_law", "power_law_lanes"])
+    def test_hamiltonian_at_rest_is_u_eff_bit_for_bit(self, potential):
+        # both read K and V from one function: H(r, 0, J) = (0 + K) + V = U_eff
+        params = cd.Params(m=1.7, geometry=cd.ConeGeometry(s=0.8), potential=potential)
+        r, J = np.array([0.37, 1.3, 4.1]), 1.1
+        h = dynamics.hamiltonian(params, r, 0.0, J)
+        assert h.tobytes() == cd.effective_potential(params, J, r).tobytes()
+        if np.ndim(potential.value(1.0)) == 0:  # one potential: Python floats too
+            for x in r.tolist():
+                u = cd.effective_potential(params, J, x)
+                assert float(dynamics.hamiltonian(params, x, 0.0, J)).hex() == u.hex()
 
     @pytest.mark.parametrize("potential", [
         cd.Kepler(kappa=1.0),
@@ -1140,6 +1166,17 @@ class TestDetectClosure:
                             1e-3, 1000, 10)
         with pytest.raises(DomainError):
             cd.detect_closure(traj)
+
+    def test_tolerance_must_be_positive(self):
+        # every comparison with a tolerance of 0, below 0 or NaN fails: that
+        # gave None, as for an orbit that never closes
+        params = kepler_params()
+        traj = cd.integrate(params, midwell_point(params, bound_energy(params, 1.0, 0.3), 1.0),
+                            1e-2, 1000, 10)
+        for tol in (0.0, -1e-6, math.nan):
+            with pytest.raises(DomainError, match=rf"^closure tolerance must be positive, "
+                                                  rf"got {tol}$"):
+                cd.detect_closure(traj, tol)
 
 
 class TestApsidalMeasurement:
