@@ -83,7 +83,8 @@ def _legendre(n: int, x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarra
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], for
+    an even n.
 
     Newton's method on P_n, started from Tricomi's guess, moves the
     nonnegative nodes until a step is below 1e-14 (the next one would be
@@ -91,8 +92,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, and the negative half mirrors the positive one."""
     k = np.arange(1, n // 2 + 1)
     x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-    if n % 2:
-        x = np.append(x, 0.0)
     for _ in range(20):
         p, q = _legendre(n, x, exact=False)
         dx = p * (x - 1.0) * (x + 1.0) / (n * (x * p - q))  # P_n / P_n'

@@ -24,14 +24,10 @@ class UnboundedMotionError(ConeDynError):
 class TipCollisionError(ConeDynError):
     """A time step drove the radius through the cone tip r = 0."""
 
-    def __init__(self, step_index: int, message: str | None = None):
+    def __init__(self, step_index: int):
         self.step_index = step_index
-        if message is None:
-            message = (
-                f"radius crossed r = 0 at step {step_index}; "
-                "reduce the time step or avoid J = 0 attractive runs"
-            )
-        super().__init__(message)
+        super().__init__(f"radius crossed r = 0 at step {step_index}; "
+                         "reduce the time step or avoid J = 0 attractive runs")
 
 
 class IrrationalScaleError(ConeDynError):

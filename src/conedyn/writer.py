@@ -4,9 +4,9 @@ CSV and JSONL take one path.  A record's lines are assembled as byte
 matrices, one matrix row per output line: the text that stands between
 rendered cells (commas, or a JSONL object's braces and keys) is the same
 on every line, a float64 column is one lane per value from a vectorized
-float-text kernel, and any other column is rendered once per distinct
-value.  The matrices are joined row by row and a filler byte, which
-UTF-8 text never holds, is dropped.
+float-text kernel, an integer column is rendered value by value, and
+any other column once per distinct text.  The matrices are joined row by
+row and a filler byte, which UTF-8 text never holds, is dropped.
 
 The float kernel has one exact digit core and two layouts: ``'%.17g'``
 for CSV (:func:`_g17`) and Python's shortest ``repr``, which ``json``
@@ -430,16 +430,13 @@ def _block_columns(block: Sequence, refs: list[int]):
 
 def _text_column(part, kind: str, cell) -> np.ndarray:
     """A slice of an integer or object column as the kernels render a
-    float column, each distinct integer or text rendered once: an integer
-    as str, which is also what json writes, anything else by ``cell``."""
+    float column: an integer as str, which is also what json writes, and
+    anything else by ``cell``, each distinct text once."""
     if kind == "i":
-        values, inverse = np.unique(part, return_inverse=True)
-        texts = list(map(str, values.tolist()))
-    else:
-        index: dict[str, int] = {}
-        inverse = [index.setdefault(text, len(index)) for text in map(cell, part)]
-        texts = list(index)
-    return _padded([text.encode() for text in texts])[inverse]
+        return _padded([str(v).encode() for v in part.tolist()])
+    index: dict[str, int] = {}
+    inverse = [index.setdefault(text, len(index)) for text in map(cell, part)]
+    return _padded([text.encode() for text in index])[inverse]
 
 
 def write(f, fmt: str, header: list[str], lines: Sequence[Sequence],
@@ -450,8 +447,8 @@ def write(f, fmt: str, header: list[str], lines: Sequence[Sequence],
     A record's cells are ints, which pick a column of the block, or fixed
     cells, whose ``value`` stands on every row.  Every float64 column of
     up to ``_MATRIX_LINES`` lines goes through one kernel call, :func:`_g17`
-    for CSV and :func:`_shortest` for JSONL, each string is rendered once
-    per call, and each integer once per matrix.
+    for CSV and :func:`_shortest` for JSONL, each integer is rendered by
+    str, and each string once per call.
     """
     render = _csv_cell if fmt == "csv" else _json_cell
     strings: dict[str, str] = {}
