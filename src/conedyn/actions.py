@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bertrand import _Well
+from .bertrand import _one_level, _Well
 from .core import TWO_PI, Kepler, Oscillator, Params
-from .dynamics import _as_lanes, _raise_first
+from .dynamics import _raise_first
 from .errors import DomainError, StructuralError
 
 # continued-fraction test of a frequency ratio: largest denominator, and the
@@ -67,7 +67,7 @@ def radial_action(
     a circular level set has I2 = 0 exactly, as its integrand vanishes.
     """
     errors: dict = {}
-    well = _Well(params, *_as_lanes(E, J)[1], errors, "radial action")
+    well = _Well(params, *_one_level("radial_action", E, J), errors, "radial action")
     (integral,), _ = well.integral([well.action], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return (integral / math.pi).item()
@@ -110,7 +110,8 @@ def frequencies(
     lane of :func:`_frequency_lanes`.
     """
     errors: dict = {}
-    lanes = _frequency_lanes(params, *_as_lanes(E, J)[1], tolerance, max_refinements, errors)
+    lanes = _frequency_lanes(params, *_one_level("frequencies", E, J), tolerance,
+                             max_refinements, errors)
     _raise_first(errors, name_lane=False)
     i2, omega1, omega2 = (lane.item() for lane in lanes)
     ratio = omega1 / omega2

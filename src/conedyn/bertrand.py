@@ -104,6 +104,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[:n // 2], x[::-1]]), np.concatenate([w[:n // 2], w[::-1]])
 
 
+def _one_level(name: str, E, J) -> list[np.ndarray]:
+    """The one-lane arrays of the level set (E, J) of the function ``name``,
+    which takes floats: an array E or J is a DomainError naming it."""
+    if np.ndim(E) or np.ndim(J):
+        raise DomainError(f"{name} takes one level set: E and J must be floats, "
+                          f"got shapes {np.shape(E)} and {np.shape(J)}")
+    return _as_lanes(E, J)[1]
+
+
 @lru_cache(maxsize=32)
 def _gauss_theta(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, pi]."""
@@ -179,14 +188,21 @@ class _Well:
         the order, and warns for each sum still refining as for an unconverged
         one (its change is still above the tolerance).  No sum is kept without
         an estimate: a lane whose g is not positive at order 32 or 64, before
-        its first test, fails with a QuadratureError in ``errors``.
+        its first test, fails with a QuadratureError in ``errors``.  A
+        tolerance that is not positive, or a max_refinements that is not an
+        integer >= 0, is a DomainError before any lane is evaluated.
         """
+        if not tolerance > 0.0:  # NaN too
+            raise DomainError(f"quadrature tolerance must be positive, got {tolerance}")
+        if (isinstance(max_refinements, bool) or not isinstance(max_refinements, (int, np.integer))
+                or max_refinements < 0):
+            raise DomainError(f"max_refinements must be an integer >= 0, got {max_refinements!r}")
         params, E, rho, errors = self.params, self.E, self.rho, self.errors
         shape = (len(integrands), E.size)
         value, err = np.full(shape, math.nan), np.full(shape, math.inf)  # last sum and change
         refining = np.repeat(_alive(errors, E.size)[None], len(integrands), axis=0)
         order = _START_ORDER
-        for refinement in range(2 + max(max_refinements, 0)):
+        for refinement in range(2 + max_refinements):
             active = np.flatnonzero(refining.any(axis=0))
             if not active.size:
                 break
@@ -287,7 +303,7 @@ def apsidal_angle(
     pi / (s sqrt(alpha + 2)).
     """
     errors: dict = {}
-    well = _Well(params, *_as_lanes(E, J)[1], errors, "apsidal angle")
+    well = _Well(params, *_one_level("apsidal_angle", E, J), errors, "apsidal angle")
     (integral,), (err,) = well.integral([well.swept_angle], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return ApsidalResult(delta_phi=(integral / params.geometry.s).item(),
@@ -309,7 +325,7 @@ def radial_period(
     + 2)).
     """
     errors: dict = {}
-    well = _Well(params, *_as_lanes(E, J)[1], errors, "radial period")
+    well = _Well(params, *_one_level("radial_period", E, J), errors, "radial period")
     (period,), _ = well.integral([well.period], tolerance, max_refinements)
     _raise_first(errors, name_lane=False)
     return period.item()

@@ -117,7 +117,11 @@ def _escape_energy(params: Params):
 
 def _as_lanes(*values):
     """(scalar, lanes): whether every value is a scalar, and the values as
-    1-D float arrays broadcast together."""
+    1-D float arrays broadcast together.  A value of more than one dimension
+    is a DomainError."""
+    if any(np.ndim(v) > 1 for v in values):
+        raise DomainError("expected floats or 1-D arrays, got shapes "
+                          + ", ".join(str(np.shape(v)) for v in values))
     scalar = all(np.ndim(v) == 0 for v in values)
     return scalar, np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                          for v in values))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import TWO_PI, Params, PhasePoint
 from .dynamics import _raise_first, _turning_points, _well_levels, effective_potential
+from .errors import DomainError
 
 # the bounds of a point's uniform draws: J, the fraction of the well, the
 # fraction of [r_min, r_max], the sign of p_r, and phi
@@ -62,8 +63,11 @@ def draw_bound_points(rng: UniformSource | np.random.Generator, params: Params,
     potentials with one, up to twice the circular energy scale for confining
     ones); the fraction u in [0.05, 0.95] of [r_min, r_max] at which r sits;
     the sign of p_r; and phi in [0, 2*pi).  The draws are those of n
-    successive points, so the first k of n points do not depend on n.
+    successive points, so the first k of n points do not depend on n.  An n
+    that is not an integer >= 0 is a DomainError.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"number of points must be an integer >= 0, got {n!r}")
     J, f, u, sign, phi = rng.uniform(_LOW, _HIGH, size=(n, 5)).T
     errors: dict = {}
     E, minimum = _well_levels(params, J, f, 2.0, errors)

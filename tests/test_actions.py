@@ -78,6 +78,23 @@ class TestRadialAction:
             with pytest.raises(DomainError, match=rf"^{what} requires J != 0$"):
                 func(_LANE_PARAMS[name], -0.15, 0.0)
 
+    def test_array_level_is_domain_error_in_every_level_function(self, monkeypatch):
+        # each level function takes one level set: an array E or J is
+        # rejected by name before any turning point is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("turning points solved")
+
+        monkeypatch.setattr(bertrand, "_turning_points", no_solve)
+        params = kepler_params(2, 3)
+        for func, E, J, shapes in (
+                (cd.radial_action, np.array([-0.15, -0.1]), 1.0, r"\(2,\) and \(\)"),
+                (cd.radial_period, -0.15, np.array([1.0, 1.1]), r"\(\) and \(2,\)"),
+                (cd.apsidal_angle, np.array([-0.15]), 1.0, r"\(1,\) and \(\)"),
+                (cd.frequencies, np.full((2, 2), -0.15), 1.0, r"\(2, 2\) and \(\)")):
+            with pytest.raises(DomainError, match=rf"^{func.__name__} takes one level set: "
+                                                  rf"E and J must be floats, got shapes {shapes}$"):
+                func(params, E, J)
+
 
 class TestHamiltonianFromActions:
     def test_kepler_direct(self):

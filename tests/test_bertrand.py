@@ -432,6 +432,29 @@ class TestQuadratureBudget:
         assert blocks == [(1, 32 << i) for i in range(max_refinements + 2)]
 
 
+    @pytest.mark.parametrize("controls, match", [
+        ({"tolerance": math.nan}, r"quadrature tolerance must be positive, got nan"),
+        ({"tolerance": 0.0}, r"quadrature tolerance must be positive, got 0\.0"),
+        ({"tolerance": -1e-10}, r"quadrature tolerance must be positive, got -1e-10"),
+        ({"max_refinements": -1}, r"max_refinements must be an integer >= 0, got -1"),
+        ({"max_refinements": True}, r"max_refinements must be an integer >= 0, got True"),
+        ({"max_refinements": 2.0}, r"max_refinements must be an integer >= 0, got 2\.0"),
+    ], ids=["nan", "zero", "negative", "minus-one", "bool", "float"])
+    def test_controls_rejected(self, monkeypatch, controls, match):
+        # a control outside its domain is an error before any node is
+        # evaluated, on every path into the quadrature
+        blocks = _node_blocks(monkeypatch)
+        params = kepler_params(2, 3)
+        for call in (lambda: cd.apsidal_angle(params, -0.15, 1.0, **controls),
+                     lambda: cd.radial_period(params, -0.15, 1.0, **controls),
+                     lambda: radial_action(params, -0.15, 1.0, **controls),
+                     lambda: cd.frequencies(params, -0.15, 1.0, **controls),
+                     lambda: cd.bertrand_scan(params, [-1.0, 2.0], [0.5], [1.0], **controls)):
+            with pytest.raises(DomainError, match=rf"^{match}$"):
+                call()
+        assert blocks == []
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
     def test_exact_to_degree_2n_minus_1(self, n):

@@ -90,6 +90,9 @@ class TestEffectivePotential:
                 with pytest.raises(DomainError, match=rf"^effective potential evaluated at "
                                                       rf"r={bad}, not a positive finite radius$"):
                     cd.effective_potential(params, 1.0, r)
+            with pytest.raises(DomainError, match=r"^expected floats or 1-D arrays, "
+                                                  r"got shapes \(\), \(1, 2\)$"):
+                cd.effective_potential(params, 1.0, np.array([[1.0, 2.0]]))
 
     def test_term_outside_the_float_range_is_domain_error(self):
         # V overflows: a typed error naming r, not inf with a warning, and
@@ -650,6 +653,14 @@ class TestTurningPointArrays:
         with pytest.raises(ForbiddenEnergyError) as info:
             cd.turning_points(kep, -0.7, 1.0)
         assert "lane" not in str(info.value)
+        # lanes are 1-D: a 2-D argument names no lane, it is the call's error
+        two_thirds = kepler_params(2, 3)
+        with pytest.raises(DomainError, match=r"^expected floats or 1-D arrays, "
+                                              r"got shapes \(1, 2\), \(\)$"):
+            cd.turning_points(two_thirds, np.array([[-0.2, 1.0]]), 1.0)
+        with pytest.raises(DomainError, match=r"^expected floats or 1-D arrays, "
+                                              r"got shapes \(1, 2\)$"):
+            cd.circular_orbit(two_thirds, np.array([[1.0, 0.0]]))
 
 
 class TestStep:

@@ -9,6 +9,7 @@ import pytest
 import conedyn as cd
 from conedyn import bertrand, dynamics
 from conedyn.dynamics import _escape_energy, _solved_turning_points
+from conedyn.errors import DomainError
 from conedyn.sampling import draw_bound_point, draw_bound_points
 from helpers import RATIONAL_S, kepler_params, oscillator_params
 
@@ -79,6 +80,11 @@ def test_points_lie_inside_their_wells():
         width = tp.r_max - tp.r_min
         assert (r - tp.r_min > 0.04 * width).all() and (tp.r_max - r > 0.04 * width).all()
         assert (p_r > 0.0).any() and (p_r < 0.0).any()
+        assert draw_bound_points(rng, params, 0).shape == (4, 0)
+        for n in (-1, 2.5, True):
+            with pytest.raises(DomainError, match=rf"^number of points must be an integer "
+                                                  rf">= 0, got {n!r}$"):
+                draw_bound_points(rng, params, n)
 
 
 @pytest.mark.parametrize("build", [kepler_params, oscillator_params],
