@@ -431,7 +431,6 @@ class TestQuadratureBudget:
         cd.apsidal_angle(params, 1e-7 * u0, 1.0, max_refinements=max_refinements)
         assert blocks == [(1, 32 << i) for i in range(max_refinements + 2)]
 
-
     @pytest.mark.parametrize("controls, match", [
         ({"tolerance": math.nan}, r"quadrature tolerance must be positive, got nan"),
         ({"tolerance": 0.0}, r"quadrature tolerance must be positive, got 0\.0"),
